@@ -31,15 +31,15 @@ group of the square organize everything:
 
 Every one of these laws is verified element-by-element at construction
 time.  Degenerate models (one sheet over one base point) collapse every
-permutation of Z x Z, so the groups are realized on two tagged copies of
-Z x Z — swap-type elements exchange the copies, translation-type elements
-preserve them — which keeps the abstract group sizes faithful.  All orbit,
-fiber and component computations use the plain action on Z x Z.
+permutation of Z x Z, so each element also acts on two marker points —
+swap-type elements exchange them, translation-type elements fix them —
+which keeps the abstract group sizes faithful.  Orbit, fiber and
+component computations leave the marker points out.
 
 Index conventions, fixed for reproducibility: a sheet (g, b) has index
 g * |B| + b with g in multiplication-table order and b in input order; a
-pair (z, w) has index z * |Z| + w; a tagged point is k + t * |Z|^2 with
-tag t in {0, 1}.
+pair (z, w) has index z * |Z| + w; the marker points are m and m + 1
+with m = |Z|^2.
 """
 from __future__ import annotations
 
@@ -181,9 +181,11 @@ class HilbConstruction:
     """The verified package built on the square of a free G-sheet model.
 
     ``swap``, ``second_slot_maps``, ``diagonal_maps``,
-    ``antidiagonal_maps`` and ``pair_translations`` are tagged
-    permutations (domain 2|Z|^2); the three groups they generate live
-    tagged as well, with ``*_plain`` images acting on the plain square.
+    ``antidiagonal_maps`` and ``pair_translations`` permute the
+    ``pair_count`` pair indices followed by the two marker points, which
+    swap-type elements exchange; the three groups they generate act on the
+    same ``pair_count + 2`` points, and ``images[:pair_count]`` is an
+    element's action on the square.
     ``pair_translations[g1 * d + g]`` acts by (z, w) -> (g1.z, g.w);
     ``antidiagonal_maps[a]`` is the pair translation by (a, a^-1).
 
@@ -195,7 +197,6 @@ class HilbConstruction:
     """
 
     gset: GSet
-    square: tuple[tuple[int, int], ...]
     swap: Permutation
     second_slot_maps: tuple[Permutation, ...]
     diagonal_maps: tuple[Permutation, ...]
@@ -204,9 +205,6 @@ class HilbConstruction:
     pair_group: Group
     diagonal_group: Group
     antidiagonal_group: Group
-    pair_group_plain: Group
-    diagonal_group_plain: Group
-    antidiagonal_group_plain: Group
     diagonal_copies: tuple[tuple[int, ...], ...]
     sym: SymQuotient
     sym_fibers: tuple[tuple[int, ...], ...]
@@ -229,32 +227,29 @@ class HilbConstruction:
             table.mul(g, g) == table.identity for g in range(table.order)
         )
 
-    def plain_of(self, tagged: Permutation) -> Permutation:
-        """Forget the tag: the induced permutation of the plain square."""
-        m = self.pair_count
-        return Permutation(tuple(tagged.images[x] % m for x in range(m)))
+
+def _with_markers(images, m: int, *, swap_type: bool) -> Permutation:
+    """A permutation of the m pairs, extended to the marker points."""
+    markers = (m + 1, m) if swap_type else (m, m + 1)
+    return Permutation(tuple(images) + markers)
 
 
-def _lift_preserving(images, m: int) -> Permutation:
-    return Permutation(tuple(images) + tuple(x + m for x in images))
+def _square_orbits(group: Group, m: int) -> list[tuple[int, ...]]:
+    """Orbits on the m pair indices, leaving out the marker orbit."""
+    return [orbit for orbit in permgroup.orbits(group) if orbit[0] < m]
 
 
-def _lift_flipping(images, m: int) -> Permutation:
-    return Permutation(tuple(x + m for x in images) + tuple(images))
-
-
-def _orbit_fibers(group_plain: Group, point_sym, sym_count: int,
+def _orbit_fibers(group: Group, point_sym, sym_count: int,
                   label: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Orbits of a plain subgroup, bucketed by the symmetric point under
-    each orbit (asserting no orbit straddles two points)."""
+    """Orbits of a marker-model subgroup on the square, bucketed by the
+    symmetric point under each orbit (asserting no orbit straddles two
+    points)."""
     per_sym: list[list[tuple[int, ...]]] = [[] for _ in range(sym_count)]
-    for orbit in permgroup.orbits(group_plain):
+    for orbit in _square_orbits(group, len(point_sym)):
         targets = {point_sym[k] for k in orbit}
         assert len(targets) == 1, \
             f"a {label} orbit crosses symmetric points"
-        per_sym[targets.pop()].append(tuple(sorted(orbit)))
-    for bucket in per_sym:
-        bucket.sort(key=lambda o: o[0])
+        per_sym[targets.pop()].append(orbit)
     return tuple(tuple(bucket) for bucket in per_sym)
 
 
@@ -284,7 +279,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
       G/[G, G] with kernel exactly the antidiagonal group — the
       intermediate quotient is Galois with deck group G/[G, G], which is
       all of G in the abelian case;
-    * the plain pair-group orbits partition the square into the
+    * the pair-group orbits partition the square into the
       symmetric-point fibers, of size 2 d^2 off the doubled locus and d^2
       on it;
     * the diagonal preimage splits into d disjoint copies of the sheet
@@ -301,23 +296,22 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     d = table.order
     n = gset.size
     m = n * n
-    square = tuple((z, w) for z in range(n) for w in range(n))
 
     translations = [gset.translation(g).images for g in range(d)]
-    swap_plain = tuple(w * n + z for z in range(n) for w in range(n))
-    slot_plain = [
-        tuple(z * n + tr[w] for z in range(n) for w in range(n))
+    swap = _with_markers(
+        (w * n + z for z in range(n) for w in range(n)), m, swap_type=True
+    )
+    slot_maps = tuple(
+        _with_markers((z * n + tr[w] for z in range(n) for w in range(n)),
+                      m, swap_type=False)
         for tr in translations
-    ]
-    diag_plain = [
-        tuple(tr[z] * n + tr[w] for z in range(n) for w in range(n))
+    )
+    diag_maps = tuple(
+        _with_markers((tr[z] * n + tr[w] for z in range(n) for w in range(n)),
+                      m, swap_type=False)
         for tr in translations
-    ]
-
-    swap = _lift_flipping(swap_plain, m)
-    slot_maps = tuple(_lift_preserving(p, m) for p in slot_plain)
-    diag_maps = tuple(_lift_preserving(p, m) for p in diag_plain)
-    dom = 2 * m
+    )
+    dom = m + 2
 
     # Both families are homomorphic images of G.
     for g in range(d):
@@ -358,7 +352,8 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         for g in range(d):
             assert slot_maps[g] * conjugated[g1] == pair_maps[g1 * d + g], \
                 "slot map does not commute past a conjugated slot map"
-    for h in range(d):
+    # Generators h suffice: h -> slot map is a homomorphism (checked above).
+    for h in gens_of_g:
         for g1 in range(d):
             for g in range(d):
                 assert slot_maps[h] * pair_maps[g1 * d + g] \
@@ -370,8 +365,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
                 translations[g1][z] * n + translations[g][w]
                 for z in range(n) for w in range(n)
             )
-            got = pair_maps[g1 * d + g].images
-            assert all(got[k] % m == expected[k] for k in range(m)), \
+            assert pair_maps[g1 * d + g].images[:m] == expected, \
                 "pair translation does not act as (g1.z, g.w)"
 
     # Normal forms pin the orders exactly.
@@ -398,7 +392,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     assert antidiagonal_group.is_subgroup_of(pair_group)
     commutator_order = len(table.commutator_subgroup())
     plus_part = {
-        w for w in antidiagonal_group.elements if w.images[0] < m
+        w for w in antidiagonal_group.elements if w.images[m] == m
     }
     assert len(plus_part) == d * commutator_order, \
         "translation half of the antidiagonal group has the wrong order"
@@ -446,30 +440,6 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     assert kernel == antidiagonal_group.elements, \
         "slot-product kernel is not the antidiagonal group"
 
-    def project(w: Permutation) -> Permutation:
-        return Permutation(tuple(w.images[x] % m for x in range(m)))
-
-    pair_plain = permgroup.generate(
-        tuple(project(w) for w in pair_group.generators),
-        domain_size=m, cap=cap,
-    )
-    diag_group_plain = permgroup.generate(
-        tuple(project(w) for w in diagonal_group.generators),
-        domain_size=m, cap=cap,
-    )
-    anti_group_plain = permgroup.generate(
-        tuple(project(w) for w in antidiagonal_group.generators),
-        domain_size=m, cap=cap,
-    )
-    assert pair_plain.elements == {project(w) for w in pair_group}, \
-        "plain image of the pair group does not match"
-    assert diag_group_plain.elements == {
-        project(w) for w in diagonal_group
-    }, "plain image of the diagonal group does not match"
-    assert anti_group_plain.elements == {
-        project(w) for w in antidiagonal_group
-    }, "plain image of the antidiagonal group does not match"
-
     # Diagonal copies.
     diagonal_copies = tuple(
         tuple(z * n + translations[g][z] for z in range(n))
@@ -484,7 +454,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         # pointwise — this is what makes the intermediate quotient tame
         # along the doubled locus.
         fixer = swap * anti_maps[g]
-        assert all(fixer.images[k] % m == k for k in copy), \
+        assert all(fixer.images[k] == k for k in copy), \
             "antidiagonal swap element does not fix its diagonal copy"
 
     # Symmetric-point fibers of the big quotient map.
@@ -496,7 +466,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         sym_index[(bi, bj)] = i
     fibers: list[list[int]] = [[] for _ in sym.points]
     for k in range(m):
-        z, w = square[k]
+        z, w = divmod(k, n)
         bz, bw = gset.b_of(z), gset.b_of(w)
         fibers[sym_index[(min(bz, bw), max(bz, bw))]].append(k)
     sym_fibers = tuple(tuple(f) for f in fibers)
@@ -511,8 +481,8 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     assert seen == diagonal_union, \
         "diagonal copies do not exhaust the doubled-locus preimage"
 
-    # The plain pair-group orbits are exactly the fibers.
-    pair_orbit_sets = {frozenset(o) for o in permgroup.orbits(pair_plain)}
+    # The pair-group orbits on the square are exactly the fibers.
+    pair_orbit_sets = {frozenset(o) for o in _square_orbits(pair_group, m)}
     assert pair_orbit_sets == {frozenset(f) for f in sym_fibers}, \
         "pair-group orbit space is not the symmetric quotient"
 
@@ -524,7 +494,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # Diagonal-group orbits: d per off-doubled point, (d + t) / 2 per
     # doubled point, t = #{g : g^2 = id} (orbit classes {r, r^-1} merge).
     diag_fibers = _orbit_fibers(
-        diag_group_plain, point_sym, len(sym.points), "diagonal-group"
+        diagonal_group, point_sym, len(sym.points), "diagonal-group"
     )
     t = sum(
         1 for g in range(d) if table.mul(g, g) == table.identity
@@ -537,7 +507,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # Antidiagonal-group orbits: constant |G/[G, G]| per point (= d for
     # abelian G) — the intermediate quotient is unramified.
     anti_fibers = _orbit_fibers(
-        anti_group_plain, point_sym, len(sym.points), "antidiagonal-group"
+        antidiagonal_group, point_sym, len(sym.points), "antidiagonal-group"
     )
     for i in range(len(sym.points)):
         assert len(anti_fibers[i]) == ab_table.order, \
@@ -545,7 +515,6 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
 
     return HilbConstruction(
         gset=gset,
-        square=square,
         swap=swap,
         second_slot_maps=slot_maps,
         diagonal_maps=diag_maps,
@@ -554,9 +523,6 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         pair_group=pair_group,
         diagonal_group=diagonal_group,
         antidiagonal_group=antidiagonal_group,
-        pair_group_plain=pair_plain,
-        diagonal_group_plain=diag_group_plain,
-        antidiagonal_group_plain=anti_group_plain,
         diagonal_copies=diagonal_copies,
         sym=sym,
         sym_fibers=sym_fibers,
@@ -596,8 +562,8 @@ class SignReport:
 def sign_and_splitting(c: HilbConstruction) -> SignReport:
     """Verify the swap-parity map on the pair group splits with kernel G x G.
 
-    Every element of the pair group either preserves or exchanges the two
-    tagged copies uniformly; the resulting sign map is a homomorphism onto
+    The sign of a pair-group element is -1 when it exchanges the two marker
+    points and 1 when it fixes them; the sign map is a homomorphism onto
     the order-2 group, split by the swap, and its kernel is exactly the
     injective image of G x G through the pair translations.  Any failed
     check raises :class:`HomomorphismFailure` — with a validly built
@@ -605,20 +571,10 @@ def sign_and_splitting(c: HilbConstruction) -> SignReport:
     """
     m = c.pair_count
     d = c.d
-    dom = 2 * m
 
-    sign: dict[Permutation, int] = {}
-    for w in c.pair_group:
-        flips = w.images[0] >= m
-        uniform = all((w.images[x] >= m) == (not flips if x >= m else flips)
-                      for x in range(dom))
-        if not uniform:
-            raise HomomorphismFailure(
-                "an element of the pair group mixes the tagged copies"
-            )
-        sign[w] = -1 if flips else 1
-    # Uniform tags force sign(ab) = sign(a)sign(b); re-check by generator
-    # induction anyway.
+    sign = {w: -1 if w.images[m] != m else 1 for w in c.pair_group}
+    # The sign is the action on the marker pair, so it is multiplicative;
+    # re-check by generator induction anyway.
     sign_hom = all(
         sign[gen * w] == sign[gen] * sign[w]
         for gen in c.pair_group.generators for w in c.pair_group
@@ -693,14 +649,12 @@ def fixed_components(c: HilbConstruction) -> frozenset[int]:
     itself fixes the true diagonal).  Note the contrast with the
     antidiagonal group, where every diagonal copy has a pointwise fixer.
     """
-    m = c.pair_count
-    identity = Permutation.identity(2 * m)
     found = set()
     for g, copy in enumerate(c.diagonal_copies):
         for w in c.diagonal_group:
-            if w == identity:
+            if w.is_identity:
                 continue
-            if all(w.images[k] % m == k for k in copy):
+            if all(w.images[k] == k for k in copy):
                 found.add(g)
                 break
     table = c.gset.group
@@ -800,7 +754,7 @@ def hilb_square_cover(xi: CoverDescriptor, *,
 
     deck_perms = set()
     for g in range(d):
-        mover = c.plain_of(c.second_slot_maps[g])
+        mover = c.second_slot_maps[g]
         images = tuple(
             orbit_of_point[mover(min_point)]
             for min_point in sorted(orbit_to_index, key=orbit_to_index.get)

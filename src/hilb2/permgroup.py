@@ -3,7 +3,8 @@
 Everything here is computed by exhaustive enumeration: groups are closed
 under composition element by element (with a hard cap), subgroup lattices
 are found by repeatedly extending known subgroups by single elements, and
-normality questions are settled by conjugating with every group element.
+normality is settled by conjugating the subgroup's generators with the
+group's generators.
 No stabilizer chains, no randomness: at the scales this package works with
 (a few thousand elements at most) full enumeration keeps every answer
 independently auditable and bit-for-bit reproducible.
@@ -16,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from math import lcm
+from operator import itemgetter
 
 from .errors import CapExceeded, DomainMismatch, NotASubgroup
 from .tables import GroupTable
@@ -57,13 +59,15 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: ``(p * q)(x) = p(q(x))``, i.e. apply ``q`` first."""
-        if len(self.images) != len(other.images):
+        p, q = self.images, other.images
+        if len(p) != len(q):
             raise DomainMismatch(
-                f"cannot compose permutations of sizes "
-                f"{len(self.images)} and {len(other.images)}"
+                f"cannot compose permutations of sizes {len(p)} and {len(q)}"
             )
-        p = self.images
-        return _raw(tuple(p[v] for v in other.images))
+        if len(q) > 1:
+            return _raw(itemgetter(*q)(p))
+        # itemgetter returns a bare item for one index and needs at least one.
+        return _raw(tuple(p[v] for v in q))
 
     def inverse(self) -> "Permutation":
         images = [0] * len(self.images)
@@ -314,10 +318,17 @@ def normal_closure(group: Group, seed, *, cap: int = DEFAULT_ELEMENT_CAP) -> Gro
 
 
 def is_normal(sub: Group, group: Group) -> bool:
-    """True iff conjugation by every group element maps ``sub`` onto itself."""
+    """True iff conjugation by every group element maps ``sub`` onto itself.
+
+    Only generators are conjugated.  If s h s^-1 lies in ``sub`` for every
+    generator h of ``sub``, then s sub s^-1 is contained in ``sub``, and
+    equal to it because both are finite of the same order.  The elements s
+    with s sub s^-1 = sub form a subgroup, so once it holds for every
+    generator s of ``group`` it holds for all of ``group``.
+    """
     _require_subgroup(sub, group)
     hgens = sub.generators or sub.element_list
-    for a in group.element_list:
+    for a in group.generators:
         ainv = a.inverse()
         if any(a * h * ainv not in sub.elements for h in hgens):
             return False

@@ -1,0 +1,65 @@
+"""Byte-for-byte CLI output on a fixed corpus of invocations.
+
+``data/cli_golden.json`` holds the exit code, stdout and stderr of every
+invocation in ``CASES``, recorded from the tagged double-square model that
+preceded the marker-point model.  A change that alters any of them alters
+what users see.  To record the corpus again after a deliberate output
+change, run from the repository root:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from hilb2.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+
+
+def _construct_cases():
+    for spec, base in (("Z1", 1), ("Z2", 1), ("Z2xZ2", 2), ("Z6", 2),
+                       ("Z4", 3)):
+        for fmt in ("text", "json"):
+            yield ("construct", "--group", spec, "--base-size", str(base),
+                   "--format", fmt)
+
+
+CASES = (
+    *_construct_cases(),
+    ("construct", "--group", "S3"),
+    ("construct", "--group", "Z8", "--group-cap", "100"),
+    ("verify", "--format", "json"),
+)
+
+
+def run_case(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": list(argv), "exit": code,
+            "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _recorded() -> dict:
+    records = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    return {tuple(r["argv"]): r for r in records}
+
+
+def test_corpus_covers_every_case():
+    assert set(_recorded()) == set(CASES)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_cli_output_matches_recording(argv):
+    assert run_case(argv) == _recorded()[argv]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    records = [run_case(argv) for argv in CASES]
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(records)} cases to {GOLDEN}")

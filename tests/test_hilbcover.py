@@ -103,6 +103,7 @@ def test_three_sheet_model_distinguishes_the_two_subgroups():
 
 def test_orbit_count_laws_across_group_types():
     cases = [
+        (cyclic_table(1), ("a",)),
         (cyclic_table(1), ("a", "b")),
         (cyclic_table(2), ("a",)),
         (cyclic_table(4), ("a", "b")),
@@ -118,6 +119,8 @@ def test_orbit_count_laws_across_group_types():
         d = table.order
         t = sum(1 for g in range(d) if table.mul(g, g) == table.identity)
         ab_order = d // len(table.commutator_subgroup())
+        assert c.swap.domain_size == c.pair_count + 2
+        assert sign_and_splitting(c).ok
         for i, point in enumerate(c.sym.points):
             assert len(c.sym_fibers[i]) == \
                 (d * d if point.is_diagonal else 2 * d * d)
@@ -136,6 +139,12 @@ def test_subgroup_orders_and_normality():
     v4 = build(abelian_table((2, 2)), ("a",))
     assert v4.antidiagonal_group.elements == v4.diagonal_group.elements
     assert permgroup.is_normal(v4.diagonal_group, v4.pair_group)
+    # One sheet over one point: only the marker points keep the swap
+    # from collapsing to the identity.
+    z1 = build(cyclic_table(1), ("a",))
+    assert len(z1.pair_group) == 2
+    assert len(z1.antidiagonal_group) == 2
+    assert sign_and_splitting(z1).ok
 
 
 def test_sign_and_splitting_report():

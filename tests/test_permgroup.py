@@ -1,6 +1,7 @@
 """Permutation and permutation-group layer, checked against hand values
 and independent brute-force closures."""
 import itertools
+import random
 
 import pytest
 
@@ -46,6 +47,16 @@ def test_composition_applies_rightmost_first():
     assert p * p.inverse() == Permutation.identity(3)
     with pytest.raises(DomainMismatch):
         p * Permutation((1, 0))
+    rng = random.Random(7)
+    for n in (0, 1, 2, 3, 300):
+        for _ in range(5):
+            a = Permutation(tuple(rng.sample(range(n), n)))
+            b = Permutation(tuple(rng.sample(range(n), n)))
+            assert (a * b).images == tuple(a(b(x)) for x in range(n))
+        with pytest.raises(DomainMismatch):
+            a * Permutation.identity(n + 1)
+        with pytest.raises(DomainMismatch):
+            Permutation.identity(n + 1) * a
 
 
 def test_from_cycles_and_cycle_decomposition():
@@ -123,6 +134,38 @@ def test_is_normal_in_symmetric_group():
         )
     with pytest.raises(NotASubgroup):
         permgroup.is_normal(group, a3)
+
+
+def test_is_normal_matches_conjugation_by_every_element(monkeypatch):
+    compositions = 0
+    compose = Permutation.__mul__
+
+    def counted(self, other):
+        nonlocal compositions
+        compositions += 1
+        return compose(self, other)
+
+    s4 = permgroup.generate(
+        (Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0))), domain_size=4
+    )
+    d4 = permgroup.generate(
+        (Permutation((1, 2, 3, 0)), Permutation((0, 3, 2, 1))), domain_size=4
+    )
+    monkeypatch.setattr(Permutation, "__mul__", counted)
+    for group in (s4, d4):
+        lattice = permgroup.subgroups(group)
+        for big in lattice:
+            for sub in lattice:
+                if not sub.is_subgroup_of(big):
+                    continue
+                by_definition = all(
+                    a * h * a.inverse() in sub
+                    for a in big.element_list for h in sub.element_list
+                )
+                compositions = 0
+                assert permgroup.is_normal(sub, big) == by_definition
+                assert compositions <= \
+                    2 * len(big.generators) * max(len(sub.generators), 1)
 
 
 def test_normal_closure():
