@@ -1,6 +1,6 @@
 """Finitely presented groups made effective.
 
-Three ingredients, all exact over the integers:
+Four ingredients, all exact over the integers:
 
 * a parser for presentation strings ``< a b | a^2, b^3, a b a b >``;
 * abelianization through Smith normal form of the relator exponent matrix,
@@ -9,6 +9,8 @@ Three ingredients, all exact over the integers:
 * coset enumeration (relator-tracing style with immediate coincidence
   handling and a hard coset cap) that turns a finite-index subgroup into a
   concrete permutation action on its cosets.
+* subgroup enumeration of finite abelian groups through the Hermite
+  normal forms of the lattices between the relation lattice and Zᵏ.
 
 Together these let the rest of the package move between presentations,
 abelian invariants and honest permutation groups.
@@ -17,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
-from math import prod
+from math import gcd, prod
 
 from . import permgroup
 from .errors import (
     CapExceeded,
+    HomomorphismFailure,
     IncompleteTable,
     InfiniteGroup,
     PresentationSyntaxError,
@@ -314,7 +317,6 @@ def smith_invariant_factors(matrix) -> tuple[int, ...]:
         for j in range(i + 1, len(diag)):
             a, b = diag[i], diag[j]
             if a and b and b % a != 0:
-                from math import gcd
                 g = gcd(a, b)
                 diag[i], diag[j] = g, a * b // g
             elif a == 0 and b != 0:
@@ -491,16 +493,19 @@ def coset_enumeration(presentation: Presentation, subgroup_words=(),
     Raises :class:`CapExceeded` if more than ``cap`` cosets get defined,
     which is also the only way an infinite-index enumeration can end.
     The returned table is complete and verified: every relator traces to
-    the identity at every coset and every subgroup word fixes coset 0.
+    the identity at every coset and every subgroup word fixes coset 0,
+    or :class:`HomomorphismFailure` is raised.
     """
     subgroup_words = tuple(tuple(w) for w in subgroup_words)
     rows = _Enumerator(presentation, subgroup_words, cap).run()
     table = CosetTable(presentation, subgroup_words, tuple(map(tuple, rows)))
     for word in subgroup_words:
-        assert table.trace(0, word) == 0, "subgroup word moved coset 0"
+        if table.trace(0, word) != 0:
+            raise HomomorphismFailure("subgroup word moved coset 0")
     for coset in range(table.index):
         for word in presentation.relators:
-            assert table.trace(coset, word) == coset, "relator moved a coset"
+            if table.trace(coset, word) != coset:
+                raise HomomorphismFailure("relator moved a coset")
     return table
 
 
@@ -525,8 +530,11 @@ class AbelianSubgroup:
     """A subgroup of a finite abelian group, with its quotient data.
 
     Elements are exponent vectors relative to the ambient invariant
-    factors.  ``quotient`` describes the ambient group modulo this
-    subgroup, i.e. the deck group of the cover the subgroup classifies.
+    factors.  ``generators`` are the nonzero rows of the subgroup's
+    Hermite basis reduced modulo those factors, at most one per factor.
+    ``invariants`` are the subgroup's own invariant factors and
+    ``quotient`` describes the ambient group modulo this subgroup, i.e.
+    the deck group of the cover the subgroup classifies.
     """
 
     ambient: tuple[int, ...]
@@ -544,48 +552,70 @@ class AbelianSubgroup:
         return self.quotient.order
 
 
-def _vector_invariants(elements, moduli) -> tuple[int, ...]:
-    """Invariant factors of a subgroup given by its exponent vectors.
+def _hermite_bases(moduli):
+    """Hermite bases of the lattices L with diag(moduli)·Zᵏ ⊆ L ⊆ Zᵏ.
 
-    The subgroup carries its own multiplication (componentwise addition
-    modulo the ambient factors), so build its table and read the factors
-    off the structure theorem.
+    Yields ``(B, C)``: ``B`` is the unique upper-triangular basis of L
+    (rows are basis vectors, diagonal entries d_i dividing n_i, entries
+    above a diagonal entry d_j reduced into ``range(d_j)``) and ``C`` the
+    integer matrix with ``diag(moduli) = C·B``.  Rows are chosen from the
+    bottom up; row i is kept only if back-substitution writes n_i·e_i in
+    the rows chosen so far, which is exactly when the rows from i down
+    span a lattice containing every n_j·e_j with j >= i.
     """
-    ordered = tuple(sorted(elements))
-    if len(ordered) == 1:
-        return ()
-    index_of = {e: i for i, e in enumerate(ordered)}
+    k = len(moduli)
 
-    def add(u, v):
-        return tuple((a + b) % m for a, b, m in zip(u, v, moduli))
+    def extend(i, rows, coords):
+        if i < 0:
+            yield rows, coords
+            return
+        n = moduli[i]
+        pivots = [row[i + 1 + j] for j, row in enumerate(rows)]
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        for d in divisors:
+            for tail in itertools.product(*map(range, pivots)):
+                row = (0,) * i + (d,) + tail
+                x = [0] * k
+                x[i] = n // d
+                for j in range(i + 1, k):
+                    s = x[i] * row[j] + sum(
+                        x[l] * rows[l - i - 1][j] for l in range(i + 1, j)
+                    )
+                    q, r = divmod(-s, pivots[j - i - 1])
+                    if r:
+                        break
+                    x[j] = q
+                else:
+                    yield from extend(i - 1, (row,) + rows,
+                                      (tuple(x),) + coords)
 
-    rows = tuple(
-        tuple(index_of[add(a, b)] for b in ordered) for a in ordered
-    )
-    from .tables import GroupTable
-    return GroupTable(rows).abelian_invariants()
+    return extend(k - 1, (), ())
 
 
 def subgroups_of_abelian(invariants: AbelianInvariants) -> tuple[AbelianSubgroup, ...]:
     """Every subgroup of a finite abelian group, with quotient invariants.
 
-    The ambient group is realized as exponent vectors modulo the invariant
-    factors; subgroups are enumerated by single-element extension exactly
-    like the permutation engine does, and each quotient's invariants come
-    from the Smith form of the ambient relations stacked over the subgroup
-    vectors.  Deterministic order: by subgroup order, then element list.
+    The ambient group G = Zᵏ/diag(n) is realized as exponent vectors
+    modulo the invariant factors n.  Its subgroups H correspond one to one
+    to the lattices between diag(n)·Zᵏ and Zᵏ, enumerated through their
+    Hermite bases B with diag(n) = C·B (see :func:`_hermite_bases`).  The
+    quotient G/H is Zᵏ/L, so its invariants come from the Smith form of B;
+    H is L/diag(n)·Zᵏ, whose relations in the basis B are the rows of C,
+    so its invariants come from the Smith form of C.  The elements are the
+    closure of the rows of B reduced modulo n, which are the generators.
+    Every call checks |H| = ∏ invariants and |H|·|G/H| = |G|.
+    Deterministic order: by subgroup order, then element list.
     """
     if not invariants.is_finite:
         raise InfiniteGroup("subgroup enumeration needs a finite group")
     moduli = invariants.torsion
-    k = len(moduli)
-    zero = (0,) * k
-    all_elements = [tuple(v) for v in itertools.product(*[range(d) for d in moduli])]
+    total = prod(moduli)
+    zero = (0,) * len(moduli)
 
     def add(u, v):
         return tuple((a + b) % m for a, b, m in zip(u, v, moduli))
 
-    def closure(gens) -> frozenset:
+    def closure(gens) -> tuple:
         members = {zero}
         frontier = [zero]
         while frontier:
@@ -595,38 +625,33 @@ def subgroups_of_abelian(invariants: AbelianInvariants) -> tuple[AbelianSubgroup
                 if y not in members:
                     members.add(y)
                     frontier.append(y)
-        return frozenset(members)
+        return tuple(sorted(members))
 
-    found: dict[frozenset, tuple] = {frozenset({zero}): ()}
-    queue = [frozenset({zero})]
-    while queue:
-        current = queue.pop()
-        gens = found[current]
-        for x in all_elements:
-            if x in current:
-                continue
-            ext_gens = gens + (x,)
-            ext = closure(ext_gens)
-            if ext not in found:
-                found[ext] = ext_gens
-                queue.append(ext)
+    def factors(matrix) -> tuple[int, ...]:
+        return tuple(d for d in smith_invariant_factors(matrix) if d > 1)
 
     out = []
-    for members, gens in found.items():
-        ordered = tuple(sorted(members))
-        rows = [[moduli[i] if i == j else 0 for j in range(k)] for i in range(k)]
-        rows.extend([list(v) for v in ordered])
-        if k:
-            diag = smith_invariant_factors(rows)
-            torsion = tuple(d for d in diag if d > 1)
-        else:
-            torsion = ()
-        quotient = AbelianInvariants(rank=0, torsion=torsion)
+    for basis, coords in _hermite_bases(moduli):
+        reduced = (tuple(v % m for v, m in zip(row, moduli)) for row in basis)
+        gens = tuple(row for row in reduced if row != zero)
+        elements = closure(gens)
+        sub_invariants = factors(coords)
+        quotient = AbelianInvariants(rank=0, torsion=factors(basis))
+        if len(elements) != prod(sub_invariants):
+            raise HomomorphismFailure(
+                f"subgroup of order {len(elements)} has invariant factors "
+                f"{sub_invariants}"
+            )
+        if len(elements) * quotient.order != total:
+            raise HomomorphismFailure(
+                f"subgroup of order {len(elements)} with quotient of order "
+                f"{quotient.order} in a group of order {total}"
+            )
         out.append(AbelianSubgroup(
             ambient=moduli,
-            elements=ordered,
+            elements=elements,
             generators=gens,
-            invariants=_vector_invariants(ordered, moduli),
+            invariants=sub_invariants,
             quotient=quotient,
         ))
     out.sort(key=lambda s: (s.order, s.elements))

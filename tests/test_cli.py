@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, formats, and exit codes."""
 import json
+import time
 
 import pytest
 
@@ -139,6 +140,19 @@ def test_classify_bad_presentation(capsys):
     code, _, err = run(capsys, "classify", "--presentation", "< a | a^ >")
     assert code == EXIT_BAD_INPUT
     assert "error:" in err
+
+
+def test_classify_large_cyclic_refuses_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "classify", "--presentation", "< a | a^600 >",
+        "--group-cap", "100", "--coset-cap", "100",
+    )
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_CAP
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert elapsed < 5.0
 
 
 def test_hodge_text(capsys):

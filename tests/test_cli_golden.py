@@ -1,9 +1,11 @@
 """Byte-for-byte CLI output on a fixed corpus of invocations.
 
 ``data/cli_golden.json`` holds the exit code, stdout and stderr of every
-invocation in ``CASES``, recorded from the tagged double-square model that
-preceded the marker-point model.  A change that alters any of them alters
-what users see.  To record the corpus again after a deliberate output
+invocation in ``CASES``.  The ``construct`` and ``verify`` records come
+from the tagged double-square model that preceded the marker-point model,
+the ``classify`` records from the element-by-element subgroup closure that
+preceded the Hermite-normal-form enumeration.  A change that alters any of
+them alters what users see.  To record the corpus again after a deliberate output
 change, run from the repository root:
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -33,6 +35,13 @@ CASES = (
     ("construct", "--group", "S3"),
     ("construct", "--group", "Z8", "--group-cap", "100"),
     ("verify", "--format", "json"),
+    ("classify", "--catalog", "quaternion", "--format", "json"),
+    ("classify", "--catalog", "cyclic-8"),
+    ("classify", "--presentation", "< a b | a^2, b^4, a b a^-1 b^-1 >",
+     "--format", "json"),
+    ("classify", "--presentation",
+     "< a b c | a^2, b^2, c^2, a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1 >"),
+    ("classify", "--presentation", "< a | a^96 >", "--group-cap", "100"),
 )
 
 

@@ -6,12 +6,17 @@ the row/column reduction in the implementation.
 """
 import itertools
 import math
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
+import hilb2
 from hilb2 import permgroup
 from hilb2.errors import (
     CapExceeded,
+    HomomorphismFailure,
     PresentationSyntaxError,
     UnknownGenerator,
 )
@@ -25,7 +30,7 @@ from hilb2.fpgroup import (
     smith_invariant_factors,
     subgroups_of_abelian,
 )
-from hilb2.tables import abelian_table
+from hilb2.tables import GroupTable, abelian_table
 
 
 def minor_determinant(matrix, rows, cols):
@@ -159,6 +164,29 @@ def test_coset_enumeration_cap():
         coset_enumeration(parse_presentation("< a b | >"), cap=50)
 
 
+def test_coset_table_check_runs_under_optimization():
+    script = (
+        "from hilb2 import fpgroup\n"
+        "from hilb2.errors import HomomorphismFailure\n"
+        "p = fpgroup.parse_presentation('< a | a^2 >')\n"
+        "for rows, words in (([[0, 0], [0, 0]], ()),\n"
+        "                    ([[1, 1], [0, 0]], ((1,),))):\n"
+        "    fpgroup._Enumerator.run = lambda self, rows=rows: rows\n"
+        "    try:\n"
+        "        fpgroup.coset_enumeration(p, words)\n"
+        "    except HomomorphismFailure as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(hilb2.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True,
+        text=True, timeout=60, env={"PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == \
+        "relator moved a coset\nsubgroup word moved coset 0\n"
+
+
 def test_permutation_realization_is_regular_for_trivial_subgroup():
     p = parse_presentation("< a b | a^2, b^3, a b a b >")
     table = coset_enumeration(p)
@@ -202,3 +230,109 @@ def test_abelian_subgroup_quotients():
     assert by_order[4].quotient == AbelianInvariants(0, ())
     for sub in subs:
         assert sub.order * sub.index == 4
+
+
+def reference_subgroups(moduli):
+    """The enumeration that preceded the Hermite one: close a subgroup for
+    every (subgroup, element) pair, read each subgroup's invariants off a
+    validated Cayley table and the quotient's off the Smith form of the
+    ambient relations stacked over the subgroup's elements."""
+    k = len(moduli)
+    zero = (0,) * k
+
+    def add(u, v):
+        return tuple((a + b) % m for a, b, m in zip(u, v, moduli))
+
+    def closure(gens):
+        members = {zero}
+        frontier = [zero]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = add(x, g)
+                if y not in members:
+                    members.add(y)
+                    frontier.append(y)
+        return frozenset(members)
+
+    def table_invariants(ordered):
+        if len(ordered) == 1:
+            return ()
+        index_of = {e: i for i, e in enumerate(ordered)}
+        rows = tuple(
+            tuple(index_of[add(a, b)] for b in ordered) for a in ordered
+        )
+        return GroupTable(rows).abelian_invariants()
+
+    found = {frozenset({zero}): ()}
+    queue = [frozenset({zero})]
+    everything = list(itertools.product(*[range(d) for d in moduli]))
+    while queue:
+        current = queue.pop()
+        for x in everything:
+            if x not in current:
+                ext_gens = found[current] + (x,)
+                ext = closure(ext_gens)
+                if ext not in found:
+                    found[ext] = ext_gens
+                    queue.append(ext)
+    out = []
+    for members in found:
+        ordered = tuple(sorted(members))
+        rows = [[moduli[i] if i == j else 0 for j in range(k)]
+                for i in range(k)]
+        rows.extend(list(v) for v in ordered)
+        torsion = tuple(d for d in smith_invariant_factors(rows) if d > 1) \
+            if k else ()
+        out.append((ordered, table_invariants(ordered),
+                    AbelianInvariants(0, torsion)))
+    out.sort(key=lambda row: (len(row[0]), row[0]))
+    return out
+
+
+@pytest.mark.parametrize("moduli", [
+    (), (2,), (4,), (6,), (2, 2), (2, 4), (3, 3), (2, 6), (2, 2, 2), (12,),
+    (4, 4), (2, 2, 4), (2, 2, 2, 2),
+], ids=str)
+def test_subgroups_of_abelian_match_reference_enumeration(moduli):
+    subs = subgroups_of_abelian(AbelianInvariants(0, moduli))
+    assert [(s.elements, s.invariants, s.quotient) for s in subs] == \
+        reference_subgroups(moduli)
+    for sub in subs:
+        assert len(sub.generators) <= len(moduli)
+        assert all(any(g) for g in sub.generators)
+        assert set(sub.generators) <= set(sub.elements)
+
+
+def gaussian_binomial(n, k, p):
+    top = math.prod(p ** n - p ** i for i in range(k))
+    return top // math.prod(p ** k - p ** i for i in range(k))
+
+
+def divisor_count(n):
+    return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def rank_two_count(p, m, n):
+    """Subgroups of Z_{p^m} x Z_{p^n} for m <= n (Toth, "Subgroups of
+    finite abelian groups having rank two via Goursat's lemma", 2014)."""
+    top = ((n - m + 1) * p ** (m + 2) - (n - m - 1) * p ** (m + 1)
+           - (m + n + 3) * p + (m + n + 1))
+    return top // (p - 1) ** 2
+
+
+def subgroup_count(moduli):
+    return len(subgroups_of_abelian(AbelianInvariants(0, moduli)))
+
+
+def test_subgroup_counts_match_closed_forms():
+    for p, n, total in ((2, 4, 67), (3, 3, 28), (2, 5, 374)):
+        assert subgroup_count((p,) * n) == total == \
+            sum(gaussian_binomial(n, k, p) for k in range(n + 1))
+    assert subgroup_count((600,)) == divisor_count(600) == 24
+    parts = (2, 9, 5)
+    assert subgroup_count((90,)) == math.prod(map(divisor_count, parts)) \
+        == math.prod(map(subgroup_count, [(q,) for q in parts])) == 12
+    assert subgroup_count((8, 8)) == rank_two_count(2, 3, 3) == 37
+    for p, m, n in ((2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 2), (2, 2, 3)):
+        assert subgroup_count((p ** m, p ** n)) == rank_two_count(p, m, n)
