@@ -29,11 +29,12 @@ group of the square organize everything:
   antidiagonal group coincides with the diagonal one whenever every
   element squares to the identity.
 
-Every one of these laws is verified element-by-element at construction
-time.  Degenerate models (one sheet over one base point) collapse every
-permutation of Z x Z, so each element also acts on two marker points —
-swap-type elements exchange them, translation-type elements fix them —
-which keeps the abstract group sizes faithful.  Orbit, fiber and
+Every one of these laws is verified on every call at construction time,
+directly or by induction over generators.  Degenerate models (one sheet
+over one base point) collapse every permutation of Z x Z, so each element
+also acts on two marker points — swap-type elements exchange them,
+translation-type elements fix them — which keeps the abstract group sizes
+faithful.  Orbit, fiber and
 component computations leave the marker points out.
 
 Index conventions, fixed for reproducibility: a sheet (g, b) has index
@@ -242,43 +243,49 @@ def _square_orbits(group: Group, m: int) -> list[tuple[int, ...]]:
 def _orbit_fibers(group: Group, point_sym, sym_count: int,
                   label: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Orbits of a marker-model subgroup on the square, bucketed by the
-    symmetric point under each orbit (asserting no orbit straddles two
-    points)."""
+    symmetric point under each orbit (raising ``HomomorphismFailure`` if an
+    orbit straddles two points)."""
     per_sym: list[list[tuple[int, ...]]] = [[] for _ in range(sym_count)]
     for orbit in _square_orbits(group, len(point_sym)):
         targets = {point_sym[k] for k in orbit}
-        assert len(targets) == 1, \
-            f"a {label} orbit crosses symmetric points"
+        if len(targets) != 1:
+            raise HomomorphismFailure(
+                f"a {label} orbit crosses symmetric points"
+            )
         per_sym[targets.pop()].append(orbit)
     return tuple(tuple(bucket) for bucket in per_sym)
 
 
 def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbConstruction:
-    """Assemble the whole package and verify every law exhaustively.
+    """Assemble the whole package and verify every law on every call.
 
-    Checks performed element-by-element (an assertion failure means the
-    model itself is broken, not the input):
+    A failed law raises :class:`HomomorphismFailure` naming it (it means
+    the model itself is broken, not the input).  A law about all of G or
+    all of the pair group J is checked on generators only where a
+    standard induction carries it to every element: a map phi from a
+    finite group with phi(e) = id and phi(s h) = phi(s) phi(h) for every
+    generator s and every h is a homomorphism, and the elements that
+    commute with a fixed element form a subgroup.
 
-    * g -> second-slot map and g -> diagonal map are homomorphisms, and
-      a -> antidiagonal map is a homomorphism exactly when G is abelian;
-    * diagonal map of g = swap . slot-map(g) . swap . slot-map(g);
-    * slot-map(g) (swap slot-map(g1) swap) = (swap slot-map(g1) swap)
-      slot-map(g), and prefixing a slot map rewrites a pair translation
-      into another pair translation — the normal-form rewriting rules;
-    * the pair translation indexed (g1, g) moves (z, w) to (g1.z, g.w);
-    * the pair group is exactly {pair translations} plus {swap times pair
-      translations}, order 2 d^2; the diagonal group is {diagonal maps}
-      plus {swap times diagonal maps}, order 2 d; the antidiagonal group
-      has order 2 d |commutator of G| (= 2 d in the abelian case, where
-      its normal form mirrors the diagonal one);
+    Checked directly:
+
+    * the swap is an involution;
+    * diagonal map of g = swap . slot-map(g) . swap . slot-map(g), read as
+      the pair translation indexed (g, g);
+    * swap . slot-map(g1) . swap moves (z, w) to (g1.z, w); slot maps move
+      (z, w) to (z, g.w) by construction, so the pair translation indexed
+      (g1, g) moves (z, w) to (g1.z, g.w);
+    * the d^2 pair translations are distinct; the marker-fixing half of
+      the pair group is exactly the pair translations and the group has
+      order 2 d^2, so the other half is swap times pair translations; the
+      diagonal group's marker-fixing half is the diagonal maps, order
+      2 d; the antidiagonal group has order 2 d |commutator of G| (its
+      marker-fixing half has order d |commutator of G|, and is the
+      antidiagonal maps in the abelian case);
     * the diagonal group is normal in the pair group exactly when every
       g satisfies g^2 = id; the antidiagonal group is always normal; the
-      two subgroups coincide in the g^2 = id case;
-    * sending the pair translation (g1, g) and its swap companion to the
-      class of g1 * g in the abelianization of G is a homomorphism onto
-      G/[G, G] with kernel exactly the antidiagonal group — the
-      intermediate quotient is Galois with deck group G/[G, G], which is
-      all of G in the abelian case;
+      two subgroups coincide in the g^2 = id case (normality itself is
+      settled on generators, see :func:`permgroup.is_normal`);
     * the pair-group orbits partition the square into the
       symmetric-point fibers, of size 2 d^2 off the doubled locus and d^2
       on it;
@@ -290,12 +297,32 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
       antidiagonal-group orbits number |G/[G, G]| over every point
       (constant fibers; d of them in the abelian case).
 
+    Checked by generator induction:
+
+    * g -> second-slot map and g -> diagonal map are homomorphisms, and
+      a -> antidiagonal map is a homomorphism exactly when G is abelian;
+    * slot-map(h) commutes with swap . slot-map(g1) . swap for generators
+      h, hence for every h;
+    * sending a pair-group element to the class of g1 * g in the
+      abelianization of G, where (g1.b0, g.b0) is its image of the pair
+      (b0, b0), is a homomorphism onto G/[G, G] (checked against the swap
+      and the generator slot maps) with kernel exactly the antidiagonal
+      group — the intermediate quotient is Galois with deck group
+      G/[G, G], which is all of G in the abelian case.
+
+    Following from the above: prefixing slot-map(h) rewrites the pair
+    translation (g1, g) into (g1, h g) — commutation, then the slot-map
+    homomorphism.
+
     Raises ``CapExceeded`` if the generated groups would pass ``cap``.
     """
     table = gset.group
     d = table.order
     n = gset.size
     m = n * n
+    mul = table.mul
+    identity = table.identity
+    gens_of_g = table.small_generating_set()
 
     translations = [gset.translation(g).images for g in range(d)]
     swap = _with_markers(
@@ -314,15 +341,24 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     dom = m + 2
 
     # Both families are homomorphic images of G.
-    for g in range(d):
+    if not slot_maps[identity].is_identity:
+        raise HomomorphismFailure("second-slot maps do not form a homomorphism")
+    if not diag_maps[identity].is_identity:
+        raise HomomorphismFailure("diagonal maps do not form a homomorphism")
+    for s in gens_of_g:
         for h in range(d):
-            gh = table.mul(g, h)
-            assert slot_maps[g] * slot_maps[h] == slot_maps[gh], \
-                "second-slot maps do not form a homomorphism"
-            assert diag_maps[g] * diag_maps[h] == diag_maps[gh], \
-                "diagonal maps do not form a homomorphism"
+            sh = mul(s, h)
+            if slot_maps[s] * slot_maps[h] != slot_maps[sh]:
+                raise HomomorphismFailure(
+                    "second-slot maps do not form a homomorphism"
+                )
+            if diag_maps[s] * diag_maps[h] != diag_maps[sh]:
+                raise HomomorphismFailure(
+                    "diagonal maps do not form a homomorphism"
+                )
+    if not (swap * swap).is_identity:
+        raise HomomorphismFailure("swap is not an involution")
 
-    gens_of_g = table.small_generating_set()
     pair_group = permgroup.generate(
         (swap,) + tuple(slot_maps[g] for g in gens_of_g),
         domain_size=dom, cap=cap,
@@ -331,16 +367,12 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         (swap,) + tuple(diag_maps[g] for g in gens_of_g),
         domain_size=dom, cap=cap,
     )
-    assert all(p in pair_group.elements for p in slot_maps), \
-        "a second-slot map escaped the pair group"
-    assert all(p in diagonal_group.elements for p in diag_maps), \
-        "a diagonal map escaped the diagonal group"
-    assert diagonal_group.is_subgroup_of(pair_group)
-
-    # diagonal map = swap . slot . swap . slot.
-    for g in range(d):
-        assert swap * slot_maps[g] * swap * slot_maps[g] == diag_maps[g], \
-            "diagonal map is not the double swap-slot word"
+    if not all(p in pair_group.elements for p in slot_maps):
+        raise HomomorphismFailure("a second-slot map escaped the pair group")
+    if not all(p in diagonal_group.elements for p in diag_maps):
+        raise HomomorphismFailure("a diagonal map escaped the diagonal group")
+    if not diagonal_group.is_subgroup_of(pair_group):
+        raise HomomorphismFailure("diagonal group is not inside the pair group")
 
     # Pair translations and the rewriting identities.
     conjugated = [swap * slot_maps[g1] * swap for g1 in range(d)]
@@ -348,114 +380,153 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         conjugated[g1] * slot_maps[g]
         for g1 in range(d) for g in range(d)
     )
-    for g1 in range(d):
-        for g in range(d):
-            assert slot_maps[g] * conjugated[g1] == pair_maps[g1 * d + g], \
-                "slot map does not commute past a conjugated slot map"
-    # Generators h suffice: h -> slot map is a homomorphism (checked above).
+    # diagonal map = (swap . slot . swap) . slot.
+    for g in range(d):
+        if pair_maps[g * d + g] != diag_maps[g]:
+            raise HomomorphismFailure(
+                "diagonal map is not the double swap-slot word"
+            )
     for h in gens_of_g:
         for g1 in range(d):
-            for g in range(d):
-                assert slot_maps[h] * pair_maps[g1 * d + g] \
-                    == pair_maps[g1 * d + table.mul(h, g)], \
-                    "prefixing a slot map does not rewrite the second index"
-    for g1 in range(d):
-        for g in range(d):
-            expected = tuple(
-                translations[g1][z] * n + translations[g][w]
-                for z in range(n) for w in range(n)
-            )
-            assert pair_maps[g1 * d + g].images[:m] == expected, \
-                "pair translation does not act as (g1.z, g.w)"
+            if slot_maps[h] * conjugated[g1] != pair_maps[g1 * d + h]:
+                raise HomomorphismFailure(
+                    "slot map does not commute past a conjugated slot map"
+                )
+    # Prefixing a slot map rewrites the second index:
+    # slot(h) pair(g1, g) = conj(g1) slot(h) slot(g) = pair(g1, h g) by the
+    # commutation just checked and the slot-map homomorphism.
 
-    # Normal forms pin the orders exactly.
+    # swap . slot(g1) . swap acts as (g1.z, w) and slot(g) as (z, g.w) by
+    # construction, so pair(g1, g) acts as (g1.z, g.w).
+    for g1, tr in enumerate(translations):
+        expected = tuple(itertools.chain.from_iterable(
+            range(t * n, t * n + n) for t in tr
+        ))
+        if conjugated[g1].images[:m] != expected:
+            raise HomomorphismFailure(
+                "pair translation does not act as (g1.z, g.w)"
+            )
+
+    # Normal forms pin the orders exactly.  Each group holds the swap,
+    # which exchanges the markers, so its other half is the swap times
+    # its marker-fixing half.
     pair_set = set(pair_maps)
-    assert len(pair_set) == d * d, "pair translations are not distinct"
-    assert pair_group.elements == pair_set | {swap * x for x in pair_maps}, \
-        "pair group is not translations plus swap times translations"
-    assert diagonal_group.elements == (
-        set(diag_maps) | {swap * x for x in diag_maps}
-    ), "diagonal group is not diagonals plus swap times diagonals"
-    assert len(pair_group) == 2 * d * d and len(diagonal_group) == 2 * d
+    if len(pair_set) != d * d:
+        raise HomomorphismFailure("pair translations are not distinct")
+    if {w for w in pair_group.elements if w.images[m] == m} != pair_set \
+            or len(pair_group) != 2 * d * d:
+        raise HomomorphismFailure(
+            "pair group is not translations plus swap times translations"
+        )
+    if {w for w in diagonal_group.elements if w.images[m] == m} \
+            != set(diag_maps) or len(diagonal_group) != 2 * d:
+        raise HomomorphismFailure(
+            "diagonal group is not diagonals plus swap times diagonals"
+        )
 
     # The antidiagonal family and its group.
     anti_maps = tuple(pair_maps[a * d + table.inv(a)] for a in range(d))
-    anti_hom = all(
-        anti_maps[a] * anti_maps[b] == anti_maps[table.mul(a, b)]
-        for a in range(d) for b in range(d)
+    anti_hom = anti_maps[identity].is_identity and all(
+        anti_maps[s] * anti_maps[b] == anti_maps[mul(s, b)]
+        for s in gens_of_g for b in range(d)
     )
-    assert anti_hom == table.is_abelian, \
-        "antidiagonal maps compose homomorphically iff G is abelian"
+    if anti_hom != table.is_abelian:
+        raise HomomorphismFailure(
+            "antidiagonal maps compose homomorphically iff G is abelian"
+        )
     antidiagonal_group = permgroup.generate(
         (swap,) + anti_maps, domain_size=dom, cap=cap
     )
-    assert antidiagonal_group.is_subgroup_of(pair_group)
+    if not antidiagonal_group.is_subgroup_of(pair_group):
+        raise HomomorphismFailure(
+            "antidiagonal group is not inside the pair group"
+        )
     commutator_order = len(table.commutator_subgroup())
     plus_part = {
         w for w in antidiagonal_group.elements if w.images[m] == m
     }
-    assert len(plus_part) == d * commutator_order, \
-        "translation half of the antidiagonal group has the wrong order"
-    assert len(antidiagonal_group) == 2 * d * commutator_order
-    if table.is_abelian:
-        assert antidiagonal_group.elements == (
-            set(anti_maps) | {swap * x for x in anti_maps}
-        ), "abelian antidiagonal group is not antidiagonals plus swaps"
+    if len(plus_part) != d * commutator_order:
+        raise HomomorphismFailure(
+            "translation half of the antidiagonal group has the wrong order"
+        )
+    if len(antidiagonal_group) != 2 * d * commutator_order:
+        raise HomomorphismFailure("antidiagonal group has the wrong order")
+    if table.is_abelian and plus_part != set(anti_maps):
+        raise HomomorphismFailure(
+            "abelian antidiagonal group is not antidiagonals plus swaps"
+        )
 
     # Normality laws for the two intermediate subgroups.
-    squares_to_id = all(
-        table.mul(g, g) == table.identity for g in range(d)
-    )
-    assert permgroup.is_normal(diagonal_group, pair_group) == squares_to_id, \
-        "diagonal group normality differs from the g^2 = id condition"
-    assert permgroup.is_normal(antidiagonal_group, pair_group), \
-        "antidiagonal group is not normal in the pair group"
-    if squares_to_id:
-        assert antidiagonal_group.elements == diagonal_group.elements, \
+    squares_to_id = all(mul(g, g) == identity for g in range(d))
+    if permgroup.is_normal(diagonal_group, pair_group) != squares_to_id:
+        raise HomomorphismFailure(
+            "diagonal group normality differs from the g^2 = id condition"
+        )
+    if not permgroup.is_normal(antidiagonal_group, pair_group):
+        raise HomomorphismFailure(
+            "antidiagonal group is not normal in the pair group"
+        )
+    if squares_to_id and antidiagonal_group.elements != diagonal_group.elements:
+        raise HomomorphismFailure(
             "the two intermediate subgroups differ despite g^2 = id"
+        )
 
     # The product of the two slots, read in the abelianization of G, is a
     # homomorphism onto G/[G, G] with kernel exactly the antidiagonal
-    # group — so the quotient of the pair group by it is G/[G, G].
+    # group — so the quotient of the pair group by it is G/[G, G].  An
+    # element's slot product is read off its image of p0 = (b0, b0): the
+    # pair translation (g1, g) sends p0 to (g1.b0, g.b0), its swap
+    # companion to (g.b0, g1.b0), and g g1 = g1 g in the abelianization.
     ab_table, class_of = table.quotient_by(table.commutator_subgroup())
-    assert ab_table.order == d // commutator_order
-    slot_product: dict[Permutation, int] = {}
+    if ab_table.order != d // commutator_order:
+        raise HomomorphismFailure("abelianization has the wrong order")
+    ab_mul = ab_table.mul
+    z0 = gset.point_of(identity, 0)
+    p0 = z0 * n + z0
+    class_at = {}
     for g1 in range(d):
+        row = gset.point_of(g1, 0) * n
         for g in range(d):
-            value = class_of[table.mul(g1, g)]
-            slot_product[pair_maps[g1 * d + g]] = value
-            slot_product[swap * pair_maps[g1 * d + g]] = value
-    assert len(slot_product) == len(pair_group)
+            class_at[row + gset.point_of(g, 0)] = class_of[mul(g1, g)]
     gen_values = [(swap, ab_table.identity)] + [
-        (slot_maps[g], class_of[g]) for g in gens_of_g
+        (slot_maps[s], class_of[s]) for s in gens_of_g
     ]
     for gen, gen_value in gen_values:
-        for w, value in slot_product.items():
-            assert slot_product[gen * w] == ab_table.mul(gen_value, value), \
-                "slot product is not a homomorphism"
+        gen_images = gen.images
+        for w in pair_group.element_list:
+            k = w.images[p0]
+            if class_at[gen_images[k]] != ab_mul(gen_value, class_at[k]):
+                raise HomomorphismFailure("slot product is not a homomorphism")
     kernel = {
-        w for w, value in slot_product.items()
-        if value == ab_table.identity
+        w for w in pair_group.element_list
+        if class_at[w.images[p0]] == ab_table.identity
     }
-    assert kernel == antidiagonal_group.elements, \
-        "slot-product kernel is not the antidiagonal group"
+    if kernel != antidiagonal_group.elements:
+        raise HomomorphismFailure(
+            "slot-product kernel is not the antidiagonal group"
+        )
 
     # Diagonal copies.
     diagonal_copies = tuple(
         tuple(z * n + translations[g][z] for z in range(n))
         for g in range(d)
     )
+    swap_images = swap.images
     seen: set[int] = set()
     for g, copy in enumerate(diagonal_copies):
-        assert len(copy) == n
-        assert not (set(copy) & seen), "diagonal copies overlap"
+        if len(copy) != n:
+            raise HomomorphismFailure("diagonal copy is not a sheet set")
+        if set(copy) & seen:
+            raise HomomorphismFailure("diagonal copies overlap")
         seen |= set(copy)
         # The antidiagonal swap element indexed by g fixes copy g
         # pointwise — this is what makes the intermediate quotient tame
         # along the doubled locus.
-        fixer = swap * anti_maps[g]
-        assert all(fixer.images[k] == k for k in copy), \
-            "antidiagonal swap element does not fix its diagonal copy"
+        anti_images = anti_maps[g].images
+        if any(swap_images[anti_images[k]] != k for k in copy):
+            raise HomomorphismFailure(
+                "antidiagonal swap element does not fix its diagonal copy"
+            )
 
     # Symmetric-point fibers of the big quotient map.
     sym = symmetric_quotient(gset.base)
@@ -472,19 +543,24 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     sym_fibers = tuple(tuple(f) for f in fibers)
     for i, p in enumerate(sym.points):
         expected_size = d * d if p.is_diagonal else 2 * d * d
-        assert len(sym_fibers[i]) == expected_size, "fiber size law failed"
+        if len(sym_fibers[i]) != expected_size:
+            raise HomomorphismFailure("fiber size law failed")
     diagonal_union = set(
         itertools.chain.from_iterable(
             sym_fibers[i] for i, p in enumerate(sym.points) if p.is_diagonal
         )
     )
-    assert seen == diagonal_union, \
-        "diagonal copies do not exhaust the doubled-locus preimage"
+    if seen != diagonal_union:
+        raise HomomorphismFailure(
+            "diagonal copies do not exhaust the doubled-locus preimage"
+        )
 
     # The pair-group orbits on the square are exactly the fibers.
     pair_orbit_sets = {frozenset(o) for o in _square_orbits(pair_group, m)}
-    assert pair_orbit_sets == {frozenset(f) for f in sym_fibers}, \
-        "pair-group orbit space is not the symmetric quotient"
+    if pair_orbit_sets != {frozenset(f) for f in sym_fibers}:
+        raise HomomorphismFailure(
+            "pair-group orbit space is not the symmetric quotient"
+        )
 
     point_sym = [0] * m
     for i, f in enumerate(sym_fibers):
@@ -496,13 +572,11 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     diag_fibers = _orbit_fibers(
         diagonal_group, point_sym, len(sym.points), "diagonal-group"
     )
-    t = sum(
-        1 for g in range(d) if table.mul(g, g) == table.identity
-    )
+    t = sum(1 for g in range(d) if mul(g, g) == identity)
     for i, p in enumerate(sym.points):
         expected = (d + t) // 2 if p.is_diagonal else d
-        assert len(diag_fibers[i]) == expected, \
-            "diagonal-group orbit count law failed"
+        if len(diag_fibers[i]) != expected:
+            raise HomomorphismFailure("diagonal-group orbit count law failed")
 
     # Antidiagonal-group orbits: constant |G/[G, G]| per point (= d for
     # abelian G) — the intermediate quotient is unramified.
@@ -510,8 +584,10 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         antidiagonal_group, point_sym, len(sym.points), "antidiagonal-group"
     )
     for i in range(len(sym.points)):
-        assert len(anti_fibers[i]) == ab_table.order, \
-            "antidiagonal-group orbit count is not the abelianization order"
+        if len(anti_fibers[i]) != ab_table.order:
+            raise HomomorphismFailure(
+                "antidiagonal-group orbit count is not the abelianization order"
+            )
 
     return HilbConstruction(
         gset=gset,
@@ -574,10 +650,11 @@ def sign_and_splitting(c: HilbConstruction) -> SignReport:
 
     sign = {w: -1 if w.images[m] != m else 1 for w in c.pair_group}
     # The sign is the action on the marker pair, so it is multiplicative;
-    # re-check by generator induction anyway.
+    # re-check by generator induction anyway: gen * w sends the marker m
+    # to gen(w(m)).
     sign_hom = all(
-        sign[gen * w] == sign[gen] * sign[w]
-        for gen in c.pair_group.generators for w in c.pair_group
+        (-1 if gen.images[w.images[m]] != m else 1) == sign[gen] * s
+        for gen in c.pair_group.generators for w, s in sign.items()
     )
 
     kernel = {w for w, s in sign.items() if s == 1}
@@ -623,7 +700,7 @@ def sign_and_splitting(c: HilbConstruction) -> SignReport:
 def big_fiber(c: HilbConstruction, point) -> tuple[int, ...]:
     """Pair indices over a symmetric point (a SymPoint or its label).
 
-    Size is 2 d^2 off the doubled locus and d^2 on it, a law asserted at
+    Size is 2 d^2 off the doubled locus and d^2 on it, a law checked at
     construction time.
     """
     return c.sym_fibers[c.sym.index_of(point)]
@@ -633,7 +710,7 @@ def diagonal_components(c: HilbConstruction) -> dict[int, tuple[int, ...]]:
     """The d disjoint sheets over the doubled locus, keyed by g.
 
     Sheet g is {(z, g.z)}; disjointness and exhaustion of the doubled-locus
-    preimage are asserted at construction time.
+    preimage are checked at construction time.
     """
     return dict(enumerate(c.diagonal_copies))
 
@@ -661,10 +738,11 @@ def fixed_components(c: HilbConstruction) -> frozenset[int]:
     closed_form = {
         g for g in range(table.order) if table.mul(g, g) == table.identity
     }
-    assert found == closed_form, (
-        f"fixed diagonal copies {sorted(found)} disagree with the order-2 "
-        f"prediction {sorted(closed_form)}"
-    )
+    if found != closed_form:
+        raise HomomorphismFailure(
+            f"fixed diagonal copies {sorted(found)} disagree with the order-2 "
+            f"prediction {sorted(closed_form)}"
+        )
     return frozenset(found)
 
 
@@ -673,7 +751,7 @@ def xi_tilde_fibers(c: HilbConstruction) -> dict[str, tuple[tuple[int, ...], ...
 
     These are the antidiagonal-group orbits over each symmetric point;
     every fiber carries exactly |G/[G, G]| orbits — d of them when G is
-    abelian — so the intermediate cover is unramified, as asserted at
+    abelian — so the intermediate cover is unramified, as checked at
     construction time.  (The diagonal-group orbit decomposition, whose
     count drops to (d + t) / 2 over doubled points, is available as
     ``c.diagonal_orbit_fibers``.)
@@ -730,8 +808,10 @@ def hilb_square_cover(xi: CoverDescriptor, *,
 
     gset = free_gset(table, base_labels)
     c = build_construction(gset, cap=cap)
-    assert len(c.antidiagonal_group) == 2 * c.d, \
-        "abelian deck group but oversized antidiagonal subgroup"
+    if len(c.antidiagonal_group) != 2 * c.d:
+        raise HomomorphismFailure(
+            "abelian deck group but oversized antidiagonal subgroup"
+        )
     d = c.d
 
     total: list[str] = []
@@ -760,9 +840,11 @@ def hilb_square_cover(xi: CoverDescriptor, *,
             for min_point in sorted(orbit_to_index, key=orbit_to_index.get)
         )
         deck_perms.add(Permutation(images))
-    assert len(deck_perms) == d, "deck action on orbits is not faithful"
+    if len(deck_perms) != d:
+        raise HomomorphismFailure("deck action on orbits is not faithful")
     new_deck = permgroup.group_from_elements(len(total), deck_perms)
-    assert len(new_deck) == d
+    if len(new_deck) != d:
+        raise HomomorphismFailure("deck group on orbits has the wrong order")
 
     return CoverDescriptor(
         base_label=f"Hilb2({xi.base_label})",

@@ -33,8 +33,10 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.images)
-        if len(set(self.images)) != n or any(not 0 <= v < n for v in self.images):
+        images = self.images
+        n = len(images)
+        if n and (len(set(images)) != n
+                  or min(images) < 0 or max(images) >= n):
             raise ValueError(f"not a bijection of 0..{n - 1}: {self.images!r}")
 
     @classmethod

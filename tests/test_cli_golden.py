@@ -2,9 +2,11 @@
 
 ``data/cli_golden.json`` holds the exit code, stdout and stderr of every
 invocation in ``CASES``.  The ``construct`` and ``verify`` records come
-from the tagged double-square model that preceded the marker-point model,
-the ``classify`` records from the element-by-element subgroup closure that
-preceded the Hermite-normal-form enumeration.  A change that alters any of
+from the tagged double-square model that preceded the marker-point model
+(the ``Z2xZ2xZ2``, ``Z3xZ3`` and ``Z2xZ4`` ones, which have several
+generators, from the marker-point model with law checks over all pairs of
+elements), the ``classify`` records from the element-by-element subgroup
+closure that preceded the Hermite-normal-form enumeration.  A change that alters any of
 them alters what users see.  To record the corpus again after a deliberate output
 change, run from the repository root:
 
@@ -24,7 +26,8 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
 def _construct_cases():
     for spec, base in (("Z1", 1), ("Z2", 1), ("Z2xZ2", 2), ("Z6", 2),
-                       ("Z4", 3)):
+                       ("Z4", 3), ("Z2xZ2xZ2", 2), ("Z3xZ3", 1),
+                       ("Z2xZ4", 2)):
         for fmt in ("text", "json"):
             yield ("construct", "--group", spec, "--base-size", str(base),
                    "--format", fmt)

@@ -1,8 +1,13 @@
 """The squared-model construction: symmetric quotients, the three
 symmetry groups of the square, fiber laws, diagonal copies, and the
 induced cover of the Hilbert square."""
+from pathlib import Path
+import subprocess
+import sys
+
 import pytest
 
+import hilb2
 from hilb2 import permgroup
 from hilb2.errors import (
     EmptyBase,
@@ -220,3 +225,134 @@ def test_hilb_square_cover_rejects_bad_inputs():
         hilb_square_cover(cover_from_subgroup(s3, flip))
     with pytest.raises(NonAbelianDeckGroup):
         hilb_square_cover(regular_cover(symmetric_table(3)))
+
+
+def assert_laws_exhaustively(c):
+    """Every law that ``build_construction`` and ``sign_and_splitting``
+    check on generators, restated over all pairs of elements."""
+    table = c.gset.group
+    d, n, m = c.d, c.gset.size, c.pair_count
+    mul = table.mul
+    swap = c.swap
+    slot, diag = c.second_slot_maps, c.diagonal_maps
+    anti, pair = c.antidiagonal_maps, c.pair_translations
+    tr = [c.gset.translation(g).images for g in range(d)]
+    pairs_of_g = [(a, b) for a in range(d) for b in range(d)]
+
+    for g, h in pairs_of_g:
+        assert slot[g] * slot[h] == slot[mul(g, h)]
+        assert diag[g] * diag[h] == diag[mul(g, h)]
+    anti_hom = all(anti[a] * anti[b] == anti[mul(a, b)]
+                   for a, b in pairs_of_g)
+    assert anti_hom == table.is_abelian
+    assert (swap * swap).is_identity
+    for g in range(d):
+        assert swap * slot[g] * swap * slot[g] == diag[g]
+    conjugated = [swap * slot[g1] * swap for g1 in range(d)]
+    for g1, g in pairs_of_g:
+        assert slot[g] * conjugated[g1] == pair[g1 * d + g]
+        assert conjugated[g1] * slot[g] == pair[g1 * d + g]
+        assert pair[g1 * d + g].images[:m] == tuple(
+            tr[g1][z] * n + tr[g][w] for z in range(n) for w in range(n)
+        )
+        for h in range(d):
+            assert slot[h] * pair[g1 * d + g] == pair[g1 * d + mul(h, g)]
+
+    assert c.pair_group.elements == set(pair) | {swap * x for x in pair}
+    assert c.diagonal_group.elements == set(diag) | {swap * x for x in diag}
+    if table.is_abelian:
+        assert c.antidiagonal_group.elements == \
+            set(anti) | {swap * x for x in anti}
+    for sub in (c.diagonal_group, c.antidiagonal_group):
+        by_definition = all(
+            a * h * a.inverse() in sub
+            for a in c.pair_group for h in sub
+        )
+        assert permgroup.is_normal(sub, c.pair_group) == by_definition
+
+    ab_table, class_of = table.quotient_by(table.commutator_subgroup())
+    slot_product = {}
+    for g1, g in pairs_of_g:
+        slot_product[pair[g1 * d + g]] = class_of[mul(g1, g)]
+        slot_product[swap * pair[g1 * d + g]] = class_of[mul(g1, g)]
+    assert len(slot_product) == len(c.pair_group)
+
+    def sign(w):
+        return -1 if w.images[m] != m else 1
+
+    for u in c.pair_group:
+        for v in c.pair_group:
+            uv = u * v
+            assert slot_product[uv] == \
+                ab_table.mul(slot_product[u], slot_product[v])
+            assert sign(uv) == sign(u) * sign(v)
+    kernel = {w for w, value in slot_product.items()
+              if value == ab_table.identity}
+    assert kernel == c.antidiagonal_group.elements
+
+    for a, b in pairs_of_g:
+        for g1, g in pairs_of_g:
+            assert pair[a * d + b] * pair[g1 * d + g] == \
+                pair[mul(a, g1) * d + mul(b, g)]
+
+
+@pytest.mark.parametrize("base", [("a",), ("a", "b")], ids=len)
+@pytest.mark.parametrize("table", [
+    cyclic_table(6),
+    abelian_table((2, 4)),
+    abelian_table((2, 2, 2)),
+    abelian_table((3, 3)),
+    symmetric_table(3),
+], ids=["Z6", "Z2xZ4", "Z2^3", "Z3^2", "S3"])
+def test_generator_checked_laws_hold_for_every_pair(table, base):
+    c = build(table, base)
+    assert sign_and_splitting(c).ok
+    assert_laws_exhaustively(c)
+
+
+def test_law_checks_cost_few_compositions(monkeypatch):
+    compositions = 0
+    compose = Permutation.__mul__
+
+    def counted(self, other):
+        nonlocal compositions
+        compositions += 1
+        return compose(self, other)
+
+    gset = free_gset(cyclic_table(11), ("a",))
+    monkeypatch.setattr(Permutation, "__mul__", counted)
+    sign_and_splitting(build_construction(gset))
+    assert compositions <= 1500
+
+
+def test_law_checks_run_under_optimization():
+    script = (
+        "from hilb2 import hilbcover, permgroup\n"
+        "from hilb2.errors import HomomorphismFailure\n"
+        "from hilb2.tables import cyclic_table\n"
+        "gset = hilbcover.free_gset(cyclic_table(3), ('a',))\n"
+        "honest = hilbcover.GSet.translation\n"
+        "breaks = (\n"
+        "    (hilbcover.GSet, 'translation',\n"
+        "     lambda self, g: honest(self, 2 if g == 1 else g)),\n"
+        "    (permgroup, 'is_normal', lambda sub, group: False),\n"
+        ")\n"
+        "for owner, name, broken in breaks:\n"
+        "    kept = getattr(owner, name)\n"
+        "    setattr(owner, name, broken)\n"
+        "    try:\n"
+        "        hilbcover.build_construction(gset)\n"
+        "    except HomomorphismFailure as exc:\n"
+        "        print(exc)\n"
+        "    setattr(owner, name, kept)\n"
+    )
+    src = str(Path(hilb2.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True,
+        text=True, timeout=60, env={"PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "second-slot maps do not form a homomorphism\n"
+        "antidiagonal group is not normal in the pair group\n"
+    )
