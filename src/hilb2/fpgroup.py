@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import itertools
 from math import gcd, prod
+from operator import itemgetter
 
 from . import permgroup
 from .errors import (
@@ -343,28 +344,61 @@ def abelianization(presentation: Presentation) -> AbelianInvariants:
     )
 
 
+def _columns_word(word) -> tuple[int, ...]:
+    """A signed word as table columns: ``2*i`` for generator ``i``, ``2*i + 1``
+    for its inverse."""
+    return tuple(
+        2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
+        for letter in word
+    )
+
+
+def _trace_all(columns, cosets: tuple[int, ...], word) -> tuple[int, ...]:
+    """Where ``word`` takes each of ``cosets``, traced for all at once.
+
+    ``columns[l][c]`` is the coset that letter ``l`` sends coset ``c`` to;
+    each letter of ``word`` is one ``itemgetter`` pass over the current
+    images, which composes the columns instead of stepping coset by coset.
+    """
+    if len(cosets) == 1:
+        # itemgetter returns a bare item for one index.
+        (coset,) = cosets
+        for letter in word:
+            coset = columns[letter][coset]
+        return (coset,)
+    for letter in word:
+        cosets = itemgetter(*cosets)(columns[letter])
+    return cosets
+
+
 class _Enumerator:
     """Coset enumeration by relator tracing.
 
     Scans every relator at every live coset, defining new cosets whenever a
     scan stalls and processing coincidences immediately through a union-find
     merge queue.  A hard cap bounds the total number of cosets ever defined.
+
+    Stop rule: a pass that leaves a hole is followed by another pass.  After
+    a pass that leaves none, every relator is traced through every live
+    coset at once by composing the table's columns; the sweep stops when
+    each relator brings every coset back to itself.  A further pass would
+    then scan each relator to completion without defining, deducing or
+    merging anything, so the table is the one it would leave.
     """
 
     def __init__(self, presentation: Presentation, subgroup_words, cap: int):
         self.nletters = 2 * presentation.rank
-        self.relators = [self._letters(w) for w in presentation.relators]
-        self.subgroup_words = [self._letters(w) for w in subgroup_words]
+        self.relators = [self._with_inverse(w) for w in presentation.relators]
+        self.subgroup_words = [self._with_inverse(w) for w in subgroup_words]
         self.cap = cap
         self.table: list[list[int | None]] = [[None] * self.nletters]
         self.parent = [0]
 
     @staticmethod
-    def _letters(word) -> tuple[int, ...]:
-        return tuple(
-            2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
-            for letter in word
-        )
+    def _with_inverse(word) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The word in table columns, and the inverse column of each letter."""
+        letters = _columns_word(word)
+        return letters, tuple(letter ^ 1 for letter in letters)
 
     @staticmethod
     def _inv(letter: int) -> int:
@@ -419,60 +453,74 @@ class _Enumerator:
                         self.table[mu][letter] = nu
                         self.table[nu][self._inv(letter)] = mu
 
-    def scan_and_fill(self, alpha: int, word) -> None:
+    def scan_and_fill(self, alpha: int, word, inverse) -> None:
+        """Scan ``word`` at ``alpha`` from both ends, filling it in.
+
+        ``inverse[i]`` is the inverse letter of ``word[i]``.
+        """
+        table = self.table
         f, b = alpha, alpha
         i, j = 0, len(word) - 1
         while True:
-            while i <= j and self.table[f][word[i]] is not None:
-                f = self.table[f][word[i]]
+            row = table[f]
+            while i <= j and row[word[i]] is not None:
+                f = row[word[i]]
+                row = table[f]
                 i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and self.table[b][self._inv(word[j])] is not None:
-                b = self.table[b][self._inv(word[j])]
+            row = table[b]
+            while j >= i and row[inverse[j]] is not None:
+                b = row[inverse[j]]
+                row = table[b]
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
                 return
             if j == i:
-                self.table[f][word[i]] = b
-                self.table[b][self._inv(word[i])] = f
+                table[f][word[i]] = b
+                table[b][inverse[i]] = f
                 return
             f = self.define(f, word[i])
             i += 1
 
-    def _snapshot(self) -> tuple[int, int, int]:
-        live = [k for k in range(len(self.table)) if self.rep(k) == k]
-        holes = sum(
-            1 for k in live for v in self.table[k] if v is None
-        )
-        return len(self.table), len(live), holes
+    def _closed(self, live: tuple[int, ...]) -> bool:
+        """True iff the live rows have no hole and every relator brings
+        every live coset back to itself.
+
+        Coincidence processing clears every entry that points to a coset it
+        merges away, so live rows only point to live cosets.
+        """
+        table = self.table
+        if any(None in table[k] for k in live):
+            return False
+        columns = tuple(zip(*table))
+        return all(_trace_all(columns, live, word) == live
+                   for word, _ in self.relators)
 
     def run(self) -> list[list[int]]:
-        for word in self.subgroup_words:
-            self.scan_and_fill(0, word)
-        # Sweep until a whole pass neither defines, merges, nor fills
-        # anything.  A late coincidence can reopen entries in rows that
-        # were already processed, so one pass is not always enough.
+        for word, inverse in self.subgroup_words:
+            self.scan_and_fill(0, word, inverse)
+        # A late coincidence can reopen entries in rows that were already
+        # processed, so one pass is not always enough.
         while True:
-            before = self._snapshot()
             alpha = 0
             while alpha < len(self.table):
                 if self.rep(alpha) == alpha:
-                    for word in self.relators:
+                    for word, inverse in self.relators:
                         if self.rep(alpha) != alpha:
                             break
-                        self.scan_and_fill(alpha, word)
+                        self.scan_and_fill(alpha, word, inverse)
                     if self.rep(alpha) == alpha:
                         for letter in range(self.nletters):
                             if self.table[alpha][letter] is None:
                                 self.define(alpha, letter)
                 alpha += 1
-            if self._snapshot() == before:
+            live = tuple(k for k in range(len(self.table)) if self.rep(k) == k)
+            if self._closed(live):
                 break
-        live = [k for k in range(len(self.table)) if self.rep(k) == k]
         renumber = {old: new for new, old in enumerate(live)}
         rows = []
         for old in live:
@@ -502,10 +550,11 @@ def coset_enumeration(presentation: Presentation, subgroup_words=(),
     for word in subgroup_words:
         if table.trace(0, word) != 0:
             raise HomomorphismFailure("subgroup word moved coset 0")
-    for coset in range(table.index):
-        for word in presentation.relators:
-            if table.trace(coset, word) != coset:
-                raise HomomorphismFailure("relator moved a coset")
+    columns = tuple(zip(*table.rows))
+    cosets = tuple(range(table.index))
+    for word in presentation.relators:
+        if _trace_all(columns, cosets, _columns_word(word)) != cosets:
+            raise HomomorphismFailure("relator moved a coset")
     return table
 
 

@@ -17,7 +17,7 @@ import math
 
 from . import permgroup
 from .descriptors import CoverDescriptor, SurfaceDescriptor
-from .errors import InfiniteAbelianization, NotASubgroup
+from .errors import HomomorphismFailure, InfiniteAbelianization, NotASubgroup
 from .fpgroup import abelianization, subgroups_of_abelian
 from .hilbcover import free_gset, hilb_square_cover
 from .permgroup import DEFAULT_ELEMENT_CAP, Group, Permutation
@@ -55,14 +55,18 @@ def cover_from_subgroup(g: Group, h: Group, *,
     monodromy = permgroup.generate(
         monodromy_gens, domain_size=degree, cap=len(g)
     )
-    assert len(permgroup.orbits(monodromy)) == 1, "coset action is transitive"
+    if len(permgroup.orbits(monodromy)) != 1:
+        raise HomomorphismFailure("coset action is not transitive")
 
     normalizer = permgroup.normalizer(g, h)
     deck_perms = {
         Permutation(tuple(coset_of[x * reps[i]] for i in range(degree)))
         for x in normalizer.element_list
     }
-    assert len(deck_perms) == len(normalizer) // len(h)
+    if len(deck_perms) != len(normalizer) // len(h):
+        raise HomomorphismFailure(
+            "deck group does not have order |normalizer| / |h|"
+        )
     deck = permgroup.group_from_elements(degree, deck_perms)
 
     return CoverDescriptor(
@@ -103,7 +107,10 @@ def galois_closure(c: CoverDescriptor) -> CoverDescriptor:
         for x in elements
     }
     deck = permgroup.group_from_elements(size, deck_perms)
-    assert len(deck) == size
+    if len(deck) != size:
+        raise HomomorphismFailure(
+            "Galois closure deck group does not have the monodromy order"
+        )
     return CoverDescriptor(
         base_label=c.base_label,
         total_points=labels,
@@ -224,8 +231,10 @@ def wreath_model(q_table: GroupTable, n: int, *,
     wreath = permgroup.generate(
         tuple(vector_gens) + tuple(lifts), domain_size=dom, cap=cap
     )
-    assert len(wreath) == qpow * math.factorial(n), \
-        "decorated permutation group has the wrong order"
+    if len(wreath) != qpow * math.factorial(n):
+        raise HomomorphismFailure(
+            "decorated permutation group has the wrong order"
+        )
     return WreathModel(q_table, n, wreath, tuple(lifts))
 
 
@@ -401,7 +410,10 @@ def classify_hilb_covers(s: SurfaceDescriptor, *,
             domain_size=gset.size,
             cap=cap,
         )
-        assert len(action) == deck_table.order
+        if len(action) != deck_table.order:
+            raise HomomorphismFailure(
+                "deck translations do not act faithfully"
+            )
         surface_cover = CoverDescriptor(
             base_label=s.name,
             total_points=gset.labels,

@@ -9,6 +9,13 @@ No stabilizer chains, no randomness: at the scales this package works with
 (a few thousand elements at most) full enumeration keeps every answer
 independently auditable and bit-for-bit reproducible.
 
+Every constructor here keeps ``Group.generators`` a generating set of the
+group (identity elements dropped), so a property of the whole group that is
+preserved by products and inverses is checked on the generators alone:
+normality, normal closures, and the derived subgroup as the normal closure
+of the generators' commutators (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, 2005).
+
 All objects are immutable after construction, so they can be shared freely
 across threads and used as dictionary keys.
 """
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+import itertools
 from math import lcm
 from operator import itemgetter
 
@@ -193,6 +201,8 @@ def generate(gens, *, domain_size: int | None = None,
                 f"generator on {g.domain_size} points does not act on "
                 f"{domain_size} points"
             )
+    # x * e = x would only repeat a lookup.
+    gens = [g for g in gens if not g.is_identity]
     ident = Permutation.identity(domain_size)
     elements = {ident}
     frontier = deque([ident])
@@ -209,7 +219,7 @@ def generate(gens, *, domain_size: int | None = None,
                 frontier.append(y)
     return Group(
         domain_size=domain_size,
-        generators=tuple(g for g in gens if not g.is_identity) or (),
+        generators=tuple(gens),
         element_list=tuple(sorted(elements)),
         elements=frozenset(elements),
     )
@@ -404,23 +414,19 @@ def subgroups(group: Group, *, cap: int = DEFAULT_SUBGROUP_CAP) -> tuple[Group, 
 
 
 def commutator_subgroup(group: Group) -> Group:
-    """Subgroup generated by all commutators, by brute force over pairs.
+    """The derived subgroup G', as the normal closure of the commutators
+    [a, b] of pairs of generators.
 
-    The full set of commutators is closed under conjugation, so its plain
-    closure is already normal; no extra normal closure step is needed.
+    The normal closure N of those commutators lies in G'.  In G/N the
+    images of the generators commute, so G/N is abelian and G' lies in N.
+    One commutator per unordered pair suffices, since [b, a] = [a, b]^-1
+    and [a, a] = e.  The result is wrapped by :func:`group_from_elements`,
+    so its generators depend only on its elements.
     """
-    comms = set()
-    inverses = {a: a.inverse() for a in group.element_list}
-    for a in group.element_list:
-        for b in group.element_list:
-            comms.add(a * b * inverses[a] * inverses[b])
-    comms.discard(group.identity)
-    if not comms:
-        return Group.trivial(group.domain_size)
-    closure = generate(
-        sorted(comms), domain_size=group.domain_size, cap=group.order
-    )
-    return group_from_elements(group.domain_size, closure.elements)
+    comms = [a * b * a.inverse() * b.inverse()
+             for a, b in itertools.combinations(group.generators, 2)]
+    derived = normal_closure(group, comms, cap=group.order)
+    return group_from_elements(group.domain_size, derived.elements)
 
 
 def quotient_table(group: Group, normal_sub: Group) -> tuple[GroupTable, dict, tuple]:

@@ -6,9 +6,11 @@ from the tagged double-square model that preceded the marker-point model
 (the ``Z2xZ2xZ2``, ``Z3xZ3`` and ``Z2xZ4`` ones, which have several
 generators, from the marker-point model with law checks over all pairs of
 elements), the ``classify`` records from the element-by-element subgroup
-closure that preceded the Hermite-normal-form enumeration.  A change that alters any of
-them alters what users see.  To record the corpus again after a deliberate output
-change, run from the repository root:
+closure that preceded the Hermite-normal-form enumeration, and the text-mode
+``verify`` and quaternion ``classify`` records from the all-pairs commutator
+closure and the coset enumeration that ended with a confirming pass.  A change
+that alters any of them alters what users see.  To record the corpus again
+after a deliberate output change, run from the repository root:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -45,6 +47,8 @@ CASES = (
     ("classify", "--presentation",
      "< a b c | a^2, b^2, c^2, a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1 >"),
     ("classify", "--presentation", "< a | a^96 >", "--group-cap", "100"),
+    ("verify",),
+    ("classify", "--catalog", "quaternion"),
 )
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import hilb2
 from hilb2 import permgroup
+from hilb2.catalog import get_surface, surface_names
 from hilb2.errors import (
     CapExceeded,
     HomomorphismFailure,
@@ -22,6 +23,8 @@ from hilb2.errors import (
 )
 from hilb2.fpgroup import (
     AbelianInvariants,
+    CosetTable,
+    _Enumerator,
     abelianization,
     coset_enumeration,
     parse_presentation,
@@ -185,6 +188,204 @@ def test_coset_table_check_runs_under_optimization():
     assert result.returncode == 0, result.stderr
     assert result.stdout == \
         "relator moved a coset\nsubgroup word moved coset 0\n"
+
+
+class ReferenceEnumerator:
+    """The coset enumerator that preceded the column-composition stop rule:
+    it sweeps until a whole pass neither defines, merges nor fills anything,
+    so every enumeration ends with a pass that only confirms the table."""
+
+    def __init__(self, presentation, subgroup_words, cap):
+        self.nletters = 2 * presentation.rank
+        self.relators = [self._letters(w) for w in presentation.relators]
+        self.subgroup_words = [self._letters(w) for w in subgroup_words]
+        self.cap = cap
+        self.table = [[None] * self.nletters]
+        self.parent = [0]
+
+    @staticmethod
+    def _letters(word):
+        return tuple(
+            2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
+            for letter in word
+        )
+
+    @staticmethod
+    def _inv(letter):
+        return letter ^ 1
+
+    def rep(self, k):
+        while self.parent[k] != k:
+            self.parent[k] = self.parent[self.parent[k]]
+            k = self.parent[k]
+        return k
+
+    def define(self, alpha, letter):
+        if len(self.table) >= self.cap:
+            raise CapExceeded("reference enumeration exceeded its cap")
+        beta = len(self.table)
+        self.table.append([None] * self.nletters)
+        self.parent.append(beta)
+        self.table[alpha][letter] = beta
+        self.table[beta][self._inv(letter)] = alpha
+        return beta
+
+    def _merge(self, queue, a, b):
+        a, b = self.rep(a), self.rep(b)
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            self.parent[b] = a
+            queue.append(b)
+
+    def coincidence(self, a, b):
+        queue = []
+        self._merge(queue, a, b)
+        i = 0
+        while i < len(queue):
+            gamma = queue[i]
+            i += 1
+            for letter in range(self.nletters):
+                delta = self.table[gamma][letter]
+                if delta is None:
+                    continue
+                self.table[delta][self._inv(letter)] = None
+                mu, nu = self.rep(gamma), self.rep(delta)
+                existing = self.table[mu][letter]
+                if existing is not None:
+                    self._merge(queue, nu, existing)
+                else:
+                    back = self.table[nu][self._inv(letter)]
+                    if back is not None:
+                        self._merge(queue, mu, back)
+                    else:
+                        self.table[mu][letter] = nu
+                        self.table[nu][self._inv(letter)] = mu
+
+    def scan_and_fill(self, alpha, word):
+        f, b = alpha, alpha
+        i, j = 0, len(word) - 1
+        while True:
+            while i <= j and self.table[f][word[i]] is not None:
+                f = self.table[f][word[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    self.coincidence(f, b)
+                return
+            while j >= i and self.table[b][self._inv(word[j])] is not None:
+                b = self.table[b][self._inv(word[j])]
+                j -= 1
+            if j < i:
+                self.coincidence(f, b)
+                return
+            if j == i:
+                self.table[f][word[i]] = b
+                self.table[b][self._inv(word[i])] = f
+                return
+            f = self.define(f, word[i])
+            i += 1
+
+    def _snapshot(self):
+        live = [k for k in range(len(self.table)) if self.rep(k) == k]
+        holes = sum(1 for k in live for v in self.table[k] if v is None)
+        return len(self.table), len(live), holes
+
+    def run(self):
+        for word in self.subgroup_words:
+            self.scan_and_fill(0, word)
+        while True:
+            before = self._snapshot()
+            alpha = 0
+            while alpha < len(self.table):
+                if self.rep(alpha) == alpha:
+                    for word in self.relators:
+                        if self.rep(alpha) != alpha:
+                            break
+                        self.scan_and_fill(alpha, word)
+                    if self.rep(alpha) == alpha:
+                        for letter in range(self.nletters):
+                            if self.table[alpha][letter] is None:
+                                self.define(alpha, letter)
+                alpha += 1
+            if self._snapshot() == before:
+                break
+        live = [k for k in range(len(self.table)) if self.rep(k) == k]
+        renumber = {old: new for new, old in enumerate(live)}
+        return tuple(
+            tuple(renumber[self.rep(self.table[old][letter])]
+                  for letter in range(self.nletters))
+            for old in live
+        )
+
+
+def reference_rows(presentation, subgroup_words=(), cap=100000):
+    """Rows of the reference enumeration, checked coset by coset."""
+    rows = ReferenceEnumerator(presentation, subgroup_words, cap).run()
+    table = CosetTable(presentation, tuple(subgroup_words), rows)
+    assert all(table.trace(0, word) == 0 for word in subgroup_words)
+    assert all(table.trace(coset, word) == coset
+               for coset in range(table.index)
+               for word in presentation.relators)
+    return rows
+
+
+def dihedral(n):
+    return f"< r s | r^{n}, s^2, s r s r >"
+
+
+def dicyclic(n):
+    return f"< a b | a^{2 * n}, a^{n} b^-2, b^-1 a b a >"
+
+
+PRODUCT_PRESENTATIONS = (
+    "< a b | a^2, b^3, a b a b a b a b >",
+    "< a b | a^2, b^3, a b a b a b a b a b >",
+    "< a b | a^6, b^4, a b a^-1 b^-1 >",
+    "< a b c | a^2, b^2, c^2, a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1 >",
+    "< a b c d | a^2, b^3, a b a b, c^2, d^3, c d c d, a c a^-1 c^-1, "
+    "a d a^-1 d^-1, b c b^-1 c^-1, b d b^-1 d^-1 >",
+    "< a b c | a^2, b^3, a b a b a b a b a b, c^2, a c a^-1 c^-1, "
+    "b c b^-1 c^-1 >",
+    "< a b c | a^2, b^3, a b a b a b a b, c^3, a c a^-1 c^-1, "
+    "b c b^-1 c^-1 >",
+    "< a b c | a^4, a^2 b^-2, b^-1 a b a, c^3, a c a^-1 c^-1, "
+    "b c b^-1 c^-1 >",
+)
+
+
+def test_coset_tables_match_reference_enumeration():
+    cases = [(str(get_surface(name).pi1_smooth), ())
+             for name in surface_names()]
+    cases += [("< a b | a^3, b^2, a b a b >", ("b",)),
+              ("< a b | a^2, b^3, a b a b >", ("b",)),
+              ("< a b | a^4, a^2 b^-2, b^-1 a b a >", ("b",)),
+              ("< a b | a^2, b^3, a b a b a b a b a b >", ("a", "b a b^-1")),
+              ("< a b | a^2, b^3, a b a b >", ("a", "b")),
+              ("< a | a >", ())]
+    cases += [(dihedral(n), ()) for n in range(2, 101)]
+    cases += [(dicyclic(n), ()) for n in range(1, 51)]
+    cases += [(text, ()) for text in PRODUCT_PRESENTATIONS]
+    for text, words in cases:
+        p = parse_presentation(text)
+        words = tuple(parse_word(p, w) for w in words)
+        table = coset_enumeration(p, words)
+        assert table.index <= 200
+        assert table.rows == reference_rows(p, words), (text, words)
+
+
+def test_coset_enumeration_ends_after_one_sweep(monkeypatch):
+    scans = 0
+    scan = _Enumerator.scan_and_fill
+
+    def counted(self, *args):
+        nonlocal scans
+        scans += 1
+        return scan(self, *args)
+
+    monkeypatch.setattr(_Enumerator, "scan_and_fill", counted)
+    table = coset_enumeration(parse_presentation(dihedral(12)))
+    assert table.index == 24
+    assert scans == 3 * 24
 
 
 def test_permutation_realization_is_regular_for_trivial_subgroup():

@@ -1,9 +1,13 @@
 """Subgroup-to-cover dictionary, Galois closure, wreath quotient checks,
 and the classification pipeline."""
 from dataclasses import replace
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
+import hilb2
 from hilb2 import permgroup
 from hilb2.catalog import get_surface
 from hilb2.descriptors import SurfaceDescriptor
@@ -198,3 +202,29 @@ def test_quasietale_correspondence_and_label_removal():
     assert cleaned.is_etale
     untouched = remove_base_labels(cover, {"p9"})
     assert untouched.ramification_labels == frozenset({"p1"})
+
+
+def test_wreath_order_law_runs_under_optimization():
+    # Vectors that act trivially leave only the coordinate permutations,
+    # so the decorated group has order n! instead of |Q|^n n!.
+    script = (
+        "import sys\n"
+        "from hilb2 import cli, monodromy\n"
+        "honest = monodromy._vector_permutation\n"
+        "monodromy._vector_permutation = lambda vector, q_table, n: (\n"
+        "    honest([q_table.identity] * n, q_table, n))\n"
+        "sys.exit(cli.main(['verify']))\n"
+    )
+    src = str(Path(hilb2.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True,
+        text=True, timeout=120, env={"PYTHONPATH": src},
+    )
+    assert result.returncode == 1, result.stderr
+    failures = [line for line in result.stdout.splitlines()
+                if line.startswith("FAIL")]
+    assert len(failures) == 8
+    for line in failures:
+        assert line.startswith("FAIL - wreath[")
+        assert line.endswith("(HomomorphismFailure: decorated permutation "
+                             "group has the wrong order)")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from hilb2 import permgroup
+from hilb2 import fpgroup, permgroup
 from hilb2.errors import CapExceeded, DomainMismatch, NotASubgroup
 from hilb2.permgroup import Group, Permutation
 
@@ -228,6 +228,92 @@ def test_commutator_subgroup_closes_the_commutator_set():
         for a in s3().element_list for b in s3().element_list
     }
     assert derived.elements == brute_closure(sorted(commutators), 3)
+
+
+def all_pairs_commutator_subgroup(group):
+    """The derived subgroup as it was computed before normal closures:
+    close the commutators of every ordered pair of elements."""
+    comms = set()
+    inverses = {a: a.inverse() for a in group.element_list}
+    for a in group.element_list:
+        for b in group.element_list:
+            comms.add(a * b * inverses[a] * inverses[b])
+    comms.discard(group.identity)
+    if not comms:
+        return Group.trivial(group.domain_size)
+    closure = permgroup.generate(
+        sorted(comms), domain_size=group.domain_size, cap=group.order
+    )
+    return permgroup.group_from_elements(group.domain_size, closure.elements)
+
+
+def realized(text):
+    table = fpgroup.coset_enumeration(fpgroup.parse_presentation(text))
+    return fpgroup.permutation_realization(table)
+
+
+def test_commutator_subgroup_matches_all_pairs_closure():
+    s4 = permgroup.generate(
+        (Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0))), domain_size=4
+    )
+    d4 = permgroup.generate(
+        (Permutation((1, 2, 3, 0)), Permutation((0, 3, 2, 1))), domain_size=4
+    )
+    s3_squared = permgroup.generate(
+        (Permutation((1, 0, 2, 3, 4, 5)), Permutation((1, 2, 0, 3, 4, 5)),
+         Permutation((0, 1, 2, 4, 3, 5)), Permutation((0, 1, 2, 4, 5, 3))),
+        domain_size=6,
+    )
+    z2_z4 = permgroup.generate(
+        (Permutation((1, 0, 2, 3, 4, 5)), Permutation((0, 1, 3, 4, 5, 2))),
+        domain_size=6,
+    )
+    groups = {
+        "S3": (s3(), 3), "S4": (s4, 12), "D4": (d4, 2),
+        "Q8": (realized("< a b | a^4, a^2 b^-2, b^-1 a b a >"), 2),
+        "A5": (realized("< a b | a^2, b^3, a b a b a b a b a b >"), 60),
+        "S3xS3": (s3_squared, 9), "Z2xZ4": (z2_z4, 1),
+    }
+    for name, (group, order) in groups.items():
+        derived = permgroup.commutator_subgroup(group)
+        oracle = all_pairs_commutator_subgroup(group)
+        assert derived.order == order, name
+        assert derived.element_list == oracle.element_list, name
+        assert derived.generators == oracle.generators, name
+        assert permgroup.is_normal(derived, group), name
+
+
+@pytest.fixture
+def compositions(monkeypatch):
+    """``compositions[0]`` counts ``Permutation.__mul__`` calls from here on."""
+    count = [0]
+    compose = Permutation.__mul__
+
+    def counted(self, other):
+        count[0] += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(Permutation, "__mul__", counted)
+    return count
+
+
+def test_commutator_subgroup_composes_at_generator_cost(compositions):
+    group = realized(
+        "< a b c | a^2, b^3, a b a b a b a b a b, c^2, a c a^-1 c^-1, "
+        "b c b^-1 c^-1 >"
+    )
+    compositions[0] = 0
+    assert permgroup.commutator_subgroup(group).order == 60
+    # The all-pairs closure composed about 47,000 times.
+    assert compositions[0] <= 1000
+
+
+def test_generate_skips_identity_generators(compositions):
+    cycle = Permutation(tuple((x + 1) % 12 for x in range(12)))
+    group = permgroup.generate((Permutation.identity(12), cycle))
+    assert compositions[0] == 12
+    assert group.order == 12
+    assert group.generators == (cycle,)
 
 
 def test_quotient_table():
