@@ -30,17 +30,26 @@ group of the square organize everything:
   element squares to the identity.
 
 Every one of these laws is verified on every call at construction time,
-directly or by induction over generators.  Degenerate models (one sheet
-over one base point) collapse every permutation of Z x Z, so each element
-also acts on two marker points — swap-type elements exchange them,
-translation-type elements fix them — which keeps the abstract group sizes
-faithful.  Orbit, fiber and
-component computations leave the marker points out.
+directly or by induction over generators.  The three groups are held in
+their imprimitive action on Z ⊔ Z, two copies of the sheets (the pair group
+is the wreath product G ≀ C2 in this action; Holt, Eick and O'Brien,
+*Handbook of Computational Group Theory*, 2005): the swap exchanges the
+copies, translations move each copy within itself, and the sign of an
+element says whether it exchanges them.  Every generator is checked to
+map copies onto copies, so every element does, and an element x then
+acts on the square by the rule rho: the pair (z, w) is the transversal
+{z, |Z| + w} and goes to {x(z), x(|Z| + w)}, read first copy first.
+That is the action of x on a set of two-point subsets, so rho is a
+homomorphism by construction and needs no certificate.  Orbit, fiber and
+component computations apply rho to generators, or read it at the single
+pairs they need, and never list a group on the square.  Because Z ⊔ Z
+has two points even for one sheet over one base point, where the square
+has one, the abstract group sizes stay faithful in that degenerate case.
 
 Index conventions, fixed for reproducibility: a sheet (g, b) has index
 g * |B| + b with g in multiplication-table order and b in input order; a
-pair (z, w) has index z * |Z| + w; the marker points are m and m + 1
-with m = |Z|^2.
+pair (z, w) has index z * |Z| + w; on Z ⊔ Z sheet z of the first copy is
+point z and of the second copy point |Z| + z.
 """
 from __future__ import annotations
 
@@ -51,6 +60,7 @@ import itertools
 from . import permgroup
 from .descriptors import CoverDescriptor
 from .errors import (
+    CapExceeded,
     EmptyBase,
     HomomorphismFailure,
     NonAbelianDeckGroup,
@@ -182,12 +192,14 @@ class HilbConstruction:
     """The verified package built on the square of a free G-sheet model.
 
     ``swap``, ``second_slot_maps``, ``diagonal_maps``,
-    ``antidiagonal_maps`` and ``pair_translations`` permute the
-    ``pair_count`` pair indices followed by the two marker points, which
-    swap-type elements exchange; the three groups they generate act on the
-    same ``pair_count + 2`` points, and ``images[:pair_count]`` is an
-    element's action on the square.
-    ``pair_translations[g1 * d + g]`` acts by (z, w) -> (g1.z, g.w);
+    ``antidiagonal_maps`` and ``pair_translations`` permute Z ⊔ Z, the
+    2 |Z| points of two copies of the sheets (sheet z of the first copy is
+    point z, of the second point |Z| + z), and so do the three groups they
+    generate.  Each maps copies onto copies; an element x moves the pair
+    z * |Z| + w of the square to the transversal {x(z), x(|Z| + w)}, read
+    first copy first.
+    ``pair_translations[g1 * d + g]`` acts as g1 on the first copy and g
+    on the second, so by (z, w) -> (g1.z, g.w) on the square;
     ``antidiagonal_maps[a]`` is the pair translation by (a, a^-1).
 
     ``diagonal_copies[g]`` lists the pair indices (z, g.z);
@@ -229,24 +241,38 @@ class HilbConstruction:
         )
 
 
-def _with_markers(images, m: int, *, swap_type: bool) -> Permutation:
-    """A permutation of the m pairs, extended to the marker points."""
-    markers = (m + 1, m) if swap_type else (m, m + 1)
-    return Permutation(tuple(images) + markers)
+def _square_action(x: Permutation, n: int) -> Permutation:
+    """rho(x): how x, a permutation of Z ⊔ Z mapping copies onto copies,
+    moves the pairs z * n + w of the square (n = |Z|).
+
+    The pair (z, w) is the transversal {z, n + w}; it goes to
+    {x(z), x(n + w)}, read first copy first.
+    """
+    images = x.images
+    first, second = images[:n], images[n:]
+    if images[0] < n:  # keeps the copies: (z, w) -> (x(z), x(n + w) - n)
+        outer, inner = [a * n for a in first], [b - n for b in second]
+    else:  # exchanges them: (z, w) -> (x(n + w), x(z) - n)
+        outer, inner = [a - n for a in first], [b * n for b in second]
+    return Permutation(tuple([u + v for u in outer for v in inner]))
 
 
-def _square_orbits(group: Group, m: int) -> list[tuple[int, ...]]:
-    """Orbits on the m pair indices, leaving out the marker orbit."""
-    return [orbit for orbit in permgroup.orbits(group) if orbit[0] < m]
+def _pair_image(images, n: int, k: int) -> int:
+    """rho(x)(k) for the pair index k, read from x's images on Z ⊔ Z."""
+    z, w = divmod(k, n)
+    a, b = images[z], images[n + w]
+    return a * n + b - n if a < n else b * n + a - n
 
 
-def _orbit_fibers(group: Group, point_sym, sym_count: int,
+def _orbit_fibers(gens, n: int, point_sym, sym_count: int,
                   label: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Orbits of a marker-model subgroup on the square, bucketed by the
-    symmetric point under each orbit (raising ``HomomorphismFailure`` if an
-    orbit straddles two points)."""
+    """Orbits on the square of the group generated by ``gens``, read from
+    the generators' square actions alone and bucketed by the symmetric
+    point under each orbit (raising ``HomomorphismFailure`` if an orbit
+    straddles two points)."""
     per_sym: list[list[tuple[int, ...]]] = [[] for _ in range(sym_count)]
-    for orbit in _square_orbits(group, len(point_sym)):
+    square_gens = tuple(_square_action(x, n) for x in gens)
+    for orbit in permgroup.orbits(square_gens, domain_size=n * n):
         targets = {point_sym[k] for k in orbit}
         if len(targets) != 1:
             raise HomomorphismFailure(
@@ -260,32 +286,63 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     """Assemble the whole package and verify every law on every call.
 
     A failed law raises :class:`HomomorphismFailure` naming it (it means
-    the model itself is broken, not the input).  A law about all of G or
-    all of the pair group J is checked on generators only where a
-    standard induction carries it to every element: a map phi from a
-    finite group with phi(e) = id and phi(s h) = phi(s) phi(h) for every
-    generator s and every h is a homomorphism, and the elements that
-    commute with a fixed element form a subgroup.
+    the model itself is broken, not the input).  The maps and groups act
+    on Z ⊔ Z (see :class:`HilbConstruction`).  A law about all of G or all
+    of the pair group J is checked on generators only where a standard
+    induction carries it to every element: a map phi from a finite group
+    with phi(e) = id and phi(s h) = phi(s) phi(h) for every generator s and
+    every h is a homomorphism, and the elements that commute with a fixed
+    element form a subgroup.
 
-    Checked directly:
+    The square action rho needs no certificate (no presentation of G ≀ C2
+    whose relators its generator images satisfy): every generator of J
+    maps copies onto copies, which is checked, so every element of J does,
+    and on such permutations rho is the action on the transversal
+    two-point sets {z, |Z| + w}, a homomorphism by construction.  So the
+    orbits of rho(J), rho(D) and rho(H) are those of the groups generated
+    by the generators' images, and rho is never listed element by element.
 
-    * the swap is an involution;
+    Checked directly on Z ⊔ Z:
+
+    * the swap is an involution, and each pair-group generator (the swap
+      and the generator slot maps) maps copies onto copies;
     * diagonal map of g = swap . slot-map(g) . swap . slot-map(g), read as
       the pair translation indexed (g, g);
-    * swap . slot-map(g1) . swap moves (z, w) to (g1.z, w); slot maps move
-      (z, w) to (z, g.w) by construction, so the pair translation indexed
-      (g1, g) moves (z, w) to (g1.z, g.w);
-    * the d^2 pair translations are distinct; the marker-fixing half of
-      the pair group is exactly the pair translations and the group has
-      order 2 d^2, so the other half is swap times pair translations; the
-      diagonal group's marker-fixing half is the diagonal maps, order
-      2 d; the antidiagonal group has order 2 d |commutator of G| (its
-      marker-fixing half has order d |commutator of G|, and is the
+    * swap . slot-map(g1) . swap moves g1 on the first copy and fixes the
+      second; slot maps move g on the second copy and fix the first by
+      construction, so the pair translation indexed (g1, g) moves (z, w)
+      to (g1.z, g.w) under rho;
+    * the d^2 pair translations are distinct; the copy-keeping half of the
+      pair group is exactly the pair translations and the group has order
+      2 d^2, so the other half is swap times pair translations; the
+      diagonal group's copy-keeping half is the diagonal maps, order 2 d;
+      the antidiagonal group has order 2 d |commutator of G| (its
+      copy-keeping half has order d |commutator of G|, and is the
       antidiagonal maps in the abelian case);
     * the diagonal group is normal in the pair group exactly when every
       g satisfies g^2 = id; the antidiagonal group is always normal; the
       two subgroups coincide in the g^2 = id case (normality itself is
-      settled on generators, see :func:`permgroup.is_normal`);
+      settled on generators, see :func:`permgroup.is_normal`).
+
+    Checked by generator induction:
+
+    * g -> second-slot map and g -> diagonal map are homomorphisms, and
+      a -> antidiagonal map is a homomorphism exactly when G is abelian;
+    * slot-map(h) commutes with swap . slot-map(g1) . swap for generators
+      h, hence for every h;
+    * sending a pair-group element to the class of g1 * g in the
+      abelianization of G, where (g1.b0, g.b0) is rho of it applied to
+      the pair (b0, b0), is a homomorphism onto G/[G, G] (checked against
+      the swap and the generator slot maps) with kernel exactly the
+      antidiagonal group — the intermediate quotient is Galois with deck
+      group G/[G, G], which is all of G in the abelian case.  The
+      antidiagonal group is generated by the swap, the antidiagonal maps
+      of the generators of G and the pair translations (c, e) for c in
+      [G, G]; its order and this kernel check reject a wrong generating
+      set.
+
+    Checked through rho:
+
     * the pair-group orbits partition the square into the
       symmetric-point fibers, of size 2 d^2 off the doubled locus and d^2
       on it;
@@ -297,27 +354,17 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
       antidiagonal-group orbits number |G/[G, G]| over every point
       (constant fibers; d of them in the abelian case).
 
-    Checked by generator induction:
-
-    * g -> second-slot map and g -> diagonal map are homomorphisms, and
-      a -> antidiagonal map is a homomorphism exactly when G is abelian;
-    * slot-map(h) commutes with swap . slot-map(g1) . swap for generators
-      h, hence for every h;
-    * sending a pair-group element to the class of g1 * g in the
-      abelianization of G, where (g1.b0, g.b0) is its image of the pair
-      (b0, b0), is a homomorphism onto G/[G, G] (checked against the swap
-      and the generator slot maps) with kernel exactly the antidiagonal
-      group — the intermediate quotient is Galois with deck group
-      G/[G, G], which is all of G in the abelian case.
-
     Following from the above: prefixing slot-map(h) rewrites the pair
     translation (g1, g) into (g1, h g) — commutation, then the slot-map
     homomorphism.
 
-    Raises ``CapExceeded`` if the generated groups would pass ``cap``.
+    Raises ``CapExceeded`` before building anything if the pair group, of
+    order 2 d^2, would pass ``cap``.
     """
     table = gset.group
     d = table.order
+    if 2 * d * d > cap:
+        raise CapExceeded(f"group closure exceeded cap of {cap} elements")
     n = gset.size
     m = n * n
     mul = table.mul
@@ -325,20 +372,14 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     gens_of_g = table.small_generating_set()
 
     translations = [gset.translation(g).images for g in range(d)]
-    swap = _with_markers(
-        (w * n + z for z in range(n) for w in range(n)), m, swap_type=True
-    )
-    slot_maps = tuple(
-        _with_markers((z * n + tr[w] for z in range(n) for w in range(n)),
-                      m, swap_type=False)
-        for tr in translations
-    )
+    first = tuple(range(n))
+    second = tuple(range(n, 2 * n))
+    shifted = [tuple(n + t for t in tr) for tr in translations]
+    swap = Permutation(second + first)
+    slot_maps = tuple(Permutation(first + sh) for sh in shifted)
     diag_maps = tuple(
-        _with_markers((tr[z] * n + tr[w] for z in range(n) for w in range(n)),
-                      m, swap_type=False)
-        for tr in translations
+        Permutation(tr + sh) for tr, sh in zip(translations, shifted)
     )
-    dom = m + 2
 
     # Both families are homomorphic images of G.
     if not slot_maps[identity].is_identity:
@@ -359,13 +400,20 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     if not (swap * swap).is_identity:
         raise HomomorphismFailure("swap is not an involution")
 
-    pair_group = permgroup.generate(
-        (swap,) + tuple(slot_maps[g] for g in gens_of_g),
-        domain_size=dom, cap=cap,
-    )
+    # rho and the sign below need every element to map copies onto copies;
+    # by induction it is enough that the pair-group generators do (the
+    # other two groups are checked to lie inside the pair group).
+    pair_gens = (swap,) + tuple(slot_maps[g] for g in gens_of_g)
+    for x in pair_gens:
+        if len({a < n for a in x.images[:n]}) != 1:
+            raise HomomorphismFailure(
+                "a pair-group generator does not map copies onto copies"
+            )
+
+    pair_group = permgroup.generate(pair_gens, domain_size=2 * n, cap=cap)
     diagonal_group = permgroup.generate(
         (swap,) + tuple(diag_maps[g] for g in gens_of_g),
-        domain_size=dom, cap=cap,
+        domain_size=2 * n, cap=cap,
     )
     if not all(p in pair_group.elements for p in slot_maps):
         raise HomomorphismFailure("a second-slot map escaped the pair group")
@@ -396,35 +444,36 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # slot(h) pair(g1, g) = conj(g1) slot(h) slot(g) = pair(g1, h g) by the
     # commutation just checked and the slot-map homomorphism.
 
-    # swap . slot(g1) . swap acts as (g1.z, w) and slot(g) as (z, g.w) by
-    # construction, so pair(g1, g) acts as (g1.z, g.w).
+    # swap . slot(g1) . swap moves g1 on the first copy and fixes the
+    # second, slot(g) the other way round by construction, so pair(g1, g)
+    # acts as g1 on the first copy and g on the second: (g1.z, g.w).
     for g1, tr in enumerate(translations):
-        expected = tuple(itertools.chain.from_iterable(
-            range(t * n, t * n + n) for t in tr
-        ))
-        if conjugated[g1].images[:m] != expected:
+        if conjugated[g1].images != tr + second:
             raise HomomorphismFailure(
                 "pair translation does not act as (g1.z, g.w)"
             )
 
     # Normal forms pin the orders exactly.  Each group holds the swap,
-    # which exchanges the markers, so its other half is the swap times
-    # its marker-fixing half.
+    # which exchanges the copies, so its other half is the swap times its
+    # copy-keeping half.
     pair_set = set(pair_maps)
     if len(pair_set) != d * d:
         raise HomomorphismFailure("pair translations are not distinct")
-    if {w for w in pair_group.elements if w.images[m] == m} != pair_set \
+    if {w for w in pair_group.elements if w.images[0] < n} != pair_set \
             or len(pair_group) != 2 * d * d:
         raise HomomorphismFailure(
             "pair group is not translations plus swap times translations"
         )
-    if {w for w in diagonal_group.elements if w.images[m] == m} \
+    if {w for w in diagonal_group.elements if w.images[0] < n} \
             != set(diag_maps) or len(diagonal_group) != 2 * d:
         raise HomomorphismFailure(
             "diagonal group is not diagonals plus swap times diagonals"
         )
 
-    # The antidiagonal family and its group.
+    # The antidiagonal family and its group.  The swap, the generators'
+    # antidiagonal maps and (c, e) for c in [G, G] generate it: with the
+    # swap they give [G, G] x [G, G], and modulo that the antidiagonal
+    # maps of generators give every (a, a^-1).
     anti_maps = tuple(pair_maps[a * d + table.inv(a)] for a in range(d))
     anti_hom = anti_maps[identity].is_identity and all(
         anti_maps[s] * anti_maps[b] == anti_maps[mul(s, b)]
@@ -434,16 +483,19 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         raise HomomorphismFailure(
             "antidiagonal maps compose homomorphically iff G is abelian"
         )
+    commutator = table.commutator_subgroup()
+    commutator_order = len(commutator)
     antidiagonal_group = permgroup.generate(
-        (swap,) + anti_maps, domain_size=dom, cap=cap
+        (swap,) + tuple(anti_maps[s] for s in gens_of_g)
+        + tuple(pair_maps[c * d + identity] for c in commutator),
+        domain_size=2 * n, cap=cap,
     )
     if not antidiagonal_group.is_subgroup_of(pair_group):
         raise HomomorphismFailure(
             "antidiagonal group is not inside the pair group"
         )
-    commutator_order = len(table.commutator_subgroup())
     plus_part = {
-        w for w in antidiagonal_group.elements if w.images[m] == m
+        w for w in antidiagonal_group.elements if w.images[0] < n
     }
     if len(plus_part) != d * commutator_order:
         raise HomomorphismFailure(
@@ -474,10 +526,10 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # The product of the two slots, read in the abelianization of G, is a
     # homomorphism onto G/[G, G] with kernel exactly the antidiagonal
     # group — so the quotient of the pair group by it is G/[G, G].  An
-    # element's slot product is read off its image of p0 = (b0, b0): the
+    # element's slot product is read off rho of it at p0 = (b0, b0): the
     # pair translation (g1, g) sends p0 to (g1.b0, g.b0), its swap
     # companion to (g.b0, g1.b0), and g g1 = g1 g in the abelianization.
-    ab_table, class_of = table.quotient_by(table.commutator_subgroup())
+    ab_table, class_of = table.quotient_by(commutator)
     if ab_table.order != d // commutator_order:
         raise HomomorphismFailure("abelianization has the wrong order")
     ab_mul = ab_table.mul
@@ -488,18 +540,17 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         row = gset.point_of(g1, 0) * n
         for g in range(d):
             class_at[row + gset.point_of(g, 0)] = class_of[mul(g1, g)]
-    gen_values = [(swap, ab_table.identity)] + [
-        (slot_maps[s], class_of[s]) for s in gens_of_g
-    ]
-    for gen, gen_value in gen_values:
+    at_p0 = [_pair_image(w.images, n, p0) for w in pair_group.element_list]
+    pair_square = [_square_action(x, n) for x in pair_gens]
+    gen_values = [ab_table.identity] + [class_of[s] for s in gens_of_g]
+    for gen, gen_value in zip(pair_square, gen_values):
         gen_images = gen.images
-        for w in pair_group.element_list:
-            k = w.images[p0]
+        for k in at_p0:
             if class_at[gen_images[k]] != ab_mul(gen_value, class_at[k]):
                 raise HomomorphismFailure("slot product is not a homomorphism")
     kernel = {
-        w for w in pair_group.element_list
-        if class_at[w.images[p0]] == ab_table.identity
+        w for w, k in zip(pair_group.element_list, at_p0)
+        if class_at[k] == ab_table.identity
     }
     if kernel != antidiagonal_group.elements:
         raise HomomorphismFailure(
@@ -511,7 +562,6 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         tuple(z * n + translations[g][z] for z in range(n))
         for g in range(d)
     )
-    swap_images = swap.images
     seen: set[int] = set()
     for g, copy in enumerate(diagonal_copies):
         if len(copy) != n:
@@ -522,8 +572,8 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         # The antidiagonal swap element indexed by g fixes copy g
         # pointwise — this is what makes the intermediate quotient tame
         # along the doubled locus.
-        anti_images = anti_maps[g].images
-        if any(swap_images[anti_images[k]] != k for k in copy):
+        fixer = (swap * anti_maps[g]).images
+        if any(_pair_image(fixer, n, k) != k for k in copy):
             raise HomomorphismFailure(
                 "antidiagonal swap element does not fix its diagonal copy"
             )
@@ -535,11 +585,15 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         bi = gset.base.index(p.first)
         bj = gset.base.index(p.second)
         sym_index[(bi, bj)] = i
+    nb = len(gset.base)
+    sym_of = [[sym_index[(min(bz, bw), max(bz, bw))] for bw in range(nb)]
+              for bz in range(nb)]
+    base_of = [gset.b_of(z) for z in range(n)]
+    point_sym = [row[bw] for row in (sym_of[bz] for bz in base_of)
+                 for bw in base_of]
     fibers: list[list[int]] = [[] for _ in sym.points]
-    for k in range(m):
-        z, w = divmod(k, n)
-        bz, bw = gset.b_of(z), gset.b_of(w)
-        fibers[sym_index[(min(bz, bw), max(bz, bw))]].append(k)
+    for k, i in enumerate(point_sym):
+        fibers[i].append(k)
     sym_fibers = tuple(tuple(f) for f in fibers)
     for i, p in enumerate(sym.points):
         expected_size = d * d if p.is_diagonal else 2 * d * d
@@ -555,22 +609,19 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
             "diagonal copies do not exhaust the doubled-locus preimage"
         )
 
-    # The pair-group orbits on the square are exactly the fibers.
-    pair_orbit_sets = {frozenset(o) for o in _square_orbits(pair_group, m)}
-    if pair_orbit_sets != {frozenset(f) for f in sym_fibers}:
+    # The pair-group orbits on the square are exactly the fibers (both
+    # are sorted tuples).
+    pair_orbits = permgroup.orbits(pair_square, domain_size=m)
+    if set(pair_orbits) != set(sym_fibers):
         raise HomomorphismFailure(
             "pair-group orbit space is not the symmetric quotient"
         )
 
-    point_sym = [0] * m
-    for i, f in enumerate(sym_fibers):
-        for k in f:
-            point_sym[k] = i
-
     # Diagonal-group orbits: d per off-doubled point, (d + t) / 2 per
     # doubled point, t = #{g : g^2 = id} (orbit classes {r, r^-1} merge).
     diag_fibers = _orbit_fibers(
-        diagonal_group, point_sym, len(sym.points), "diagonal-group"
+        diagonal_group.generators, n, point_sym, len(sym.points),
+        "diagonal-group",
     )
     t = sum(1 for g in range(d) if mul(g, g) == identity)
     for i, p in enumerate(sym.points):
@@ -581,7 +632,8 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # Antidiagonal-group orbits: constant |G/[G, G]| per point (= d for
     # abelian G) — the intermediate quotient is unramified.
     anti_fibers = _orbit_fibers(
-        antidiagonal_group, point_sym, len(sym.points), "antidiagonal-group"
+        antidiagonal_group.generators, n, point_sym, len(sym.points),
+        "antidiagonal-group",
     )
     for i in range(len(sym.points)):
         if len(anti_fibers[i]) != ab_table.order:
@@ -638,24 +690,28 @@ class SignReport:
 def sign_and_splitting(c: HilbConstruction) -> SignReport:
     """Verify the swap-parity map on the pair group splits with kernel G x G.
 
-    The sign of a pair-group element is -1 when it exchanges the two marker
-    points and 1 when it fixes them; the sign map is a homomorphism onto
+    The sign of a pair-group element is -1 when it exchanges the two copies
+    of Z ⊔ Z and 1 when it keeps them; the sign map is a homomorphism onto
     the order-2 group, split by the swap, and its kernel is exactly the
     injective image of G x G through the pair translations.  Any failed
     check raises :class:`HomomorphismFailure` — with a validly built
     construction this never happens.
     """
-    m = c.pair_count
+    n = c.gset.size
     d = c.d
 
-    sign = {w: -1 if w.images[m] != m else 1 for w in c.pair_group}
-    # The sign is the action on the marker pair, so it is multiplicative;
-    # re-check by generator induction anyway: gen * w sends the marker m
-    # to gen(w(m)).
-    sign_hom = all(
-        (-1 if gen.images[w.images[m]] != m else 1) == sign[gen] * s
-        for gen in c.pair_group.generators for w, s in sign.items()
-    )
+    sign = {w: -1 if w.images[0] >= n else 1 for w in c.pair_group}
+    # The sign is the action on the two copies, so it is multiplicative;
+    # re-check by generator induction anyway: gen * w sends point 0 to
+    # gen(w(0)).
+    at_0 = [(w.images[0], s) for w, s in sign.items()]
+    sign_hom = True
+    for gen in c.pair_group.generators:
+        gen_images, gen_sign = gen.images, sign[gen]
+        sign_hom = sign_hom and all(
+            (-1 if gen_images[x] >= n else 1) == gen_sign * s
+            for x, s in at_0
+        )
 
     kernel = {w for w, s in sign.items() if s == 1}
     pair_maps = c.pair_translations
@@ -719,19 +775,20 @@ def fixed_components(c: HilbConstruction) -> frozenset[int]:
     """Labels g of diagonal copies fixed pointwise by a nontrivial element
     of the diagonal group.
 
-    Computed by exhaustion over the whole diagonal group and re-checked
-    against the closed form {g : g * g = identity}: the only candidates
-    are swap-type elements, which fix (z, g.z) for every z exactly when
-    their translation part equals g and g has order at most 2 (the swap
-    itself fixes the true diagonal).  Note the contrast with the
-    antidiagonal group, where every diagonal copy has a pointwise fixer.
+    Computed by exhaustion over the whole diagonal group, each element read
+    on the copy's pairs through its square action, and re-checked against
+    the closed form {g : g * g = identity}: the only candidates are
+    swap-type elements, which fix (z, g.z) for every z exactly when their
+    translation part equals g and g has order at most 2 (the swap itself
+    fixes the true diagonal).  Note the contrast with the antidiagonal
+    group, where every diagonal copy has a pointwise fixer.
     """
+    n = c.gset.size
+    nontrivial = [w.images for w in c.diagonal_group if not w.is_identity]
     found = set()
     for g, copy in enumerate(c.diagonal_copies):
-        for w in c.diagonal_group:
-            if w.is_identity:
-                continue
-            if all(w.images[k] == k for k in copy):
+        for images in nontrivial:
+            if all(_pair_image(images, n, k) == k for k in copy):
                 found.add(g)
                 break
     table = c.gset.group
@@ -832,11 +889,12 @@ def hilb_square_cover(xi: CoverDescriptor, *,
             for k in orbit:
                 orbit_of_point[k] = root
 
+    n = c.gset.size
     deck_perms = set()
     for g in range(d):
-        mover = c.second_slot_maps[g]
+        mover = c.second_slot_maps[g].images
         images = tuple(
-            orbit_of_point[mover(min_point)]
+            orbit_of_point[_pair_image(mover, n, min_point)]
             for min_point in sorted(orbit_to_index, key=orbit_to_index.get)
         )
         deck_perms.add(Permutation(images))

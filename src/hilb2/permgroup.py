@@ -253,14 +253,24 @@ def small_generating_set(element_list, domain_size: int) -> tuple[Permutation, .
     return tuple(gens)
 
 
-def orbits(group: Group, points=None) -> tuple[tuple, ...]:
+def orbits(group, points=None, *, domain_size: int | None = None) -> tuple[tuple, ...]:
     """Partition of ``points`` into orbits of the group action.
 
-    ``points`` is an indexed set of labels, one per domain point (position
-    ``i`` labels domain point ``i``); it defaults to the indices themselves.
-    Blocks are ordered by their smallest domain index.
+    ``group`` is a :class:`Group`, or a tuple of permutations of
+    ``domain_size`` points that generate the acting group (which then need
+    not be listed).  ``points`` is an indexed set of labels, one per domain
+    point (position ``i`` labels domain point ``i``); it defaults to the
+    indices themselves.  Blocks are ordered by their smallest domain index.
     """
-    n = group.domain_size
+    if isinstance(group, Group):
+        gens, n = group.generators, group.domain_size
+    else:
+        gens, n = tuple(group), domain_size
+        if n is None or any(g.domain_size != n for g in gens):
+            raise DomainMismatch(
+                f"generators must all act on domain_size={n} points"
+            )
+    gen_images = [g.images for g in gens]
     if points is None:
         points = tuple(range(n))
     else:
@@ -276,15 +286,12 @@ def orbits(group: Group, points=None) -> tuple[tuple, ...]:
             continue
         seen[start] = True
         block = [start]
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for g in group.generators:
-                y = g(x)
+        for x in block:  # the loop also visits the points appended below
+            for images in gen_images:
+                y = images[x]
                 if not seen[y]:
                     seen[y] = True
                     block.append(y)
-                    queue.append(y)
         blocks.append(tuple(points[i] for i in sorted(block)))
     return tuple(blocks)
 

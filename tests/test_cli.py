@@ -1,8 +1,16 @@
 """End-to-end command-line behavior: outputs, formats, and exit codes."""
 import json
+import os
+from pathlib import Path
+import resource
+import subprocess
+import sys
+import tempfile
 import time
 
 import pytest
+
+import hilb2
 
 from hilb2.cli import (
     EXIT_BAD_INPUT,
@@ -213,3 +221,61 @@ def test_verify_json(capsys):
     assert payload["command"] == "verify"
     statuses = {r["status"] for r in payload["results"]}
     assert statuses == {"ok"}
+
+
+def run_limited(argv, *, address_space: int, timeout: float):
+    """Run the command line in a child process under an address-space limit.
+
+    Returns the exit code, stdout, stderr, wall seconds and the child's own
+    peak resident set in MB (read from ``wait4``, so earlier children of
+    this process do not count).
+    """
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    src = str(Path(hilb2.__file__).resolve().parent.parent)
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hilb2", *argv], stdout=out, stderr=err,
+            env={"PYTHONPATH": src}, preexec_fn=limit,
+        )
+        while True:
+            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+            if pid:
+                break
+            if time.perf_counter() - start > timeout:
+                proc.kill()
+                os.wait4(proc.pid, 0)
+                pytest.fail(f"{argv} ran longer than {timeout} s")
+            time.sleep(0.01)
+        seconds = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return (proc.returncode, out.read().decode(), err.read().decode(),
+                seconds, usage.ru_maxrss / 1024)
+
+
+def test_construct_refuses_an_oversized_pair_group_before_building():
+    code, out, err, seconds, _ = run_limited(
+        ("construct", "--group", "Z100", "--group-cap", "100"),
+        address_space=1 << 30, timeout=30,
+    )
+    assert code == EXIT_CAP
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert seconds < 1.5
+
+
+def test_construct_scales_past_the_square():
+    code, out, err, _, peak_mb = run_limited(
+        ("construct", "--group", "Z50", "--base-size", "2",
+         "--format", "json"),
+        address_space=3 << 29, timeout=30,
+    )
+    assert code == EXIT_OK, err
+    result = json.loads(out)["results"][0]
+    assert result["pair_group_order"] == 5000
+    assert result["intermediate_group_order"] == 100
+    assert peak_mb < 200

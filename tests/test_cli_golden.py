@@ -8,9 +8,12 @@ generators, from the marker-point model with law checks over all pairs of
 elements), the ``classify`` records from the element-by-element subgroup
 closure that preceded the Hermite-normal-form enumeration, and the text-mode
 ``verify`` and quaternion ``classify`` records from the all-pairs commutator
-closure and the coset enumeration that ended with a confirming pass.  A change
-that alters any of them alters what users see.  To record the corpus again
-after a deliberate output change, run from the repository root:
+closure and the coset enumeration that ended with a confirming pass; the
+``Z11`` and ``Z2xZ2xZ2`` records over three base points come from the
+marker-point model, in which every element of the pair group permuted the
+whole square.  A change that alters any of them alters what users see.  To
+record the corpus again after a deliberate output change, run from the
+repository root:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -49,6 +52,8 @@ CASES = (
     ("classify", "--presentation", "< a | a^96 >", "--group-cap", "100"),
     ("verify",),
     ("classify", "--catalog", "quaternion"),
+    ("construct", "--group", "Z11", "--base-size", "3", "--format", "json"),
+    ("construct", "--group", "Z2xZ2xZ2", "--base-size", "3"),
 )
 
 

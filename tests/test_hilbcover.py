@@ -1,6 +1,7 @@
 """The squared-model construction: symmetric quotients, the three
 symmetry groups of the square, fiber laws, diagonal copies, and the
 induced cover of the Hilbert square."""
+import functools
 from pathlib import Path
 import subprocess
 import sys
@@ -40,6 +41,44 @@ from hilb2.tables import (
 
 def build(table, base):
     return build_construction(free_gset(table, base))
+
+
+@functools.cache
+def transversal_index(n):
+    return {frozenset((z, n + w)): z * n + w
+            for z in range(n) for w in range(n)}
+
+
+def rho(x, n):
+    """Test-local square action of a permutation of Z ⊔ Z that maps copies
+    onto copies: the pair (z, w) is the two-point set {z, n + w}."""
+    index = transversal_index(n)
+    return Permutation(tuple(
+        index[frozenset((x(z), x(n + w)))]
+        for z in range(n) for w in range(n)
+    ))
+
+
+def sign(x, n):
+    """-1 if x exchanges the two copies of Z ⊔ Z, 1 if it keeps them."""
+    return 1 if set(x.images[:n]) == set(range(n)) else -1
+
+
+def marker_square_action(c):
+    """The pair group on the square as the marker-point model listed it:
+    every (z, w) -> (g1.z, g.w) and its composite with the swap."""
+    n, d = c.gset.size, c.d
+    tr = [c.gset.translation(g).images for g in range(d)]
+    maps = set()
+    for g1 in range(d):
+        for g in range(d):
+            maps.add(Permutation(tuple(
+                tr[g1][z] * n + tr[g][w] for z in range(n) for w in range(n)
+            )))
+            maps.add(Permutation(tuple(
+                tr[g][w] * n + tr[g1][z] for z in range(n) for w in range(n)
+            )))
+    return maps
 
 
 def test_sym_points_and_labels():
@@ -124,7 +163,9 @@ def test_orbit_count_laws_across_group_types():
         d = table.order
         t = sum(1 for g in range(d) if table.mul(g, g) == table.identity)
         ab_order = d // len(table.commutator_subgroup())
-        assert c.swap.domain_size == c.pair_count + 2
+        assert c.swap.domain_size == 2 * c.gset.size
+        assert {rho(x, c.gset.size) for x in c.pair_group} \
+            == marker_square_action(c)
         assert sign_and_splitting(c).ok
         for i, point in enumerate(c.sym.points):
             assert len(c.sym_fibers[i]) == \
@@ -144,8 +185,8 @@ def test_subgroup_orders_and_normality():
     v4 = build(abelian_table((2, 2)), ("a",))
     assert v4.antidiagonal_group.elements == v4.diagonal_group.elements
     assert permgroup.is_normal(v4.diagonal_group, v4.pair_group)
-    # One sheet over one point: only the marker points keep the swap
-    # from collapsing to the identity.
+    # One sheet over one point: the square has one point, but Z ⊔ Z has
+    # two, so the swap stays nontrivial.
     z1 = build(cyclic_table(1), ("a",))
     assert len(z1.pair_group) == 2
     assert len(z1.antidiagonal_group) == 2
@@ -229,9 +270,10 @@ def test_hilb_square_cover_rejects_bad_inputs():
 
 def assert_laws_exhaustively(c):
     """Every law that ``build_construction`` and ``sign_and_splitting``
-    check on generators, restated over all pairs of elements."""
+    check on generators, restated over all pairs of elements, with the
+    square action and the sign computed test-locally."""
     table = c.gset.group
-    d, n, m = c.d, c.gset.size, c.pair_count
+    d, n = c.d, c.gset.size
     mul = table.mul
     swap = c.swap
     slot, diag = c.second_slot_maps, c.diagonal_maps
@@ -252,7 +294,7 @@ def assert_laws_exhaustively(c):
     for g1, g in pairs_of_g:
         assert slot[g] * conjugated[g1] == pair[g1 * d + g]
         assert conjugated[g1] * slot[g] == pair[g1 * d + g]
-        assert pair[g1 * d + g].images[:m] == tuple(
+        assert rho(pair[g1 * d + g], n).images == tuple(
             tr[g1][z] * n + tr[g][w] for z in range(n) for w in range(n)
         )
         for h in range(d):
@@ -277,15 +319,14 @@ def assert_laws_exhaustively(c):
         slot_product[swap * pair[g1 * d + g]] = class_of[mul(g1, g)]
     assert len(slot_product) == len(c.pair_group)
 
-    def sign(w):
-        return -1 if w.images[m] != m else 1
-
+    square = {x: rho(x, n) for x in c.pair_group}
     for u in c.pair_group:
         for v in c.pair_group:
             uv = u * v
             assert slot_product[uv] == \
                 ab_table.mul(slot_product[u], slot_product[v])
-            assert sign(uv) == sign(u) * sign(v)
+            assert sign(uv, n) == sign(u, n) * sign(v, n)
+            assert square[uv] == square[u] * square[v]
     kernel = {w for w, value in slot_product.items()
               if value == ab_table.identity}
     assert kernel == c.antidiagonal_group.elements
@@ -323,6 +364,26 @@ def test_law_checks_cost_few_compositions(monkeypatch):
     monkeypatch.setattr(Permutation, "__mul__", counted)
     sign_and_splitting(build_construction(gset))
     assert compositions <= 1500
+
+
+def test_law_checks_compose_on_two_copies_of_the_sheets(monkeypatch):
+    # Each composition costs one step per point of the right factor: 2 |Z|
+    # = 66 on Z ⊔ Z here, against |Z|^2 = 1,089 for a permutation of the
+    # square itself.
+    points = 0
+    compose = Permutation.__mul__
+
+    def counted(self, other):
+        nonlocal points
+        points += len(other.images)
+        return compose(self, other)
+
+    gset = free_gset(cyclic_table(11), ("a", "b", "c"))
+    monkeypatch.setattr(Permutation, "__mul__", counted)
+    c = build_construction(gset)
+    sign_and_splitting(c)
+    fixed_components(c)
+    assert points <= 150_000
 
 
 def test_law_checks_run_under_optimization():
