@@ -11,7 +11,7 @@ import time
 import pytest
 
 import hilb2
-
+from hilb2 import permgroup
 from hilb2.cli import (
     EXIT_BAD_INPUT,
     EXIT_CAP,
@@ -100,8 +100,14 @@ def test_env_cap_applies(capsys, monkeypatch):
     monkeypatch.setenv("HILB2_CAP", "5")
     code, _, _ = run(capsys, "construct", "--group", "Z4")
     assert code == EXIT_CAP
+    # The environment presets both caps, and the coset cap also bounds the
+    # square's 64 pairs, so raising the group cap alone is not enough.
+    code, _, err = run(capsys, "construct", "--group", "Z4", "--group-cap",
+                       "20000")
+    assert code == EXIT_CAP
+    assert "coset cap 5" in err
     code, _, _ = run(capsys, "construct", "--group", "Z4", "--group-cap",
-                     "20000")
+                     "20000", "--coset-cap", "20000")
     assert code == EXIT_OK
 
 
@@ -206,6 +212,19 @@ def test_verify_inject_fault(capsys):
     assert "FAIL" in out
 
 
+def test_verify_reports_the_construction_law_that_failed(capsys, monkeypatch):
+    monkeypatch.setattr(permgroup, "is_normal", lambda sub, group: False)
+    code, out, _ = run(capsys, "verify")
+    assert code == EXIT_CHECK_FAILED
+    lines = out.splitlines()
+    assert len(lines) == 98  # 97 results and the summary
+    construction = [line for line in lines if "construction[" in line]
+    assert len(construction) == 57
+    for line in construction:
+        assert line.startswith("FAIL - ")
+        assert "(HomomorphismFailure: " in line
+
+
 def test_verify_tight_cap_skips(capsys):
     code, out, _ = run(capsys, "verify", "--group-cap", "4")
     assert code == EXIT_OK
@@ -279,3 +298,15 @@ def test_construct_scales_past_the_square():
     assert result["pair_group_order"] == 5000
     assert result["intermediate_group_order"] == 100
     assert peak_mb < 200
+
+
+def test_construct_refuses_an_oversized_square_before_building():
+    code, out, err, seconds, _ = run_limited(
+        ("construct", "--group", "Z1", "--base-size", "20000"),
+        address_space=1 << 30, timeout=30,
+    )
+    assert code == EXIT_CAP
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "coset cap" in err
+    assert seconds < 1.0

@@ -11,7 +11,9 @@ closure that preceded the Hermite-normal-form enumeration, and the text-mode
 closure and the coset enumeration that ended with a confirming pass; the
 ``Z11`` and ``Z2xZ2xZ2`` records over three base points come from the
 marker-point model, in which every element of the pair group permuted the
-whole square.  A change that alters any of them alters what users see.  To
+whole square; the ``verify --inject-fault`` records come from the suite
+whose construction entries re-derived the laws that ``build_construction``
+checks.  A change that alters any of them alters what users see.  To
 record the corpus again after a deliberate output change, run from the
 repository root:
 
@@ -54,6 +56,8 @@ CASES = (
     ("classify", "--catalog", "quaternion"),
     ("construct", "--group", "Z11", "--base-size", "3", "--format", "json"),
     ("construct", "--group", "Z2xZ2xZ2", "--base-size", "3"),
+    ("verify", "--inject-fault"),
+    ("verify", "--inject-fault", "--format", "json"),
 )
 
 

@@ -369,19 +369,23 @@ def test_law_checks_cost_few_compositions(monkeypatch):
 def test_law_checks_compose_on_two_copies_of_the_sheets(monkeypatch):
     # Each composition costs one step per point of the right factor: 2 |Z|
     # = 66 on Z ⊔ Z here, against |Z|^2 = 1,089 for a permutation of the
-    # square itself.
-    points = 0
+    # square itself.  sign_and_splitting composes nothing: it reads the
+    # report that build_construction recorded.
+    points = compositions = 0
     compose = Permutation.__mul__
 
     def counted(self, other):
-        nonlocal points
+        nonlocal points, compositions
         points += len(other.images)
+        compositions += 1
         return compose(self, other)
 
     gset = free_gset(cyclic_table(11), ("a", "b", "c"))
     monkeypatch.setattr(Permutation, "__mul__", counted)
     c = build_construction(gset)
+    built = compositions
     sign_and_splitting(c)
+    assert compositions == built
     fixed_components(c)
     assert points <= 150_000
 
