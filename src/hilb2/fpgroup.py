@@ -371,6 +371,42 @@ def _trace_all(columns, cosets: tuple[int, ...], word) -> tuple[int, ...]:
     return cosets
 
 
+def _power_root(word) -> tuple[tuple[int, ...], int]:
+    """``(u, m)`` with ``word`` equal to ``u`` repeated ``m`` times and
+    ``u`` as short as possible."""
+    length = len(word)
+    for period in range(1, length):
+        if length % period == 0 and word == word[:period] * (length // period):
+            return tuple(word[:period]), length // period
+    return tuple(word), 1
+
+
+def _fixes_all(columns, cosets: tuple[int, ...], root, power: int) -> bool:
+    """True iff ``root`` repeated ``power`` times brings each of ``cosets``
+    back to itself.
+
+    Only ``root`` is traced, at period cost rather than ``power`` times
+    over.  Its power is the identity on ``cosets`` exactly when ``root``
+    permutes them and every cycle length divides ``power``; a map that is
+    not a permutation of ``cosets`` has no power equal to the identity.
+    """
+    images = _trace_all(columns, cosets, root)
+    if power == 1:
+        return images == cosets
+    image_of = dict(zip(cosets, images))
+    if image_of.keys() != set(images):
+        return False
+    while image_of:
+        start, x = image_of.popitem()
+        length = 1
+        while x != start:
+            x = image_of.pop(x)
+            length += 1
+        if power % length:
+            return False
+    return True
+
+
 class _Enumerator:
     """Coset enumeration by relator tracing.
 
@@ -383,12 +419,14 @@ class _Enumerator:
     coset at once by composing the table's columns; the sweep stops when
     each relator brings every coset back to itself.  A further pass would
     then scan each relator to completion without defining, deducing or
-    merging anything, so the table is the one it would leave.
+    merging anything, so the table is the one it would leave.  A relator
+    u^m is traced as u alone (see :func:`_fixes_all`).
     """
 
     def __init__(self, presentation: Presentation, subgroup_words, cap: int):
         self.nletters = 2 * presentation.rank
         self.relators = [self._with_inverse(w) for w in presentation.relators]
+        self.powers = [_power_root(w) for w, _ in self.relators]
         self.subgroup_words = [self._with_inverse(w) for w in subgroup_words]
         self.cap = cap
         self.table: list[list[int | None]] = [[None] * self.nletters]
@@ -497,8 +535,8 @@ class _Enumerator:
         if any(None in table[k] for k in live):
             return False
         columns = tuple(zip(*table))
-        return all(_trace_all(columns, live, word) == live
-                   for word, _ in self.relators)
+        return all(_fixes_all(columns, live, root, power)
+                   for root, power in self.powers)
 
     def run(self) -> list[list[int]]:
         for word, inverse in self.subgroup_words:
@@ -553,7 +591,7 @@ def coset_enumeration(presentation: Presentation, subgroup_words=(),
     columns = tuple(zip(*table.rows))
     cosets = tuple(range(table.index))
     for word in presentation.relators:
-        if _trace_all(columns, cosets, _columns_word(word)) != cosets:
+        if not _fixes_all(columns, cosets, *_power_root(_columns_word(word))):
             raise HomomorphismFailure("relator moved a coset")
     return table
 
@@ -562,7 +600,16 @@ def permutation_realization(table: CosetTable, *,
                             cap: int = permgroup.DEFAULT_ELEMENT_CAP) -> Group:
     """The image of the presented group acting on the cosets.
 
-    Generator ``i`` becomes the permutation ``coset -> coset * g_i``.
+    Generator ``i`` becomes the permutation ``coset -> coset * g_i``.  The
+    action is transitive, so the image G has order at least the index n.
+    Its order is certified without listing it whenever the centralizer of
+    G in Sym(n) is transitive as well (:func:`permgroup.is_regular`): an
+    element commuting with G and taking coset a to coset b makes every
+    element that fixes a fix b, so a transitive centralizer leaves the
+    stabilizer of a coset trivial and |G| = n.  This holds over the trivial
+    subgroup and over every normal subgroup; the elements are then listed
+    only if they are read.  Otherwise G is closed element by element.
+    Either way :class:`CapExceeded` is raised when |G| exceeds ``cap``.
     """
     n = table.index
     perms = []
@@ -571,7 +618,12 @@ def permutation_realization(table: CosetTable, *,
         if len(set(images)) != n:
             raise IncompleteTable(f"generator {i} does not act bijectively")
         perms.append(Permutation(images))
-    return permgroup.generate(perms, domain_size=max(n, 1), cap=cap)
+    n, gens = permgroup.generating_tuple(perms, max(n, 1))
+    if not permgroup.is_regular(gens, n):
+        return permgroup.generate(gens, domain_size=n, cap=cap)
+    if n > cap:
+        raise CapExceeded(f"group closure exceeded cap of {cap} elements")
+    return Group(n, gens, n)
 
 
 @dataclass(frozen=True)

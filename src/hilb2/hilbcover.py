@@ -587,7 +587,8 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         row = gset.point_of(g1, 0) * n
         for g in range(d):
             class_at[row + gset.point_of(g, 0)] = class_of[mul(g1, g)]
-    at_p0 = [_pair_image(w.images, n, p0) for w in pair_group.element_list]
+    pair_elements = tuple(pair_group.elements)
+    at_p0 = [_pair_image(w.images, n, p0) for w in pair_elements]
     pair_square = [_square_action(x, n) for x in pair_gens]
     gen_values = [ab_table.identity] + [class_of[s] for s in gens_of_g]
     for gen, gen_value in zip(pair_square, gen_values):
@@ -596,7 +597,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
             if class_at[gen_images[k]] != ab_mul(gen_value, class_at[k]):
                 raise HomomorphismFailure("slot product is not a homomorphism")
     kernel = {
-        w for w, k in zip(pair_group.element_list, at_p0)
+        w for w, k in zip(pair_elements, at_p0)
         if class_at[k] == ab_table.identity
     }
     if kernel != antidiagonal_group.elements:

@@ -1,10 +1,11 @@
 """Exact finite permutation-group engine.
 
-Everything here is computed by exhaustive enumeration: groups are closed
-under composition element by element (with a hard cap), subgroup lattices
-are found by repeatedly extending known subgroups by single elements, and
-normality is settled by conjugating the subgroup's generators with the
-group's generators.
+Groups are closed under composition element by element (with a hard cap),
+subgroup lattices are found by repeatedly extending known subgroups by
+single elements, and normality is settled by conjugating the subgroup's
+generators with the group's generators.  A group whose order is certified
+without closing it (a regular action, see :func:`is_regular`) lists its
+elements only when they are first read.
 No stabilizer chains, no randomness: at the scales this package works with
 (a few thousand elements at most) full enumeration keeps every answer
 independently auditable and bit-for-bit reproducible.
@@ -16,18 +17,20 @@ normality, normal closures, and the derived subgroup as the normal closure
 of the generators' commutators (Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory*, 2005).
 
-All objects are immutable after construction, so they can be shared freely
-across threads and used as dictionary keys.
+All objects are immutable after construction (a listed element set is
+filled in once and never changes), so they can be shared freely across
+threads and used as dictionary keys.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 import itertools
 from math import lcm
 from operator import itemgetter
 
-from .errors import CapExceeded, DomainMismatch, NotASubgroup
+from .errors import CapExceeded, DomainMismatch, HomomorphismFailure, NotASubgroup
 from .tables import GroupTable
 
 DEFAULT_ELEMENT_CAP = 20000
@@ -124,25 +127,41 @@ def _raw(images: tuple[int, ...]) -> Permutation:
 
 @dataclass(frozen=True, eq=False)
 class Group:
-    """A fully enumerated permutation group on a fixed domain.
+    """A permutation group on a fixed domain, of known order.
 
-    ``element_list`` is sorted by image tuple, which fixes a canonical
-    element order used for every deterministic construction downstream.
+    ``generators`` generate the group and ``order`` is its size.  The
+    elements are listed on first use: a group built by closure has them
+    already, a group of certified order closes its generators when
+    ``elements`` is first read and checks that the closure has exactly
+    ``order`` elements.  ``element_list`` is sorted by image tuple, which
+    fixes a canonical element order used for every deterministic
+    construction downstream.
     """
 
     domain_size: int
     generators: tuple[Permutation, ...]
-    element_list: tuple[Permutation, ...]
-    elements: frozenset[Permutation] = field(repr=False)
+    order: int
 
     @classmethod
     def trivial(cls, domain_size: int) -> "Group":
-        ident = Permutation.identity(domain_size)
-        return cls(domain_size, (), (ident,), frozenset({ident}))
+        return _listed(domain_size, (), {Permutation.identity(domain_size)})
 
-    @property
-    def order(self) -> int:
-        return len(self.element_list)
+    @cached_property
+    def elements(self) -> frozenset[Permutation]:
+        try:
+            elements = _close(self.generators, self.domain_size, self.order)
+        except CapExceeded:
+            elements = ()
+        if len(elements) != self.order:
+            raise HomomorphismFailure(
+                f"the generators do not close to the certified order "
+                f"{self.order}"
+            )
+        return frozenset(elements)
+
+    @cached_property
+    def element_list(self) -> tuple[Permutation, ...]:
+        return tuple(sorted(self.elements))
 
     @property
     def identity(self) -> Permutation:
@@ -155,13 +174,15 @@ class Group:
         return iter(self.element_list)
 
     def __len__(self) -> int:
-        return len(self.element_list)
+        return self.order
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Group):
             return NotImplemented
         return (
-            self.domain_size == other.domain_size and self.elements == other.elements
+            self.domain_size == other.domain_size
+            and self.order == other.order
+            and self.elements == other.elements
         )
 
     def __hash__(self) -> int:
@@ -181,28 +202,17 @@ class Group:
         )
 
 
-def generate(gens, *, domain_size: int | None = None,
-             cap: int = DEFAULT_ELEMENT_CAP) -> Group:
-    """Close a set of permutations under composition.
+def _listed(domain_size: int, generators, elements) -> Group:
+    """A :class:`Group` whose closed element set is already known; it
+    fills the ``elements`` cache, so nothing is closed again."""
+    group = Group(domain_size, tuple(generators), len(elements))
+    group.__dict__["elements"] = frozenset(elements)
+    return group
 
-    The closure is a breadth-first walk over products, so it visits exactly
-    the generated group; inverses appear automatically because every
-    element of a finite group is a positive power of itself.  Raises
-    :class:`CapExceeded` as soon as the closure would pass ``cap`` elements.
-    """
-    gens = sorted(set(gens))
-    if domain_size is None:
-        if not gens:
-            raise DomainMismatch("an empty generating set needs an explicit domain_size")
-        domain_size = gens[0].domain_size
-    for g in gens:
-        if g.domain_size != domain_size:
-            raise DomainMismatch(
-                f"generator on {g.domain_size} points does not act on "
-                f"{domain_size} points"
-            )
-    # x * e = x would only repeat a lookup.
-    gens = [g for g in gens if not g.is_identity]
+
+def _close(gens, domain_size: int, cap: int) -> set[Permutation]:
+    """The elements generated by ``gens``, by a breadth-first walk over
+    products; raises :class:`CapExceeded` once it would pass ``cap``."""
     ident = Permutation.identity(domain_size)
     elements = {ident}
     frontier = deque([ident])
@@ -217,12 +227,40 @@ def generate(gens, *, domain_size: int | None = None,
                     )
                 elements.add(y)
                 frontier.append(y)
-    return Group(
-        domain_size=domain_size,
-        generators=tuple(gens),
-        element_list=tuple(sorted(elements)),
-        elements=frozenset(elements),
-    )
+    return elements
+
+
+def generating_tuple(gens, domain_size: int | None = None
+                     ) -> tuple[int, tuple[Permutation, ...]]:
+    """``(domain_size, generators)`` as every group here stores them: the
+    distinct generators in image order, identities dropped, all checked to
+    act on ``domain_size`` points (read off the first one when omitted)."""
+    gens = sorted(set(gens))
+    if domain_size is None:
+        if not gens:
+            raise DomainMismatch("an empty generating set needs an explicit domain_size")
+        domain_size = gens[0].domain_size
+    for g in gens:
+        if g.domain_size != domain_size:
+            raise DomainMismatch(
+                f"generator on {g.domain_size} points does not act on "
+                f"{domain_size} points"
+            )
+    # x * e = x would only repeat a lookup.
+    return domain_size, tuple(g for g in gens if not g.is_identity)
+
+
+def generate(gens, *, domain_size: int | None = None,
+             cap: int = DEFAULT_ELEMENT_CAP) -> Group:
+    """Close a set of permutations under composition.
+
+    The closure is a breadth-first walk over products, so it visits exactly
+    the generated group; inverses appear automatically because every
+    element of a finite group is a positive power of itself.  Raises
+    :class:`CapExceeded` as soon as the closure would pass ``cap`` elements.
+    """
+    domain_size, gens = generating_tuple(gens, domain_size)
+    return _listed(domain_size, gens, _close(gens, domain_size, cap))
 
 
 def group_from_elements(domain_size: int, elements) -> Group:
@@ -233,12 +271,7 @@ def group_from_elements(domain_size: int, elements) -> Group:
     """
     element_set = frozenset(elements)
     gens = small_generating_set(sorted(element_set), domain_size)
-    return Group(
-        domain_size=domain_size,
-        generators=tuple(gens),
-        element_list=tuple(sorted(element_set)),
-        elements=element_set,
-    )
+    return _listed(domain_size, gens, element_set)
 
 
 def small_generating_set(element_list, domain_size: int) -> tuple[Permutation, ...]:
@@ -294,6 +327,69 @@ def orbits(group, points=None, *, domain_size: int | None = None) -> tuple[tuple
                     block.append(y)
         blocks.append(tuple(points[i] for i in sorted(block)))
     return tuple(blocks)
+
+
+def is_regular(gens, n: int) -> bool:
+    """True iff the group G generated by ``gens`` is transitive on the
+    ``n`` points and its centralizer in Sym(n) is transitive too, which
+    makes G regular: |G| = n.
+
+    Proof.  If z commutes with every element of G and z(a) = b, then every
+    s in G fixing a fixes b as well: s(b) = s(z(a)) = z(s(a)) = z(a) = b.
+    Composites of such maps commute with G too, so when they carry a to
+    every point the stabilizer of a fixes every point and is trivial, and
+    the orbit-stabilizer theorem gives |G| = n (Dixon and Mortimer,
+    *Permutation Groups*, 1996, Thm 4.2A).
+
+    The candidates come from a breadth-first spanning tree from point 0:
+    the tree word w_c takes 0 to c, and for each generator g the map
+    z_g : c -> w_c(g(0)) is the only map commuting with G that sends 0 to
+    g(0).  Each z_g is checked to commute with every generator, hence with
+    G, and composites of the z_g must carry 0 to every point.  For a
+    regular G they do: z_g is right multiplication by g once points are
+    named by the elements taking 0 to them.  Cost: O(n·|gens|²) steps, with
+    no hashing and no sorting.
+    """
+    gen_images = [g.images for g in gens]
+    # Point c of the tree is the image of parent[c] under the generator
+    # whose images are via[c]; tree lists the points in the order reached.
+    parent = [-1] * n
+    via = [()] * n
+    parent[0] = 0
+    tree = [0]
+    for x in tree:
+        for images in gen_images:
+            y = images[x]
+            if parent[y] < 0:
+                parent[y] = x
+                via[y] = images
+                tree.append(y)
+    if len(tree) != n:
+        return False
+    steps = [(c, parent[c], via[c]) for c in tree[1:]]
+    after = [itemgetter(*images) for images in gen_images]
+    centralizing = []
+    for images in gen_images:
+        z = [0] * n
+        z[0] = images[0]
+        for c, p, step in steps:
+            z[c] = step[z[p]]
+        before = itemgetter(*z)
+        # z commutes with h: h(z(x)) == z(h(x)) for every point x.
+        if any(before(h) != h_after(z)
+               for h, h_after in zip(gen_images, after)):
+            return False
+        centralizing.append(z)
+    seen = [False] * n
+    seen[0] = True
+    reached = [0]
+    for x in reached:  # the loop also visits the points appended below
+        for z in centralizing:
+            y = z[x]
+            if not seen[y]:
+                seen[y] = True
+                reached.append(y)
+    return len(reached) == n
 
 
 def _require_subgroup(sub: Group, group: Group) -> None:
@@ -412,8 +508,7 @@ def subgroups(group: Group, *, cap: int = DEFAULT_SUBGROUP_CAP) -> tuple[Group, 
                 found[ext] = ext_gens
                 queue.append(ext)
     groups = [
-        Group(n, tuple(g for g in gens if not g.is_identity),
-              tuple(sorted(els)), els)
+        _listed(n, (g for g in gens if not g.is_identity), els)
         for els, gens in found.items()
     ]
     groups.sort(key=lambda g: (g.order, g.element_list))

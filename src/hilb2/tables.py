@@ -140,7 +140,8 @@ class GroupTable:
     def quotient_by(self, subgroup) -> tuple["GroupTable", tuple[int, ...]]:
         """Quotient table by a normal subgroup (given as element indices).
 
-        Returns the quotient table and the coset index of every element.
+        Returns the quotient table and the coset index of every element;
+        the quotient by the trivial subgroup is this table itself.
         Raises :class:`NotAGroup` if the set is not a normal subgroup.
         """
         sub = set(subgroup)
@@ -155,6 +156,9 @@ class GroupTable:
             for m in sub:
                 if self.table[self.table[g][m]][gi] not in sub:
                     raise NotAGroup("subgroup is not normal in the table")
+        if len(sub) == 1:
+            # The cosets of the trivial subgroup are the elements themselves.
+            return self, tuple(range(self.order))
         coset_of = [-1] * self.order
         reps = []
         for e in range(self.order):

@@ -10,6 +10,7 @@ from pathlib import Path
 import subprocess
 import sys
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 import hilb2
@@ -25,6 +26,9 @@ from hilb2.fpgroup import (
     AbelianInvariants,
     CosetTable,
     _Enumerator,
+    _fixes_all,
+    _power_root,
+    _trace_all,
     abelianization,
     coset_enumeration,
     parse_presentation,
@@ -33,6 +37,7 @@ from hilb2.fpgroup import (
     smith_invariant_factors,
     subgroups_of_abelian,
 )
+from hilb2.permgroup import Permutation
 from hilb2.tables import GroupTable, abelian_table
 
 
@@ -353,7 +358,8 @@ PRODUCT_PRESENTATIONS = (
 )
 
 
-def test_coset_tables_match_reference_enumeration():
+def reference_cases():
+    """``(presentation, subgroup words)`` pairs of the reference corpus."""
     cases = [(str(get_surface(name).pi1_smooth), ())
              for name in surface_names()]
     cases += [("< a b | a^3, b^2, a b a b >", ("b",)),
@@ -367,10 +373,27 @@ def test_coset_tables_match_reference_enumeration():
     cases += [(text, ()) for text in PRODUCT_PRESENTATIONS]
     for text, words in cases:
         p = parse_presentation(text)
-        words = tuple(parse_word(p, w) for w in words)
+        yield p, tuple(parse_word(p, w) for w in words)
+
+
+def test_coset_tables_match_reference_enumeration():
+    for p, words in reference_cases():
         table = coset_enumeration(p, words)
         assert table.index <= 200
-        assert table.rows == reference_rows(p, words), (text, words)
+        assert table.rows == reference_rows(p, words), (str(p), words)
+
+
+def test_realized_order_matches_closure():
+    for p, words in reference_cases():
+        table = coset_enumeration(p, words)
+        group = permutation_realization(table)
+        gens = [Permutation(tuple(row[2 * i] for row in table.rows))
+                for i in range(p.rank)]
+        closed = permgroup.generate(gens, domain_size=table.index)
+        assert len(group) == len(closed), (str(p), words)
+        assert group.generators == closed.generators, (str(p), words)
+        assert group.elements == closed.elements, (str(p), words)
+        assert group.element_list == closed.element_list, (str(p), words)
 
 
 def test_coset_enumeration_ends_after_one_sweep(monkeypatch):
@@ -395,6 +418,72 @@ def test_permutation_realization_is_regular_for_trivial_subgroup():
     assert len(group) == 6
     assert not group.is_abelian()
     assert permgroup.commutator_subgroup(group).order == 3
+
+
+def test_realization_closes_a_nonregular_action(monkeypatch):
+    closures = []
+    generate = permgroup.generate
+
+    def counted(*args, **kwargs):
+        group = generate(*args, **kwargs)
+        closures.append(len(group))
+        return group
+
+    monkeypatch.setattr(permgroup, "generate", counted)
+    p = parse_presentation("< a b | a^3, b^2, a b a b >")
+    table = coset_enumeration(p, (parse_word(p, "b"),))
+    assert table.index == 3
+    gens = [Permutation(tuple(row[2 * i] for row in table.rows))
+            for i in range(p.rank)]
+    assert not permgroup.is_regular(gens, 3)
+    group = permutation_realization(table)
+    assert closures == [6]
+    assert len(group) == 6
+    assert len(group.elements) == 6
+
+
+def test_realization_certifies_d800_without_closing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the realization closed a regular action")
+
+    monkeypatch.setattr(permgroup, "generate", refuse)
+    table = coset_enumeration(parse_presentation(dihedral(800)))
+    group = permutation_realization(table)
+    assert len(group) == group.order == 1600
+    assert "elements" not in vars(group)
+    with pytest.raises(CapExceeded, match="group closure exceeded cap of 1000 "
+                                          "elements"):
+        permutation_realization(table, cap=1000)
+
+
+def test_certified_order_is_checked_when_elements_are_listed():
+    cycle = Permutation(tuple((x + 1) % 6 for x in range(6)))
+    with pytest.raises(HomomorphismFailure):
+        permgroup.Group(6, (cycle,), 3).elements
+    with pytest.raises(HomomorphismFailure):
+        permgroup.Group(6, (cycle * cycle,), 6).elements
+    assert permgroup.Group(6, (cycle,), 6).elements == \
+        permgroup.generate((cycle,)).elements
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_power_relators_checked_at_period_cost(data):
+    n = data.draw(st.integers(1, 12))
+    points = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    columns = tuple(
+        tuple(data.draw(st.one_of(st.permutations(range(n)), points)))
+        for _ in range(4)
+    )
+    root = tuple(data.draw(st.lists(st.integers(0, 3), min_size=1,
+                                    max_size=6)))
+    power = data.draw(st.integers(1, 12))
+    cosets = tuple(range(n))
+    assert _fixes_all(columns, cosets, root, power) == \
+        (_trace_all(columns, cosets, root * power) == cosets)
+    word = root * power
+    period, repeats = _power_root(word)
+    assert period * repeats == word and repeats % power == 0
 
 
 def test_subgroups_of_abelian_counts():

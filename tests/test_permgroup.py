@@ -121,6 +121,35 @@ def test_orbits_partition_and_labels():
         permgroup.orbits(group, "abc")
 
 
+def test_is_regular_on_hand_built_actions():
+    square = (Permutation.from_cycles(4, [(0, 1, 2, 3)]),
+              Permutation.from_cycles(4, [(1, 3)]))
+    # Transitive on the 4 vertices, but |D4| = 8: the centralizer is only
+    # {e, rotation by a half turn}.
+    assert len(permgroup.orbits(square, domain_size=4)) == 1
+    assert not permgroup.is_regular(square, 4)
+    assert not permgroup.is_regular(S3_GENS, 3)
+    assert permgroup.is_regular(square[:1], 4)
+    klein = (Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1)))
+    assert permgroup.is_regular(klein, 4)
+    assert not permgroup.is_regular(klein[:1], 4)
+    assert permgroup.is_regular((), 1)
+
+
+def test_is_regular_matches_closure():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            images = list(range(n))
+            rng.shuffle(images)
+            gens.append(Permutation(tuple(images)))
+        transitive = len(permgroup.orbits(gens, domain_size=n)) == 1
+        order = len(permgroup.generate(gens, domain_size=n))
+        assert permgroup.is_regular(gens, n) == (transitive and order == n)
+
+
 def test_is_normal_in_symmetric_group():
     group = s3()
     a3 = permgroup.generate((Permutation((1, 2, 0)),), domain_size=3)

@@ -1,6 +1,7 @@
 """Multiplication-table groups: constructors, invariants, quotients."""
 import pytest
 
+from hilb2.cli import main
 from hilb2.errors import NotAGroup
 from hilb2.tables import (
     GroupTable,
@@ -93,6 +94,29 @@ def test_quotient_by_requires_normal_subgroup():
     flip = next(g for g in range(6) if s3.order_of(g) == 2)
     with pytest.raises(NotAGroup):
         s3.quotient_by((s3.identity, flip))
+
+
+def test_quotient_by_trivial_subgroup_is_the_table(monkeypatch, capsys):
+    s3 = symmetric_table(3)
+    quotient, coset_of = s3.quotient_by((s3.identity,))
+    assert quotient is s3
+    assert coset_of == tuple(range(6))
+    with pytest.raises(NotAGroup):
+        s3.quotient_by((1,))
+
+    built = []
+    validate = GroupTable.__post_init__
+
+    def counted(self):
+        built.append(self.order)
+        validate(self)
+
+    monkeypatch.setattr(GroupTable, "__post_init__", counted)
+    assert main(["construct", "--group", "Z11"]) == 0
+    capsys.readouterr()
+    # Only the spec's table: the abelianization of Z11 is Z11 itself, which
+    # was a second, revalidated copy of the table.
+    assert built == [11]
 
 
 def test_group_from_spec():
