@@ -403,7 +403,8 @@ def _verify_checks(caps: Caps, fault: bool):
         add(f"classify[{entry}]: one cover per subgroup, all Galois "
             f"abelian", classify_check)
 
-    def closure_nongalois() -> bool:
+    def s3_and_transposition():
+        """S3 on three points and its non-normal subgroup <(0 1)>."""
         s3 = permgroup.generate(
             (permgroup.Permutation((1, 0, 2)),
              permgroup.Permutation((1, 2, 0))),
@@ -412,6 +413,10 @@ def _verify_checks(caps: Caps, fault: bool):
         h = permgroup.generate(
             (permgroup.Permutation((1, 0, 2)),), cap=caps.group_cap
         )
+        return s3, h
+
+    def closure_nongalois() -> bool:
+        s3, h = s3_and_transposition()
         cover = cover_from_subgroup(s3, h)
         closed = galois_closure(cover)
         return (
@@ -422,14 +427,7 @@ def _verify_checks(caps: Caps, fault: bool):
         )
 
     def closure_idempotent() -> bool:
-        s3 = permgroup.generate(
-            (permgroup.Permutation((1, 0, 2)),
-             permgroup.Permutation((1, 2, 0))),
-            cap=caps.group_cap,
-        )
-        h = permgroup.generate(
-            (permgroup.Permutation((1, 0, 2)),), cap=caps.group_cap
-        )
+        s3, h = s3_and_transposition()
         closed = galois_closure(cover_from_subgroup(s3, h))
         return galois_closure(closed) is closed
 
@@ -487,14 +485,7 @@ def _verify_checks(caps: Caps, fault: bool):
     add("abelian subgroups: orders divide |Z2xZ4|", abelian_lattice_lagrange)
 
     def closure_isomorphism_invariance() -> bool:
-        s3 = permgroup.generate(
-            (permgroup.Permutation((1, 0, 2)),
-             permgroup.Permutation((1, 2, 0))),
-            cap=caps.group_cap,
-        )
-        h = permgroup.generate(
-            (permgroup.Permutation((1, 0, 2)),), cap=caps.group_cap
-        )
+        s3, h = s3_and_transposition()
         closed = galois_closure(cover_from_subgroup(s3, h))
         regular = cover_from_subgroup(
             s3, permgroup.generate((), domain_size=3, cap=caps.group_cap)

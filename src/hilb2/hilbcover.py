@@ -797,14 +797,77 @@ def xi_tilde_fibers(c: HilbConstruction) -> dict[str, tuple[tuple[int, ...], ...
     }
 
 
-def _abstract_table(group: Group) -> tuple[GroupTable, tuple[Permutation, ...]]:
-    """Multiplication table of a permutation group over its sorted elements."""
-    elements = group.element_list
-    index = {p: i for i, p in enumerate(elements)}
-    rows = tuple(
-        tuple(index[a * b] for b in elements) for a in elements
+_NONABELIAN_DECK = (
+    "the squared construction needs an abelian deck group: with a "
+    "nonabelian one the intermediate quotient only realizes the "
+    "abelianized cover, not a cover of the full degree"
+)
+
+
+def square_cover(gset: GSet, base_label: str, *,
+                 ramification_labels=frozenset(),
+                 cap: int = DEFAULT_ELEMENT_CAP) -> CoverDescriptor:
+    """The cover of the Hilbert square of ``base_label`` induced by the
+    free model ``gset`` of an abelian group G of order d.
+
+    Over each symmetric point ``P`` its d sheets are the antidiagonal-group
+    orbits of :func:`build_construction`, labeled ``P#0 .. P#(d-1)`` by
+    smallest member; sheets over doubled points are the center labels (the
+    locus blown up downstairs), and no ramification is introduced.  The
+    deck group is G acting through the second-slot maps, checked to be a
+    homomorphism (deck(s) deck(g) = deck(s g) for the generators s and
+    every g) and injective, so its image is closed and isomorphic to G.
+    That G acts faithfully on the sheets of ``gset`` needs no check of its
+    own: :func:`free_gset` checks that only the identity fixes a sheet, and
+    :func:`build_construction` that the pair group has order 2 d^2, so the
+    generators it uses generate G.
+    """
+    table = gset.group
+    if not table.is_abelian:
+        raise NonAbelianDeckGroup(_NONABELIAN_DECK)
+    c = build_construction(gset, cap=cap)
+    d = table.order
+
+    total: list[str] = []
+    center: list[str] = []
+    leaders: list[int] = []
+    orbit_of_point: dict[int, int] = {}
+    for i, p in enumerate(c.sym.points):
+        for k, orbit in enumerate(c.antidiagonal_orbit_fibers[i]):
+            label = f"{p.label}#{k}"
+            orbit_of_point.update(dict.fromkeys(orbit, len(total)))
+            leaders.append(orbit[0])
+            total.append(label)
+            if p.is_diagonal:
+                center.append(label)
+
+    n = gset.size
+    deck = [
+        Permutation(tuple(
+            orbit_of_point[_pair_image(mover.images, n, k)] for k in leaders
+        ))
+        for mover in c.second_slot_maps
+    ]
+    for s in table.small_generating_set():
+        for g in range(d):
+            if deck[s] * deck[g] != deck[table.mul(s, g)]:
+                raise HomomorphismFailure(
+                    "deck action on orbits is not a homomorphism"
+                )
+    if len(set(deck)) != d:
+        raise HomomorphismFailure("deck action on orbits is not faithful")
+    deck_group = permgroup.group_from_elements(len(total), deck)
+
+    return CoverDescriptor(
+        base_label=f"Hilb2({base_label})",
+        total_points=tuple(total),
+        monodromy=deck_group,
+        degree=d,
+        deck_group=deck_group,
+        galois=True,
+        ramification_labels=ramification_labels,
+        center_labels=tuple(center),
     )
-    return GroupTable(rows), elements
 
 
 def hilb_square_cover(xi: CoverDescriptor, *,
@@ -812,79 +875,29 @@ def hilb_square_cover(xi: CoverDescriptor, *,
     """The induced cover of the Hilbert square of the base of ``xi``.
 
     ``xi`` must be Galois with an abelian deck group acting freely on its
-    sheets.  The result is the degree-|deck| cover whose sheets are the
-    antidiagonal-group orbits of the squared model: over each symmetric
-    point ``P`` the sheets are labeled ``P#0 .. P#(d-1)`` in order of
-    smallest orbit member, sheets over doubled points are recorded as
-    center labels (the locus blown up downstairs), the deck group is
-    carried over isomorphically, and no ramification is introduced —
-    the intermediate quotient has constant degree-d fibers.
+    sheets.  :func:`square_cover` builds the result from the deck group's
+    table over its sorted elements, acting on the sheets over the deck
+    orbits, each orbit labeled by its smallest sheet label (distinct
+    labels, because the sheet labels are).
     """
     if not xi.galois:
         raise NotGalois("the squared construction needs a Galois input cover")
     deck = xi.deck_group
     if not deck.is_abelian():
-        raise NonAbelianDeckGroup(
-            "the squared construction needs an abelian deck group: with a "
-            "nonabelian one the intermediate quotient only realizes the "
-            "abelianized cover, not a cover of the full degree"
-        )
+        raise NonAbelianDeckGroup(_NONABELIAN_DECK)
     for p in deck.element_list:
         if not p.is_identity and any(p(x) == x for x in range(deck.domain_size)):
             raise NotGalois("deck group does not act freely on the sheets")
 
-    table, elements = _abstract_table(deck)
-    blocks = permgroup.orbits(deck)
-    base_labels = tuple(
-        min(xi.total_points[i] for i in block) for block in blocks
+    table, _, _ = permgroup.quotient_table(
+        deck, Group.trivial(deck.domain_size)
     )
-    if len(set(base_labels)) != len(base_labels):
-        raise ValueError("deck orbits do not have distinct minimal labels")
+    base_labels = tuple(
+        min(xi.total_points[i] for i in block)
+        for block in permgroup.orbits(deck)
+    )
 
-    gset = free_gset(table, base_labels)
-    c = build_construction(gset, cap=cap)
-    d = c.d
-
-    total: list[str] = []
-    center: list[str] = []
-    orbit_to_index: dict[int, int] = {}
-    for i, p in enumerate(c.sym.points):
-        for k, orbit in enumerate(c.antidiagonal_orbit_fibers[i]):
-            label = f"{p.label}#{k}"
-            orbit_to_index[orbit[0]] = len(total)
-            total.append(label)
-            if p.is_diagonal:
-                center.append(label)
-
-    orbit_of_point: dict[int, int] = {}
-    for i in range(len(c.sym.points)):
-        for orbit in c.antidiagonal_orbit_fibers[i]:
-            root = orbit_to_index[orbit[0]]
-            for k in orbit:
-                orbit_of_point[k] = root
-
-    n = c.gset.size
-    deck_perms = set()
-    for g in range(d):
-        mover = c.second_slot_maps[g].images
-        images = tuple(
-            orbit_of_point[_pair_image(mover, n, min_point)]
-            for min_point in sorted(orbit_to_index, key=orbit_to_index.get)
-        )
-        deck_perms.add(Permutation(images))
-    if len(deck_perms) != d:
-        raise HomomorphismFailure("deck action on orbits is not faithful")
-    new_deck = permgroup.group_from_elements(len(total), deck_perms)
-    if len(new_deck) != d:
-        raise HomomorphismFailure("deck group on orbits has the wrong order")
-
-    return CoverDescriptor(
-        base_label=f"Hilb2({xi.base_label})",
-        total_points=tuple(total),
-        monodromy=new_deck,
-        degree=d,
-        deck_group=new_deck,
-        galois=True,
-        ramification_labels=xi.ramification_labels,
-        center_labels=tuple(center),
+    return square_cover(
+        free_gset(table, base_labels), xi.base_label,
+        ramification_labels=xi.ramification_labels, cap=cap,
     )

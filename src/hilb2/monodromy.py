@@ -19,7 +19,7 @@ from . import permgroup
 from .descriptors import CoverDescriptor, SurfaceDescriptor
 from .errors import HomomorphismFailure, InfiniteAbelianization, NotASubgroup
 from .fpgroup import abelianization, subgroups_of_abelian
-from .hilbcover import free_gset, hilb_square_cover
+from .hilbcover import free_gset, square_cover
 from .permgroup import DEFAULT_ELEMENT_CAP, Group, Permutation
 from .tables import GroupTable, abelian_table
 
@@ -386,7 +386,9 @@ def classify_hilb_covers(s: SurfaceDescriptor, *,
     The fundamental group of the Hilbert square is the abelianization of
     the smooth part's fundamental group; each of its subgroups induces a
     Galois cover with abelian deck group, realized explicitly through the
-    squared construction over a fixed two-point base model.  Results are
+    squared construction (:func:`square_cover`) on the free model of the
+    quotient's abelian table over a fixed two-point base; that table is
+    the only representation of the deck group built.  Results are
     ordered by degree, then by the defining subgroup.  Raises
     :class:`InfiniteAbelianization` when the abelianization has positive
     free rank.
@@ -401,30 +403,13 @@ def classify_hilb_covers(s: SurfaceDescriptor, *,
         subgroups_of_abelian(invariants),
         key=lambda sub: (sub.index, sub.elements),
     )
-    out = []
-    for sub in subs:
-        deck_table = abelian_table(sub.quotient.torsion)
-        gset = free_gset(deck_table, CLASSIFY_BASE)
-        action = permgroup.generate(
-            tuple(gset.translation(g) for g in deck_table.small_generating_set()),
-            domain_size=gset.size,
-            cap=cap,
-        )
-        if len(action) != deck_table.order:
-            raise HomomorphismFailure(
-                "deck translations do not act faithfully"
-            )
-        surface_cover = CoverDescriptor(
-            base_label=s.name,
-            total_points=gset.labels,
-            monodromy=action,
-            degree=deck_table.order,
-            deck_group=action,
-            galois=True,
-        )
-        hilb = hilb_square_cover(surface_cover, cap=cap)
-        out.append(quasietale_correspondence(s, hilb))
-    return tuple(out)
+    return tuple(
+        quasietale_correspondence(s, square_cover(
+            free_gset(abelian_table(sub.quotient.torsion), CLASSIFY_BASE),
+            s.name, cap=cap,
+        ))
+        for sub in subs
+    )
 
 
 def quasietale_correspondence(s: SurfaceDescriptor,

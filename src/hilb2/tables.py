@@ -10,7 +10,7 @@ constructions sweep over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 import itertools
 import re
 
@@ -258,10 +258,8 @@ def quaternion_table() -> GroupTable:
 
 def abelian_table(invariants) -> GroupTable:
     """Direct product of cyclic groups of the given orders."""
-    table = cyclic_table(1)
-    for d in invariants:
-        table = direct_product(table, cyclic_table(d))
-    return table
+    factors = [cyclic_table(d) for d in invariants] or [cyclic_table(1)]
+    return reduce(direct_product, factors)
 
 
 def _partitions(n: int) -> list[tuple[int, ...]]:

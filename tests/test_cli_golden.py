@@ -13,9 +13,11 @@ closure and the coset enumeration that ended with a confirming pass; the
 marker-point model, in which every element of the pair group permuted the
 whole square; the ``verify --inject-fault`` records come from the suite
 whose construction entries re-derived the laws that ``build_construction``
-checks.  A change that alters any of them alters what users see.  To
-record the corpus again after a deliberate output change, run from the
-repository root:
+checks; the ``cyclic-6`` and ``enriques-type`` JSON ``classify`` records
+come from the pipeline that rebuilt each cover's deck table from the
+permutation group of its sheet translations.  A change that alters any of
+them alters what users see.  To record the corpus again after a deliberate
+output change, run from the repository root:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -58,6 +60,8 @@ CASES = (
     ("construct", "--group", "Z2xZ2xZ2", "--base-size", "3"),
     ("verify", "--inject-fault"),
     ("verify", "--inject-fault", "--format", "json"),
+    ("classify", "--catalog", "cyclic-6", "--format", "json"),
+    ("classify", "--catalog", "enriques-type", "--format", "json"),
 )
 
 

@@ -1,6 +1,7 @@
 """The squared-model construction: symmetric quotients, the three
 symmetry groups of the square, fiber laws, diagonal copies, and the
 induced cover of the Hilbert square."""
+from dataclasses import replace
 import functools
 from pathlib import Path
 import subprocess
@@ -9,9 +10,11 @@ import sys
 import pytest
 
 import hilb2
-from hilb2 import permgroup
+from hilb2 import hilbcover, permgroup
+from hilb2.descriptors import CoverDescriptor
 from hilb2.errors import (
     EmptyBase,
+    HomomorphismFailure,
     NonAbelianDeckGroup,
     NotGalois,
     UnknownPoint,
@@ -26,6 +29,7 @@ from hilb2.hilbcover import (
     free_gset,
     hilb_square_cover,
     sign_and_splitting,
+    square_cover,
     symmetric_quotient,
     xi_tilde_fibers,
 )
@@ -266,6 +270,47 @@ def test_hilb_square_cover_rejects_bad_inputs():
         hilb_square_cover(cover_from_subgroup(s3, flip))
     with pytest.raises(NonAbelianDeckGroup):
         hilb_square_cover(regular_cover(symmetric_table(3)))
+    with pytest.raises(NonAbelianDeckGroup):
+        square_cover(free_gset(symmetric_table(3), ("a",)), "X")
+
+
+def test_hilb_square_cover_rejects_a_deck_group_with_fixed_sheets():
+    flip = permgroup.generate((Permutation((1, 0, 2)),), domain_size=3)
+    cover = CoverDescriptor(base_label="X", total_points=("p", "q", "r"),
+                            monodromy=flip, degree=3, deck_group=flip,
+                            galois=True)
+    with pytest.raises(NotGalois, match="does not act freely"):
+        hilb_square_cover(cover)
+
+
+def test_deck_orbits_of_a_cover_have_distinct_smallest_labels():
+    # Orbits {0, 1} and {2, 3} would both be labeled "a"; the descriptor
+    # refuses repeated sheet labels, so no cover reaches
+    # hilb_square_cover with two deck orbits sharing a smallest label.
+    halves = permgroup.generate((Permutation((1, 0, 3, 2)),), domain_size=4)
+    with pytest.raises(ValueError, match="duplicate sheet labels"):
+        CoverDescriptor(base_label="X", total_points=("a", "b", "a", "c"),
+                        monodromy=halves, degree=2, deck_group=halves,
+                        galois=True)
+
+
+def test_hilb_square_cover_checks_the_deck_action_is_a_homomorphism(
+        monkeypatch):
+    # In Z4, exchanging the slot maps of the generator 1 and its square 2
+    # keeps the deck action injective but breaks 1 + 1 = 2.
+    honest = hilbcover.build_construction
+
+    def swapped(gset, **kwargs):
+        c = honest(gset, **kwargs)
+        slots = list(c.second_slot_maps)
+        slots[1], slots[2] = slots[2], slots[1]
+        return replace(c, second_slot_maps=tuple(slots))
+
+    cover = regular_cover(cyclic_table(4))
+    assert hilb_square_cover(cover).degree == 4
+    monkeypatch.setattr(hilbcover, "build_construction", swapped)
+    with pytest.raises(HomomorphismFailure, match="not a homomorphism"):
+        hilb_square_cover(cover)
 
 
 def assert_laws_exhaustively(c):

@@ -9,11 +9,14 @@ import pytest
 
 import hilb2
 from hilb2 import permgroup
-from hilb2.catalog import get_surface
-from hilb2.descriptors import SurfaceDescriptor
+from hilb2 import hilbcover, monodromy, tables
+from hilb2.catalog import get_surface, surface_names
+from hilb2.descriptors import CoverDescriptor, SurfaceDescriptor
 from hilb2.errors import InfiniteAbelianization
-from hilb2.fpgroup import parse_presentation
+from hilb2.fpgroup import abelianization, parse_presentation, subgroups_of_abelian
+from hilb2.hilbcover import free_gset, hilb_square_cover
 from hilb2.monodromy import (
+    CLASSIFY_BASE,
     classify_hilb_covers,
     cover_from_subgroup,
     cover_isomorphic,
@@ -24,7 +27,7 @@ from hilb2.monodromy import (
     wreath_quotient_check,
 )
 from hilb2.permgroup import Group, Permutation
-from hilb2.tables import group_from_spec, symmetric_table
+from hilb2.tables import abelian_table, group_from_spec, symmetric_table
 
 
 def s3():
@@ -187,6 +190,91 @@ def test_classify_rejects_infinite_fundamental_groups():
     )
     with pytest.raises(InfiniteAbelianization):
         classify_hilb_covers(free_surface)
+
+
+def classify_through_the_sheet_action(s):
+    """The classify loop that wrapped each deck table's sheet translations
+    in a permutation group and a surface cover, and let
+    ``hilb_square_cover`` rebuild the table from that group."""
+    subs = sorted(
+        subgroups_of_abelian(abelianization(s.pi1_smooth)),
+        key=lambda sub: (sub.index, sub.elements),
+    )
+    out = []
+    for sub in subs:
+        deck_table = abelian_table(sub.quotient.torsion)
+        gset = free_gset(deck_table, CLASSIFY_BASE)
+        action = permgroup.generate(
+            tuple(gset.translation(g)
+                  for g in deck_table.small_generating_set()),
+            domain_size=gset.size,
+        )
+        assert len(action) == deck_table.order
+        surface_cover = CoverDescriptor(
+            base_label=s.name,
+            total_points=gset.labels,
+            monodromy=action,
+            degree=deck_table.order,
+            deck_group=action,
+            galois=True,
+        )
+        out.append(quasietale_correspondence(
+            s, hilb_square_cover(surface_cover)
+        ))
+    return tuple(out)
+
+
+def group_data(group):
+    return (group.domain_size, group.generators, group.order,
+            group.element_list)
+
+
+def cover_data(c):
+    return (c.base_label, c.total_points, group_data(c.monodromy), c.degree,
+            group_data(c.deck_group), c.galois, c.ramification_labels,
+            c.center_labels)
+
+
+INLINE_SURFACES = {
+    "Z2xZ4": "< a b | a^2, b^4, a b a^-1 b^-1 >",
+    "Z3xZ3": "< a b | a^3, b^3, a b a^-1 b^-1 >",
+    "Z2^3": "< a b c | a^2, b^2, c^2, a b a^-1 b^-1, a c a^-1 c^-1, "
+            "b c b^-1 c^-1 >",
+}
+
+
+@pytest.mark.parametrize("surface", [
+    *(get_surface(name) for name in surface_names()),
+    *(SurfaceDescriptor(name=name, pi1_smooth=parse_presentation(text))
+      for name, text in INLINE_SURFACES.items()),
+], ids=lambda s: s.name)
+def test_classify_matches_the_sheet_action_pipeline(surface):
+    new = classify_hilb_covers(surface)
+    old = classify_through_the_sheet_action(surface)
+    assert [cover_data(c) for c in new] == [cover_data(c) for c in old]
+
+
+def test_classify_builds_one_table_and_one_model_per_cover(monkeypatch):
+    tables_built = models_built = 0
+    validate = tables.GroupTable.__post_init__
+    build_model = hilbcover.free_gset
+
+    def counted_table(self):
+        nonlocal tables_built
+        tables_built += 1
+        validate(self)
+
+    def counted_model(*args, **kwargs):
+        nonlocal models_built
+        models_built += 1
+        return build_model(*args, **kwargs)
+
+    monkeypatch.setattr(tables.GroupTable, "__post_init__", counted_table)
+    monkeypatch.setattr(hilbcover, "free_gset", counted_model)
+    monkeypatch.setattr(monodromy, "free_gset", counted_model)
+    covers = classify_hilb_covers(get_surface("cyclic-8"))
+    assert len(covers) == 4
+    assert (tables_built, models_built) == (4, 4)
 
 
 def test_quasietale_correspondence_and_label_removal():
