@@ -545,7 +545,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="max elements in any generated group")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call.
+
+    Parsing leaves no state on it: each call gets a fresh ``Namespace``.
+    """
     parser = argparse.ArgumentParser(
         prog="hilb2",
         description="Covers of Hilbert squares from finite monodromy data.",
@@ -564,7 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fundamental group of the smooth part, "
                              "e.g. '< a | a^2 >'")
     _add_common(classify)
-    classify.set_defaults(func=cmd_classify)
 
     construct = sub.add_parser(
         "construct",
@@ -575,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     construct.add_argument("--base-size", type=int, default=2, metavar="N",
                            help="number of base sheets (default: 2)")
     _add_common(construct)
-    construct.set_defaults(func=cmd_construct)
 
     verify = sub.add_parser(
         "verify", help="run the full property suite"
@@ -583,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--inject-fault", action="store_true",
                         help=argparse.SUPPRESS)
     _add_common(verify)
-    verify.set_defaults(func=cmd_verify)
 
     hodge = sub.add_parser(
         "hodge",
@@ -592,20 +594,20 @@ def build_parser() -> argparse.ArgumentParser:
     hodge.add_argument("vector", metavar="H0,H1,H2",
                        help="surface Hodge triple, e.g. 1,0,1")
     _add_common(hodge)
-    hodge.set_defaults(func=cmd_hodge)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as stop:
         return int(stop.code or 0)
     try:
         caps = _resolve_caps(args)
-        return args.func(args, caps)
+        # Looked up per call, not pinned in the shared parser, so a
+        # rebound cmd_* (a wrapper or a test's monkeypatch) still runs.
+        return globals()[f"cmd_{args.subcommand}"](args, caps)
     except CapExceeded as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_CAP

@@ -1,7 +1,9 @@
 """Abstract finite groups given by explicit multiplication tables.
 
 A :class:`GroupTable` stores the full Cayley table over element indices
-``0..n-1`` and validates every group axiom by exhaustion on construction.
+``0..n-1`` and validates every group axiom on construction: closure,
+bijective rows and columns, identity and inverses by exhaustion, and
+associativity by Light's test on a generating set.
 The module also provides a small zoo of standard groups (cyclic groups,
 direct products, symmetric groups, the order-8 quaternion group) and an
 enumerator of all abelian groups up to a given order, which the covering
@@ -52,13 +54,30 @@ class GroupTable:
         for a in range(n):
             if not any(self.table[a][b] == ident for b in range(n)):
                 raise NotAGroup(f"element {a} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                        raise NotAGroup(
-                            f"associativity fails at ({a}, {b}, {c})"
-                        )
+        self._check_associative()
+
+    def _check_associative(self) -> None:
+        """Light's associativity test, at O(n²·|gens|) instead of n³.
+
+        Let S be the set of b with (x·b)·y = x·(b·y) for all x, y.  S is
+        closed under products: for a, b in S,
+        (x·(a·b))·y = ((x·a)·b)·y = (x·a)·(b·y) = x·(a·(b·y)) = x·((a·b)·y),
+        using a, b, a and again b (at x = a) in S in turn.  Every element
+        is a product of the greedy generators (see
+        :meth:`small_generating_set`, which needs only the checks before
+        this one), so once each generator is checked to lie in S, S is the
+        whole table (Clifford & Preston, *The Algebraic Theory of
+        Semigroups* I, 1961, §1.2).
+        """
+        table = self.table
+        for g in self.small_generating_set():
+            g_row = table[g]
+            for x, row in enumerate(table):
+                left = table[row[g]]  # (x·g)·y for every y
+                right = tuple(map(row.__getitem__, g_row))  # x·(g·y)
+                if left != right:
+                    y = next(y for y, v in enumerate(left) if v != right[y])
+                    raise NotAGroup(f"associativity fails at ({x}, {g}, {y})")
 
     @property
     def order(self) -> int:
@@ -116,12 +135,31 @@ class GroupTable:
         return tuple(sorted(members))
 
     def small_generating_set(self) -> tuple[int, ...]:
+        """Greedy generators: each the smallest element not yet reached.
+
+        Elements are reached from the identity by right-multiplying by the
+        generators chosen so far, until every element is reached, so every
+        element is a product of generators.  This reads only rows, so it is
+        sound on a table not yet known to be associative.
+        """
+        table = self.table
+        reached = [False] * self.order
+        reached[self.identity] = True
+        members = [self.identity]
         gens: list[int] = []
-        sub = {self.identity}
         for x in range(self.order):
-            if x not in sub:
-                gens.append(x)
-                sub = set(self.subgroup_closure(gens))
+            if reached[x]:
+                continue
+            gens.append(x)
+            frontier = list(members)
+            while frontier:
+                row = table[frontier.pop()]
+                for g in gens:
+                    y = row[g]
+                    if not reached[y]:
+                        reached[y] = True
+                        members.append(y)
+                        frontier.append(y)
         return tuple(gens)
 
     def commutator_subgroup(self) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 """End-to-end command-line behavior: outputs, formats, and exit codes."""
+import argparse
 import json
 import os
 from pathlib import Path
@@ -11,7 +12,7 @@ import time
 import pytest
 
 import hilb2
-from hilb2 import permgroup
+from hilb2 import cli, permgroup
 from hilb2.cli import (
     EXIT_BAD_INPUT,
     EXIT_CAP,
@@ -197,6 +198,75 @@ def test_hodge_bad_vectors(capsys):
 def test_missing_subcommand_is_bad_input(capsys):
     code, _, _ = run(capsys)
     assert code == EXIT_BAD_INPUT
+
+
+ARGPARSE_REFUSALS = [
+    (),
+    ("construct",),
+    ("construct", "--group", "Z2", "--format", "xml"),
+    ("classify", "--catalog", "quaternion", "--presentation", "< a | a^2 >"),
+    ("construct", "--group", "Z2", "--base-size", "two"),
+]
+
+
+def test_one_parser_and_no_state_between_calls(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+
+    def refusals():
+        errors = []
+        for argv in ARGPARSE_REFUSALS:
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_BAD_INPUT, argv
+            assert out == "", argv
+            errors.append(err)
+        return errors
+
+    before = refusals()
+    first = len(built)
+    assert first > 0
+    calls = [
+        ("hodge", "1,0,1"),
+        ("construct", "--group", "Z2", "--format", "json"),
+        ("classify", "--catalog", "quaternion"),
+        ("construct", "--group", "Z3", "--base-size", "1"),
+        ("hodge", "1,2,1", "--format", "json"),
+        ("classify", "--presentation", "< a | a^4 >", "--format", "json"),
+        ("construct", "--group", "Z2xZ2", "--group-cap", "1000"),
+        ("classify", "--catalog", "cyclic-3"),
+        ("hodge", "1,0,0"),
+        ("construct", "--group", "Z4", "--base-size", "3"),
+    ]
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK, argv
+        assert out and err == ""
+    assert len(built) == first
+    assert refusals() == before
+    assert len(built) == first
+
+
+def test_dispatch_reads_the_command_at_call_time(capsys, monkeypatch):
+    assert run(capsys, "hodge", "1,0,1")[0] == EXIT_OK
+    seen = []
+    original = cli.cmd_hodge
+
+    def wrapped(args, caps):
+        seen.append(args.vector)
+        return original(args, caps)
+
+    monkeypatch.setattr(cli, "cmd_hodge", wrapped)
+    code, out, _ = run(capsys, "hodge", "1,2,1")
+    assert code == EXIT_OK and out.startswith("(1,2,2,2,1)")
+    assert seen == ["1,2,1"]
 
 
 def test_verify_passes(capsys):

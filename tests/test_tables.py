@@ -1,4 +1,5 @@
 """Multiplication-table groups: constructors, invariants, quotients."""
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from hilb2.cli import main
@@ -31,6 +32,75 @@ def test_cyclic_table_basics():
 def test_table_validation():
     with pytest.raises(NotAGroup):
         GroupTable(((0, 1), (1, 1)))
+
+
+def associative_by_exhaustion(rows) -> bool:
+    """The n³ oracle for Light's test in ``GroupTable.__post_init__``."""
+    n = len(rows)
+    return all(
+        rows[rows[a][b]][c] == rows[a][rows[b][c]]
+        for a in range(n) for b in range(n) for c in range(n)
+    )
+
+
+def light_accepts(rows) -> bool:
+    try:
+        GroupTable(rows)
+    except NotAGroup as refused:
+        assert "associativity fails" in str(refused)
+        a, b, c = map(int, str(refused).split("(")[1].rstrip(")").split(","))
+        assert rows[rows[a][b]][c] != rows[a][rows[b][c]]
+        return False
+    return True
+
+
+ORACLE_TABLES = [table for _, table in abelian_group_tables(12)] + [
+    symmetric_table(3), symmetric_table(4), quaternion_table()
+]
+
+
+# (table, t, <t>) for every t generating a proper nontrivial subgroup.
+PROPER_CYCLIC_SUBGROUPS = [
+    (table, t, cyclic) for table in ORACLE_TABLES
+    for t in range(table.order) if t != table.identity
+    for cyclic in [table.subgroup_closure([t])] if len(cyclic) < table.order
+]
+
+
+def test_light_test_agrees_with_the_exhaustive_oracle_on_groups():
+    for table in ORACLE_TABLES:
+        assert associative_by_exhaustion(table.table)
+        assert light_accepts(table.table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_light_test_agrees_with_the_exhaustive_oracle_off_groups(data):
+    """Exchange rows a and b of a group table on one row cycle.
+
+    Row a holds a·c where row b holds b·c' for c' = t·c, t = b⁻¹·a, so on
+    the columns of a coset ⟨t⟩·c the two rows hold the same symbols and
+    exchanging them there keeps every row and column a bijection.  With a,
+    b and the coset away from the identity, the identity row and column
+    stay too, so associativity alone decides both verdicts.
+    """
+    table, t, cyclic = data.draw(st.sampled_from(PROPER_CYCLIC_SUBGROUPS))
+    e, n = table.identity, table.order
+    a = data.draw(st.sampled_from(
+        [x for x in range(n) if x not in (e, t)]))
+    c = data.draw(st.sampled_from(
+        [x for x in range(n) if x not in cyclic]))
+    b = table.mul(a, table.inv(t))
+    coset = {table.mul(s, c) for s in cyclic}
+    rows = [list(row) for row in table.table]
+    for col in coset:
+        rows[a][col], rows[b][col] = rows[b][col], rows[a][col]
+    rows = tuple(map(tuple, rows))
+    assert all(len(set(row)) == n for row in rows)
+    assert all(len({row[col] for row in rows}) == n for col in range(n))
+    assert rows[e] == tuple(range(n))
+    assert all(row[e] == x for x, row in enumerate(rows))
+    assert light_accepts(rows) == associative_by_exhaustion(rows)
 
 
 def test_direct_product_of_coprime_cyclics_is_cyclic():
