@@ -17,7 +17,12 @@ import math
 
 from . import permgroup
 from .descriptors import CoverDescriptor, SurfaceDescriptor
-from .errors import HomomorphismFailure, InfiniteAbelianization, NotASubgroup
+from .errors import (
+    CapExceeded,
+    HomomorphismFailure,
+    InfiniteAbelianization,
+    NotASubgroup,
+)
 from .fpgroup import abelianization, subgroups_of_abelian
 from .hilbcover import free_gset, square_cover
 from .permgroup import DEFAULT_ELEMENT_CAP, Group, Permutation
@@ -162,14 +167,13 @@ def cover_isomorphic(a: CoverDescriptor, b: CoverDescriptor) -> bool:
 
 @dataclass(frozen=True)
 class WreathModel:
-    """The group of Q-decorated coordinate permutations, acting faithfully.
+    """Q ≀ Sₙ in its imprimitive action on n copies of Q.
 
-    The domain is all n-tuples over Q (index sum of t_i |Q|^(n-1-i))
-    followed by n position markers; a vector acts on tuples by slotwise
-    left multiplication and fixes the markers, while a coordinate
-    permutation rearranges tuple slots and moves the markers.  The markers
-    keep the action faithful even for |Q| = 1, so the order is always
-    |Q|^n * n!.
+    Point i·|Q| + x is the element x in copy i.  A vector acts on each copy
+    by left multiplication with its component there, and transposition
+    lift i exchanges copies i and i+1.  The action is faithful for every Q,
+    |Q| = 1 included, so the order is always |Q|^n * n!  (Dixon and
+    Mortimer, *Permutation Groups*, 1996, §2.6).
     """
 
     q_table: GroupTable
@@ -177,49 +181,37 @@ class WreathModel:
     wreath: Group
     transposition_lifts: tuple[Permutation, ...]
 
-    @property
-    def tuple_count(self) -> int:
-        return self.q_table.order ** self.n
-
-
-def _tuple_index(values, q: int) -> int:
-    index = 0
-    for v in values:
-        index = index * q + v
-    return index
-
 
 def _vector_permutation(vector, q_table: GroupTable, n: int) -> Permutation:
-    """Pure slotwise left multiplication by ``vector``, markers fixed."""
+    """Left multiplication by ``vector[i]`` on copy i; no copy moves."""
     q = q_table.order
-    images = []
-    for t in itertools.product(range(q), repeat=n):
-        moved = tuple(q_table.mul(vector[i], t[i]) for i in range(n))
-        images.append(_tuple_index(moved, q))
-    images.extend(q ** n + i for i in range(n))
-    return Permutation(tuple(images))
+    mul = q_table.mul
+    return Permutation(tuple(
+        i * q + mul(vector[i], x) for i in range(n) for x in range(q)
+    ))
 
 
 def wreath_model(q_table: GroupTable, n: int, *,
                  cap: int = DEFAULT_ELEMENT_CAP) -> WreathModel:
-    """Build the decorated-permutation group with its transposition lifts."""
+    """Build Q ≀ Sₙ on n copies of Q with its transposition lifts.
+
+    Raises :class:`CapExceeded` before building anything when |Q|^n * n!
+    passes ``cap``.
+    """
     if n < 2:
         raise ValueError("need at least two coordinates")
     q = q_table.order
-    qpow = q ** n
-    dom = qpow + n
+    order = q ** n * math.factorial(n)
+    if order > cap:
+        raise CapExceeded(f"|W| would be {order} > group cap {cap}")
 
     lifts = []
     for i in range(n - 1):
-        images = []
-        for t in itertools.product(range(q), repeat=n):
-            u = list(t)
-            u[i], u[i + 1] = u[i + 1], u[i]
-            images.append(_tuple_index(u, q))
-        block = list(range(qpow, qpow + n))
-        block[i], block[i + 1] = block[i + 1], block[i]
-        images.extend(block)
-        lifts.append(Permutation(tuple(images)))
+        copies = list(range(n))
+        copies[i], copies[i + 1] = i + 1, i
+        lifts.append(Permutation(tuple(
+            c * q + x for c in copies for x in range(q)
+        )))
 
     vector_gens = []
     identity = q_table.identity
@@ -229,9 +221,9 @@ def wreath_model(q_table: GroupTable, n: int, *,
         vector_gens.append(_vector_permutation(vector, q_table, n))
 
     wreath = permgroup.generate(
-        tuple(vector_gens) + tuple(lifts), domain_size=dom, cap=cap
+        tuple(vector_gens) + tuple(lifts), domain_size=n * q, cap=cap
     )
-    if len(wreath) != qpow * math.factorial(n):
+    if len(wreath) != order:
         raise HomomorphismFailure(
             "decorated permutation group has the wrong order"
         )
@@ -270,23 +262,17 @@ class WreathCheckReport:
             and self.composition_homomorphism
             and self.composition_kernel_is_closure
             and self.wreath_order
-            == self.lift_closure_order * _order_of_invariants(self.q_abelianized)
+            == self.lift_closure_order * math.prod(self.q_abelianized)
         )
-
-
-def _order_of_invariants(invariants) -> int:
-    out = 1
-    for d in invariants:
-        out *= d
-    return out
 
 
 def wreath_quotient_check(q_table: GroupTable, n: int, *,
                           cap: int = DEFAULT_ELEMENT_CAP) -> WreathCheckReport:
     """Verify that killing the transposition lifts leaves exactly Q-abelian.
 
-    Builds the decorated-permutation group W of order |Q|^n n!, takes the
-    normal closure N of the transposition lifts, and checks by exhaustion:
+    Builds W = Q ≀ Sₙ, of order |Q|^n n!, on n copies of Q (see
+    :class:`WreathModel`), takes the normal closure N of the transposition
+    lifts, and checks by exhaustion:
 
     * every twisted-difference vector (the slotwise products
       g_{p(i)}^-1 g_i over all coordinate permutations p and tuples g)
@@ -296,12 +282,15 @@ def wreath_quotient_check(q_table: GroupTable, n: int, *,
     * the slot-composition map w -> product of the components of the
       vector part of w, taken modulo commutators of Q, is a homomorphism
       (checked on generator-times-element pairs, which extends to all
-      products by induction) whose kernel is exactly N.
+      products by induction) whose kernel is exactly N.  The components
+      are read from the images of the n identity points, one per copy.
+
+    Raises :class:`CapExceeded` before building anything when |W| passes
+    ``cap``.
     """
     model = wreath_model(q_table, n, cap=cap)
     W = model.wreath
     q = q_table.order
-    qpow = q ** n
 
     N = permgroup.normal_closure(W, model.transposition_lifts, cap=cap)
 
@@ -337,18 +326,12 @@ def wreath_quotient_check(q_table: GroupTable, n: int, *,
     qab_table, class_of = q_table.quotient_by(commutator)
     qab = qab_table.abelian_invariants()
 
-    identity_tuple_index = _tuple_index([q_table.identity] * n, q)
+    identity_points = [i * q + q_table.identity for i in range(n)]
 
     def compose(w: Permutation) -> int:
-        t = w.images[identity_tuple_index]
-        digits = []
-        for _ in range(n):
-            digits.append(t % q)
-            t //= q
-        digits.reverse()
         product = q_table.identity
-        for value in digits:
-            product = mul(product, value)
+        for point in identity_points:
+            product = mul(product, w.images[point] % q)
         return class_of[product]
 
     phi = {w: compose(w) for w in W}

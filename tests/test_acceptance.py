@@ -64,7 +64,7 @@ def regular_model(table):
 
 def test_fiber_cardinality_laws():
     """Big fibers have size exactly 2d^2 off the diagonal and d^2 on it,
-    and every fiber splits into exactly |G| intermediate orbits.  < 30 s."""
+    and every fiber splits into exactly |G| intermediate orbits.  < 2 s."""
     start = time.monotonic()
     for (name, b), c in sweep().items():
         d = c.d
@@ -73,14 +73,14 @@ def test_fiber_cardinality_laws():
             assert len(c.sym_fibers[i]) == want, (name, b, point.label)
             assert len(c.antidiagonal_orbit_fibers[i]) == d, \
                 (name, b, point.label)
-    assert time.monotonic() - start < 30.0
+    assert time.monotonic() - start < 2.0
 
 
 def test_group_orders_and_sign_splitting():
     """|pair group| = 2d^2 and |intermediate group| = 2d with the latter
     normal; the parity map is a split surjection whose kernel is the
     injective image of G x G.  The swap-plus-diagonal subgroup also has
-    order 2d but fails normality for the order-6 nonabelian group.  < 10 s."""
+    order 2d but fails normality for the order-6 nonabelian group.  < 2 s."""
     start = time.monotonic()
     for (name, b), c in sweep().items():
         d = c.d
@@ -100,13 +100,13 @@ def test_group_orders_and_sign_splitting():
     assert not permgroup.is_normal(
         nonabelian.diagonal_group, nonabelian.pair_group
     )
-    assert time.monotonic() - start < 10.0
+    assert time.monotonic() - start < 2.0
 
 
 def test_diagonal_component_structure():
     """The doubled locus upstairs is exactly |G| disjoint copies of the
     sheet space, and the pointwise-fixed copies are exactly those indexed
-    by elements that square to the identity.  < 10 s."""
+    by elements that square to the identity.  < 2 s."""
     start = time.monotonic()
     for (name, b), c in sweep().items():
         table = c.gset.group
@@ -121,14 +121,14 @@ def test_diagonal_component_structure():
             g for g in range(c.d) if table.mul(g, g) == table.identity
         )
         assert fixed_components(c) == involutions, (name, b)
-    assert time.monotonic() - start < 10.0
+    assert time.monotonic() - start < 2.0
 
 
 def test_wreath_kernel_is_abelianization():
-    """Killing the transposition lifts in the decorated-permutation group
-    Q^n x| S_n leaves an abelian quotient of order exactly |Q^ab|, with the
+    """Killing the transposition lifts in the wreath product Q wr S_n, on
+    n copies of Q, leaves an abelian quotient of order exactly |Q^ab|, with the
     twisted-difference vectors inside the kernel; |Q^ab| is recomputed
-    through an independent permutation-model commutator quotient.  < 60 s."""
+    through an independent permutation-model commutator quotient.  < 4 s."""
     start = time.monotonic()
     cells = [
         (spec, n)
@@ -153,14 +153,14 @@ def test_wreath_kernel_is_abelianization():
             expected_order *= factor
         assert report.wreath_order == \
             report.lift_closure_order * expected_order, (spec, n)
-    assert time.monotonic() - start < 60.0
+    assert time.monotonic() - start < 4.0
 
 
 def test_classification_counts():
     """Each catalog surface produces one Hilbert-square cover per subgroup
     of the abelianized fundamental group, with the count recomputed by
     generic subgroup enumeration on a regular permutation model; the
-    quaternion entry yields exactly 5.  < 10 s."""
+    quaternion entry yields exactly 5.  < 0.5 s."""
     start = time.monotonic()
     for name in surface_names():
         surface = get_surface(name)
@@ -172,13 +172,13 @@ def test_classification_counts():
         assert len(covers) == independent, name
         assert len(covers) == len(subgroups_of_abelian(invariants)), name
     assert len(classify_hilb_covers(get_surface("quaternion"))) == 5
-    assert time.monotonic() - start < 10.0
+    assert time.monotonic() - start < 0.5
 
 
 def test_abelianization_oracle_agreement():
     """For every catalog presentation whose coset enumeration terminates at
     index <= 200, the Smith-normal-form abelianization equals the
-    brute-force commutator quotient of the permutation realization.  < 30 s."""
+    brute-force commutator quotient of the permutation realization.  < 0.1 s."""
     start = time.monotonic()
     for name in surface_names():
         presentation = get_surface(name).pi1_smooth
@@ -191,7 +191,7 @@ def test_abelianization_oracle_agreement():
         invariants = abelianization(presentation)
         assert invariants.rank == 0, name
         assert invariants.torsion == brute, name
-    assert time.monotonic() - start < 30.0
+    assert time.monotonic() - start < 0.1
 
 
 def _squared_dimension_by_trace(h, p):
@@ -213,7 +213,7 @@ def _squared_dimension_by_trace(h, p):
 def test_hodge_square_and_isv_verdicts():
     """(1,0,1) squares to (1,0,1,0,1) and is the unique ISV pattern;
     (1,2,1) squares to (1,2,2,2,1) and is rejected; the closed-form square
-    agrees with the trace-formula oracle for all entries <= 4.  < 5 s."""
+    agrees with the trace-formula oracle for all entries <= 4.  < 0.1 s."""
     start = time.monotonic()
     assert symmetric_square_hodge((1, 0, 1)) == (1, 0, 1, 0, 1)
     assert isv_surface_check((1, 0, 1))
@@ -227,7 +227,7 @@ def test_hodge_square_and_isv_verdicts():
                 _squared_dimension_by_trace(h, p) for p in range(5)
             )
             assert symmetric_square_hodge(h) == expected, h
-    assert time.monotonic() - start < 5.0
+    assert time.monotonic() - start < 0.1
 
 
 def _closure_sweep_groups():
@@ -268,7 +268,7 @@ def test_galois_closure_laws():
     """For every subgroup of each sample group of order <= 24 the closure
     is Galois, dominates the cover (its degree is the index of the core,
     which lies inside the subgroup), is exactly idempotent, and is minimal:
-    no normal subgroup inside the defining subgroup beats the core.  < 30 s."""
+    no normal subgroup inside the defining subgroup beats the core.  < 2 s."""
     start = time.monotonic()
     expected_orders = {
         "S4": 24, "A4": 12, "D4": 8, "V4": 4,
@@ -296,4 +296,4 @@ def test_galois_closure_laws():
             assert core.order == best_normal_order, (name, sub.order)
             assert closed.degree == group.order // best_normal_order, \
                 (name, sub.order)
-    assert time.monotonic() - start < 30.0
+    assert time.monotonic() - start < 2.0

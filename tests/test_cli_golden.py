@@ -15,9 +15,12 @@ whole square; the ``verify --inject-fault`` records come from the suite
 whose construction entries re-derived the laws that ``build_construction``
 checks; the ``cyclic-6`` and ``enriques-type`` JSON ``classify`` records
 come from the pipeline that rebuilt each cover's deck table from the
-permutation group of its sheet translations.  A change that alters any of
-them alters what users see.  To record the corpus again after a deliberate
-output change, run from the repository root:
+permutation group of its sheet translations; the ``verify --group-cap 4``
+record, whose skipped entries print each predicted ``|J|`` and ``|W|``,
+comes from the wreath model that acted on n-tuples over Q plus n marker
+points.  A change that alters any of them alters what users see.  To
+record the corpus again after a deliberate output change, run from the
+repository root:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -62,6 +65,7 @@ CASES = (
     ("verify", "--inject-fault", "--format", "json"),
     ("classify", "--catalog", "cyclic-6", "--format", "json"),
     ("classify", "--catalog", "enriques-type", "--format", "json"),
+    ("verify", "--group-cap", "4"),
 )
 
 

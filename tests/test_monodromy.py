@@ -12,11 +12,12 @@ from hilb2 import permgroup
 from hilb2 import hilbcover, monodromy, tables
 from hilb2.catalog import get_surface, surface_names
 from hilb2.descriptors import CoverDescriptor, SurfaceDescriptor
-from hilb2.errors import InfiniteAbelianization
+from hilb2.errors import CapExceeded, InfiniteAbelianization
 from hilb2.fpgroup import abelianization, parse_presentation, subgroups_of_abelian
 from hilb2.hilbcover import free_gset, hilb_square_cover
 from hilb2.monodromy import (
     CLASSIFY_BASE,
+    WreathCheckReport,
     classify_hilb_covers,
     cover_from_subgroup,
     cover_isomorphic,
@@ -108,36 +109,72 @@ def test_wreath_model_structure():
     _, z3 = group_from_spec("Z3")
     model = wreath_model(z3, 2)
     assert len(model.wreath) == 18
+    assert model.wreath.domain_size == 2 * 3
     assert len(model.transposition_lifts) == 1
     for lift in model.transposition_lifts:
         assert lift * lift == Permutation.identity(lift.domain_size)
         assert lift in model.wreath
     _, s3_table = group_from_spec("S3")
-    assert len(wreath_model(s3_table, 2).wreath) == 72
+    s3_wreath = wreath_model(s3_table, 3).wreath
+    assert len(s3_wreath) == 6 ** 3 * 6
+    assert s3_wreath.domain_size == 3 * 6
+    # The action on copies stays faithful when Q is trivial.
+    _, z1 = group_from_spec("Z1")
+    trivial = wreath_model(z1, 3).wreath
+    assert len(trivial) == 6
+    assert trivial.domain_size == 3
     with pytest.raises(ValueError):
         wreath_model(z3, 1)
 
 
 def test_wreath_quotient_check_frozen_values():
+    # (|W|, |N|, order of the twisted-difference closure, Q^ab invariants)
     expected = {
-        ("Z2", 2): (8, 4, (2,)),
-        ("Z3", 2): (18, 6, (3,)),
-        ("Z4", 2): (32, 8, (4,)),
-        ("Z2xZ2", 2): (32, 8, (2, 2)),
-        ("S3", 2): (72, 36, (2,)),
-        ("Q8", 2): (128, 32, (2, 2)),
-        ("Z2", 3): (48, 24, (2,)),
-        ("Z3", 3): (162, 54, (3,)),
+        ("Z2", 2): (8, 4, 2, (2,)),
+        ("Z3", 2): (18, 6, 3, (3,)),
+        ("Z4", 2): (32, 8, 4, (4,)),
+        ("Z2xZ2", 2): (32, 8, 4, (2, 2)),
+        ("S3", 2): (72, 36, 18, (2,)),
+        ("Q8", 2): (128, 32, 16, (2, 2)),
+        ("Z2", 3): (48, 24, 4, (2,)),
+        ("Z3", 3): (162, 54, 9, (3,)),
+        ("Q8", 3): (3072, 768, 128, (2, 2)),
+        ("S3", 3): (1296, 648, 108, (2,)),
+        ("Z2", 4): (384, 192, 8, (2,)),
+        ("Z1", 3): (6, 6, 1, ()),
     }
-    for (spec, n), (w_order, closure, invariants) in expected.items():
+    for (spec, n), (w_order, closure, k_closure, invariants) in \
+            expected.items():
         _, table = group_from_spec(spec)
         report = wreath_quotient_check(table, n)
+        assert report == WreathCheckReport(
+            q_order=table.order,
+            n=n,
+            wreath_order=w_order,
+            lift_closure_order=closure,
+            k_vector_closure_order=k_closure,
+            k_vectors_in_closure=True,
+            quotient_abelian=True,
+            quotient_invariants=invariants,
+            q_abelianized=invariants,
+            composition_homomorphism=True,
+            composition_kernel_is_closure=True,
+        ), (spec, n)
         assert report.ok, (spec, n)
-        assert report.wreath_order == w_order
-        assert report.lift_closure_order == closure
-        assert report.quotient_invariants == invariants
-        assert report.k_vectors_in_closure
-        assert report.quotient_abelian
+
+
+def test_wreath_cap_refuses_before_building(monkeypatch):
+    _, q8 = group_from_spec("Q8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was closed before the cap check")
+
+    monkeypatch.setattr(permgroup, "generate", refuse)
+    with pytest.raises(CapExceeded) as refused:
+        wreath_quotient_check(q8, 3, cap=3071)
+    assert str(refused.value) == "|W| would be 3072 > group cap 3071"
+    monkeypatch.undo()
+    assert wreath_quotient_check(q8, 3, cap=3072).ok
 
 
 def test_classify_counts_and_shapes():
