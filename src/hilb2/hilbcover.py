@@ -227,16 +227,18 @@ class SignReport:
 class HilbConstruction:
     """The verified package built on the square of a free G-sheet model.
 
-    ``swap``, ``second_slot_maps``, ``diagonal_maps``,
-    ``antidiagonal_maps`` and ``pair_translations`` permute Z ⊔ Z, the
-    2 |Z| points of two copies of the sheets (sheet z of the first copy is
-    point z, of the second point |Z| + z), and so do the three groups they
-    generate.  Each maps copies onto copies; an element x moves the pair
-    z * |Z| + w of the square to the transversal {x(z), x(|Z| + w)}, read
-    first copy first.
-    ``pair_translations[g1 * d + g]`` acts as g1 on the first copy and g
-    on the second, so by (z, w) -> (g1.z, g.w) on the square;
+    ``swap``, ``second_slot_maps``, ``diagonal_maps`` and
+    ``antidiagonal_maps`` permute Z ⊔ Z, the 2 |Z| points of two copies of
+    the sheets (sheet z of the first copy is point z, of the second point
+    |Z| + z), and so do the three groups they generate.  Each maps copies
+    onto copies; an element x moves the pair z * |Z| + w of the square to
+    the transversal {x(z), x(|Z| + w)}, read first copy first.
+    The pair translation (g1, g) acts as g1 on the first copy and g on the
+    second, so by (z, w) -> (g1.z, g.w) on the square;
     ``antidiagonal_maps[a]`` is the pair translation by (a, a^-1).
+    ``pair_group`` holds its generators and its certified order 2 d^2 and
+    lists its elements only when a caller first reads them; the diagonal
+    and antidiagonal groups are closed.
 
     ``diagonal_copies[g]`` lists the pair indices (z, g.z);
     ``sym_fibers[i]`` lists the pair indices over symmetric point i;
@@ -251,7 +253,6 @@ class HilbConstruction:
     second_slot_maps: tuple[Permutation, ...]
     diagonal_maps: tuple[Permutation, ...]
     antidiagonal_maps: tuple[Permutation, ...]
-    pair_translations: tuple[Permutation, ...]
     pair_group: Group
     diagonal_group: Group
     antidiagonal_group: Group
@@ -324,6 +325,27 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     every h is a homomorphism, and the elements that commute with a fixed
     element form a subgroup.
 
+    The pair group J = <swap, slot maps> is certified as G ≀ C2 of order
+    2 d^2, never closed (Dixon and Mortimer, *Permutation Groups*, 1996,
+    §2.6).  Write P for the pair translations pair(g1, g) =
+    (swap . slot-map(g1) . swap) . slot-map(g):
+
+    * pair is a homomorphism from G x G, by the slot-map homomorphism and
+      the commutation check below;
+    * it is injective: pair(g1, g) acts as g1's translation on the first
+      copy and g's on the second (the conjugated-images check), and the d
+      translations are checked to be distinct, since a :class:`GSet` built
+      without :func:`free_gset` need not be free;
+    * the swap normalizes P, as swap . pair(g1, g) . swap = pair(g, g1)
+      by the same commutation, and lies outside P, since it exchanges the
+      copies and P keeps them;
+    * so P ⊔ swap . P is a group of order 2 d^2; it holds J's generators
+      (swap and pair(e, g)) and lies in J, so it is J.
+
+    The generators of the diagonal group D and the antidiagonal group H are
+    the swap and pair translations, so both lie in J by construction, and
+    so do the slot maps; the diagonal maps lie in D by D's normal form.
+
     The square action rho needs no certificate (no presentation of G ≀ C2
     whose relators its generator images satisfy): every generator of J
     maps copies onto copies, which is checked, so every element of J does,
@@ -342,17 +364,15 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
       second; slot maps move g on the second copy and fix the first by
       construction, so the pair translation indexed (g1, g) moves (z, w)
       to (g1.z, g.w) under rho;
-    * the d^2 pair translations are distinct; the copy-keeping half of the
-      pair group is exactly the pair translations and the group has order
-      2 d^2, so the other half is swap times pair translations; the
-      diagonal group's copy-keeping half is the diagonal maps, order 2 d;
-      the antidiagonal group has order 2 d |commutator of G| (its
+    * the d sheet translations are distinct; the diagonal group's
+      copy-keeping half is the diagonal maps, order 2 d; the
+      antidiagonal group has order 2 d |commutator of G| (its
       copy-keeping half has order d |commutator of G|, and is the
       antidiagonal maps in the abelian case);
     * the diagonal group is normal in the pair group exactly when every
       g satisfies g^2 = id; the antidiagonal group is always normal; the
       two subgroups coincide in the g^2 = id case (normality itself is
-      settled on generators, see :func:`permgroup.is_normal`).
+      settled on generators, see :func:`permgroup.normalized_by`).
 
     Checked by generator induction:
 
@@ -363,9 +383,13 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     * sending a pair-group element to the class of g1 * g in the
       abelianization of G, where (g1.b0, g.b0) is rho of it applied to
       the pair (b0, b0), is a homomorphism onto G/[G, G] (checked against
-      the swap and the generator slot maps) with kernel exactly the
-      antidiagonal group — the intermediate quotient is Galois with deck
-      group G/[G, G], which is all of G in the abelian case.  The
+      the swap and the generator slot maps on the d^2 pairs that rho(J)
+      reaches from (b0, b0)) with kernel exactly the antidiagonal group —
+      the intermediate quotient is Galois with deck group G/[G, G], which
+      is all of G in the abelian case.  rho(x)(b0, b0) hits each of those
+      pairs twice as x runs over J, so the kernel has order twice the
+      number of pairs of class 1; it equals the antidiagonal group because
+      that group has the same order and its generators have class 1.  The
       antidiagonal group is generated by the swap, the antidiagonal maps
       of the generators of G and the pair translations (c, e) for c in
       [G, G]; its order and this kernel check reject a wrong generating
@@ -392,13 +416,8 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
       them) is a homomorphism onto the order-2 group: every element maps
       copies onto copies, so it permutes the two copies, and the sign is
       that permutation.  Its kernel, the copy-keeping half, is exactly the
-      d^2 distinct pair translations, and the swap, an involution of sign
-      -1, splits it;
-    * (g1, g) -> pair translation is a homomorphism from G x G: the pair
-      translation (g1, g) is g1's sheet translation on the first copy and
-      g's on the second, and g -> sheet translation is a homomorphism (the
-      slot-map and diagonal-map checks above), so composing two pair
-      translations composes the translations copy by copy.
+      injective image P of G x G (the certificate of J above), and the
+      swap, an involution of sign -1, splits it.
 
     These results are recorded as the :class:`SignReport` that
     :func:`sign_and_splitting` returns.
@@ -447,7 +466,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
 
     # rho and the sign below need every element to map copies onto copies;
     # by induction it is enough that the pair-group generators do (the
-    # other two groups are checked to lie inside the pair group).
+    # other two groups lie inside the pair group by construction).
     pair_gens = (swap,) + tuple(slot_maps[g] for g in gens_of_g)
     for x in pair_gens:
         if len({a < n for a in x.images[:n]}) != 1:
@@ -455,33 +474,22 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
                 "a pair-group generator does not map copies onto copies"
             )
 
-    pair_group = permgroup.generate(pair_gens, domain_size=2 * n, cap=cap)
-    diagonal_group = permgroup.generate(
-        (swap,) + tuple(diag_maps[g] for g in gens_of_g),
-        domain_size=2 * n, cap=cap,
-    )
-    if not all(p in pair_group.elements for p in slot_maps):
-        raise HomomorphismFailure("a second-slot map escaped the pair group")
-    if not all(p in diagonal_group.elements for p in diag_maps):
-        raise HomomorphismFailure("a diagonal map escaped the diagonal group")
-    if not diagonal_group.is_subgroup_of(pair_group):
-        raise HomomorphismFailure("diagonal group is not inside the pair group")
-
-    # Pair translations and the rewriting identities.
+    # Pair translations and the rewriting identities; only the entries a
+    # law reads are composed.
     conjugated = [swap * slot_maps[g1] * swap for g1 in range(d)]
-    pair_maps = tuple(
-        conjugated[g1] * slot_maps[g]
-        for g1 in range(d) for g in range(d)
-    )
+
+    def pair(g1: int, g: int) -> Permutation:
+        return conjugated[g1] * slot_maps[g]
+
     # diagonal map = (swap . slot . swap) . slot.
     for g in range(d):
-        if pair_maps[g * d + g] != diag_maps[g]:
+        if pair(g, g) != diag_maps[g]:
             raise HomomorphismFailure(
                 "diagonal map is not the double swap-slot word"
             )
     for h in gens_of_g:
         for g1 in range(d):
-            if slot_maps[h] * conjugated[g1] != pair_maps[g1 * d + h]:
+            if slot_maps[h] * conjugated[g1] != pair(g1, h):
                 raise HomomorphismFailure(
                     "slot map does not commute past a conjugated slot map"
                 )
@@ -497,18 +505,18 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
             raise HomomorphismFailure(
                 "pair translation does not act as (g1.z, g.w)"
             )
-
-    # Normal forms pin the orders exactly.  Each group holds the swap,
-    # which exchanges the copies, so its other half is the swap times its
-    # copy-keeping half.
-    pair_set = set(pair_maps)
-    if len(pair_set) != d * d:
+    # pair(g1, g) is then determined by the two translations, so distinct
+    # translations make (g1, g) -> pair(g1, g) injective.
+    if len(set(translations)) != d:
         raise HomomorphismFailure("pair translations are not distinct")
-    if {w for w in pair_group.elements if w.images[0] < n} != pair_set \
-            or len(pair_group) != 2 * d * d:
-        raise HomomorphismFailure(
-            "pair group is not translations plus swap times translations"
-        )
+
+    # J = P ⊔ swap.P, of order 2 d^2, is certified, not closed (see the
+    # docstring).  D stays closed: its normal form pins its order.
+    pair_group = Group(*permgroup.generating_tuple(pair_gens, 2 * n), 2 * d * d)
+    diagonal_group = permgroup.generate(
+        (swap,) + tuple(diag_maps[g] for g in gens_of_g),
+        domain_size=2 * n, cap=cap,
+    )
     if {w for w in diagonal_group.elements if w.images[0] < n} \
             != set(diag_maps) or len(diagonal_group) != 2 * d:
         raise HomomorphismFailure(
@@ -519,7 +527,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # antidiagonal maps and (c, e) for c in [G, G] generate it: with the
     # swap they give [G, G] x [G, G], and modulo that the antidiagonal
     # maps of generators give every (a, a^-1).
-    anti_maps = tuple(pair_maps[a * d + table.inv(a)] for a in range(d))
+    anti_maps = tuple(pair(a, table.inv(a)) for a in range(d))
     anti_hom = anti_maps[identity].is_identity and all(
         anti_maps[s] * anti_maps[b] == anti_maps[mul(s, b)]
         for s in gens_of_g for b in range(d)
@@ -532,13 +540,9 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     commutator_order = len(commutator)
     antidiagonal_group = permgroup.generate(
         (swap,) + tuple(anti_maps[s] for s in gens_of_g)
-        + tuple(pair_maps[c * d + identity] for c in commutator),
+        + tuple(pair(c, identity) for c in commutator),
         domain_size=2 * n, cap=cap,
     )
-    if not antidiagonal_group.is_subgroup_of(pair_group):
-        raise HomomorphismFailure(
-            "antidiagonal group is not inside the pair group"
-        )
     plus_part = {
         w for w in antidiagonal_group.elements if w.images[0] < n
     }
@@ -557,11 +561,12 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # solutions of g^2 = id.
     t = sum(1 for g in range(d) if mul(g, g) == identity)
     squares_to_id = t == d
-    if permgroup.is_normal(diagonal_group, pair_group) != squares_to_id:
+    if permgroup.normalized_by(diagonal_group, pair_group.generators) \
+            != squares_to_id:
         raise HomomorphismFailure(
             "diagonal group normality differs from the g^2 = id condition"
         )
-    if not permgroup.is_normal(antidiagonal_group, pair_group):
+    if not permgroup.normalized_by(antidiagonal_group, pair_group.generators):
         raise HomomorphismFailure(
             "antidiagonal group is not normal in the pair group"
         )
@@ -576,10 +581,14 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # element's slot product is read off rho of it at p0 = (b0, b0): the
     # pair translation (g1, g) sends p0 to (g1.b0, g.b0), its swap
     # companion to (g.b0, g1.b0), and g g1 = g1 g in the abelianization.
+    # As x runs over J, rho(x)(p0) hits each key of class_at exactly twice,
+    # so the law is read on the d^2 keys and the kernel has order
+    # 2 #{keys of class 1}.
     ab_table, class_of = table.quotient_by(commutator)
     if ab_table.order != d // commutator_order:
         raise HomomorphismFailure("abelianization has the wrong order")
     ab_mul = ab_table.mul
+    ab_identity = ab_table.identity
     z0 = gset.point_of(identity, 0)
     p0 = z0 * n + z0
     class_at = {}
@@ -587,20 +596,18 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         row = gset.point_of(g1, 0) * n
         for g in range(d):
             class_at[row + gset.point_of(g, 0)] = class_of[mul(g1, g)]
-    pair_elements = tuple(pair_group.elements)
-    at_p0 = [_pair_image(w.images, n, p0) for w in pair_elements]
     pair_square = [_square_action(x, n) for x in pair_gens]
-    gen_values = [ab_table.identity] + [class_of[s] for s in gens_of_g]
+    gen_values = [ab_identity] + [class_of[s] for s in gens_of_g]
     for gen, gen_value in zip(pair_square, gen_values):
         gen_images = gen.images
-        for k in at_p0:
-            if class_at[gen_images[k]] != ab_mul(gen_value, class_at[k]):
+        for k, value in class_at.items():
+            if class_at.get(gen_images[k]) != ab_mul(gen_value, value):
                 raise HomomorphismFailure("slot product is not a homomorphism")
-    kernel = {
-        w for w, k in zip(pair_elements, at_p0)
-        if class_at[k] == ab_table.identity
-    }
-    if kernel != antidiagonal_group.elements:
+    kernel_order = 2 * sum(1 for v in class_at.values() if v == ab_identity)
+    if kernel_order != len(antidiagonal_group) or any(
+        class_at.get(_pair_image(x.images, n, p0)) != ab_identity
+        for x in antidiagonal_group.generators
+    ):
         raise HomomorphismFailure(
             "slot-product kernel is not the antidiagonal group"
         )
@@ -690,7 +697,6 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         second_slot_maps=slot_maps,
         diagonal_maps=diag_maps,
         antidiagonal_maps=anti_maps,
-        pair_translations=pair_maps,
         pair_group=pair_group,
         diagonal_group=diagonal_group,
         antidiagonal_group=antidiagonal_group,
@@ -705,7 +711,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         sign_report=SignReport(
             pair_group_order=len(pair_group),
             d=d,
-            kernel_order=len(pair_set),
+            kernel_order=d * d,
             kernel_is_translation_image=True,
             translation_injective=True,
             translation_homomorphism=True,

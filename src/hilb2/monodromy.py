@@ -88,41 +88,21 @@ def galois_closure(c: CoverDescriptor) -> CoverDescriptor:
     """The minimal Galois cover dominating ``c``.
 
     A Galois cover is returned unchanged (so the operation is exactly
-    idempotent).  Otherwise the closure is the regular action of the
-    monodromy image: the kernel of the sheet action is already gone from
-    the image, so acting on itself is the coset action on the core of the
-    defining subgroup.  Sheets are labeled m0, m1, ...
+    idempotent).  Otherwise the closure is the coset cover of the trivial
+    subgroup of the monodromy image: the kernel of the sheet action is
+    already gone from the image, so its regular action is the coset action
+    on the core of the defining subgroup.  Sheets are labeled m0, m1, ...
+    and the ramification labels carry over.
     """
     if c.galois:
         return c
     group = c.monodromy
-    elements = group.element_list
-    index = {p: i for i, p in enumerate(elements)}
-    size = len(elements)
-    labels = tuple(f"m{i}" for i in range(size))
-    monodromy_gens = tuple(
-        Permutation(tuple(index[elements[i] * gen] for i in range(size)))
-        for gen in group.generators
+    closed = cover_from_subgroup(
+        group, Group.trivial(group.domain_size), base_label=c.base_label
     )
-    monodromy = permgroup.generate(
-        monodromy_gens, domain_size=size, cap=size
-    )
-    deck_perms = {
-        Permutation(tuple(index[x * elements[i]] for i in range(size)))
-        for x in elements
-    }
-    deck = permgroup.group_from_elements(size, deck_perms)
-    if len(deck) != size:
-        raise HomomorphismFailure(
-            "Galois closure deck group does not have the monodromy order"
-        )
-    return CoverDescriptor(
-        base_label=c.base_label,
-        total_points=labels,
-        monodromy=monodromy,
-        degree=size,
-        deck_group=deck,
-        galois=True,
+    return replace(
+        closed,
+        total_points=tuple(f"m{i}" for i in range(closed.degree)),
         ramification_labels=c.ramification_labels,
     )
 

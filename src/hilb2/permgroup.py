@@ -4,8 +4,9 @@ Groups are closed under composition element by element (with a hard cap),
 subgroup lattices are found by repeatedly extending known subgroups by
 single elements, and normality is settled by conjugating the subgroup's
 generators with the group's generators.  A group whose order is certified
-without closing it (a regular action, see :func:`is_regular`) lists its
-elements only when they are first read.
+without closing it (a regular action, see :func:`is_regular`, or the
+wreath product G ≀ C2 that :func:`hilbcover.build_construction` certifies)
+lists its elements only when they are first read.
 No stabilizer chains, no randomness: at the scales this package works with
 (a few thousand elements at most) full enumeration keeps every answer
 independently auditable and bit-for-bit reproducible.
@@ -435,15 +436,26 @@ def normal_closure(group: Group, seed, *, cap: int = DEFAULT_ELEMENT_CAP) -> Gro
 def is_normal(sub: Group, group: Group) -> bool:
     """True iff conjugation by every group element maps ``sub`` onto itself.
 
+    Checks that ``sub`` lies in ``group`` (listing both), then asks
+    :func:`normalized_by` about the generators of ``group``.
+    """
+    _require_subgroup(sub, group)
+    return normalized_by(sub, group.generators)
+
+
+def normalized_by(sub: Group, gens) -> bool:
+    """True iff the group generated by ``gens`` normalizes ``sub``.  That
+    group is never listed; a caller that knows ``sub`` lies in it learns
+    that ``sub`` is normal there.
+
     Only generators are conjugated.  If s h s^-1 lies in ``sub`` for every
     generator h of ``sub``, then s sub s^-1 is contained in ``sub``, and
     equal to it because both are finite of the same order.  The elements s
     with s sub s^-1 = sub form a subgroup, so once it holds for every
-    generator s of ``group`` it holds for all of ``group``.
+    generator s in ``gens`` it holds for the whole group they generate.
     """
-    _require_subgroup(sub, group)
     hgens = sub.generators or sub.element_list
-    for a in group.generators:
+    for a in gens:
         ainv = a.inverse()
         if any(a * h * ainv not in sub.elements for h in hgens):
             return False

@@ -283,7 +283,7 @@ def test_verify_inject_fault(capsys):
 
 
 def test_verify_reports_the_construction_law_that_failed(capsys, monkeypatch):
-    monkeypatch.setattr(permgroup, "is_normal", lambda sub, group: False)
+    monkeypatch.setattr(permgroup, "normalized_by", lambda sub, gens: False)
     code, out, _ = run(capsys, "verify")
     assert code == EXIT_CHECK_FAILED
     lines = out.splitlines()
@@ -357,17 +357,22 @@ def test_construct_refuses_an_oversized_pair_group_before_building():
     assert seconds < 1.5
 
 
-def test_construct_scales_past_the_square():
+@pytest.mark.parametrize("spec, pair_order, intermediate_order", [
+    ("Z50", 5000, 100),
+    ("Z100", 20000, 200),
+])
+def test_construct_scales_past_the_square(spec, pair_order,
+                                          intermediate_order):
     code, out, err, _, peak_mb = run_limited(
-        ("construct", "--group", "Z50", "--base-size", "2",
+        ("construct", "--group", spec, "--base-size", "2",
          "--format", "json"),
         address_space=3 << 29, timeout=30,
     )
     assert code == EXIT_OK, err
     result = json.loads(out)["results"][0]
-    assert result["pair_group_order"] == 5000
-    assert result["intermediate_group_order"] == 100
-    assert peak_mb < 200
+    assert result["pair_group_order"] == pair_order
+    assert result["intermediate_group_order"] == intermediate_order
+    assert peak_mb < 80
 
 
 def test_construct_refuses_an_oversized_square_before_building():

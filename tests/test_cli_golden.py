@@ -18,7 +18,8 @@ come from the pipeline that rebuilt each cover's deck table from the
 permutation group of its sheet translations; the ``verify --group-cap 4``
 record, whose skipped entries print each predicted ``|J|`` and ``|W|``,
 comes from the wreath model that acted on n-tuples over Q plus n marker
-points.  A change that alters any of them alters what users see.  To
+points; the ``Z30`` record over two base points comes from the build that
+closed the pair group element by element.  A change that alters any of them alters what users see.  To
 record the corpus again after a deliberate output change, run from the
 repository root:
 
@@ -66,6 +67,7 @@ CASES = (
     ("classify", "--catalog", "cyclic-6", "--format", "json"),
     ("classify", "--catalog", "enriques-type", "--format", "json"),
     ("verify", "--group-cap", "4"),
+    ("construct", "--group", "Z30", "--base-size", "2", "--format", "json"),
 )
 
 

@@ -168,9 +168,13 @@ def test_orbit_count_laws_across_group_types():
         t = sum(1 for g in range(d) if table.mul(g, g) == table.identity)
         ab_order = d // len(table.commutator_subgroup())
         assert c.swap.domain_size == 2 * c.gset.size
+        assert sign_and_splitting(c).ok
+        fixed_components(c)
+        # The build certifies |J| and never lists J; the oracle below
+        # closes it on demand, which checks the certified order.
+        assert "elements" not in c.pair_group.__dict__
         assert {rho(x, c.gset.size) for x in c.pair_group} \
             == marker_square_action(c)
-        assert sign_and_splitting(c).ok
         for i, point in enumerate(c.sym.points):
             assert len(c.sym_fibers[i]) == \
                 (d * d if point.is_diagonal else 2 * d * d)
@@ -322,8 +326,12 @@ def assert_laws_exhaustively(c):
     mul = table.mul
     swap = c.swap
     slot, diag = c.second_slot_maps, c.diagonal_maps
-    anti, pair = c.antidiagonal_maps, c.pair_translations
+    anti = c.antidiagonal_maps
     tr = [c.gset.translation(g).images for g in range(d)]
+    # Pair translation (g1, g): g1's translation on the first copy, g's on
+    # the second, built here independently of the library's words.
+    pair = [Permutation(tr[g1] + tuple(n + t for t in tr[g]))
+            for g1 in range(d) for g in range(d)]
     pairs_of_g = [(a, b) for a in range(d) for b in range(d)]
 
     for g, h in pairs_of_g:
@@ -408,7 +416,7 @@ def test_law_checks_cost_few_compositions(monkeypatch):
     gset = free_gset(cyclic_table(11), ("a",))
     monkeypatch.setattr(Permutation, "__mul__", counted)
     sign_and_splitting(build_construction(gset))
-    assert compositions <= 1500
+    assert compositions <= 300
 
 
 def test_law_checks_compose_on_two_copies_of_the_sheets(monkeypatch):
@@ -432,7 +440,7 @@ def test_law_checks_compose_on_two_copies_of_the_sheets(monkeypatch):
     sign_and_splitting(c)
     assert compositions == built
     fixed_components(c)
-    assert points <= 150_000
+    assert points <= 20_000
 
 
 def test_law_checks_run_under_optimization():
@@ -445,7 +453,7 @@ def test_law_checks_run_under_optimization():
         "breaks = (\n"
         "    (hilbcover.GSet, 'translation',\n"
         "     lambda self, g: honest(self, 2 if g == 1 else g)),\n"
-        "    (permgroup, 'is_normal', lambda sub, group: False),\n"
+        "    (permgroup, 'normalized_by', lambda sub, gens: False),\n"
         ")\n"
         "for owner, name, broken in breaks:\n"
         "    kept = getattr(owner, name)\n"

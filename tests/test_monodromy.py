@@ -71,15 +71,25 @@ def test_cover_from_subgroup_normal():
 
 
 def test_galois_closure_frozen_degree_and_laws():
-    cover = cover_from_subgroup(s3(), flip_subgroup())
+    cover = replace(cover_from_subgroup(s3(), flip_subgroup(), base_label="X"),
+                    ramification_labels=frozenset({"r1"}))
     closed = galois_closure(cover)
     assert closed.galois
     assert closed.degree == 6
+    # Recorded from the regular-action builder that preceded the coset
+    # cover of the trivial subgroup.
+    assert closed.total_points == ("m0", "m1", "m2", "m3", "m4", "m5")
+    assert closed.base_label == "X"
+    assert closed.ramification_labels == frozenset({"r1"})
+    assert [g.images for g in closed.monodromy.generators] == \
+        [(1, 0, 3, 2, 5, 4), (3, 5, 1, 4, 0, 2)]
+    assert [g.images for g in closed.deck_group.generators] == \
+        [(1, 0, 4, 5, 2, 3), (2, 3, 0, 1, 5, 4)]
     assert closed.degree % cover.degree == 0
     assert galois_closure(closed) is closed
     galois_cover = cover_from_subgroup(s3(), a3())
     assert galois_closure(galois_cover) is galois_cover
-    regular = cover_from_subgroup(s3(), Group.trivial(3))
+    regular = cover_from_subgroup(s3(), Group.trivial(3), base_label="X")
     assert cover_isomorphic(closed, regular)
 
 
