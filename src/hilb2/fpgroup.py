@@ -408,11 +408,32 @@ def _fixes_all(columns, cosets: tuple[int, ...], root, power: int) -> bool:
 
 
 class _Enumerator:
-    """Coset enumeration by relator tracing.
+    """Coset enumeration by relator tracing (the HLT strategy of Holt, Eick
+    and O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 5).
 
-    Scans every relator at every live coset, defining new cosets whenever a
-    scan stalls and processing coincidences immediately through a union-find
-    merge queue.  A hard cap bounds the total number of cosets ever defined.
+    Visits the live cosets in order and scans each relator at each of them,
+    defining new cosets whenever a scan stalls and processing coincidences
+    immediately through a union-find merge queue.  A hard cap bounds the
+    total number of cosets ever defined.
+
+    A scan is skipped where it cannot do anything.  After a power relator
+    u^m (m > 1) has been scanned at a coset alpha that is still live, the
+    walk of u^m from alpha is fully defined and returns to alpha (the scan
+    completed it, and coincidence processing keeps every defined entry as
+    an entry between representatives).  The cosets alpha·u^k it passes at
+    every |u|-th step are marked closed for that relator:
+
+    * the walk of u^m from alpha·u^k is the same closed, fully defined
+      cycle, rotated, so a scan there would define nothing, deduce nothing
+      and merge nothing;
+    * coincidence processing maps a closed, defined walk onto one at the
+      representative, so a mark stays true for every coset that stays
+      live, and a coset merged away is never scanned again anyway.
+
+    Skipping only scans that would change nothing leaves the HLT definition
+    order as it is: the rows equal those of an enumeration that scans every
+    relator at every live coset, and the cap refuses at the same point with
+    the same message.
 
     Stop rule: a pass that leaves a hole is followed by another pass.  After
     a pass that leaves none, every relator is traced through every live
@@ -420,13 +441,19 @@ class _Enumerator:
     each relator brings every coset back to itself.  A further pass would
     then scan each relator to completion without defining, deducing or
     merging anything, so the table is the one it would leave.  A relator
-    u^m is traced as u alone (see :func:`_fixes_all`).
+    u^m is traced as u alone (see :func:`_fixes_all`).  Every mark is
+    cleared before another pass, so the stop rule, not the skip, decides
+    when the enumeration ends.
     """
 
     def __init__(self, presentation: Presentation, subgroup_words, cap: int):
         self.nletters = 2 * presentation.rank
-        self.relators = [self._with_inverse(w) for w in presentation.relators]
-        self.powers = [_power_root(w) for w, _ in self.relators]
+        relators = [self._with_inverse(w) for w in presentation.relators]
+        self.powers = [_power_root(w) for w, _ in relators]
+        # One set of closed cosets per relator; see the class docstring.
+        self.scans = [(word, inverse, root, power, set())
+                      for (word, inverse), (root, power)
+                      in zip(relators, self.powers)]
         self.subgroup_words = [self._with_inverse(w) for w in subgroup_words]
         self.cap = cap
         self.table: list[list[int | None]] = [[None] * self.nletters]
@@ -541,22 +568,34 @@ class _Enumerator:
     def run(self) -> list[list[int]]:
         for word, inverse in self.subgroup_words:
             self.scan_and_fill(0, word, inverse)
+        # parent[k] == k exactly when coset k is live.
+        table, parent = self.table, self.parent
         # A late coincidence can reopen entries in rows that were already
         # processed, so one pass is not always enough.
         while True:
+            for scan in self.scans:
+                scan[4].clear()
             alpha = 0
-            while alpha < len(self.table):
-                if self.rep(alpha) == alpha:
-                    for word, inverse in self.relators:
-                        if self.rep(alpha) != alpha:
+            while alpha < len(table):
+                if parent[alpha] == alpha:
+                    for word, inverse, root, power, closed in self.scans:
+                        if alpha in closed:
+                            continue
+                        if parent[alpha] != alpha:
                             break
                         self.scan_and_fill(alpha, word, inverse)
-                    if self.rep(alpha) == alpha:
+                        if power > 1 and parent[alpha] == alpha:
+                            beta = alpha
+                            for _ in range(power - 1):
+                                for letter in root:
+                                    beta = table[beta][letter]
+                                closed.add(beta)
+                    if parent[alpha] == alpha:
                         for letter in range(self.nletters):
-                            if self.table[alpha][letter] is None:
+                            if table[alpha][letter] is None:
                                 self.define(alpha, letter)
                 alpha += 1
-            live = tuple(k for k in range(len(self.table)) if self.rep(k) == k)
+            live = tuple(k for k in range(len(table)) if parent[k] == k)
             if self._closed(live):
                 break
         renumber = {old: new for new, old in enumerate(live)}

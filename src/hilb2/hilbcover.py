@@ -313,6 +313,13 @@ def _orbit_fibers(gens, n: int, point_sym, sym_count: int,
     return tuple(tuple(bucket) for bucket in per_sym)
 
 
+def refuse_pair_group_over_cap(d: int, cap: int) -> None:
+    """Raise ``CapExceeded`` if the pair group of an order-``d`` group,
+    of order 2 d^2, would pass ``cap``."""
+    if 2 * d * d > cap:
+        raise CapExceeded(f"group closure exceeded cap of {cap} elements")
+
+
 def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbConstruction:
     """Assemble the whole package and verify every law on every call.
 
@@ -427,8 +434,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     """
     table = gset.group
     d = table.order
-    if 2 * d * d > cap:
-        raise CapExceeded(f"group closure exceeded cap of {cap} elements")
+    refuse_pair_group_over_cap(d, cap)
     n = gset.size
     m = n * n
     mul = table.mul

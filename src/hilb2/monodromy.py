@@ -24,7 +24,7 @@ from .errors import (
     NotASubgroup,
 )
 from .fpgroup import abelianization, subgroups_of_abelian
-from .hilbcover import free_gset, square_cover
+from .hilbcover import free_gset, refuse_pair_group_over_cap, square_cover
 from .permgroup import DEFAULT_ELEMENT_CAP, Group, Permutation
 from .tables import GroupTable, abelian_table
 
@@ -354,7 +354,11 @@ def classify_hilb_covers(s: SurfaceDescriptor, *,
     the only representation of the deck group built.  Results are
     ordered by degree, then by the defining subgroup.  Raises
     :class:`InfiniteAbelianization` when the abelianization has positive
-    free rank.
+    free rank.  Raises ``CapExceeded`` before listing any subgroup when the
+    pair group of the largest cover, the trivial subgroup's of degree
+    N = |abelianization|, would pass ``cap``: every cover with a pair group
+    over the cap would refuse with the same message, and no smaller one
+    can fail first.
     """
     invariants = abelianization(s.pi1_smooth)
     if invariants.rank > 0:
@@ -362,6 +366,7 @@ def classify_hilb_covers(s: SurfaceDescriptor, *,
             f"the abelianized fundamental group has free rank "
             f"{invariants.rank}; only finite groups classify here"
         )
+    refuse_pair_group_over_cap(invariants.order, cap)
     subs = sorted(
         subgroups_of_abelian(invariants),
         key=lambda sub: (sub.index, sub.elements),

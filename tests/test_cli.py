@@ -12,7 +12,7 @@ import time
 import pytest
 
 import hilb2
-from hilb2 import cli, permgroup
+from hilb2 import cli, monodromy, permgroup
 from hilb2.cli import (
     EXIT_BAD_INPUT,
     EXIT_CAP,
@@ -168,6 +168,19 @@ def test_classify_large_cyclic_refuses_quickly(capsys):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error:")
     assert elapsed < 5.0
+
+
+def test_classify_refuses_before_listing_subgroups(capsys, monkeypatch):
+    def refuse(invariants):
+        raise AssertionError("subgroups listed before the cap was checked")
+
+    monkeypatch.setattr(monodromy, "subgroups_of_abelian", refuse)
+    code, out, err = run(
+        capsys, "classify", "--presentation", "< a | a^50000 >",
+    )
+    assert code == EXIT_CAP
+    assert out == ""
+    assert err == "error: group closure exceeded cap of 20000 elements\n"
 
 
 def test_hodge_text(capsys):

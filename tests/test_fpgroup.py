@@ -25,6 +25,7 @@ from hilb2.errors import (
 from hilb2.fpgroup import (
     AbelianInvariants,
     CosetTable,
+    Presentation,
     _Enumerator,
     _fixes_all,
     _power_root,
@@ -396,19 +397,83 @@ def test_realized_order_matches_closure():
         assert group.element_list == closed.element_list, (str(p), words)
 
 
+def count_enumerator_calls(monkeypatch):
+    """Count ``_Enumerator``'s ``scan_and_fill`` and ``_closed`` calls from
+    now on, in the returned dict."""
+    calls = {"scan_and_fill": 0, "_closed": 0}
+    for name in calls:
+        method = getattr(_Enumerator, name)
+
+        def counted(self, *args, name=name, method=method):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(_Enumerator, name, counted)
+    return calls
+
+
 def test_coset_enumeration_ends_after_one_sweep(monkeypatch):
-    scans = 0
-    scan = _Enumerator.scan_and_fill
-
-    def counted(self, *args):
-        nonlocal scans
-        scans += 1
-        return scan(self, *args)
-
-    monkeypatch.setattr(_Enumerator, "scan_and_fill", counted)
+    calls = count_enumerator_calls(monkeypatch)
     table = coset_enumeration(parse_presentation(dihedral(12)))
     assert table.index == 24
-    assert scans == 3 * 24
+    assert calls["_closed"] == 1
+    # Of the 3 * 24 scans of one full sweep, those at cosets already on a
+    # closed cycle of r^12, s^2 or (s r)^2 are skipped.
+    assert calls["scan_and_fill"] == 26
+
+
+def test_d800_scans_each_relator_cycle_once(monkeypatch):
+    calls = count_enumerator_calls(monkeypatch)
+    table = coset_enumeration(parse_presentation(dihedral(800)))
+    assert table.index == 1600
+    assert calls["_closed"] == 1
+    # A sweep that scans every relator at every coset makes 3 * 1600.
+    assert calls["scan_and_fill"] <= 2400
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_power_relator_skips_keep_the_reference_rows(data):
+    rank = data.draw(st.integers(1, 3))
+    letters = st.sampled_from([k for i in range(1, rank + 1) for k in (i, -i)])
+    exponents = st.integers(1, 8)
+    # Powers of single generators make finite groups of some size likely,
+    # so that the other relators' cycles close and get skipped.
+    relators = [(i,) * data.draw(exponents) for i in range(1, rank + 1)
+                if data.draw(st.booleans())]
+    relators += [
+        tuple(data.draw(st.lists(letters, min_size=1, max_size=4)))
+        * data.draw(exponents)
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    p = Presentation(tuple("abc"[:rank]), tuple(relators))
+    words = tuple(data.draw(st.lists(
+        st.lists(letters, min_size=1, max_size=4).map(tuple), max_size=1)))
+    try:
+        rows = coset_enumeration(p, words, cap=300).rows
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            reference_rows(p, words, cap=300)
+    else:
+        assert rows == reference_rows(p, words, cap=300)
+
+
+@pytest.mark.parametrize("text", [dihedral(800), dicyclic(30),
+                                  "< a b | a^40, b^40, a b a^-1 b^-1 >"])
+def test_large_coset_tables_match_reference_enumeration(text):
+    p = parse_presentation(text)
+    assert coset_enumeration(p).rows == reference_rows(p)
+
+
+@pytest.mark.parametrize("text", [
+    "< a b | a^3, b^3, a b a b a b >",
+    "< a b | a^2, b^3, a b a b a b a b a b a b >",
+    "< a b | a^2, b^4, a b a b a b a b >",
+])
+def test_triangle_groups_refuse_at_the_coset_cap(text):
+    with pytest.raises(CapExceeded) as error:
+        coset_enumeration(parse_presentation(text), cap=4000)
+    assert str(error.value) == "coset enumeration exceeded cap of 4000 cosets"
 
 
 def test_permutation_realization_is_regular_for_trivial_subgroup():

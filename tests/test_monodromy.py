@@ -239,6 +239,16 @@ def test_classify_rejects_infinite_fundamental_groups():
         classify_hilb_covers(free_surface)
 
 
+def test_classify_cap_is_the_largest_covers_pair_group():
+    surface = SurfaceDescriptor(name="Z5",
+                                pi1_smooth=parse_presentation("< a | a^5 >"))
+    covers = classify_hilb_covers(surface, cap=2 * 5 * 5)
+    assert [c.degree for c in covers] == [1, 5]
+    with pytest.raises(CapExceeded) as error:
+        classify_hilb_covers(surface, cap=2 * 5 * 5 - 1)
+    assert str(error.value) == "group closure exceeded cap of 49 elements"
+
+
 def classify_through_the_sheet_action(s):
     """The classify loop that wrapped each deck table's sheet translations
     in a permutation group and a surface cover, and let
