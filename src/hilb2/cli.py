@@ -45,6 +45,7 @@ from .hilbcover import (
     build_construction,
     fixed_components,
     free_gset,
+    refuse_pair_group_over_cap,
     sign_and_splitting,
 )
 from .hodge import isv_pattern_check, isv_surface_check, symmetric_square_hodge
@@ -60,6 +61,7 @@ from .tables import (
     GroupTable,
     abelian_group_tables,
     group_from_spec,
+    parse_group_spec,
     symmetric_table,
 )
 
@@ -158,8 +160,9 @@ def _ordered_sym_indices(construction) -> list[int]:
 
 
 def cmd_construct(args, caps: Caps) -> int:
-    name, table = group_from_spec(args.group)
-    if not table.is_abelian:
+    spec = parse_group_spec(args.group)
+    name = spec.name
+    if not spec.is_abelian:
         raise NonAbelianDeckGroup(
             f"group {name} is not abelian: the squared construction only "
             f"realizes the abelianized quotient for a nonabelian group, so "
@@ -167,11 +170,13 @@ def cmd_construct(args, caps: Caps) -> int:
         )
     if args.base_size < 1:
         raise ValueError("base size must be at least 1")
-    pairs = (table.order * args.base_size) ** 2
+    pairs = (spec.order * args.base_size) ** 2
     if pairs > caps.coset_cap:
         raise CapExceeded(
             f"the square would have {pairs} pairs > coset cap {caps.coset_cap}"
         )
+    refuse_pair_group_over_cap(spec.order, caps.group_cap)
+    table = spec.table()
     gset = free_gset(table, _base_labels(args.base_size))
     construction = build_construction(gset, cap=caps.group_cap)
     sign = sign_and_splitting(construction)

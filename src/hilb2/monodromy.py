@@ -351,8 +351,12 @@ def classify_hilb_covers(s: SurfaceDescriptor, *,
     Galois cover with abelian deck group, realized explicitly through the
     squared construction (:func:`square_cover`) on the free model of the
     quotient's abelian table over a fixed two-point base; that table is
-    the only representation of the deck group built.  Results are
-    ordered by degree, then by the defining subgroup.  Raises
+    the only representation of the deck group built.  The model depends
+    on the subgroup only through the quotient's invariants, so each
+    distinct quotient type is built, and its laws checked, once per call,
+    in order of first occurrence, and every subgroup of that type gets
+    that cover; nothing is kept between calls.  Results are ordered by
+    degree, then by the defining subgroup.  Raises
     :class:`InfiniteAbelianization` when the abelianization has positive
     free rank.  Raises ``CapExceeded`` before listing any subgroup when the
     pair group of the largest cover, the trivial subgroup's of degree
@@ -371,13 +375,15 @@ def classify_hilb_covers(s: SurfaceDescriptor, *,
         subgroups_of_abelian(invariants),
         key=lambda sub: (sub.index, sub.elements),
     )
-    return tuple(
-        quasietale_correspondence(s, square_cover(
-            free_gset(abelian_table(sub.quotient.torsion), CLASSIFY_BASE),
-            s.name, cap=cap,
-        ))
-        for sub in subs
-    )
+    by_type: dict[tuple[int, ...], CoverDescriptor] = {}
+    for sub in subs:
+        torsion = sub.quotient.torsion
+        if torsion not in by_type:
+            by_type[torsion] = quasietale_correspondence(s, square_cover(
+                free_gset(abelian_table(torsion), CLASSIFY_BASE),
+                s.name, cap=cap,
+            ))
+    return tuple(by_type[sub.quotient.torsion] for sub in subs)
 
 
 def quasietale_correspondence(s: SurfaceDescriptor,

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 import itertools
+import math
 import re
 
 from .errors import NotAGroup
@@ -373,8 +374,38 @@ def abelian_group_tables(max_order: int) -> list[tuple[str, GroupTable]]:
     return out
 
 
-def group_from_spec(spec: str) -> tuple[str, GroupTable]:
-    """Parse a group spec like ``Z4``, ``Z2xZ2``, ``S3`` or ``Q8``."""
+@dataclass(frozen=True)
+class GroupSpec:
+    """A parsed group spec: its name and its factors, each ``(kind, n)``
+    with kind ``Z``, ``S`` or ``Q``.  Order and abelianness are read off
+    the factors, so callers can refuse a spec before :meth:`table` builds
+    its multiplication table."""
+
+    name: str
+    factors: tuple[tuple[str, int], ...]
+
+    @property
+    def order(self) -> int:
+        return math.prod(math.factorial(n) if kind == "S" else n
+                         for kind, n in self.factors)
+
+    @property
+    def is_abelian(self) -> bool:
+        return all(kind == "Z" or (kind == "S" and n <= 2)
+                   for kind, n in self.factors)
+
+    def table(self) -> GroupTable:
+        return reduce(direct_product, [
+            cyclic_table(n) if kind == "Z"
+            else symmetric_table(n) if kind == "S"
+            else quaternion_table()
+            for kind, n in self.factors
+        ])
+
+
+def parse_group_spec(spec: str) -> GroupSpec:
+    """Parse a group spec like ``Z4``, ``Z2xZ2``, ``S3`` or ``Q8``, checking
+    every token before any table is built."""
     text = spec.replace(" ", "")
     if not text:
         raise ValueError("empty group spec")
@@ -384,22 +415,21 @@ def group_from_spec(spec: str) -> tuple[str, GroupTable]:
         if not m:
             raise ValueError(f"cannot parse group spec token {token!r}")
         kind, n = m.group(1), int(m.group(2))
-        if kind == "Z":
-            if n < 1:
-                raise ValueError("cyclic order must be positive")
-            factors.append(cyclic_table(n))
-        elif kind == "S":
-            if not 1 <= n <= 5:
-                raise ValueError("symmetric groups are supported for n=1..5")
-            factors.append(symmetric_table(n))
-        else:
-            if n != 8:
-                raise ValueError("only the order-8 quaternion group is supported")
-            factors.append(quaternion_table())
-    table = factors[0]
-    for extra in factors[1:]:
-        table = direct_product(table, extra)
-    return text, table
+        if kind == "Z" and n < 1:
+            raise ValueError("cyclic order must be positive")
+        if kind == "S" and not 1 <= n <= 5:
+            raise ValueError("symmetric groups are supported for n=1..5")
+        if kind == "Q" and n != 8:
+            raise ValueError("only the order-8 quaternion group is supported")
+        factors.append((kind, n))
+    return GroupSpec(text, tuple(factors))
+
+
+def group_from_spec(spec: str) -> tuple[str, GroupTable]:
+    """Parse a group spec (see :func:`parse_group_spec`) and build its
+    table."""
+    parsed = parse_group_spec(spec)
+    return parsed.name, parsed.table()
 
 
 def validate_ade(label: str) -> str:

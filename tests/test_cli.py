@@ -1,7 +1,7 @@
 """End-to-end command-line behavior: outputs, formats, and exit codes."""
 import argparse
+import hashlib
 import json
-import os
 from pathlib import Path
 import resource
 import subprocess
@@ -325,38 +325,51 @@ def test_verify_json(capsys):
     assert statuses == {"ok"}
 
 
+# Runs ``python -m hilb2`` on the arguments after the report path, and at
+# exit writes the interpreter's own peak resident set (the VmHWM line, in kB)
+# to that path.  ``wait4``'s ru_maxrss cannot stand in for it: a forked
+# child keeps the high-water mark of the test process it was forked from.
+_CHILD = """
+import atexit, runpy, sys
+report = sys.argv.pop(1)
+def write_peak():
+    with open("/proc/self/status") as status, open(report, "w") as out:
+        out.write(next(line for line in status if line.startswith("VmHWM:")))
+atexit.register(write_peak)
+sys.argv[0] = "hilb2"
+runpy.run_module("hilb2", run_name="__main__", alter_sys=True)
+"""
+
+
 def run_limited(argv, *, address_space: int, timeout: float):
     """Run the command line in a child process under an address-space limit.
 
     Returns the exit code, stdout, stderr, wall seconds and the child's own
-    peak resident set in MB (read from ``wait4``, so earlier children of
-    this process do not count).
+    peak resident set in MB (its VmHWM, so the memory of this process and
+    of earlier children does not count).
     """
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     src = str(Path(hilb2.__file__).resolve().parent.parent)
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err, \
+            tempfile.NamedTemporaryFile("r") as peak:
         start = time.perf_counter()
         proc = subprocess.Popen(
-            [sys.executable, "-m", "hilb2", *argv], stdout=out, stderr=err,
-            env={"PYTHONPATH": src}, preexec_fn=limit,
+            [sys.executable, "-c", _CHILD, peak.name, *argv], stdout=out,
+            stderr=err, env={"PYTHONPATH": src}, preexec_fn=limit,
         )
-        while True:
-            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
-            if pid:
-                break
+        while proc.poll() is None:
             if time.perf_counter() - start > timeout:
                 proc.kill()
-                os.wait4(proc.pid, 0)
+                proc.wait()
                 pytest.fail(f"{argv} ran longer than {timeout} s")
             time.sleep(0.01)
         seconds = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         err.seek(0)
         return (proc.returncode, out.read().decode(), err.read().decode(),
-                seconds, usage.ru_maxrss / 1024)
+                seconds, int(peak.read().split()[1]) / 1024)
 
 
 def test_construct_refuses_an_oversized_pair_group_before_building():
@@ -398,3 +411,37 @@ def test_construct_refuses_an_oversized_square_before_building():
     assert err.count("\n") == 1 and err.startswith("error:")
     assert "coset cap" in err
     assert seconds < 1.0
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("construct", "--group", "Z2000", "--group-cap", "100"), EXIT_CAP),
+    (("construct", "--group", "Z2000x"), EXIT_BAD_INPUT),
+    (("construct", "--group", "S4xZ1000", "--group-cap", "100"),
+     EXIT_NONABELIAN),
+], ids=["Z2000 over the coset cap", "malformed Z2000x",
+        "nonabelian S4xZ1000"])
+def test_construct_refuses_from_the_spec_before_building_a_table(argv, code):
+    got, out, err, seconds, peak_mb = run_limited(
+        argv, address_space=1 << 30, timeout=30,
+    )
+    assert got == code, err
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert seconds < 1.0
+    assert peak_mb < 100
+
+
+def test_classify_builds_one_cover_per_quotient_type_in_a_fresh_process():
+    # Z2^6 has 2,825 subgroups but only 7 quotient types.  The digest is
+    # that of the output of the build with one cover per subgroup.
+    presentation = "< a b c d e f | a^2, b^2, c^2, d^2, e^2, f^2 >"
+    code, out, err, seconds, _ = run_limited(
+        ("classify", "--presentation", presentation, "--format", "json"),
+        address_space=1 << 30, timeout=60,
+    )
+    assert code == EXIT_OK, err
+    assert len(json.loads(out)["results"]) == 2825
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9e3df28cffee3fa80694a078c4e90f317fcab0d1c41fa2a8924490dac5022bec"
+    )
+    assert seconds < 5.0

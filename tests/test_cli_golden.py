@@ -19,7 +19,9 @@ permutation group of its sheet translations; the ``verify --group-cap 4``
 record, whose skipped entries print each predicted ``|J|`` and ``|W|``,
 comes from the wreath model that acted on n-tuples over Q plus n marker
 points; the ``Z30`` record over two base points comes from the build that
-closed the pair group element by element.  A change that alters any of them alters what users see.  To
+closed the pair group element by element; the ``classify`` records of
+Z2^4 (text) and Z3xZ3 (JSON) come from the pipeline that built and checked
+one cover per subgroup.  A change that alters any of them alters what users see.  To
 record the corpus again after a deliberate output change, run from the
 repository root:
 
@@ -68,6 +70,9 @@ CASES = (
     ("classify", "--catalog", "enriques-type", "--format", "json"),
     ("verify", "--group-cap", "4"),
     ("construct", "--group", "Z30", "--base-size", "2", "--format", "json"),
+    ("classify", "--presentation", "< a b c d | a^2, b^2, c^2, d^2 >"),
+    ("classify", "--presentation", "< a b | a^3, b^3, a b a^-1 b^-1 >",
+     "--format", "json"),
 )
 
 

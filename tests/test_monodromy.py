@@ -14,7 +14,7 @@ from hilb2.catalog import get_surface, surface_names
 from hilb2.descriptors import CoverDescriptor, SurfaceDescriptor
 from hilb2.errors import CapExceeded, InfiniteAbelianization
 from hilb2.fpgroup import abelianization, parse_presentation, subgroups_of_abelian
-from hilb2.hilbcover import free_gset, hilb_square_cover
+from hilb2.hilbcover import free_gset, hilb_square_cover, square_cover
 from hilb2.monodromy import (
     CLASSIFY_BASE,
     WreathCheckReport,
@@ -297,18 +297,81 @@ INLINE_SURFACES = {
     "Z3xZ3": "< a b | a^3, b^3, a b a^-1 b^-1 >",
     "Z2^3": "< a b c | a^2, b^2, c^2, a b a^-1 b^-1, a c a^-1 c^-1, "
             "b c b^-1 c^-1 >",
+    "D4": "< r s | r^4, s^2, s r s r >",
 }
 
 
-@pytest.mark.parametrize("surface", [
+def inline_surface(name):
+    return SurfaceDescriptor(
+        name=name, pi1_smooth=parse_presentation(INLINE_SURFACES[name])
+    )
+
+
+CLASSIFIED_SURFACES = [
     *(get_surface(name) for name in surface_names()),
-    *(SurfaceDescriptor(name=name, pi1_smooth=parse_presentation(text))
-      for name, text in INLINE_SURFACES.items()),
-], ids=lambda s: s.name)
+    *(inline_surface(name) for name in INLINE_SURFACES),
+]
+
+
+@pytest.mark.parametrize("surface", CLASSIFIED_SURFACES,
+                         ids=lambda s: s.name)
 def test_classify_matches_the_sheet_action_pipeline(surface):
     new = classify_hilb_covers(surface)
     old = classify_through_the_sheet_action(surface)
     assert [cover_data(c) for c in new] == [cover_data(c) for c in old]
+
+
+def classify_one_cover_per_subgroup(s):
+    """The classify loop that built and checked one cover per subgroup."""
+    subs = sorted(
+        subgroups_of_abelian(abelianization(s.pi1_smooth)),
+        key=lambda sub: (sub.index, sub.elements),
+    )
+    return tuple(
+        quasietale_correspondence(s, square_cover(
+            free_gset(abelian_table(sub.quotient.torsion), CLASSIFY_BASE),
+            s.name,
+        ))
+        for sub in subs
+    )
+
+
+@pytest.mark.parametrize("surface", CLASSIFIED_SURFACES,
+                         ids=lambda s: s.name)
+def test_classify_matches_one_cover_per_subgroup(surface):
+    new = classify_hilb_covers(surface)
+    old = classify_one_cover_per_subgroup(surface)
+    assert [cover_data(c) for c in new] == [cover_data(c) for c in old]
+
+
+@pytest.mark.parametrize("surface, subgroups, types", [
+    (inline_surface("Z2^3"), 16, 4),
+    (get_surface("quaternion"), 5, 3),
+    (inline_surface("Z3xZ3"), 6, 3),
+], ids=["Z2^3", "quaternion", "Z3xZ3"])
+def test_classify_builds_one_cover_per_quotient_type_per_call(
+        monkeypatch, surface, subgroups, types):
+    covers_built = constructions_built = 0
+    build_cover = hilbcover.square_cover
+    build_construction = hilbcover.build_construction
+
+    def counted_cover(*args, **kwargs):
+        nonlocal covers_built
+        covers_built += 1
+        return build_cover(*args, **kwargs)
+
+    def counted_construction(*args, **kwargs):
+        nonlocal constructions_built
+        constructions_built += 1
+        return build_construction(*args, **kwargs)
+
+    monkeypatch.setattr(monodromy, "square_cover", counted_cover)
+    monkeypatch.setattr(hilbcover, "build_construction", counted_construction)
+    assert len(classify_hilb_covers(surface)) == subgroups
+    assert (covers_built, constructions_built) == (types, types)
+    # Nothing is kept between calls: a second call builds every type again.
+    assert len(classify_hilb_covers(surface)) == subgroups
+    assert (covers_built, constructions_built) == (2 * types, 2 * types)
 
 
 def test_classify_builds_one_table_and_one_model_per_cover(monkeypatch):

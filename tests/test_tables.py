@@ -11,6 +11,7 @@ from hilb2.tables import (
     cyclic_table,
     direct_product,
     group_from_spec,
+    parse_group_spec,
     quaternion_table,
     symmetric_table,
     validate_ade,
@@ -203,6 +204,37 @@ def test_group_from_spec():
     for bad in ("", "Z0", "K5", "Z2x", "S6"):
         with pytest.raises(ValueError):
             group_from_spec(bad)
+
+
+def test_parse_group_spec_predicts_without_building_a_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a table was built while parsing the spec")
+
+    monkeypatch.setattr(GroupTable, "__post_init__", refuse)
+    for text, order, abelian in (
+        ("Z2000", 2000, True), ("S2xZ3", 6, True), ("S3", 6, False),
+        ("Q8", 8, False), ("S4xZ1000", 24000, False),
+        ("Z2xZ2xZ2", 8, True),
+    ):
+        spec = parse_group_spec(text)
+        assert (spec.name, spec.order, spec.is_abelian) == (
+            text, order, abelian
+        )
+    # Every token is checked before any table, in token order.
+    for bad, message in (("Z2000x", "cannot parse group spec token ''"),
+                         ("Z0xK5", "cyclic order must be positive"),
+                         ("Z7xS6", "symmetric groups are supported")):
+        with pytest.raises(ValueError, match=message):
+            parse_group_spec(bad)
+
+
+def test_group_spec_table_matches_its_prediction():
+    for text in ("Z1", "Z4", "S1xZ3", "S2", "S3", "Q8", "Z2xS3", "Z2xZ4"):
+        spec = parse_group_spec(text)
+        table = spec.table()
+        assert table.order == spec.order
+        assert table.is_abelian == spec.is_abelian
+        assert group_from_spec(text) == (text, table)
 
 
 def test_validate_ade():
