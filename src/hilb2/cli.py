@@ -124,22 +124,33 @@ def _load_surface(args) -> SurfaceDescriptor:
     )
 
 
+def _once_per_cover(covers, fn) -> list:
+    """``fn`` of every cover, called once per distinct cover object:
+    :func:`classify_hilb_covers` hands one object to every subgroup of a
+    quotient type."""
+    done: dict[int, object] = {}
+    for cover in covers:
+        if id(cover) not in done:
+            done[id(cover)] = fn(cover)
+    return [done[id(cover)] for cover in covers]
+
+
 def cmd_classify(args, caps: Caps) -> int:
     surface = _load_surface(args)
     covers = classify_hilb_covers(surface, cap=caps.group_cap)
     if args.format == "json":
         print(serialize.emit(serialize.envelope(
-            "classify", [serialize.cover_to_dict(c) for c in covers]
+            "classify", _once_per_cover(covers, serialize.cover_to_dict)
         )))
         return EXIT_OK
     pi1ab = abelianization(surface.pi1_smooth)
     print(f"covers of Hilb2({surface.name})")
     print(f"pi1^ab upstairs: {_invariants_name(pi1ab.torsion)}")
     print(f"{'degree':>6}  {'deck':<8}  {'galois':<6}  branch")
-    for cover in covers:
-        deck_name = _invariants_name(
-            permgroup.abelian_invariants(cover.deck_group)
-        )
+    deck_names = _once_per_cover(covers, lambda cover: _invariants_name(
+        permgroup.abelian_invariants(cover.deck_group)
+    ))
+    for cover, deck_name in zip(covers, deck_names):
         branch = ",".join(sorted(cover.ramification_labels)) or "-"
         galois = "yes" if cover.galois else "no"
         print(f"{cover.degree:>6}  {deck_name:<8}  {galois:<6}  {branch}")

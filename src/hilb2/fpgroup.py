@@ -32,6 +32,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .permgroup import Group, Permutation
+from .tables import _closure
 
 DEFAULT_COSET_CAP = 100000
 
@@ -755,18 +756,6 @@ def subgroups_of_abelian(invariants: AbelianInvariants) -> tuple[AbelianSubgroup
     def add(u, v):
         return tuple((a + b) % m for a, b, m in zip(u, v, moduli))
 
-    def closure(gens) -> tuple:
-        members = {zero}
-        frontier = [zero]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = add(x, g)
-                if y not in members:
-                    members.add(y)
-                    frontier.append(y)
-        return tuple(sorted(members))
-
     def factors(matrix) -> tuple[int, ...]:
         return tuple(d for d in smith_invariant_factors(matrix) if d > 1)
 
@@ -774,7 +763,7 @@ def subgroups_of_abelian(invariants: AbelianInvariants) -> tuple[AbelianSubgroup
     for basis, coords in _hermite_bases(moduli):
         reduced = (tuple(v % m for v, m in zip(row, moduli)) for row in basis)
         gens = tuple(row for row in reduced if row != zero)
-        elements = closure(gens)
+        elements = tuple(sorted(_closure([zero], gens, add)))
         sub_invariants = factors(coords)
         quotient = AbelianInvariants(rank=0, torsion=factors(basis))
         if len(elements) != prod(sub_invariants):

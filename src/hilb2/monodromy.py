@@ -80,7 +80,7 @@ def cover_from_subgroup(g: Group, h: Group, *,
         monodromy=monodromy,
         degree=degree,
         deck_group=deck,
-        galois=permgroup.is_normal(h, g),
+        galois=len(normalizer) == len(g),
     )
 
 

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from functools import cached_property
 import itertools
 from math import lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import CapExceeded, DomainMismatch, HomomorphismFailure, NotASubgroup
-from .tables import GroupTable
+from .tables import GroupTable, _closure, _coset_table, _greedy_generators
 
 DEFAULT_ELEMENT_CAP = 20000
 DEFAULT_SUBGROUP_CAP = 512
@@ -150,7 +150,8 @@ class Group:
     @cached_property
     def elements(self) -> frozenset[Permutation]:
         try:
-            elements = _close(self.generators, self.domain_size, self.order)
+            elements = _closure([self.identity], self.generators, mul,
+                                self.order)
         except CapExceeded:
             elements = ()
         if len(elements) != self.order:
@@ -211,26 +212,6 @@ def _listed(domain_size: int, generators, elements) -> Group:
     return group
 
 
-def _close(gens, domain_size: int, cap: int) -> set[Permutation]:
-    """The elements generated by ``gens``, by a breadth-first walk over
-    products; raises :class:`CapExceeded` once it would pass ``cap``."""
-    ident = Permutation.identity(domain_size)
-    elements = {ident}
-    frontier = deque([ident])
-    while frontier:
-        x = frontier.popleft()
-        for g in gens:
-            y = x * g
-            if y not in elements:
-                if len(elements) >= cap:
-                    raise CapExceeded(
-                        f"group closure exceeded cap of {cap} elements"
-                    )
-                elements.add(y)
-                frontier.append(y)
-    return elements
-
-
 def generating_tuple(gens, domain_size: int | None = None
                      ) -> tuple[int, tuple[Permutation, ...]]:
     """``(domain_size, generators)`` as every group here stores them: the
@@ -261,7 +242,8 @@ def generate(gens, *, domain_size: int | None = None,
     :class:`CapExceeded` as soon as the closure would pass ``cap`` elements.
     """
     domain_size, gens = generating_tuple(gens, domain_size)
-    return _listed(domain_size, gens, _close(gens, domain_size, cap))
+    ident = Permutation.identity(domain_size)
+    return _listed(domain_size, gens, _closure([ident], gens, mul, cap))
 
 
 def group_from_elements(domain_size: int, elements) -> Group:
@@ -277,14 +259,8 @@ def group_from_elements(domain_size: int, elements) -> Group:
 
 def small_generating_set(element_list, domain_size: int) -> tuple[Permutation, ...]:
     """Greedy small generating set for a closed element list."""
-    gens: list[Permutation] = []
-    sub = {Permutation.identity(domain_size)}
-    for x in element_list:
-        if x not in sub:
-            gens.append(x)
-            sub = generate(gens, domain_size=domain_size,
-                           cap=max(len(element_list), 1)).elements
-    return tuple(gens)
+    return _greedy_generators(element_list, Permutation.identity(domain_size),
+                              mul)
 
 
 def orbits(group, points=None, *, domain_size: int | None = None) -> tuple[tuple, ...]:
@@ -550,23 +526,11 @@ def quotient_table(group: Group, normal_sub: Group) -> tuple[GroupTable, dict, t
     representatives (smallest element of each coset in canonical order).
     """
     _require_subgroup(normal_sub, group)
-    if not is_normal(normal_sub, group):
+    if not normalized_by(normal_sub, group.generators):
         raise NotASubgroup("quotients need a normal subgroup")
-    reps: list[Permutation] = []
-    coset_of: dict[Permutation, int] = {}
-    for e in group.element_list:
-        if e in coset_of:
-            continue
-        k = len(reps)
-        reps.append(e)
-        for m in normal_sub.element_list:
-            coset_of[e * m] = k
-    size = len(reps)
-    rows = tuple(
-        tuple(coset_of[reps[i] * reps[j]] for j in range(size))
-        for i in range(size)
-    )
-    return GroupTable(rows), coset_of, tuple(reps)
+    table, coset_of, reps = _coset_table(group.element_list,
+                                         normal_sub.element_list, mul)
+    return table, coset_of, tuple(reps)
 
 
 def abelian_invariants(group: Group) -> tuple[int, ...]:

@@ -7,7 +7,10 @@ associativity by Light's test on a generating set.
 The module also provides a small zoo of standard groups (cyclic groups,
 direct products, symmetric groups, the order-8 quaternion group) and an
 enumerator of all abelian groups up to a given order, which the covering
-constructions sweep over.
+constructions sweep over.  Its private walks (closure by right
+multiplication, greedy generators, the coset table of a normal subgroup)
+take the product as an argument, so permutations and exponent vectors
+share them with table indices.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import itertools
 import math
 import re
 
-from .errors import NotAGroup
+from .errors import CapExceeded, NotAGroup
 
 _SPEC_TOKEN = re.compile(r"^(Z|S|Q)(\d+)$")
 _ADE_TOKEN = re.compile(r"^(A[1-9]\d*|D([4-9]|[1-9]\d+)|E[678])$")
@@ -124,16 +127,7 @@ class GroupTable:
 
     def subgroup_closure(self, seed) -> tuple[int, ...]:
         """Closure of a set of element indices under multiplication."""
-        members = {self.identity} | set(seed)
-        frontier = list(members)
-        while frontier:
-            x = frontier.pop()
-            for g in members.copy():
-                for y in (self.table[x][g], self.table[g][x]):
-                    if y not in members:
-                        members.add(y)
-                        frontier.append(y)
-        return tuple(sorted(members))
+        return tuple(sorted(_closure([self.identity], tuple(seed), self.mul)))
 
     def small_generating_set(self) -> tuple[int, ...]:
         """Greedy generators: each the smallest element not yet reached.
@@ -143,25 +137,7 @@ class GroupTable:
         element is a product of generators.  This reads only rows, so it is
         sound on a table not yet known to be associative.
         """
-        table = self.table
-        reached = [False] * self.order
-        reached[self.identity] = True
-        members = [self.identity]
-        gens: list[int] = []
-        for x in range(self.order):
-            if reached[x]:
-                continue
-            gens.append(x)
-            frontier = list(members)
-            while frontier:
-                row = table[frontier.pop()]
-                for g in gens:
-                    y = row[g]
-                    if not reached[y]:
-                        reached[y] = True
-                        members.append(y)
-                        frontier.append(y)
-        return tuple(gens)
+        return _greedy_generators(range(self.order), self.identity, self.mul)
 
     def commutator_subgroup(self) -> tuple[int, ...]:
         """Element indices of the subgroup generated by all commutators."""
@@ -198,20 +174,8 @@ class GroupTable:
         if len(sub) == 1:
             # The cosets of the trivial subgroup are the elements themselves.
             return self, tuple(range(self.order))
-        coset_of = [-1] * self.order
-        reps = []
-        for e in range(self.order):
-            if coset_of[e] != -1:
-                continue
-            k = len(reps)
-            reps.append(e)
-            for m in sub:
-                coset_of[self.table[e][m]] = k
-        rows = tuple(
-            tuple(coset_of[self.table[reps[i]][reps[j]]] for j in range(len(reps)))
-            for i in range(len(reps))
-        )
-        return GroupTable(rows), tuple(coset_of)
+        quotient, coset_of, _ = _coset_table(range(self.order), sub, self.mul)
+        return quotient, tuple(coset_of[e] for e in range(self.order))
 
     def abelian_invariants(self) -> tuple[int, ...]:
         """Invariant factors d1 | d2 | ... of a finite abelian group.
@@ -229,6 +193,59 @@ class GroupTable:
         cyclic = self.subgroup_closure([best])
         quotient, _ = self.quotient_by(cyclic)
         return quotient.abelian_invariants() + (exponent,)
+
+
+def _closure(members: list, gens, mul, cap: int | None = None) -> list:
+    """Extend ``members``, a list holding the identity, to everything its
+    elements reach by right multiplication with ``gens``, in the order
+    reached; in a finite group that is the subgroup they generate.  Raises
+    :class:`CapExceeded` once the list would pass ``cap`` elements."""
+    seen = set(members)
+    for x in members:  # the loop also visits the elements appended below
+        for g in gens:
+            y = mul(x, g)
+            if y not in seen:
+                if cap is not None and len(seen) >= cap:
+                    raise CapExceeded(
+                        f"group closure exceeded cap of {cap} elements"
+                    )
+                seen.add(y)
+                members.append(y)
+    return members
+
+
+def _greedy_generators(elements, identity, mul) -> tuple:
+    """Greedy generators of a closed element list: each is the first
+    element not reached from ``identity`` by the ones chosen before it."""
+    gens: list = []
+    members = [identity]
+    reached = {identity}
+    for x in elements:
+        if x not in reached:
+            gens.append(x)
+            known = len(members)
+            reached.update(_closure(members, gens, mul)[known:])
+    return tuple(gens)
+
+
+def _coset_table(elements, sub, mul) -> tuple[GroupTable, dict, list]:
+    """Multiplication table of the cosets x·``sub`` of a normal subgroup.
+
+    Returns the table, the coset index of every element and the coset
+    representatives; cosets are numbered by the first of ``elements`` in
+    each, which is its representative.
+    """
+    coset_of: dict = {}
+    reps: list = []
+    for e in elements:
+        if e in coset_of:
+            continue
+        k = len(reps)
+        reps.append(e)
+        for m in sub:
+            coset_of[mul(e, m)] = k
+    rows = tuple(tuple(coset_of[mul(a, b)] for b in reps) for a in reps)
+    return GroupTable(rows), coset_of, reps
 
 
 def cyclic_table(n: int) -> GroupTable:

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import hilb2
-from hilb2 import cli, monodromy, permgroup
+from hilb2 import cli, monodromy, permgroup, serialize
 from hilb2.cli import (
     EXIT_BAD_INPUT,
     EXIT_CAP,
@@ -137,6 +137,33 @@ def test_classify_json(capsys):
     assert len(payload["results"]) == 3
     assert all(r["type"] == "cover" for r in payload["results"])
     assert [r["degree"] for r in payload["results"]] == [1, 2, 4]
+
+
+@pytest.mark.parametrize("fmt,module,name", [
+    ("text", permgroup, "abelian_invariants"),
+    ("json", serialize, "cover_to_dict"),
+])
+def test_classify_names_each_distinct_cover_once(capsys, monkeypatch,
+                                                 fmt, module, name):
+    # Z2^3 has 16 subgroups of 4 quotient types, one cover object each.
+    covers = []
+    original = getattr(module, name)
+
+    def counted(x):
+        covers.append(x)
+        return original(x)
+
+    monkeypatch.setattr(module, name, counted)
+    code, out, _ = run(
+        capsys, "classify", "--presentation", "< a b c | a^2, b^2, c^2 >",
+        "--format", fmt,
+    )
+    assert code == EXIT_OK
+    assert len(covers) == len({id(x) for x in covers}) == 4
+    if fmt == "json":
+        assert len(json.loads(out)["results"]) == 16
+    else:
+        assert out.endswith("16 cover(s)\n")
 
 
 def test_classify_unknown_catalog(capsys):

@@ -120,6 +120,48 @@ def test_parse_presentation_round_trip():
     assert str(parse_presentation("<a|a^2>")) == "< a | a^2 >"
 
 
+_START = "abcxyzABZ_"
+NAMES = st.builds(lambda head, tail: head + tail, st.sampled_from(_START),
+                  st.text(_START + "019", max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_printed_presentations_parse_back(data):
+    names = tuple(data.draw(st.lists(NAMES, max_size=4, unique=True)))
+    letters = [k for i in range(1, len(names) + 1) for k in (i, -i)]
+    words = st.lists(st.sampled_from(letters), min_size=1, max_size=8)
+    relators = data.draw(st.lists(words.map(tuple), max_size=4)) \
+        if names else []
+    p = Presentation(names, tuple(relators))
+    assert parse_presentation(str(p)) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_smith_form_matches_the_commutator_quotient(data):
+    # Powers of every generator and every commutator make a finite abelian
+    # group of order at most 120; the extra words relate the generators.
+    rank = data.draw(st.integers(1, 3))
+    orders = []
+    for _ in range(rank):
+        orders.append(data.draw(st.integers(1, 120 // math.prod(orders))))
+    letters = st.sampled_from([k for i in range(1, rank + 1) for k in (i, -i)])
+    relators = [(i + 1,) * n for i, n in enumerate(orders)]
+    relators += [(i, j, -i, -j)
+                 for i, j in itertools.combinations(range(1, rank + 1), 2)]
+    relators += data.draw(st.lists(
+        st.lists(letters, min_size=1, max_size=6).map(tuple), max_size=2))
+    p = Presentation(tuple("abc"[:rank]), tuple(relators))
+    snf = abelianization(p)
+    group = permutation_realization(coset_enumeration(p))
+    derived = permgroup.commutator_subgroup(group)
+    quotient, _, _ = permgroup.quotient_table(group, derived)
+    assert snf.rank == 0
+    assert quotient.abelian_invariants() == snf.torsion
+    assert group.order == snf.order
+
+
 def test_parse_presentation_errors():
     for bad in ("", "a | a^2", "< a  a^2 >", "< a | a^ >", "< a | b >"):
         with pytest.raises((PresentationSyntaxError, UnknownGenerator)):

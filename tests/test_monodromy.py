@@ -70,6 +70,24 @@ def test_cover_from_subgroup_normal():
     assert len(cover.deck_group) == 2
 
 
+def test_cover_from_subgroup_checks_the_subgroup_once(monkeypatch):
+    checks = []
+    require = permgroup._require_subgroup
+
+    def counted(sub, group):
+        checks.append((sub, group))
+        return require(sub, group)
+
+    monkeypatch.setattr(permgroup, "_require_subgroup", counted)
+    for sub, galois in ((flip_subgroup(), False), (a3(), True),
+                        (Group.trivial(3), True), (s3(), True)):
+        checks.clear()
+        assert cover_from_subgroup(s3(), sub).galois == galois
+        # The normalizer's check; galois reads the normalizer's order.
+        assert len(checks) == 1
+        assert permgroup.is_normal(sub, s3()) == galois
+
+
 def test_galois_closure_frozen_degree_and_laws():
     cover = replace(cover_from_subgroup(s3(), flip_subgroup(), base_label="X"),
                     ramification_labels=frozenset({"r1"}))

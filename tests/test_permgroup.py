@@ -357,6 +357,27 @@ def test_quotient_table():
         permgroup.quotient_table(group, flip)
 
 
+def test_quotient_table_checks_the_subgroup_once(monkeypatch):
+    checks = []
+    require = permgroup._require_subgroup
+
+    def counted(sub, group):
+        checks.append((sub, group))
+        return require(sub, group)
+
+    monkeypatch.setattr(permgroup, "_require_subgroup", counted)
+    group = s3()
+    a3 = permgroup.generate((Permutation((1, 2, 0)),), domain_size=3)
+    assert permgroup.quotient_table(group, a3)[0].order == 2
+    assert len(checks) == 1
+    flip = permgroup.generate((Permutation((1, 0, 2)),), domain_size=3)
+    with pytest.raises(NotASubgroup, match="normal subgroup"):
+        permgroup.quotient_table(group, flip)
+    assert len(checks) == 2
+    with pytest.raises(NotASubgroup, match="does not contain"):
+        permgroup.quotient_table(a3, group)
+
+
 def test_abelian_invariants_of_permutation_groups():
     z6 = permgroup.generate(
         (Permutation((1, 2, 3, 4, 5, 0)),), domain_size=6
