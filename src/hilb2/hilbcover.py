@@ -40,9 +40,10 @@ map copies onto copies, so every element does, and an element x then
 acts on the square by the rule rho: the pair (z, w) is the transversal
 {z, |Z| + w} and goes to {x(z), x(|Z| + w)}, read first copy first.
 That is the action of x on a set of two-point subsets, so rho is a
-homomorphism by construction and needs no certificate.  Orbit, fiber and
-component computations apply rho to generators, or read it at the single
-pairs they need, and never list a group on the square.  Because Z ⊔ Z
+homomorphism by construction and needs no certificate.  Orbit partitions
+are read from labels of the pairs that rho of every generator is checked
+to keep; fiber and component computations read rho at the single pairs
+they need; no group is listed on the square.  Because Z ⊔ Z
 has two points even for one sheet over one base point, where the square
 has one, the abstract group sizes stay faithful in that degenerate case.
 
@@ -163,11 +164,13 @@ class GSet:
 
     def translation(self, g: int) -> Permutation:
         """The sheet permutation (h, b) -> (g h, b)."""
-        mul = self.group.mul
-        return Permutation(tuple(
-            self.point_of(mul(g, self.g_of(z)), self.b_of(z))
-            for z in range(self.size)
-        ))
+        return Permutation(_left_translation(self.group, len(self.base), g))
+
+
+def _left_translation(group: GroupTable, nb: int, g: int) -> tuple[int, ...]:
+    """Images of (h, b) -> (g h, b) on the sheets over ``nb`` base points,
+    read off row g of the multiplication table."""
+    return tuple(h * nb + b for h in group.table[g] for b in range(nb))
 
 
 def free_gset(group: GroupTable, base) -> GSet:
@@ -179,15 +182,11 @@ def free_gset(group: GroupTable, base) -> GSet:
         raise ValueError("duplicate base labels")
     gset = GSet(group, base)
     identity = group.identity
+    points = range(gset.size)
     for g in range(group.order):
-        if g == identity:
-            continue
-        moved = gset.translation(g)
-        for z in range(gset.size):
-            if moved(z) == z:
-                raise ValueError(
-                    f"action is not free: element {g} fixes a point"
-                )
+        if g != identity and any(
+                map(int.__eq__, gset.translation(g).images, points)):
+            raise ValueError(f"action is not free: element {g} fixes a point")
     return gset
 
 
@@ -238,7 +237,9 @@ class HilbConstruction:
     ``antidiagonal_maps[a]`` is the pair translation by (a, a^-1).
     ``pair_group`` holds its generators and its certified order 2 d^2 and
     lists its elements only when a caller first reads them; the diagonal
-    and antidiagonal groups are closed.
+    group, and the antidiagonal group of an abelian G, are listed from
+    their normal forms (the maps, and the swap times the maps), and a
+    nonabelian antidiagonal group is closed.
 
     ``diagonal_copies[g]`` lists the pair indices (z, g.z);
     ``sym_fibers[i]`` lists the pair indices over symmetric point i;
@@ -295,22 +296,97 @@ def _pair_image(images, n: int, k: int) -> int:
     return a * n + b - n if a < n else b * n + a - n
 
 
-def _orbit_fibers(gens, n: int, point_sym, sym_count: int,
-                  label: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Orbits on the square of the group generated by ``gens``, read from
-    the generators' square actions alone and bucketed by the symmetric
-    point under each orbit (raising ``HomomorphismFailure`` if an orbit
-    straddles two points)."""
-    per_sym: list[list[tuple[int, ...]]] = [[] for _ in range(sym_count)]
-    square_gens = tuple(_square_action(x, n) for x in gens)
-    for orbit in permgroup.orbits(square_gens, domain_size=n * n):
-        targets = {point_sym[k] for k in orbit}
-        if len(targets) != 1:
+def _pair_labels(gset: GSet, rows, tables) -> list[int]:
+    """A label for each pair of the square: the pair ((g1, b), (g2, b'))
+    gets ``tables[b][b'][rows[g1][g2]]``, written one slice per (z, b')."""
+    nb = len(gset.base)
+    n = gset.size
+    labels = [0] * (n * n)
+    for z in range(n):
+        g1, b = divmod(z, nb)
+        row = rows[g1]
+        start = z * n
+        for b2, lookup in enumerate(tables[b]):
+            labels[start + b2:start + n:nb] = map(lookup.__getitem__, row)
+    return labels
+
+
+def _diagonal_labels(gset: GSet, sym_of) -> list[int]:
+    """The diagonal-group label of each pair ((g1, b), (g2, b')): i * d + r
+    over symmetric point i, where r = g1^-1 g2 if b < b', r^-1 if b > b'
+    and min(r, r^-1) if b = b'."""
+    table = gset.group
+    d, inv = table.order, table.inverses
+    nb = len(gset.base)
+    oriented = [
+        [tuple(sym_of[b][b2] * d
+               + (r if b < b2 else inv[r] if b > b2 else min(r, inv[r]))
+               for r in range(d))
+         for b2 in range(nb)]
+        for b in range(nb)
+    ]
+    return _pair_labels(gset, [table.table[a] for a in inv], oriented)
+
+
+def _antidiagonal_labels(gset: GSet, sym_of, class_of,
+                         classes: int) -> list[int]:
+    """The antidiagonal-group label of each pair ((g1, b), (g2, b')):
+    i * classes + the class of g1 g2 in G/[G, G], over symmetric point i."""
+    nb = len(gset.base)
+    by_product = [
+        [tuple(sym_of[b][b2] * classes + c for c in class_of)
+         for b2 in range(nb)]
+        for b in range(nb)
+    ]
+    return _pair_labels(gset, gset.group.table, by_product)
+
+
+def _label_classes(labels, square_gens, count: int,
+                   what: str) -> list[tuple[int, ...]]:
+    """The pairs of the square bucketed by their label in range(count),
+    each bucket in index order, after checking that every generator's
+    square action keeps every label (so each orbit lies in one bucket)."""
+    for sq in square_gens:
+        if list(map(labels.__getitem__, sq.images)) != labels:
             raise HomomorphismFailure(
-                f"a {label} orbit crosses symmetric points"
+                f"{what} generators do not keep the orbit labels"
             )
-        per_sym[targets.pop()].append(orbit)
-    return tuple(tuple(bucket) for bucket in per_sym)
+    buckets: list[list[int]] = [[] for _ in range(count)]
+    appends = [bucket.append for bucket in buckets]
+    for k, label in enumerate(labels):
+        appends[label](k)
+    return [tuple(bucket) for bucket in buckets]
+
+
+def _split_by_point(classes, per_point: int
+                    ) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Label classes i * per_point + r grouped by symmetric point i, empty
+    ones dropped, ordered by smallest member."""
+    return tuple(
+        tuple(sorted(filter(None, classes[i:i + per_point])))
+        for i in range(0, len(classes), per_point)
+    )
+
+
+def _swap_normal_form(swap: Permutation, maps, gens, partner,
+                      failure: str) -> Group:
+    """The group maps ⊔ swap . maps on Z ⊔ Z, listed.
+
+    ``maps`` is a homomorphic image of G by distinct copy-keeping
+    permutations and ``partner`` an automorphism of G; checks
+    swap . maps[s] . swap == maps[partner[s]] for the generators s of G
+    (raising ``failure`` if not), so conjugation by the involution swap
+    keeps the image, and the union is closed.  Its generators are the swap
+    and the generators' maps.
+    """
+    for s in gens:
+        if swap * maps[s] * swap != maps[partner[s]]:
+            raise HomomorphismFailure(failure)
+    return permgroup._listed(
+        *permgroup.generating_tuple((swap,) + tuple(maps[s] for s in gens),
+                                    swap.domain_size),
+        frozenset((*maps, *(swap * x for x in maps))),
+    )
 
 
 def refuse_pair_group_over_cap(d: int, cap: int) -> None:
@@ -341,25 +417,38 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
       the commutation check below;
     * it is injective: pair(g1, g) acts as g1's translation on the first
       copy and g's on the second (the conjugated-images check), and the d
-      translations are checked to be distinct, since a :class:`GSet` built
-      without :func:`free_gset` need not be free;
+      translations are checked to be distinct;
     * the swap normalizes P, as swap . pair(g1, g) . swap = pair(g, g1)
       by the same commutation, and lies outside P, since it exchanges the
       copies and P keeps them;
     * so P ⊔ swap . P is a group of order 2 d^2; it holds J's generators
       (swap and pair(e, g)) and lies in J, so it is J.
 
-    The generators of the diagonal group D and the antidiagonal group H are
-    the swap and pair translations, so both lie in J by construction, and
-    so do the slot maps; the diagonal maps lie in D by D's normal form.
+    The diagonal group D, and the antidiagonal group H of an abelian G, are
+    listed from their normal forms, never closed (same reference):
+
+    * D = diag(G) ⊔ swap . diag(G).  diag is an injective homomorphism
+      from G (the homomorphism check and the distinct translations), and
+      swap . diag(s) . swap = diag(s) is checked for the generators s, so
+      the involution swap centralizes diag(G) and the union is a group.
+      It has order 2 d, as its swap half exchanges the copies and diag(G)
+      keeps them; it holds D's generators (the swap and the diag(s)) and
+      lies in D, so it is D;
+    * H = anti(G) ⊔ swap . anti(G) for abelian G, in the same way, with
+      swap . anti(s) . swap = anti(s^-1) checked on generators, so
+      conjugation by the swap inverts anti(G).  A nonabelian H is closed
+      from its generators.
+
+    The generators of D and H are the swap and pair translations, so both
+    lie in J by construction, and so do the slot maps.
 
     The square action rho needs no certificate (no presentation of G ≀ C2
     whose relators its generator images satisfy): every generator of J
     maps copies onto copies, which is checked, so every element of J does,
     and on such permutations rho is the action on the transversal
-    two-point sets {z, |Z| + w}, a homomorphism by construction.  So the
-    orbits of rho(J), rho(D) and rho(H) are those of the groups generated
-    by the generators' images, and rho is never listed element by element.
+    two-point sets {z, |Z| + w}, a homomorphism by construction.  So an
+    element of J keeps a labelling of the pairs as soon as each generator's
+    square action does, and rho is never listed element by element.
 
     Checked directly on Z ⊔ Z:
 
@@ -371,11 +460,14 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
       second; slot maps move g on the second copy and fix the first by
       construction, so the pair translation indexed (g1, g) moves (z, w)
       to (g1.z, g.w) under rho;
-    * the d sheet translations are distinct; the diagonal group's
-      copy-keeping half is the diagonal maps, order 2 d; the
-      antidiagonal group has order 2 d |commutator of G| (its
-      copy-keeping half has order d |commutator of G|, and is the
-      antidiagonal maps in the abelian case);
+    * the d sheet translations are distinct, and those of the generators
+      of G are the model's (h, b) -> (g h, b), hence all of them are (the
+      labels below read sheet coordinates);
+    * the swap centralizes the generators' diagonal maps and, for abelian
+      G, inverts their antidiagonal maps (the normal forms above); the
+      diagonal group has order 2 d, the antidiagonal group 2 d |commutator
+      of G| (its copy-keeping half has order d |commutator of G|, and is
+      the antidiagonal maps in the abelian case);
     * the diagonal group is normal in the pair group exactly when every
       g satisfies g^2 = id; the antidiagonal group is always normal; the
       two subgroups coincide in the g^2 = id case (normality itself is
@@ -402,18 +494,34 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
       [G, G]; its order and this kernel check reject a wrong generating
       set.
 
-    Checked through rho:
+    Checked through rho, the three orbit partitions read from labels, with
+    no orbit search.  Each group labels the pairs ((g1, b), (g2, b')) of
+    the square; every generator's square action is checked to keep every
+    label, so each orbit lies in one label class, and each class is one
+    orbit for the reason given:
 
-    * the pair-group orbits partition the square into the
-      symmetric-point fibers, of size 2 d^2 off the doubled locus and d^2
-      on it;
+    * J labels a pair by its symmetric point {b, b'}.  P moves it to every
+      pair over (b, b') and the swap to (b', b), so the orbits are the
+      symmetric-point fibers, checked to have size 2 d^2 off the doubled
+      locus and d^2 on it;
+    * D labels it by its symmetric point and r = g1^-1 g2 if b < b', r^-1
+      if b > b', min(r, r^-1) if b = b'.  D holds every diagonal
+      translation, (g1, g2) -> (g g1, g g2), which keeps r and runs
+      through the d pairs of each r over (b, b'), and the swap, which
+      exchanges (b, b') with (b', b) and r with r^-1.  Its orbits over a
+      symmetric point are checked to number d off the doubled locus and
+      (d + t) / 2 on it, t = #{g : g^2 = id};
+    * H labels it by its symmetric point and the class of g1 g2 in
+      G/[G, G], for any G.  The copy-keeping half of H has order
+      d |[G, G]| and acts freely on pairs, as the translations do, so its
+      orbits on the d^2 pairs over (b, b') have d |[G, G]| members, as
+      many as a label class holds there; with the swap, each class over a
+      symmetric point is one orbit.  They are checked to number
+      |G/[G, G]| over every point (constant fibers; d of them in the
+      abelian case);
     * the diagonal preimage splits into d disjoint copies of the sheet
       set, and each copy is fixed pointwise by its antidiagonal swap
-      element;
-    * diagonal-group orbits over a symmetric point number d off the
-      doubled locus and (d + t) / 2 on it, t = #{g : g^2 = id};
-      antidiagonal-group orbits number |G/[G, G]| over every point
-      (constant fibers; d of them in the abelian case).
+      element.
 
     Following from the above:
 
@@ -436,7 +544,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     d = table.order
     refuse_pair_group_over_cap(d, cap)
     n = gset.size
-    m = n * n
+    nb = len(gset.base)
     mul = table.mul
     identity = table.identity
     gens_of_g = table.small_generating_set()
@@ -467,6 +575,14 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
                 raise HomomorphismFailure(
                     "diagonal maps do not form a homomorphism"
                 )
+    # The orbit labels below read sheet coordinates, so the translations
+    # must be the model's (h, b) -> (g h, b); checked on generators, this
+    # holds for every g, as both sides are homomorphisms.
+    for s in gens_of_g:
+        if translations[s] != _left_translation(table, nb, s):
+            raise HomomorphismFailure(
+                "sheet translations are not left multiplications"
+            )
     if not (swap * swap).is_identity:
         raise HomomorphismFailure("swap is not an involution")
 
@@ -516,15 +632,15 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     if len(set(translations)) != d:
         raise HomomorphismFailure("pair translations are not distinct")
 
-    # J = P ⊔ swap.P, of order 2 d^2, is certified, not closed (see the
-    # docstring).  D stays closed: its normal form pins its order.
+    # J = P ⊔ swap.P, of order 2 d^2, is certified, not closed, and D is
+    # listed from its normal form diag(G) ⊔ swap.diag(G) (see the
+    # docstring).
     pair_group = Group(*permgroup.generating_tuple(pair_gens, 2 * n), 2 * d * d)
-    diagonal_group = permgroup.generate(
-        (swap,) + tuple(diag_maps[g] for g in gens_of_g),
-        domain_size=2 * n, cap=cap,
+    diagonal_group = _swap_normal_form(
+        swap, diag_maps, gens_of_g, range(d),
+        "swap does not centralize the diagonal maps",
     )
-    if {w for w in diagonal_group.elements if w.images[0] < n} \
-            != set(diag_maps) or len(diagonal_group) != 2 * d:
+    if len(diagonal_group) != 2 * d:
         raise HomomorphismFailure(
             "diagonal group is not diagonals plus swap times diagonals"
         )
@@ -544,24 +660,29 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         )
     commutator = table.commutator_subgroup()
     commutator_order = len(commutator)
-    antidiagonal_group = permgroup.generate(
-        (swap,) + tuple(anti_maps[s] for s in gens_of_g)
-        + tuple(pair(c, identity) for c in commutator),
-        domain_size=2 * n, cap=cap,
-    )
-    plus_part = {
-        w for w in antidiagonal_group.elements if w.images[0] < n
-    }
-    if len(plus_part) != d * commutator_order:
-        raise HomomorphismFailure(
-            "translation half of the antidiagonal group has the wrong order"
+    if table.is_abelian:
+        # Listed from its normal form anti(G) ⊔ swap.anti(G); its
+        # copy-keeping half is the antidiagonal maps.
+        antidiagonal_group = _swap_normal_form(
+            swap, anti_maps, gens_of_g, table.inverses,
+            "swap does not invert the antidiagonal maps",
         )
+    else:
+        antidiagonal_group = permgroup.generate(
+            (swap,) + tuple(anti_maps[s] for s in gens_of_g)
+            + tuple(pair(c, identity) for c in commutator),
+            domain_size=2 * n, cap=cap,
+        )
+        plus_part = {
+            w for w in antidiagonal_group.elements if w.images[0] < n
+        }
+        if len(plus_part) != d * commutator_order:
+            raise HomomorphismFailure(
+                "translation half of the antidiagonal group has the wrong "
+                "order"
+            )
     if len(antidiagonal_group) != 2 * d * commutator_order:
         raise HomomorphismFailure("antidiagonal group has the wrong order")
-    if table.is_abelian and plus_part != set(anti_maps):
-        raise HomomorphismFailure(
-            "abelian antidiagonal group is not antidiagonals plus swaps"
-        )
 
     # Normality laws for the two intermediate subgroups; t counts the
     # solutions of g^2 = id.
@@ -639,19 +760,21 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
                 "antidiagonal swap element does not fix its diagonal copy"
             )
 
-    # Symmetric-point fibers of the big quotient map.
+    # Symmetric-point fibers of the big quotient map: pair k = z * n + w
+    # lies over point_sym[k], which depends on the base points of z and w
+    # alone, so each row of the square repeats sym_of[b] d times.
     sym = symmetric_quotient(gset.base)
-    nb = len(gset.base)
+    sym_count = len(sym.points)
     sym_index = {ij: i for i, ij in enumerate(_index_pairs(nb))}
     sym_of = [[sym_index[(min(bz, bw), max(bz, bw))] for bw in range(nb)]
               for bz in range(nb)]
-    base_of = [gset.b_of(z) for z in range(n)]
-    point_sym = [row[bw] for row in (sym_of[bz] for bz in base_of)
-                 for bw in base_of]
-    fibers: list[list[int]] = [[] for _ in sym.points]
-    for k, i in enumerate(point_sym):
-        fibers[i].append(k)
-    sym_fibers = tuple(tuple(f) for f in fibers)
+    point_sym = list(itertools.chain.from_iterable(
+        sym_of[b] * d for b in range(nb)
+    )) * d
+    # The pair-group orbits on the square are exactly the fibers.
+    sym_fibers = tuple(
+        _label_classes(point_sym, pair_square, sym_count, "pair-group")
+    )
     for i, p in enumerate(sym.points):
         expected_size = d * d if p.is_diagonal else 2 * d * d
         if len(sym_fibers[i]) != expected_size:
@@ -666,20 +789,20 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
             "diagonal copies do not exhaust the doubled-locus preimage"
         )
 
-    # The pair-group orbits on the square are exactly the fibers (both
-    # are sorted tuples).
-    pair_orbits = permgroup.orbits(pair_square, domain_size=m)
-    if set(pair_orbits) != set(sym_fibers):
-        raise HomomorphismFailure(
-            "pair-group orbit space is not the symmetric quotient"
-        )
+    # The other two partitions, read from labels the same way (rho of the
+    # swap is already known).
+    square = dict(zip(pair_gens, pair_square))
+
+    def square_gens(group: Group) -> list[Permutation]:
+        return [square.get(x) or _square_action(x, n)
+                for x in group.generators]
 
     # Diagonal-group orbits: d per off-doubled point, (d + t) / 2 per
     # doubled point, t = #{g : g^2 = id} (orbit classes {r, r^-1} merge).
-    diag_fibers = _orbit_fibers(
-        diagonal_group.generators, n, point_sym, len(sym.points),
-        "diagonal-group",
-    )
+    diag_fibers = _split_by_point(_label_classes(
+        _diagonal_labels(gset, sym_of), square_gens(diagonal_group),
+        sym_count * d, "diagonal-group",
+    ), d)
     for i, p in enumerate(sym.points):
         expected = (d + t) // 2 if p.is_diagonal else d
         if len(diag_fibers[i]) != expected:
@@ -687,11 +810,12 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
 
     # Antidiagonal-group orbits: constant |G/[G, G]| per point (= d for
     # abelian G) — the intermediate quotient is unramified.
-    anti_fibers = _orbit_fibers(
-        antidiagonal_group.generators, n, point_sym, len(sym.points),
+    anti_fibers = _split_by_point(_label_classes(
+        _antidiagonal_labels(gset, sym_of, class_of, ab_table.order),
+        square_gens(antidiagonal_group), sym_count * ab_table.order,
         "antidiagonal-group",
-    )
-    for i in range(len(sym.points)):
+    ), ab_table.order)
+    for i in range(sym_count):
         if len(anti_fibers[i]) != ab_table.order:
             raise HomomorphismFailure(
                 "antidiagonal-group orbit count is not the abelianization order"

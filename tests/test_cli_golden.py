@@ -21,7 +21,12 @@ comes from the wreath model that acted on n-tuples over Q plus n marker
 points; the ``Z30`` record over two base points comes from the build that
 closed the pair group element by element; the ``classify`` records of
 Z2^4 (text) and Z3xZ3 (JSON) come from the pipeline that built and checked
-one cover per subgroup.  A change that alters any of them alters what users see.  To
+one cover per subgroup; the JSON ``construct`` record of Z2xZ6 over three
+base points and the JSON ``classify`` record of
+``< a b | a^2, b^6, a b a^-1 b^-1 >``, whose sheet labels and deck
+permutations follow the orbit order, come from the build that closed the
+diagonal and antidiagonal groups and searched the square for their
+orbits.  A change that alters any of them alters what users see.  To
 record the corpus again after a deliberate output change, run from the
 repository root:
 
@@ -72,6 +77,9 @@ CASES = (
     ("construct", "--group", "Z30", "--base-size", "2", "--format", "json"),
     ("classify", "--presentation", "< a b c d | a^2, b^2, c^2, d^2 >"),
     ("classify", "--presentation", "< a b | a^3, b^3, a b a^-1 b^-1 >",
+     "--format", "json"),
+    ("construct", "--group", "Z2xZ6", "--base-size", "3", "--format", "json"),
+    ("classify", "--presentation", "< a b | a^2, b^6, a b a^-1 b^-1 >",
      "--format", "json"),
 )
 

@@ -36,6 +36,8 @@ from hilb2.hilbcover import (
 from hilb2.monodromy import cover_from_subgroup
 from hilb2.permgroup import Permutation
 from hilb2.tables import (
+    GroupTable,
+    abelian_group_tables,
     abelian_table,
     cyclic_table,
     quaternion_table,
@@ -416,7 +418,7 @@ def test_law_checks_cost_few_compositions(monkeypatch):
     gset = free_gset(cyclic_table(11), ("a",))
     monkeypatch.setattr(Permutation, "__mul__", counted)
     sign_and_splitting(build_construction(gset))
-    assert compositions <= 300
+    assert compositions <= 149
 
 
 def test_law_checks_compose_on_two_copies_of_the_sheets(monkeypatch):
@@ -440,7 +442,7 @@ def test_law_checks_compose_on_two_copies_of_the_sheets(monkeypatch):
     sign_and_splitting(c)
     assert compositions == built
     fixed_components(c)
-    assert points <= 20_000
+    assert points <= 9_834
 
 
 def test_law_checks_run_under_optimization():
@@ -450,10 +452,14 @@ def test_law_checks_run_under_optimization():
         "from hilb2.tables import cyclic_table\n"
         "gset = hilbcover.free_gset(cyclic_table(3), ('a',))\n"
         "honest = hilbcover.GSet.translation\n"
+        "honest_form = hilbcover._swap_normal_form\n"
         "breaks = (\n"
         "    (hilbcover.GSet, 'translation',\n"
         "     lambda self, g: honest(self, 2 if g == 1 else g)),\n"
         "    (permgroup, 'normalized_by', lambda sub, gens: False),\n"
+        "    (hilbcover, '_swap_normal_form',\n"
+        "     lambda swap, maps, gens, partner, failure: honest_form(\n"
+        "         swap, maps, gens, range(len(maps)), failure)),\n"
         ")\n"
         "for owner, name, broken in breaks:\n"
         "    kept = getattr(owner, name)\n"
@@ -473,4 +479,186 @@ def test_law_checks_run_under_optimization():
     assert result.stdout == (
         "second-slot maps do not form a homomorphism\n"
         "antidiagonal group is not normal in the pair group\n"
+        "swap does not invert the antidiagonal maps\n"
     )
+
+
+def test_abelian_build_neither_closes_nor_searches(monkeypatch):
+    # D and abelian H are listed from their normal forms and every orbit
+    # partition is read from labels; only a nonabelian H is still closed.
+    calls = {"generate": 0, "orbits": 0}
+    for name in calls:
+        def counted(*args, _name=name, _honest=getattr(permgroup, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _honest(*args, **kwargs)
+        monkeypatch.setattr(permgroup, name, counted)
+    build(abelian_table((2, 6)), ("a", "b", "c"))
+    assert calls == {"generate": 0, "orbits": 0}
+    build(symmetric_table(3), ("a", "b"))
+    assert calls == {"generate": 1, "orbits": 0}
+
+
+def reference_point_sym(c):
+    """The symmetric point under each pair of the square, by base indices."""
+    nb, n = len(c.gset.base), c.gset.size
+    index = {(i, j): k for k, (i, j) in enumerate(
+        (i, j) for i in range(nb) for j in range(i, nb))}
+    return [index[tuple(sorted((c.gset.b_of(z), c.gset.b_of(w))))]
+            for z in range(n) for w in range(n)]
+
+
+def reference_orbit_fibers(c, gens):
+    """The union-find split that preceded the label certificates: orbits of
+    the square actions of ``gens``, bucketed by the symmetric point under
+    each orbit."""
+    n = c.gset.size
+    point_sym = reference_point_sym(c)
+    per_sym = [[] for _ in c.sym.points]
+    square = [rho(x, n) for x in gens]
+    for orbit in permgroup.orbits(square, domain_size=n * n):
+        targets = {point_sym[k] for k in orbit}
+        assert len(targets) == 1
+        per_sym[targets.pop()].append(orbit)
+    return tuple(tuple(bucket) for bucket in per_sym)
+
+
+def reference_closures(c):
+    """The diagonal and antidiagonal groups closed element by element from
+    the generators the build used before the normal forms."""
+    table, n = c.gset.group, c.gset.size
+    gens = table.small_generating_set()
+    second = tuple(range(n, 2 * n))
+    commutator_pairs = tuple(
+        Permutation(c.gset.translation(x).images + second)
+        for x in table.commutator_subgroup()
+    )
+    diagonal = permgroup.generate(
+        (c.swap,) + tuple(c.diagonal_maps[s] for s in gens),
+        domain_size=2 * n)
+    antidiagonal = permgroup.generate(
+        (c.swap,) + tuple(c.antidiagonal_maps[s] for s in gens)
+        + commutator_pairs, domain_size=2 * n)
+    return diagonal, antidiagonal
+
+
+def reversed_table(table):
+    """The same group with element i renamed n - 1 - i, so the identity is
+    no longer element 0."""
+    n = table.order
+    return GroupTable(tuple(
+        tuple(n - 1 - table.mul(n - 1 - a, n - 1 - b) for b in range(n))
+        for a in range(n)
+    ))
+
+
+ORACLE_CASES = [
+    (name, table, base)
+    for name, table in abelian_group_tables(12)
+    for base in (("a",), ("a", "b"), ("a", "b", "c"))
+] + [
+    (name, table, base)
+    for name, table in (("S3", symmetric_table(3)), ("Q8", quaternion_table()),
+                        ("Z6-reversed", reversed_table(cyclic_table(6))),
+                        ("S3-reversed", reversed_table(symmetric_table(3))))
+    for base in (("a",), ("a", "b"))
+]
+
+
+@pytest.mark.parametrize(
+    "table, base", [case[1:] for case in ORACLE_CASES],
+    ids=[f"{name}-b{len(base)}" for name, _, base in ORACLE_CASES],
+)
+def test_certified_groups_and_orbits_match_closure_and_search(table, base):
+    c = build(table, base)
+    diagonal, antidiagonal = reference_closures(c)
+    assert c.diagonal_group.elements == diagonal.elements
+    assert c.diagonal_group.generators == diagonal.generators
+    assert c.antidiagonal_group.elements == antidiagonal.elements
+    assert c.antidiagonal_group.generators == antidiagonal.generators
+    assert c.sym_fibers == tuple(
+        orbit for (orbit,) in reference_orbit_fibers(c, c.pair_group.generators)
+    )
+    assert c.diagonal_orbit_fibers == \
+        reference_orbit_fibers(c, diagonal.generators)
+    assert c.antidiagonal_orbit_fibers == \
+        reference_orbit_fibers(c, antidiagonal.generators)
+
+
+def exchanging_two_labels(what):
+    """Wrap ``_label_classes`` so the labels handed to it for ``what``
+    have their first two distinct values exchanged at one pair each."""
+    honest = hilbcover._label_classes
+
+    def broken(labels, square_gens, count, label_what):
+        if label_what == what:
+            labels = list(labels)
+            k = next(k for k, v in enumerate(labels) if v != labels[0])
+            labels[0], labels[k] = labels[k], labels[0]
+        return honest(labels, square_gens, count, label_what)
+    return broken
+
+
+@pytest.mark.parametrize("what", ["pair-group", "diagonal-group",
+                                  "antidiagonal-group"])
+def test_orbit_labels_are_checked_against_every_generator(monkeypatch, what):
+    gset = free_gset(cyclic_table(3), ("a", "b"))
+    monkeypatch.setattr(hilbcover, "_label_classes",
+                        exchanging_two_labels(what))
+    with pytest.raises(HomomorphismFailure,
+                       match=f"^{what} generators do not keep the orbit "
+                             f"labels$"):
+        build_construction(gset)
+
+
+def test_doubled_point_labels_need_the_inverse_pairing(monkeypatch):
+    # Over a doubled point the swap sends r = g1^-1 g2 to r^-1, so a
+    # diagonal label without min(r, r^-1) is not invariant.
+    def unpaired(gset, sym_of):
+        table = gset.group
+        d, nb = table.order, len(gset.base)
+        lookups = [[tuple(sym_of[b][b2] * d + r for r in range(d))
+                    for b2 in range(nb)] for b in range(nb)]
+        return hilbcover._pair_labels(
+            gset, [table.table[a] for a in table.inverses], lookups)
+
+    gset = free_gset(cyclic_table(3), ("a",))
+    monkeypatch.setattr(hilbcover, "_diagonal_labels", unpaired)
+    with pytest.raises(HomomorphismFailure,
+                       match="^diagonal-group generators do not keep"):
+        build_construction(gset)
+
+
+@pytest.mark.parametrize("failure, wrong_partner", [
+    ("swap does not centralize the diagonal maps",
+     lambda table: table.inverses),
+    ("swap does not invert the antidiagonal maps",
+     lambda table: range(table.order)),
+])
+def test_swap_normal_forms_are_checked(monkeypatch, failure, wrong_partner):
+    table = cyclic_table(3)
+    gset = free_gset(table, ("a",))
+    honest = hilbcover._swap_normal_form
+
+    def broken(swap, maps, gens, partner, message):
+        if message == failure:
+            partner = wrong_partner(table)
+        return honest(swap, maps, gens, partner, message)
+
+    monkeypatch.setattr(hilbcover, "_swap_normal_form", broken)
+    with pytest.raises(HomomorphismFailure, match=f"^{failure}$"):
+        build_construction(gset)
+
+
+def test_translations_are_checked_to_be_left_multiplications(monkeypatch):
+    # g -> translation(g^-1) is a free, faithful action of abelian Z3 by a
+    # homomorphism, so only the model check tells it from the labels' one.
+    table = cyclic_table(3)
+    gset = free_gset(table, ("a", "b"))
+    honest = hilbcover.GSet.translation
+    monkeypatch.setattr(hilbcover.GSet, "translation",
+                        lambda self, g: honest(self, table.inv(g)))
+    with pytest.raises(HomomorphismFailure,
+                       match="^sheet translations are not left "
+                             "multiplications$"):
+        build_construction(gset)
