@@ -273,9 +273,9 @@ class HilbConstruction:
         return self.gset.size ** 2
 
 
-def _square_action(x: Permutation, n: int) -> Permutation:
-    """rho(x): how x, a permutation of Z ⊔ Z mapping copies onto copies,
-    moves the pairs z * n + w of the square (n = |Z|).
+def _square_images(x: Permutation, n: int) -> list[int]:
+    """rho(x): the images of the pairs z * n + w of the square (n = |Z|)
+    under x, a permutation of Z ⊔ Z mapping copies onto copies.
 
     The pair (z, w) is the transversal {z, n + w}; it goes to
     {x(z), x(n + w)}, read first copy first.
@@ -286,7 +286,7 @@ def _square_action(x: Permutation, n: int) -> Permutation:
         outer, inner = [a * n for a in first], [b - n for b in second]
     else:  # exchanges them: (z, w) -> (x(n + w), x(z) - n)
         outer, inner = [a - n for a in first], [b * n for b in second]
-    return Permutation(tuple([u + v for u in outer for v in inner]))
+    return [u + v for u in outer for v in inner]
 
 
 def _pair_image(images, n: int, k: int) -> int:
@@ -346,8 +346,8 @@ def _label_classes(labels, square_gens, count: int,
     """The pairs of the square bucketed by their label in range(count),
     each bucket in index order, after checking that every generator's
     square action keeps every label (so each orbit lies in one bucket)."""
-    for sq in square_gens:
-        if list(map(labels.__getitem__, sq.images)) != labels:
+    for images in square_gens:
+        if list(map(labels.__getitem__, images)) != labels:
             raise HomomorphismFailure(
                 f"{what} generators do not keep the orbit labels"
             )
@@ -479,20 +479,26 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
       a -> antidiagonal map is a homomorphism exactly when G is abelian;
     * slot-map(h) commutes with swap . slot-map(g1) . swap for generators
       h, hence for every h;
-    * sending a pair-group element to the class of g1 * g in the
-      abelianization of G, where (g1.b0, g.b0) is rho of it applied to
-      the pair (b0, b0), is a homomorphism onto G/[G, G] (checked against
-      the swap and the generator slot maps on the d^2 pairs that rho(J)
-      reaches from (b0, b0)) with kernel exactly the antidiagonal group —
-      the intermediate quotient is Galois with deck group G/[G, G], which
-      is all of G in the abelian case.  rho(x)(b0, b0) hits each of those
-      pairs twice as x runs over J, so the kernel has order twice the
-      number of pairs of class 1; it equals the antidiagonal group because
-      that group has the same order and its generators have class 1.  The
-      antidiagonal group is generated by the swap, the antidiagonal maps
-      of the generators of G and the pair translations (c, e) for c in
-      [G, G]; its order and this kernel check reject a wrong generating
-      set.
+    * the slot product, sending a pair-group element x to the class of
+      g1 * g in the abelianization of G, where (g1.b0, g.b0) =
+      rho(x)(b0, b0), is a homomorphism onto G/[G, G] with kernel exactly
+      the antidiagonal group — the intermediate quotient is Galois with
+      deck group G/[G, G], which is all of G in the abelian case.  It is
+      read from the antidiagonal labels (symmetric point, class of g1 g2)
+      below: on every pair, the swap keeps each label and slot-map(s)
+      multiplies each label's class by the class of s.  As rho is a
+      homomorphism, the elements that multiply every class by one value
+      form a subgroup, on which the value is multiplicative; it holds the
+      generators, so it is J, and an element's value is its slot product
+      (the label of (b0, b0) has class 1).  rho(x)(b0, b0) hits each pair
+      over (b0, b0) twice as x runs over J, so the kernel has order twice
+      the number of those pairs of class 1, checked to be the order of
+      the antidiagonal group.  That group lies in the kernel, as its
+      generators keep every antidiagonal label (the orbit check below),
+      so it is the kernel.  It is generated by the swap, the antidiagonal
+      maps of the generators of G and the pair translations (c, e) for c
+      in [G, G]; its order and this kernel check reject a wrong
+      generating set.
 
     Checked through rho, the three orbit partitions read from labels, with
     no orbit search.  Each group labels the pairs ((g1, b), (g2, b')) of
@@ -702,39 +708,33 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
             "the two intermediate subgroups differ despite g^2 = id"
         )
 
+    # Symmetric points: sym_of[b][b'] indexes the point {b, b'}.
+    sym = symmetric_quotient(gset.base)
+    sym_count = len(sym.points)
+    sym_index = {ij: i for i, ij in enumerate(_index_pairs(nb))}
+    sym_of = [[sym_index[(min(bz, bw), max(bz, bw))] for bw in range(nb)]
+              for bz in range(nb)]
+
     # The product of the two slots, read in the abelianization of G, is a
     # homomorphism onto G/[G, G] with kernel exactly the antidiagonal
-    # group — so the quotient of the pair group by it is G/[G, G].  An
-    # element's slot product is read off rho of it at p0 = (b0, b0): the
-    # pair translation (g1, g) sends p0 to (g1.b0, g.b0), its swap
-    # companion to (g.b0, g1.b0), and g g1 = g1 g in the abelianization.
-    # As x runs over J, rho(x)(p0) hits each key of class_at exactly twice,
-    # so the law is read on the d^2 keys and the kernel has order
-    # 2 #{keys of class 1}.
+    # group, read from the antidiagonal labels i * classes + class of
+    # g1 g2 (see the docstring): the swap keeps every label, slot-map(s)
+    # multiplies every label's class by the class of s.
     ab_table, class_of = table.quotient_by(commutator)
-    if ab_table.order != d // commutator_order:
+    classes = ab_table.order
+    if classes != d // commutator_order:
         raise HomomorphismFailure("abelianization has the wrong order")
-    ab_mul = ab_table.mul
-    ab_identity = ab_table.identity
-    z0 = gset.point_of(identity, 0)
-    p0 = z0 * n + z0
-    class_at = {}
-    for g1 in range(d):
-        row = gset.point_of(g1, 0) * n
-        for g in range(d):
-            class_at[row + gset.point_of(g, 0)] = class_of[mul(g1, g)]
-    pair_square = [_square_action(x, n) for x in pair_gens]
-    gen_values = [ab_identity] + [class_of[s] for s in gens_of_g]
-    for gen, gen_value in zip(pair_square, gen_values):
-        gen_images = gen.images
-        for k, value in class_at.items():
-            if class_at.get(gen_images[k]) != ab_mul(gen_value, value):
-                raise HomomorphismFailure("slot product is not a homomorphism")
-    kernel_order = 2 * sum(1 for v in class_at.values() if v == ab_identity)
-    if kernel_order != len(antidiagonal_group) or any(
-        class_at.get(_pair_image(x.images, n, p0)) != ab_identity
-        for x in antidiagonal_group.generators
-    ):
+    anti_labels = _antidiagonal_labels(gset, sym_of, class_of, classes)
+    pair_square = [_square_images(x, n) for x in pair_gens]
+    gen_values = [ab_table.identity] + [class_of[s] for s in gens_of_g]
+    for images, value in zip(pair_square, gen_values):
+        times = [i + c for i in range(0, sym_count * classes, classes)
+                 for c in ab_table.table[value]]
+        if list(map(anti_labels.__getitem__, images)) \
+                != list(map(times.__getitem__, anti_labels)):
+            raise HomomorphismFailure("slot product is not a homomorphism")
+    # Label ab_table.identity is class 1 over point 0 = (b0, b0).
+    if 2 * anti_labels.count(ab_table.identity) != len(antidiagonal_group):
         raise HomomorphismFailure(
             "slot-product kernel is not the antidiagonal group"
         )
@@ -763,11 +763,6 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # Symmetric-point fibers of the big quotient map: pair k = z * n + w
     # lies over point_sym[k], which depends on the base points of z and w
     # alone, so each row of the square repeats sym_of[b] d times.
-    sym = symmetric_quotient(gset.base)
-    sym_count = len(sym.points)
-    sym_index = {ij: i for i, ij in enumerate(_index_pairs(nb))}
-    sym_of = [[sym_index[(min(bz, bw), max(bz, bw))] for bw in range(nb)]
-              for bz in range(nb)]
     point_sym = list(itertools.chain.from_iterable(
         sym_of[b] * d for b in range(nb)
     )) * d
@@ -793,8 +788,8 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # swap is already known).
     square = dict(zip(pair_gens, pair_square))
 
-    def square_gens(group: Group) -> list[Permutation]:
-        return [square.get(x) or _square_action(x, n)
+    def square_gens(group: Group) -> list[list[int]]:
+        return [square.get(x) or _square_images(x, n)
                 for x in group.generators]
 
     # Diagonal-group orbits: d per off-doubled point, (d + t) / 2 per
@@ -811,12 +806,11 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # Antidiagonal-group orbits: constant |G/[G, G]| per point (= d for
     # abelian G) — the intermediate quotient is unramified.
     anti_fibers = _split_by_point(_label_classes(
-        _antidiagonal_labels(gset, sym_of, class_of, ab_table.order),
-        square_gens(antidiagonal_group), sym_count * ab_table.order,
+        anti_labels, square_gens(antidiagonal_group), sym_count * classes,
         "antidiagonal-group",
-    ), ab_table.order)
+    ), classes)
     for i in range(sym_count):
-        if len(anti_fibers[i]) != ab_table.order:
+        if len(anti_fibers[i]) != classes:
             raise HomomorphismFailure(
                 "antidiagonal-group orbit count is not the abelianization order"
             )
@@ -889,22 +883,25 @@ def fixed_components(c: HilbConstruction) -> frozenset[int]:
     """Labels g of diagonal copies fixed pointwise by a nontrivial element
     of the diagonal group.
 
-    Computed by exhaustion over the whole diagonal group, each element read
-    on the copy's pairs through its square action, and re-checked against
-    the closed form {g : g * g = identity}: the only candidates are
-    swap-type elements, which fix (z, g.z) for every z exactly when their
-    translation part equals g and g has order at most 2 (the swap itself
-    fixes the true diagonal).  Note the contrast with the antidiagonal
-    group, where every diagonal copy has a pointwise fixer.
+    The diagonal group is diag(G) ⊔ swap . diag(G) (its normal form, see
+    :func:`build_construction`), and only swap . diag(g) can fix copy g,
+    T[g] = {(z, g.z)}, pointwise: diag(h) with h != e moves every pair, as
+    the action is free, and swap . diag(h) sends (z, g.z) to (h g.z, h.z),
+    a fixed point only if h = g and g^2 = e.  So each copy's one
+    candidate is read on the copy's pairs through its square action, and
+    the result is re-checked against the closed form {g : g * g =
+    identity} (the swap itself fixes the true diagonal).  Note the
+    contrast with the antidiagonal group, where every diagonal copy has a
+    pointwise fixer.
     """
     n = c.gset.size
-    nontrivial = [w.images for w in c.diagonal_group if not w.is_identity]
+    swap = c.swap.images
     found = set()
     for g, copy in enumerate(c.diagonal_copies):
-        for images in nontrivial:
-            if all(_pair_image(images, n, k) == k for k in copy):
-                found.add(g)
-                break
+        diag = c.diagonal_maps[g].images
+        if all(_pair_image(swap, n, _pair_image(diag, n, k)) == k
+               for k in copy):
+            found.add(g)
     table = c.gset.group
     closed_form = {
         g for g in range(table.order) if table.mul(g, g) == table.identity

@@ -26,7 +26,7 @@ from .errors import (
 from .fpgroup import abelianization, subgroups_of_abelian
 from .hilbcover import free_gset, refuse_pair_group_over_cap, square_cover
 from .permgroup import DEFAULT_ELEMENT_CAP, Group, Permutation
-from .tables import GroupTable, abelian_table
+from .tables import GroupTable, _number_cosets, abelian_table
 
 
 def cover_from_subgroup(g: Group, h: Group, *,
@@ -41,15 +41,8 @@ def cover_from_subgroup(g: Group, h: Group, *,
     """
     if not h.is_subgroup_of(g):
         raise NotASubgroup("the defining subgroup must lie in the group")
-    coset_of: dict[Permutation, int] = {}
-    reps: list[Permutation] = []
-    for x in g.element_list:
-        if x in coset_of:
-            continue
-        k = len(reps)
-        reps.append(x)
-        for m in h.element_list:
-            coset_of[m * x] = k
+    coset_of, reps = _number_cosets(g.element_list, h.element_list,
+                                    lambda x, m: m * x)
     degree = len(reps)
     labels = tuple(f"c{i}" for i in range(degree))
 

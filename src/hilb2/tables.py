@@ -228,13 +228,10 @@ def _greedy_generators(elements, identity, mul) -> tuple:
     return tuple(gens)
 
 
-def _coset_table(elements, sub, mul) -> tuple[GroupTable, dict, list]:
-    """Multiplication table of the cosets x·``sub`` of a normal subgroup.
-
-    Returns the table, the coset index of every element and the coset
-    representatives; cosets are numbered by the first of ``elements`` in
-    each, which is its representative.
-    """
+def _number_cosets(elements, sub, mul) -> tuple[dict, list]:
+    """The coset index of every element and the coset representatives,
+    for the cosets {mul(x, m) : m in ``sub``}; cosets are numbered by the
+    first of ``elements`` in each, which is its representative."""
     coset_of: dict = {}
     reps: list = []
     for e in elements:
@@ -244,6 +241,13 @@ def _coset_table(elements, sub, mul) -> tuple[GroupTable, dict, list]:
         reps.append(e)
         for m in sub:
             coset_of[mul(e, m)] = k
+    return coset_of, reps
+
+
+def _coset_table(elements, sub, mul) -> tuple[GroupTable, dict, list]:
+    """Multiplication table of the cosets x·``sub`` of a normal subgroup,
+    with the numbering of :func:`_number_cosets`."""
+    coset_of, reps = _number_cosets(elements, sub, mul)
     rows = tuple(tuple(coset_of[mul(a, b)] for b in reps) for a in reps)
     return GroupTable(rows), coset_of, reps
 

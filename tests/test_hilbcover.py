@@ -385,6 +385,10 @@ def assert_laws_exhaustively(c):
     kernel = {w for w, value in slot_product.items()
               if value == ab_table.identity}
     assert kernel == c.antidiagonal_group.elements
+    labels = antidiagonal_reference_labels(c)
+    for x, value in slot_product.items():
+        assert [labels[k] for k in square[x].images] == \
+            times_class(labels, value, ab_table)
 
     for a, b in pairs_of_g:
         for g1, g in pairs_of_g:
@@ -404,6 +408,47 @@ def test_generator_checked_laws_hold_for_every_pair(table, base):
     c = build(table, base)
     assert sign_and_splitting(c).ok
     assert_laws_exhaustively(c)
+
+
+def antidiagonal_reference_labels(c):
+    """The label of each pair ((g1, b), (g2, b')): its symmetric point i
+    and the class of g1 g2 in G/[G, G], as i * |G/[G, G]| + class."""
+    table, gset, n = c.gset.group, c.gset, c.gset.size
+    ab_table, class_of = table.quotient_by(table.commutator_subgroup())
+    point_sym = reference_point_sym(c)
+    return [point_sym[z * n + w] * ab_table.order
+            + class_of[table.mul(gset.g_of(z), gset.g_of(w))]
+            for z in range(n) for w in range(n)]
+
+
+def times_class(labels, value, ab_table):
+    """``labels`` with every class multiplied by ``value``."""
+    classes = ab_table.order
+    return [label - label % classes + ab_table.mul(value, label % classes)
+            for label in labels]
+
+
+def reference_slot_product_at_p0(c, square):
+    """The reading the build made before it used the labels: the class of
+    g1 g at each of the d^2 pairs (g1.b0, g.b0) over p0 = (b0, b0), the
+    slot product of x read at rho(x)(p0) for every x in J (``square[x]``
+    lists rho(x)), the law checked on J's generators on those pairs, and
+    the kernel order 2 #{pairs of class 1}."""
+    table, gset, n, d = c.gset.group, c.gset, c.gset.size, c.d
+    ab_table, class_of = table.quotient_by(table.commutator_subgroup())
+    z0 = gset.point_of(table.identity, 0)
+    p0 = z0 * n + z0
+    class_at = {gset.point_of(g1, 0) * n + gset.point_of(g, 0):
+                class_of[table.mul(g1, g)]
+                for g1 in range(d) for g in range(d)}
+    values = {x: class_at[images[p0]] for x, images in square.items()}
+    for x in c.pair_group.generators:
+        images = square[x]
+        assert all(class_at[images[k]] == ab_table.mul(values[x], value)
+                   for k, value in class_at.items())
+    kernel_order = 2 * sum(value == ab_table.identity
+                           for value in class_at.values())
+    return values, kernel_order
 
 
 def test_law_checks_cost_few_compositions(monkeypatch):
@@ -450,9 +495,10 @@ def test_law_checks_run_under_optimization():
         "from hilb2 import hilbcover, permgroup\n"
         "from hilb2.errors import HomomorphismFailure\n"
         "from hilb2.tables import cyclic_table\n"
-        "gset = hilbcover.free_gset(cyclic_table(3), ('a',))\n"
+        "gset = hilbcover.free_gset(cyclic_table(3), ('a', 'b'))\n"
         "honest = hilbcover.GSet.translation\n"
         "honest_form = hilbcover._swap_normal_form\n"
+        "honest_labels = hilbcover._antidiagonal_labels\n"
         "breaks = (\n"
         "    (hilbcover.GSet, 'translation',\n"
         "     lambda self, g: honest(self, 2 if g == 1 else g)),\n"
@@ -460,6 +506,15 @@ def test_law_checks_run_under_optimization():
         "    (hilbcover, '_swap_normal_form',\n"
         "     lambda swap, maps, gens, partner, failure: honest_form(\n"
         "         swap, maps, gens, range(len(maps)), failure)),\n"
+        "    (hilbcover, '_antidiagonal_labels',\n"
+        "     lambda gset, sym_of, class_of, classes: hilbcover._pair_labels(\n"
+        "         gset, [range(3)] * 3,\n"
+        "         [[[i * classes + c for c in class_of] for i in row]\n"
+        "          for row in sym_of])),\n"
+        "    (hilbcover, '_antidiagonal_labels',\n"
+        "     lambda gset, sym_of, class_of, classes: honest_labels(\n"
+        "         gset, [[(1 - i) % 3 for i in row] for row in sym_of],\n"
+        "         class_of, classes)),\n"
         ")\n"
         "for owner, name, broken in breaks:\n"
         "    kept = getattr(owner, name)\n"
@@ -480,6 +535,8 @@ def test_law_checks_run_under_optimization():
         "second-slot maps do not form a homomorphism\n"
         "antidiagonal group is not normal in the pair group\n"
         "swap does not invert the antidiagonal maps\n"
+        "slot product is not a homomorphism\n"
+        "slot-product kernel is not the antidiagonal group\n"
     )
 
 
@@ -585,6 +642,26 @@ def test_certified_groups_and_orbits_match_closure_and_search(table, base):
         reference_orbit_fibers(c, antidiagonal.generators)
 
 
+@pytest.mark.parametrize(
+    "table, base", [case[1:] for case in ORACLE_CASES],
+    ids=[f"{name}-b{len(base)}" for name, _, base in ORACLE_CASES],
+)
+def test_every_element_multiplies_the_labels_by_its_slot_product(table,
+                                                                 base):
+    c = build(table, base)
+    ab_table, _ = table.quotient_by(table.commutator_subgroup())
+    n = c.gset.size
+    square = {x: rho(x, n).images for x in c.pair_group}
+    values, kernel_order = reference_slot_product_at_p0(c, square)
+    assert kernel_order == len(c.antidiagonal_group)
+    assert {x for x, value in values.items()
+            if value == ab_table.identity} == c.antidiagonal_group.elements
+    labels = antidiagonal_reference_labels(c)
+    for x, images in square.items():
+        assert [labels[k] for k in images] == \
+            times_class(labels, values[x], ab_table)
+
+
 def exchanging_two_labels(what):
     """Wrap ``_label_classes`` so the labels handed to it for ``what``
     have their first two distinct values exchanged at one pair each."""
@@ -662,3 +739,58 @@ def test_translations_are_checked_to_be_left_multiplications(monkeypatch):
                        match="^sheet translations are not left "
                              "multiplications$"):
         build_construction(gset)
+
+
+def labels_by_second_slot(honest, gset, sym_of, class_of, classes):
+    """Antidiagonal labels by the class of g2 alone: slot maps multiply
+    their classes as the slot product does, but the swap moves them."""
+    d, nb = gset.group.order, len(gset.base)
+    return hilbcover._pair_labels(
+        gset, [range(d)] * d,
+        [[[sym_of[b][b2] * classes + c for c in class_of]
+          for b2 in range(nb)] for b in range(nb)])
+
+
+def labels_with_points_exchanged(honest, gset, sym_of, class_of, classes):
+    """The honest labels with symmetric points 0 and 1 renumbered: the law
+    still holds, but the kernel count reads the pairs over b0 + b1 as if
+    they lay over (b0, b0)."""
+    renumbered = [[(1 - i) % 3 for i in row] for row in sym_of]
+    return honest(gset, renumbered, class_of, classes)
+
+
+@pytest.mark.parametrize("failure, broken", [
+    ("slot product is not a homomorphism", labels_by_second_slot),
+    ("slot-product kernel is not the antidiagonal group",
+     labels_with_points_exchanged),
+])
+def test_slot_product_is_read_from_the_antidiagonal_labels(monkeypatch,
+                                                            failure, broken):
+    gset = free_gset(cyclic_table(3), ("a", "b"))
+    monkeypatch.setattr(
+        hilbcover, "_antidiagonal_labels",
+        functools.partial(broken, hilbcover._antidiagonal_labels))
+    with pytest.raises(HomomorphismFailure, match=f"^{failure}$"):
+        build_construction(gset)
+
+
+def test_build_makes_no_permutation_of_the_square(monkeypatch):
+    # rho is read as plain image lists: every permutation the build makes,
+    # validated or raw, acts on the 33 sheets or on Z ⊔ Z (66 points),
+    # none on the |Z|^2 = 1,089 pairs of the square.
+    sizes = set()
+    validate, raw = Permutation.__post_init__, permgroup._raw
+
+    def validated(self):
+        sizes.add(len(self.images))
+        validate(self)
+
+    def unvalidated(images):
+        sizes.add(len(images))
+        return raw(images)
+
+    gset = free_gset(cyclic_table(11), ("a", "b", "c"))
+    monkeypatch.setattr(Permutation, "__post_init__", validated)
+    monkeypatch.setattr(permgroup, "_raw", unvalidated)
+    build_construction(gset)
+    assert sizes == {33, 66}

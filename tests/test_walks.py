@@ -1,7 +1,8 @@
-"""The closure walk, the greedy-generator rule and the coset table shared by
-every group representation (``tables._closure``, ``_greedy_generators`` and
-``_coset_table``), checked against the per-representation loops they
-replaced, kept here as reference copies."""
+"""The closure walk, the greedy-generator rule, the coset numbering and the
+coset table shared by every group representation (``tables._closure``,
+``_greedy_generators``, ``_number_cosets`` and ``_coset_table``), checked
+against the per-representation loops they replaced, kept here as reference
+copies."""
 import itertools
 from math import prod
 
@@ -15,10 +16,12 @@ from hilb2.fpgroup import (
     smith_invariant_factors,
     subgroups_of_abelian,
 )
+from hilb2.monodromy import cover_from_subgroup
 from hilb2.permgroup import Group, Permutation
 from hilb2.tables import (
     GroupTable,
     _closure,
+    _number_cosets,
     abelian_group_tables,
     direct_product,
     quaternion_table,
@@ -99,6 +102,20 @@ def reference_quotient_table(group: Group, normal_sub: Group):
         for i in range(size)
     )
     return rows, coset_of, tuple(reps)
+
+
+def reference_right_cosets(group: Group, sub: Group):
+    """The right-coset loop of ``monodromy.cover_from_subgroup``."""
+    coset_of: dict[Permutation, int] = {}
+    reps: list[Permutation] = []
+    for x in group.element_list:
+        if x in coset_of:
+            continue
+        k = len(reps)
+        reps.append(x)
+        for m in sub.element_list:
+            coset_of[m * x] = k
+    return coset_of, reps
 
 
 def reference_subgroups_of_abelian(moduli):
@@ -230,6 +247,33 @@ def test_permutation_walks_match_the_reference_loops(name):
         table, coset_of, reps = permgroup.quotient_table(group, sub)
         assert (table.table, coset_of, reps) == \
             reference_quotient_table(group, sub), name
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_right_coset_covers_match_the_reference_loop(name):
+    group = GROUPS[name]
+    n = group.domain_size
+    subs = [Group.trivial(n), permgroup.commutator_subgroup(group), group] + [
+        permgroup.generate((x,), domain_size=n) for x in group.generators]
+    normal = []
+    for sub in subs:
+        coset_of, reps = reference_right_cosets(group, sub)
+        assert _number_cosets(group.element_list, sub.element_list,
+                              lambda x, m: m * x) == (coset_of, reps)
+        # The cover is read off that numbering: labels, monodromy and deck.
+        cover = cover_from_subgroup(group, sub)
+        degree = len(reps)
+        assert cover.total_points == tuple(f"c{i}" for i in range(degree))
+        monodromy = permgroup.generate(
+            [Permutation(tuple(coset_of[r * x] for r in reps))
+             for x in group.generators], domain_size=degree)
+        assert cover.monodromy.generators == monodromy.generators
+        assert cover.monodromy.elements == monodromy.elements
+        assert cover.deck_group.elements == {
+            Permutation(tuple(coset_of[x * r] for r in reps))
+            for x in permgroup.normalizer(group, sub).element_list}
+        normal.append(cover.galois)
+    assert all(normal) == (name == "Z2^5")
 
 
 @pytest.mark.parametrize("name,count", [("S5", 566), ("Z2^5", 258),
