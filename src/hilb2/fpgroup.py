@@ -417,6 +417,16 @@ class _Enumerator:
     immediately through a union-find merge queue.  A hard cap bounds the
     total number of cosets ever defined.
 
+    The table is stored column-major: ``cols[l][c]`` is the coset that
+    letter ``l`` sends coset ``c`` to, or ``None``, and letter ``l ^ 1`` is
+    the inverse of ``l``.  ``__init__`` resolves every word once into the
+    tuple of the column lists it reads and the tuple of their inverse
+    columns, so tracing one letter is one subscript.  ``parent`` has one
+    entry per coset ever defined, which is the count the cap reads; the
+    columns grow ahead of it in doubling chunks, never past
+    ``max(cap, 1)`` entries, and every entry past the last defined coset
+    is ``None``.
+
     A scan is skipped where it cannot do anything.  After a power relator
     u^m (m > 1) has been scanned at a coset alpha that is still live, the
     walk of u^m from alpha is fully defined and returns to alpha (the scan
@@ -447,28 +457,33 @@ class _Enumerator:
     when the enumeration ends.
     """
 
+    _FIRST_CHUNK = 16
+
     def __init__(self, presentation: Presentation, subgroup_words, cap: int):
-        self.nletters = 2 * presentation.rank
-        relators = [self._with_inverse(w) for w in presentation.relators]
-        self.powers = [_power_root(w) for w, _ in relators]
-        # One set of closed cosets per relator; see the class docstring.
-        self.scans = [(word, inverse, root, power, set())
-                      for (word, inverse), (root, power)
-                      in zip(relators, self.powers)]
-        self.subgroup_words = [self._with_inverse(w) for w in subgroup_words]
         self.cap = cap
-        self.table: list[list[int | None]] = [[None] * self.nletters]
+        self.size = max(1, min(cap, self._FIRST_CHUNK))
+        cols: list[list[int | None]] = [
+            [None] * self.size for _ in range(2 * presentation.rank)
+        ]
+        inv_of = [cols[letter ^ 1] for letter in range(len(cols))]
+        self.cols = cols
+        # (column, inverse column) of every letter, in letter order.
+        self.pairs = list(zip(cols, inv_of))
         self.parent = [0]
+        column_of, inverse_of = cols.__getitem__, inv_of.__getitem__
 
-    @staticmethod
-    def _with_inverse(word) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The word in table columns, and the inverse column of each letter."""
-        letters = _columns_word(word)
-        return letters, tuple(letter ^ 1 for letter in letters)
+        def walk(letters):
+            return (tuple(map(column_of, letters)),
+                    tuple(map(inverse_of, letters)))
 
-    @staticmethod
-    def _inv(letter: int) -> int:
-        return letter ^ 1
+        relators = [_columns_word(w) for w in presentation.relators]
+        self.powers = [_power_root(letters) for letters in relators]
+        # One set of closed cosets per relator; see the class docstring.
+        self.scans = [
+            (walk(letters), tuple(map(column_of, root)), power, set())
+            for letters, (root, power) in zip(relators, self.powers)
+        ]
+        self.subgroup_walks = [walk(_columns_word(w)) for w in subgroup_words]
 
     def rep(self, k: int) -> int:
         while self.parent[k] != k:
@@ -476,16 +491,21 @@ class _Enumerator:
             k = self.parent[k]
         return k
 
-    def define(self, alpha: int, letter: int) -> int:
-        if len(self.table) >= self.cap:
+    def define(self, alpha: int, col: list, inv: list) -> int:
+        """Define coset beta = ``col[alpha]``, with ``inv[beta] = alpha``."""
+        beta = len(self.parent)
+        if beta >= self.cap:
             raise CapExceeded(
                 f"coset enumeration exceeded cap of {self.cap} cosets"
             )
-        beta = len(self.table)
-        self.table.append([None] * self.nletters)
+        if beta == self.size:
+            grown = min(2 * self.size, self.cap)
+            for column in self.cols:
+                column.extend([None] * (grown - self.size))
+            self.size = grown
         self.parent.append(beta)
-        self.table[alpha][letter] = beta
-        self.table[beta][self._inv(letter)] = alpha
+        col[alpha] = beta
+        inv[beta] = alpha
         return beta
 
     def _merge(self, queue: list, a: int, b: int) -> None:
@@ -498,113 +518,134 @@ class _Enumerator:
     def coincidence(self, a: int, b: int) -> None:
         queue: list[int] = []
         self._merge(queue, a, b)
+        rep = self.rep
         i = 0
         while i < len(queue):
             gamma = queue[i]
             i += 1
-            for letter in range(self.nletters):
-                delta = self.table[gamma][letter]
+            for col, inv in self.pairs:
+                delta = col[gamma]
                 if delta is None:
                     continue
-                self.table[delta][self._inv(letter)] = None
-                mu, nu = self.rep(gamma), self.rep(delta)
-                existing = self.table[mu][letter]
+                inv[delta] = None
+                mu, nu = rep(gamma), rep(delta)
+                existing = col[mu]
                 if existing is not None:
                     self._merge(queue, nu, existing)
                 else:
-                    back = self.table[nu][self._inv(letter)]
+                    back = inv[nu]
                     if back is not None:
                         self._merge(queue, mu, back)
                     else:
-                        self.table[mu][letter] = nu
-                        self.table[nu][self._inv(letter)] = mu
+                        col[mu] = nu
+                        inv[nu] = mu
 
-    def scan_and_fill(self, alpha: int, word, inverse) -> None:
-        """Scan ``word`` at ``alpha`` from both ends, filling it in.
+    def scan_and_fill(self, alpha: int, walk) -> None:
+        """Scan a word at ``alpha`` from both ends, filling it in.
 
-        ``inverse[i]`` is the inverse letter of ``word[i]``.
+        ``walk`` is the word's columns and the inverse column of each.  A
+        forward trace needs no index and changes nothing, so it is tried
+        first; on a stall the scan starts over from both ends.
         """
-        table = self.table
+        word, inverse = walk
+        f = alpha
+        for col in word:
+            nxt = col[f]
+            if nxt is None:
+                break
+            f = nxt
+        else:
+            if f != alpha:
+                self.coincidence(f, alpha)
+            return
         f, b = alpha, alpha
         i, j = 0, len(word) - 1
         while True:
-            row = table[f]
-            while i <= j and row[word[i]] is not None:
-                f = row[word[i]]
-                row = table[f]
+            while i <= j:
+                nxt = word[i][f]
+                if nxt is None:
+                    break
+                f = nxt
                 i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            row = table[b]
-            while j >= i and row[inverse[j]] is not None:
-                b = row[inverse[j]]
-                row = table[b]
+            while j >= i:
+                nxt = inverse[j][b]
+                if nxt is None:
+                    break
+                b = nxt
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
                 return
             if j == i:
-                table[f][word[i]] = b
-                table[b][inverse[i]] = f
+                word[i][f] = b
+                inverse[i][b] = f
                 return
-            f = self.define(f, word[i])
+            f = self.define(f, word[i], inverse[i])
             i += 1
 
     def _closed(self, live: tuple[int, ...]) -> bool:
-        """True iff the live rows have no hole and every relator brings
+        """True iff the live cosets have no hole and every relator brings
         every live coset back to itself.
 
         Coincidence processing clears every entry that points to a coset it
-        merges away, so live rows only point to live cosets.
+        merges away, so live cosets only point to live cosets.
         """
-        table = self.table
-        if any(None in table[k] for k in live):
+        cols = self.cols
+        if any(None in map(col.__getitem__, live) for col in cols):
             return False
-        columns = tuple(zip(*table))
-        return all(_fixes_all(columns, live, root, power)
+        return all(_fixes_all(cols, live, root, power)
                    for root, power in self.powers)
 
     def run(self) -> list[list[int]]:
-        for word, inverse in self.subgroup_words:
-            self.scan_and_fill(0, word, inverse)
+        for walk in self.subgroup_walks:
+            self.scan_and_fill(0, walk)
         # parent[k] == k exactly when coset k is live.
-        table, parent = self.table, self.parent
-        # A late coincidence can reopen entries in rows that were already
+        parent = self.parent
+        # A late coincidence can reopen entries in cosets that were already
         # processed, so one pass is not always enough.
         while True:
             for scan in self.scans:
-                scan[4].clear()
+                scan[3].clear()
             alpha = 0
-            while alpha < len(table):
+            while alpha < len(parent):
                 if parent[alpha] == alpha:
-                    for word, inverse, root, power, closed in self.scans:
+                    for walk, root, power, closed in self.scans:
                         if alpha in closed:
                             continue
                         if parent[alpha] != alpha:
                             break
-                        self.scan_and_fill(alpha, word, inverse)
+                        self.scan_and_fill(alpha, walk)
                         if power > 1 and parent[alpha] == alpha:
+                            # Mark alpha·u^k closed for 0 < k < m.
                             beta = alpha
-                            for _ in range(power - 1):
-                                for letter in root:
-                                    beta = table[beta][letter]
-                                closed.add(beta)
+                            if len(root) == 1:
+                                (col,) = root
+                                for _ in range(power - 1):
+                                    beta = col[beta]
+                                    closed.add(beta)
+                            else:
+                                for _ in range(power - 1):
+                                    for col in root:
+                                        beta = col[beta]
+                                    closed.add(beta)
                     if parent[alpha] == alpha:
-                        for letter in range(self.nletters):
-                            if table[alpha][letter] is None:
-                                self.define(alpha, letter)
+                        for col, inv in self.pairs:
+                            if col[alpha] is None:
+                                self.define(alpha, col, inv)
                 alpha += 1
-            live = tuple(k for k in range(len(table)) if parent[k] == k)
+            live = tuple(k for k in range(len(parent)) if parent[k] == k)
             if self._closed(live):
                 break
         renumber = {old: new for new, old in enumerate(live)}
         rows = []
         for old in live:
             row = []
-            for letter in range(self.nletters):
-                target = self.table[old][letter]
+            for col in self.cols:
+                target = col[old]
                 if target is None:
                     raise IncompleteTable("enumeration left an undefined entry")
                 row.append(renumber[self.rep(target)])

@@ -9,6 +9,7 @@ import math
 from pathlib import Path
 import subprocess
 import sys
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -262,6 +263,11 @@ class ReferenceEnumerator:
     def _inv(letter):
         return letter ^ 1
 
+    @property
+    def defined(self):
+        """N, the number of cosets defined so far, coset 0 included."""
+        return len(self.table)
+
     def rep(self, k):
         while self.parent[k] != k:
             self.parent[k] = self.parent[self.parent[k]]
@@ -366,15 +372,22 @@ class ReferenceEnumerator:
         )
 
 
-def reference_rows(presentation, subgroup_words=(), cap=100000):
-    """Rows of the reference enumeration, checked coset by coset."""
-    rows = ReferenceEnumerator(presentation, subgroup_words, cap).run()
+def reference_enumeration(presentation, subgroup_words=(), cap=100000):
+    """Rows of the reference enumeration, checked coset by coset, and N,
+    the number of cosets it defined."""
+    reference = ReferenceEnumerator(presentation, subgroup_words, cap)
+    rows = reference.run()
     table = CosetTable(presentation, tuple(subgroup_words), rows)
     assert all(table.trace(0, word) == 0 for word in subgroup_words)
     assert all(table.trace(coset, word) == coset
                for coset in range(table.index)
                for word in presentation.relators)
-    return rows
+    return rows, reference.defined
+
+
+def reference_rows(presentation, subgroup_words=(), cap=100000):
+    """Rows of the reference enumeration, checked coset by coset."""
+    return reference_enumeration(presentation, subgroup_words, cap)[0]
 
 
 def dihedral(n):
@@ -424,6 +437,36 @@ def test_coset_tables_match_reference_enumeration():
         table = coset_enumeration(p, words)
         assert table.index <= 200
         assert table.rows == reference_rows(p, words), (str(p), words)
+
+
+def assert_cap_point(p, words, rows, defined):
+    """``coset_enumeration`` gives the reference rows at cap N, the number
+    of cosets the reference enumeration defined, and refuses at cap N - 1
+    with the message of that cap."""
+    assert coset_enumeration(p, words, cap=defined).rows == rows
+    # Coset 0 is not a definition, so a one-coset table is never refused.
+    if defined > 1:
+        with pytest.raises(CapExceeded) as error:
+            coset_enumeration(p, words, cap=defined - 1)
+        assert str(error.value) == \
+            f"coset enumeration exceeded cap of {defined - 1} cosets"
+
+
+def test_cap_fires_at_the_reference_definition():
+    for p, words in reference_cases():
+        assert_cap_point(p, words, *reference_enumeration(p, words))
+
+
+@pytest.mark.parametrize("text, defined", [
+    (dihedral(800), 1600),
+    (dicyclic(30), 120),
+    ("< a b | a^40, b^40, a b a^-1 b^-1 >", 3044),
+])
+def test_large_tables_fire_the_cap_at_the_reference_definition(text, defined):
+    p = parse_presentation(text)
+    rows, n = reference_enumeration(p)
+    assert n == defined
+    assert_cap_point(p, (), rows, n)
 
 
 def test_realized_order_matches_closure():
@@ -497,7 +540,16 @@ def test_power_relator_skips_keep_the_reference_rows(data):
         with pytest.raises(CapExceeded):
             reference_rows(p, words, cap=300)
     else:
-        assert rows == reference_rows(p, words, cap=300)
+        reference, defined = reference_enumeration(p, words, cap=300)
+        assert rows == reference
+        cap = data.draw(st.integers(max(defined - 2, 1), defined + 2))
+        if cap >= defined:
+            assert coset_enumeration(p, words, cap=cap).rows == rows
+        else:
+            with pytest.raises(CapExceeded) as error:
+                coset_enumeration(p, words, cap=cap)
+            assert str(error.value) == \
+                f"coset enumeration exceeded cap of {cap} cosets"
 
 
 @pytest.mark.parametrize("text", [dihedral(800), dicyclic(30),
@@ -516,6 +568,41 @@ def test_triangle_groups_refuse_at_the_coset_cap(text):
     with pytest.raises(CapExceeded) as error:
         coset_enumeration(parse_presentation(text), cap=4000)
     assert str(error.value) == "coset enumeration exceeded cap of 4000 cosets"
+
+
+def test_columns_grow_in_chunks_within_the_cap():
+    enumerator = _Enumerator(parse_presentation("< a b | >"), (), 50)
+    with pytest.raises(CapExceeded):
+        enumerator.run()
+    assert len(enumerator.parent) == 50
+    assert len(enumerator.cols) == 4
+    assert all(len(col) <= 50 for col in enumerator.cols)
+    # A large cap does not size the table: the columns double as cosets
+    # get defined, so they stay within twice the number defined.
+    enumerator = _Enumerator(parse_presentation(dihedral(12)), (), 10 ** 7)
+    assert len(enumerator.run()) == 24
+    assert len(enumerator.parent) == 24
+    assert all(len(col) <= 2 * 24 for col in enumerator.cols)
+
+
+def test_triangle_refusal_memory_is_column_sized():
+    # tracemalloc peak of the (2,3,6) refusal at cap 4000 on Python 3.11.7:
+    # 832,746 bytes with one list per coset (rows of 4 entries), 580,470
+    # with the column-major table.  The bound sits between the two.
+    p = parse_presentation("< a b | a^2, b^3, a b a b a b a b a b a b >")
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with pytest.raises(CapExceeded):
+            coset_enumeration(p, cap=4000)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 700_000
 
 
 def test_permutation_realization_is_regular_for_trivial_subgroup():
