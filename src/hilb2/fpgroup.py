@@ -543,21 +543,9 @@ class _Enumerator:
     def scan_and_fill(self, alpha: int, walk) -> None:
         """Scan a word at ``alpha`` from both ends, filling it in.
 
-        ``walk`` is the word's columns and the inverse column of each.  A
-        forward trace needs no index and changes nothing, so it is tried
-        first; on a stall the scan starts over from both ends.
+        ``walk`` is the word's columns and the inverse column of each.
         """
         word, inverse = walk
-        f = alpha
-        for col in word:
-            nxt = col[f]
-            if nxt is None:
-                break
-            f = nxt
-        else:
-            if f != alpha:
-                self.coincidence(f, alpha)
-            return
         f, b = alpha, alpha
         i, j = 0, len(word) - 1
         while True:
@@ -622,16 +610,10 @@ class _Enumerator:
                         if power > 1 and parent[alpha] == alpha:
                             # Mark alpha·u^k closed for 0 < k < m.
                             beta = alpha
-                            if len(root) == 1:
-                                (col,) = root
-                                for _ in range(power - 1):
+                            for _ in range(power - 1):
+                                for col in root:
                                     beta = col[beta]
-                                    closed.add(beta)
-                            else:
-                                for _ in range(power - 1):
-                                    for col in root:
-                                        beta = col[beta]
-                                    closed.add(beta)
+                                closed.add(beta)
                     if parent[alpha] == alpha:
                         for col, inv in self.pairs:
                             if col[alpha] is None:
