@@ -197,8 +197,8 @@ def cmd_construct(args, caps: Caps) -> int:
     fibers = [
         {
             "point": construction.sym.points[i].label,
-            "xi_fiber": len(construction.sym_fibers[i]),
-            "orbit_count": len(construction.antidiagonal_orbit_fibers[i]),
+            "xi_fiber": construction.xi_fiber_sizes[i],
+            "orbit_count": construction.antidiagonal_orbit_counts[i],
         }
         for i in order
     ]

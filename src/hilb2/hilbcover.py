@@ -54,9 +54,11 @@ point z and of the second copy point |Z| + z.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
 import itertools
+import operator
 
 from . import permgroup
 from .descriptors import CoverDescriptor
@@ -169,8 +171,12 @@ class GSet:
 
 def _left_translation(group: GroupTable, nb: int, g: int) -> tuple[int, ...]:
     """Images of (h, b) -> (g h, b) on the sheets over ``nb`` base points,
-    read off row g of the multiplication table."""
-    return tuple(h * nb + b for h in group.table[g] for b in range(nb))
+    read off row g of the multiplication table: the block of the nb sheets
+    over h goes to the block over g h."""
+    blocks = [range(h * nb, h * nb + nb) for h in range(group.order)]
+    return tuple(itertools.chain.from_iterable(
+        map(blocks.__getitem__, group.table[g])
+    ))
 
 
 def free_gset(group: GroupTable, base) -> GSet:
@@ -245,7 +251,15 @@ class HilbConstruction:
     ``sym_fibers[i]`` lists the pair indices over symmetric point i;
     ``diagonal_orbit_fibers[i]`` / ``antidiagonal_orbit_fibers[i]`` list
     the orbits of the respective subgroup over symmetric point i, each
-    orbit sorted, orbits ordered by smallest member.
+    orbit sorted, orbits ordered by smallest member.  The build checks
+    every law about them from the labels of the pairs it keeps
+    (``point_labels``, ``diagonal_labels``, ``antidiagonal_labels``: the
+    label of pair k is its class), so the three fiber lists are bucketed
+    from those labels only when a caller first reads them, and a caller
+    that needs only sizes reads the counts the build recorded:
+    ``xi_fiber_sizes[i]``, the number of pairs over point i, and
+    ``antidiagonal_orbit_counts[i]``, the number of antidiagonal-group
+    orbits there.
     ``sign_report`` is the :class:`SignReport` the build recorded.
     """
 
@@ -259,14 +273,34 @@ class HilbConstruction:
     antidiagonal_group: Group
     diagonal_copies: tuple[tuple[int, ...], ...]
     sym: SymQuotient
-    sym_fibers: tuple[tuple[int, ...], ...]
-    diagonal_orbit_fibers: tuple[tuple[tuple[int, ...], ...], ...]
-    antidiagonal_orbit_fibers: tuple[tuple[tuple[int, ...], ...], ...]
+    xi_fiber_sizes: tuple[int, ...]
+    antidiagonal_orbit_counts: tuple[int, ...]
     sign_report: SignReport
+    point_labels: list[int] = field(repr=False, compare=False)
+    diagonal_labels: list[int] = field(repr=False, compare=False)
+    antidiagonal_labels: list[int] = field(repr=False, compare=False)
 
     @property
     def d(self) -> int:
         return self.gset.group.order
+
+    @cached_property
+    def sym_fibers(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_label_classes(self.point_labels, len(self.sym.points)))
+
+    @cached_property
+    def diagonal_orbit_fibers(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        d = self.d
+        return _split_by_point(_label_classes(
+            self.diagonal_labels, len(self.sym.points) * d), d)
+
+    @cached_property
+    def antidiagonal_orbit_fibers(self
+                                  ) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        classes = self.antidiagonal_orbit_counts[0]  # |G/[G, G]| everywhere
+        return _split_by_point(_label_classes(
+            self.antidiagonal_labels, len(self.sym.points) * classes),
+            classes)
 
     @property
     def pair_count(self) -> int:
@@ -296,19 +330,37 @@ def _pair_image(images, n: int, k: int) -> int:
     return a * n + b - n if a < n else b * n + a - n
 
 
+def _transversal_images(images, n: int, firsts, seconds
+                        ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """rho(x) on the pairs {firsts[j], seconds[j]} of the square, given as
+    transversals of Z ⊔ Z (firsts in the first copy, seconds in the
+    second), returned the same way, for all j in one pass: x maps copies
+    onto copies, so its first image says whether it keeps them or
+    exchanges them for every pair.  A pair is fixed, as
+    :func:`_pair_image` reads it, exactly when its transversal is."""
+    a = tuple(map(images.__getitem__, firsts))
+    b = tuple(map(images.__getitem__, seconds))
+    return (a, b) if images[0] < n else (b, a)
+
+
+def _diagonal_copies(translations, n: int) -> tuple[tuple[int, ...], ...]:
+    """Copy g of the sheets in the square: the pairs z * n + g.z, read
+    off g's translation."""
+    row_starts = range(0, n * n, n)
+    return tuple(
+        tuple(map(operator.add, row_starts, tr)) for tr in translations
+    )
+
+
 def _pair_labels(gset: GSet, rows, tables) -> list[int]:
     """A label for each pair of the square: the pair ((g1, b), (g2, b'))
-    gets ``tables[b][b'][rows[g1][g2]]``, written one slice per (z, b')."""
-    nb = len(gset.base)
-    n = gset.size
-    labels = [0] * (n * n)
-    for z in range(n):
-        g1, b = divmod(z, nb)
-        row = rows[g1]
-        start = z * n
-        for b2, lookup in enumerate(tables[b]):
-            labels[start + b2:start + n:nb] = map(lookup.__getitem__, row)
-    return labels
+    gets ``tables[b][b'][rows[g1][g2]]``.  ``cells[b][r]`` holds the labels
+    at r for every b' in base order, so the row of sheet z = (g1, b), in
+    sheet order (g2, b'), is one map of ``cells[b]`` over ``rows[g1]``."""
+    cells = [list(zip(*by_second)) for by_second in tables]
+    return list(itertools.chain.from_iterable(itertools.chain.from_iterable(
+        map(cell.__getitem__, row) for row in rows for cell in cells
+    )))
 
 
 def _diagonal_labels(gset: GSet, sym_of) -> list[int]:
@@ -341,16 +393,26 @@ def _antidiagonal_labels(gset: GSet, sym_of, class_of,
     return _pair_labels(gset, gset.group.table, by_product)
 
 
-def _label_classes(labels, square_gens, count: int,
-                   what: str) -> list[tuple[int, ...]]:
-    """The pairs of the square bucketed by their label in range(count),
-    each bucket in index order, after checking that every generator's
-    square action keeps every label (so each orbit lies in one bucket)."""
+def _check_labels_kept(labels: list[int], square_gens, what: str) -> None:
+    """Check that every generator's square action keeps every label, one
+    C-level compare per generator, so each orbit lies in one label class."""
     for images in square_gens:
         if list(map(labels.__getitem__, images)) != labels:
             raise HomomorphismFailure(
                 f"{what} generators do not keep the orbit labels"
             )
+
+
+def _classes_per_point(labels, per_point: int, points: int) -> list[int]:
+    """The number of distinct labels i * per_point + r over each symmetric
+    point i, read from the set of labels."""
+    counts = Counter(map(per_point.__rfloordiv__, set(labels)))
+    return [counts[i] for i in range(points)]
+
+
+def _label_classes(labels, count: int) -> list[tuple[int, ...]]:
+    """The pairs of the square bucketed by their label in range(count),
+    each bucket in index order."""
     buckets: list[list[int]] = [[] for _ in range(count)]
     appends = [bucket.append for bucket in buckets]
     for k, label in enumerate(labels):
@@ -528,6 +590,12 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     * the diagonal preimage splits into d disjoint copies of the sheet
       set, and each copy is fixed pointwise by its antidiagonal swap
       element.
+
+    The sizes and counts these laws name are read off the labels, the
+    fiber sizes as how often each symmetric point occurs and the orbit
+    counts as the distinct labels over each point; the partitions
+    themselves are bucketed only when a caller first reads them (see
+    :class:`HilbConstruction`).
 
     Following from the above:
 
@@ -739,23 +807,20 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
             "slot-product kernel is not the antidiagonal group"
         )
 
-    # Diagonal copies.
-    diagonal_copies = tuple(
-        tuple(z * n + translations[g][z] for z in range(n))
-        for g in range(d)
-    )
+    diagonal_copies = _diagonal_copies(translations, n)
     seen: set[int] = set()
     for g, copy in enumerate(diagonal_copies):
         if len(copy) != n:
             raise HomomorphismFailure("diagonal copy is not a sheet set")
-        if set(copy) & seen:
+        if seen.intersection(copy):
             raise HomomorphismFailure("diagonal copies overlap")
-        seen |= set(copy)
+        seen.update(copy)
         # The antidiagonal swap element indexed by g fixes copy g
         # pointwise — this is what makes the intermediate quotient tame
         # along the doubled locus.
-        fixer = (swap * anti_maps[g]).images
-        if any(_pair_image(fixer, n, k) != k for k in copy):
+        transversals = (first, shifted[g])  # {z, |Z| + g.z}: copy g
+        if _transversal_images((swap * anti_maps[g]).images, n,
+                               *transversals) != transversals:
             raise HomomorphismFailure(
                 "antidiagonal swap element does not fix its diagonal copy"
             )
@@ -767,19 +832,18 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         sym_of[b] * d for b in range(nb)
     )) * d
     # The pair-group orbits on the square are exactly the fibers.
-    sym_fibers = tuple(
-        _label_classes(point_sym, pair_square, sym_count, "pair-group")
-    )
-    for i, p in enumerate(sym.points):
-        expected_size = d * d if p.is_diagonal else 2 * d * d
-        if len(sym_fibers[i]) != expected_size:
+    _check_labels_kept(point_sym, pair_square, "pair-group")
+    fiber_sizes = Counter(point_sym)
+    xi_fiber_sizes = tuple(fiber_sizes[i] for i in range(sym_count))
+    doubled = {i for i, p in enumerate(sym.points) if p.is_diagonal}
+    for i in range(sym_count):
+        expected_size = d * d if i in doubled else 2 * d * d
+        if xi_fiber_sizes[i] != expected_size:
             raise HomomorphismFailure("fiber size law failed")
-    diagonal_union = set(
-        itertools.chain.from_iterable(
-            sym_fibers[i] for i, p in enumerate(sym.points) if p.is_diagonal
-        )
-    )
-    if seen != diagonal_union:
+    # seen is the doubled-locus preimage exactly when it lies over doubled
+    # points and has as many pairs as the fibers there.
+    if (not doubled.issuperset(map(point_sym.__getitem__, seen))
+            or len(seen) != sum(xi_fiber_sizes[i] for i in doubled)):
         raise HomomorphismFailure(
             "diagonal copies do not exhaust the doubled-locus preimage"
         )
@@ -794,26 +858,24 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
 
     # Diagonal-group orbits: d per off-doubled point, (d + t) / 2 per
     # doubled point, t = #{g : g^2 = id} (orbit classes {r, r^-1} merge).
-    diag_fibers = _split_by_point(_label_classes(
-        _diagonal_labels(gset, sym_of), square_gens(diagonal_group),
-        sym_count * d, "diagonal-group",
-    ), d)
-    for i, p in enumerate(sym.points):
-        expected = (d + t) // 2 if p.is_diagonal else d
-        if len(diag_fibers[i]) != expected:
+    diag_labels = _diagonal_labels(gset, sym_of)
+    _check_labels_kept(diag_labels, square_gens(diagonal_group),
+                       "diagonal-group")
+    diag_counts = _classes_per_point(diag_labels, d, sym_count)
+    for i in range(sym_count):
+        expected = (d + t) // 2 if i in doubled else d
+        if diag_counts[i] != expected:
             raise HomomorphismFailure("diagonal-group orbit count law failed")
 
     # Antidiagonal-group orbits: constant |G/[G, G]| per point (= d for
     # abelian G) — the intermediate quotient is unramified.
-    anti_fibers = _split_by_point(_label_classes(
-        anti_labels, square_gens(antidiagonal_group), sym_count * classes,
-        "antidiagonal-group",
-    ), classes)
-    for i in range(sym_count):
-        if len(anti_fibers[i]) != classes:
-            raise HomomorphismFailure(
-                "antidiagonal-group orbit count is not the abelianization order"
-            )
+    _check_labels_kept(anti_labels, square_gens(antidiagonal_group),
+                       "antidiagonal-group")
+    anti_counts = _classes_per_point(anti_labels, classes, sym_count)
+    if anti_counts != [classes] * sym_count:
+        raise HomomorphismFailure(
+            "antidiagonal-group orbit count is not the abelianization order"
+        )
 
     return HilbConstruction(
         gset=gset,
@@ -826,9 +888,11 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         antidiagonal_group=antidiagonal_group,
         diagonal_copies=diagonal_copies,
         sym=sym,
-        sym_fibers=sym_fibers,
-        diagonal_orbit_fibers=diag_fibers,
-        antidiagonal_orbit_fibers=anti_fibers,
+        xi_fiber_sizes=xi_fiber_sizes,
+        antidiagonal_orbit_counts=tuple(anti_counts),
+        point_labels=point_sym,
+        diagonal_labels=diag_labels,
+        antidiagonal_labels=anti_labels,
         # Every flag below was checked above or follows from what was (see
         # "Following from the above"): the sign's kernel, the copy-keeping
         # half, is exactly the d^2 distinct pair translations.
@@ -888,19 +952,22 @@ def fixed_components(c: HilbConstruction) -> frozenset[int]:
     T[g] = {(z, g.z)}, pointwise: diag(h) with h != e moves every pair, as
     the action is free, and swap . diag(h) sends (z, g.z) to (h g.z, h.z),
     a fixed point only if h = g and g^2 = e.  So each copy's one
-    candidate is read on the copy's pairs through its square action, and
+    candidate is read on all of the copy's pairs in one pass, and
     the result is re-checked against the closed form {g : g * g =
     identity} (the swap itself fixes the true diagonal).  Note the
     contrast with the antidiagonal group, where every diagonal copy has a
     pointwise fixer.
     """
     n = c.gset.size
-    swap = c.swap.images
     found = set()
-    for g, copy in enumerate(c.diagonal_copies):
-        diag = c.diagonal_maps[g].images
-        if all(_pair_image(swap, n, _pair_image(diag, n, k)) == k
-               for k in copy):
+    swap = c.swap.images
+    first = tuple(range(n))
+    for g, diag in enumerate(c.diagonal_maps):
+        # diag(g) moves the second copy by g, so copy g, the pairs
+        # (z, g.z), is the transversals {z, diag(g)(|Z| + z)}.
+        transversals = (first, diag.images[n:])
+        if _transversal_images(swap, n, *_transversal_images(
+                diag.images, n, *transversals)) == transversals:
             found.add(g)
     table = c.gset.group
     closed_form = {

@@ -5,10 +5,20 @@ by construction: permutations are image lists, groups are generator lists
 plus a domain size (decoding regenerates the same element set),
 presentations are their canonical text.  Dictionaries carry a ``type`` tag
 for dispatch, and reports are wrapped in a versioned envelope.
+
+:func:`emit` writes exactly what ``json.dumps(data, indent=2,
+sort_keys=True)`` writes, byte for byte.  With an indent the standard
+library encodes through its pure-Python generators; :func:`emit` is one
+recursive writer instead.  It escapes strings with the C escaper
+(``json.encoder.encode_basestring_ascii``) that ``json`` itself uses,
+writes a list of one scalar type with one C-level ``map``, and encodes a
+container that recurs once per nesting level, by identity: ``classify``
+hands one cover dict to every subgroup of a quotient type.
 """
 from __future__ import annotations
 
 import json
+import math
 
 from . import permgroup
 from .descriptors import CoverDescriptor, SurfaceDescriptor
@@ -128,8 +138,99 @@ def envelope(command: str, results: list) -> dict:
     }
 
 
+_escape = json.encoder.encode_basestring_ascii
+_INDENT = "  "
+
+
+def _float_text(x: float) -> str:
+    """A float as :mod:`json` writes it, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_SCALARS = {
+    str: _escape,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _key_text(key) -> str:
+    """A dict key as :mod:`json` converts it to a string."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True or key is False or key is None:
+        return _SCALARS[type(key)](key)
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
 def emit(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True)
+    """``json.dumps(data, indent=2, sort_keys=True)``, character for
+    character (see the module docstring)."""
+    memo: dict[tuple[int, int], str] = {}
+    active: set[int] = set()
+    scalars = _SCALARS
+
+    def container(o, level: int) -> str:
+        if not o:
+            return "{}" if isinstance(o, dict) else "[]"
+        key = (id(o), level)
+        text = memo.get(key)
+        if text is not None:
+            return text
+        if key[0] in active:
+            raise ValueError("Circular reference detected")
+        active.add(key[0])
+        inner, sub = "\n" + _INDENT * (level + 1), level + 1
+        if isinstance(o, dict):
+            opening, closing = "{", "}"
+            parts = [
+                _escape(k if type(k) is str else _key_text(k)) + ": "
+                + (scalars[type(v)](v) if type(v) in scalars else value(v, sub))
+                for k, v in sorted(o.items())
+            ]
+        else:
+            opening, closing = "[", "]"
+            types = set(map(type, o))
+            scalar = scalars.get(types.pop()) if len(types) == 1 else None
+            parts = (map(scalar, o) if scalar is not None
+                     else [value(v, sub) for v in o])
+        text = (opening + inner + ("," + inner).join(parts)
+                + "\n" + _INDENT * level + closing)
+        active.discard(key[0])
+        memo[key] = text
+        return text
+
+    def value(o, level: int) -> str:
+        scalar = scalars.get(type(o))
+        if scalar is not None:
+            return scalar(o)
+        # Subclasses of the JSON types, in the order json tests them.
+        if isinstance(o, str):
+            return _escape(o)
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return _float_text(o)
+        if isinstance(o, (list, tuple, dict)):
+            return container(o, level)
+        raise TypeError(
+            f"Object of type {o.__class__.__name__} is not JSON serializable"
+        )
+
+    return value(data, 0)
 
 
 def parse(text: str) -> dict:

@@ -14,7 +14,7 @@ share them with table indices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 import itertools
 import math
@@ -35,29 +35,39 @@ class GroupTable:
     """
 
     table: tuple[tuple[int, ...], ...]
+    identity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.table)
+        """Check the axioms Light's test needs, a row or column per C-level
+        pass: entries in range, every row i and then column i a bijection
+        (the first failing i is named, its row before its column), a
+        two-sided identity (the first e whose row and column are the
+        identity arrangement) and an inverse for every element."""
+        table = self.table
+        n = len(table)
         if n == 0:
             raise NotAGroup("a group has at least one element")
-        for row in self.table:
-            if len(row) != n or any(not 0 <= v < n for v in row):
-                raise NotAGroup("table is not square over valid element indices")
-        for i in range(n):
-            if len(set(self.table[i])) != n:
-                raise NotAGroup(f"row {i} is not a bijection")
-            if len({self.table[j][i] for j in range(n)}) != n:
-                raise NotAGroup(f"column {i} is not a bijection")
-        ident = None
-        for e in range(n):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(n)):
-                ident = e
-                break
+        if (set(map(len, table)) != {n}
+                or min(map(min, table)) < 0 or max(map(max, table)) >= n):
+            raise NotAGroup("table is not square over valid element indices")
+        columns = list(zip(*table))
+        row_sizes = list(map(len, map(set, table)))
+        column_sizes = list(map(len, map(set, columns)))
+        if row_sizes.count(n) + column_sizes.count(n) != 2 * n:
+            for i in range(n):
+                if row_sizes[i] != n:
+                    raise NotAGroup(f"row {i} is not a bijection")
+                if column_sizes[i] != n:
+                    raise NotAGroup(f"column {i} is not a bijection")
+        arrangement = tuple(range(n))
+        ident = next((e for e in range(n) if tuple(table[e]) == arrangement
+                      and columns[e] == arrangement), None)
         if ident is None:
             raise NotAGroup("no two-sided identity element")
-        for a in range(n):
-            if not any(self.table[a][b] == ident for b in range(n)):
+        for a, row in enumerate(table):
+            if ident not in row:
                 raise NotAGroup(f"element {a} has no inverse")
+        object.__setattr__(self, "identity", ident)
         self._check_associative()
 
     def _check_associative(self) -> None:
@@ -87,25 +97,12 @@ class GroupTable:
     def order(self) -> int:
         return len(self.table)
 
-    @cached_property
-    def identity(self) -> int:
-        for e in range(self.order):
-            if all(self.table[e][x] == x for x in range(self.order)):
-                return e
-        raise NotAGroup("no identity element")  # unreachable after validation
-
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
     @cached_property
     def inverses(self) -> tuple[int, ...]:
-        inv = [0] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if self.table[a][b] == self.identity:
-                    inv[a] = b
-                    break
-        return tuple(inv)
+        return tuple(row.index(self.identity) for row in self.table)
 
     def inv(self, a: int) -> int:
         return self.inverses[a]
@@ -119,11 +116,7 @@ class GroupTable:
 
     @cached_property
     def is_abelian(self) -> bool:
-        n = self.order
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(n) for b in range(a + 1, n)
-        )
+        return list(map(tuple, self.table)) == list(zip(*self.table))
 
     def subgroup_closure(self, seed) -> tuple[int, ...]:
         """Closure of a set of element indices under multiplication."""
@@ -135,12 +128,45 @@ class GroupTable:
         Elements are reached from the identity by right-multiplying by the
         generators chosen so far, until every element is reached, so every
         element is a product of generators.  This reads only rows, so it is
-        sound on a table not yet known to be associative.
+        sound on a table not yet known to be associative.  Computed once
+        per table.
         """
-        return _greedy_generators(range(self.order), self.identity, self.mul)
+        return self._small_generating_set
+
+    @cached_property
+    def _small_generating_set(self) -> tuple[int, ...]:
+        """:func:`_greedy_generators` over this table, reading its rows:
+        member m reaches row m at each generator."""
+        table = self.table
+        gens: list[int] = []
+        members = [self.identity]
+        reached = set(members)
+        for x in range(self.order):
+            if x in reached:
+                continue
+            gens.append(x)
+            # The members so far are closed under the earlier generators,
+            # so they meet x alone; every member reached from here on
+            # meets all of them.
+            start = len(members)
+            for m in members[:start]:
+                y = table[m][x]
+                if y not in reached:
+                    reached.add(y)
+                    members.append(y)
+            for m in itertools.islice(members, start, None):
+                row = table[m]
+                for g in gens:
+                    y = row[g]
+                    if y not in reached:
+                        reached.add(y)
+                        members.append(y)
+        return tuple(gens)
 
     def commutator_subgroup(self) -> tuple[int, ...]:
         """Element indices of the subgroup generated by all commutators."""
+        if self.is_abelian:
+            return (self.identity,)
         commutators = {
             self.table[self.table[self.inv(a)][self.inv(b)]][self.table[a][b]]
             for a in range(self.order) for b in range(self.order)

@@ -1,4 +1,11 @@
-"""Built-in surface catalog and lossless JSON round-trips."""
+"""Built-in surface catalog, lossless JSON round-trips, and the JSON
+writer against ``json.dumps``."""
+import enum
+import json
+import math
+from pathlib import Path
+
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from hilb2 import permgroup, serialize
@@ -89,3 +96,102 @@ def test_envelope_schema():
     assert env["schema_version"] == 1
     assert env["command"] == "construct"
     assert serialize.parse(serialize.emit(env)) == env
+
+
+def dumps(data) -> str:
+    """The reference ``emit`` must reproduce byte for byte."""
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+SCALARS = (
+    st.none() | st.booleans()
+    | st.integers() | st.integers(min_value=-10 ** 40, max_value=10 ** 40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    # Non-ASCII, surrogate and control characters all need escapes.
+    | st.text() | st.text(st.characters(max_codepoint=0x1f))
+)
+
+
+def _containers(children):
+    values = st.lists(children, max_size=5)
+    return (
+        values | values.map(tuple)
+        | st.dictionaries(st.text(max_size=4), children, max_size=5)
+        # Keys of one comparable kind per dict, as sort_keys needs.
+        | st.dictionaries(st.integers(), children, max_size=4)
+        | st.dictionaries(st.floats() | st.integers() | st.booleans(),
+                          children, max_size=4)
+        | st.dictionaries(st.none(), children, max_size=1)
+    )
+
+
+JSON_VALUES = st.recursive(SCALARS, _containers, max_leaves=25)
+
+
+class Level(enum.IntEnum):
+    HIGH = 7
+
+
+class Label(str):
+    pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example(float("nan"))
+@example([math.inf, -math.inf, -0.0, 1e-320, 1.5e300])
+@example({"\u00e9\u2603\ud800": ["\x00\x1f\n\"\\", "\U0001f600"]})
+@example([{Level.HIGH: Level.HIGH, 2.5: 1.0}, {Label("k"): Label("v")}])
+@example([{False: [], True: {}}, {None: [[], {}]}])
+@example([10 ** 100, -10 ** 100, 0, -1])
+def test_emit_is_json_dumps(data):
+    assert serialize.emit(data) == dumps(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), JSON_VALUES, min_size=1,
+                       max_size=4),
+       JSON_VALUES, st.lists(st.integers(0, 2), max_size=8))
+def test_emit_encodes_repeated_records_as_json_dumps_does(record, other,
+                                                          pattern):
+    # The same record object recurs in results and at other depths; the
+    # writer encodes it once per depth, by identity.
+    results = [(record, other, [record])[i] for i in pattern]
+    envelope = serialize.envelope("classify", results)
+    envelope["nested"] = {"again": record, "list": [record, [record]]}
+    assert serialize.emit(envelope) == dumps(envelope)
+
+
+GOLDEN_JSON = [
+    record for record in json.loads(
+        (Path(__file__).resolve().parent / "data" / "cli_golden.json")
+        .read_text(encoding="utf-8"))
+    if "json" in record["argv"] and record["exit"] == 0
+]
+
+
+@pytest.mark.parametrize("record", GOLDEN_JSON,
+                         ids=[" ".join(r["argv"]) for r in GOLDEN_JSON])
+def test_emit_rewrites_every_golden_json_record(record):
+    data = json.loads(record["stdout"])
+    assert serialize.emit(data) + "\n" == record["stdout"]
+    assert serialize.emit(data) == dumps(data)
+
+
+@pytest.mark.parametrize("data, error", [
+    ({"a": object()}, TypeError),
+    ({1: "int key", "a": "str key"}, TypeError),
+    ({(1, 2): "tuple key"}, TypeError),
+])
+def test_emit_refuses_what_json_dumps_refuses(data, error):
+    with pytest.raises(error) as expected:
+        dumps(data)
+    with pytest.raises(error, match=f"^{expected.value}$"):
+        serialize.emit(data)
+
+
+def test_emit_refuses_a_circular_container():
+    looped: list = [1]
+    looped.append({"back": looped})
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        serialize.emit(looped)

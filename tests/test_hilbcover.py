@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import hilb2
-from hilb2 import hilbcover, permgroup
+from hilb2 import cli, hilbcover, permgroup
 from hilb2.descriptors import CoverDescriptor
 from hilb2.errors import (
     EmptyBase,
@@ -662,17 +662,127 @@ def test_every_element_multiplies_the_labels_by_its_slot_product(table,
             times_class(labels, values[x], ab_table)
 
 
-def exchanging_two_labels(what):
-    """Wrap ``_label_classes`` so the labels handed to it for ``what``
-    have their first two distinct values exchanged at one pair each."""
-    honest = hilbcover._label_classes
+LAZY_FIBERS = ("sym_fibers", "diagonal_orbit_fibers",
+               "antidiagonal_orbit_fibers")
 
-    def broken(labels, square_gens, count, label_what):
+
+def reference_buckets(labels, point_sym, points):
+    """Test-local bucketing: the pairs of equal label, filed under the
+    symmetric point of their first pair, each point's classes ordered by
+    smallest member."""
+    classes = {}
+    for k, label in enumerate(labels):
+        classes.setdefault(label, []).append(k)
+    per_point = [[] for _ in range(points)]
+    for members in classes.values():
+        per_point[point_sym[members[0]]].append(tuple(members))
+    return tuple(tuple(sorted(bucket)) for bucket in per_point)
+
+
+@pytest.mark.parametrize(
+    "table, base", [case[1:] for case in ORACLE_CASES],
+    ids=[f"{name}-b{len(base)}" for name, _, base in ORACLE_CASES],
+)
+def test_fibers_are_listed_on_first_read_from_the_kept_labels(table, base):
+    c = build(table, base)
+    assert not set(LAZY_FIBERS) & set(vars(c))
+    point_sym, points = reference_point_sym(c), len(c.sym.points)
+    assert c.point_labels == point_sym
+    assert c.sym_fibers == tuple(
+        fiber for (fiber,) in reference_buckets(point_sym, point_sym, points)
+    )
+    assert c.diagonal_orbit_fibers == \
+        reference_buckets(c.diagonal_labels, point_sym, points)
+    assert c.antidiagonal_orbit_fibers == \
+        reference_buckets(c.antidiagonal_labels, point_sym, points)
+    assert set(LAZY_FIBERS) <= set(vars(c))
+    assert c.xi_fiber_sizes == tuple(map(len, c.sym_fibers))
+    assert c.antidiagonal_orbit_counts == \
+        tuple(map(len, c.antidiagonal_orbit_fibers))
+
+
+def test_construct_lists_no_fiber(monkeypatch, capsys):
+    # construct prints fiber sizes and orbit counts, which the build
+    # recorded; no fiber is bucketed, the diagonal-group ones included.
+    built = []
+
+    def kept(*args, **kwargs):
+        built.append(build_construction(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_construction", kept)
+    monkeypatch.setattr(hilbcover, "_label_classes", lambda *args: pytest.fail(
+        "a fiber was bucketed"))
+    for fmt in ("text", "json"):
+        assert cli.main(["construct", "--group", "Z2xZ6", "--base-size", "3",
+                         "--format", fmt]) == 0
+    capsys.readouterr()
+    assert len(built) == 2
+    for c in built:
+        assert "diagonal_orbit_fibers" not in vars(c)
+        assert not set(LAZY_FIBERS) & set(vars(c))
+
+
+@pytest.mark.parametrize("table, base", [
+    (cyclic_table(3), ("a", "b")), (abelian_table((2, 2)), ("a", "b")),
+    (symmetric_table(3), ("a",)),
+])
+def test_transversal_images_read_the_square_action(table, base):
+    c = build(table, base)
+    n = c.gset.size
+    firsts = tuple(range(n))
+    for x in c.pair_group:
+        square = rho(x, n).images
+        for diag in c.diagonal_maps:  # the transversals of each copy
+            seconds = diag.images[n:]
+            a, b = hilbcover._transversal_images(x.images, n, firsts, seconds)
+            assert [p * n + q - n for p, q in zip(a, b)] == \
+                [square[z * n + w - n] for z, w in zip(firsts, seconds)]
+
+
+def test_antidiagonal_fixers_are_checked_on_their_copies(monkeypatch):
+    # Read each fixer on the transversals {z, |Z| + g.(z + 1)}, which are
+    # not its copy: the check must refuse.
+    honest = hilbcover._transversal_images
+
+    def next_sheet(images, n, firsts, seconds):
+        return honest(images, n, firsts, seconds[1:] + seconds[:1])
+
+    monkeypatch.setattr(hilbcover, "_transversal_images", next_sheet)
+    with pytest.raises(HomomorphismFailure,
+                       match="^antidiagonal swap element does not fix its "
+                             "diagonal copy$"):
+        build_construction(free_gset(cyclic_table(3), ("a", "b")))
+
+
+def test_diagonal_copies_are_checked_to_exhaust_the_doubled_locus(
+        monkeypatch):
+    # Pair each sheet with g.z over the other base point: still d disjoint
+    # sheet sets, and the fixers are read on the true copies, but these
+    # pairs lie over a+b.
+    honest = hilbcover._diagonal_copies
+
+    def other_base(translations, n):
+        return honest([[w ^ 1 for w in tr] for tr in translations], n)
+
+    monkeypatch.setattr(hilbcover, "_diagonal_copies", other_base)
+    with pytest.raises(HomomorphismFailure,
+                       match="^diagonal copies do not exhaust the "
+                             "doubled-locus preimage$"):
+        build_construction(free_gset(cyclic_table(3), ("a", "b")))
+
+
+def exchanging_two_labels(what):
+    """Wrap ``_check_labels_kept`` so the labels handed to it for ``what``
+    have their first two distinct values exchanged at one pair each."""
+    honest = hilbcover._check_labels_kept
+
+    def broken(labels, square_gens, label_what):
         if label_what == what:
             labels = list(labels)
             k = next(k for k, v in enumerate(labels) if v != labels[0])
             labels[0], labels[k] = labels[k], labels[0]
-        return honest(labels, square_gens, count, label_what)
+        return honest(labels, square_gens, label_what)
     return broken
 
 
@@ -680,7 +790,7 @@ def exchanging_two_labels(what):
                                   "antidiagonal-group"])
 def test_orbit_labels_are_checked_against_every_generator(monkeypatch, what):
     gset = free_gset(cyclic_table(3), ("a", "b"))
-    monkeypatch.setattr(hilbcover, "_label_classes",
+    monkeypatch.setattr(hilbcover, "_check_labels_kept",
                         exchanging_two_labels(what))
     with pytest.raises(HomomorphismFailure,
                        match=f"^{what} generators do not keep the orbit "

@@ -35,6 +35,72 @@ def test_table_validation():
         GroupTable(((0, 1), (1, 1)))
 
 
+class HidingIdentity(tuple):
+    """A row that holds the identity but answers ``in`` as if it did not,
+    the one way a table with bijective rows can lack an inverse."""
+
+    def __contains__(self, value):
+        return False
+
+
+Z3_ROWS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ((), "a group has at least one element"),
+    (((0, 1), (1,)), "table is not square over valid element indices"),
+    (((0, 1), (1, 2)), "table is not square over valid element indices"),
+    (((0, -1), (1, 0)), "table is not square over valid element indices"),
+    # Row 2 repeats a value (so does column 2); rows and columns 0-1 are
+    # bijections.
+    (((0, 1, 2), (1, 2, 0), (2, 0, 0)), "row 2 is not a bijection"),
+    # Every row is a bijection; column 1 is the first column that is not.
+    (((0, 1, 2), (1, 2, 0), (2, 1, 0)), "column 1 is not a bijection"),
+    # Row 2 and column 1 both fail: index 1 comes first.
+    (((0, 1, 2), (1, 2, 0), (2, 2, 1)), "column 1 is not a bijection"),
+    # Row 0 fails before column 0 at the same index.
+    (((0, 0), (1, 0)), "row 0 is not a bijection"),
+    # Latin squares: x·y = -x - y has no identity row; x·y = y - x has the
+    # identity row 0 but not the identity column.
+    (((0, 2, 1), (2, 1, 0), (1, 0, 2)), "no two-sided identity element"),
+    (((0, 1, 2), (2, 0, 1), (1, 2, 0)), "no two-sided identity element"),
+    ((Z3_ROWS[0], HidingIdentity(Z3_ROWS[1]), Z3_ROWS[2]),
+     "element 1 has no inverse"),
+])
+def test_each_validation_message_names_its_index(rows, message):
+    with pytest.raises(NotAGroup, match=f"^{message}$"):
+        GroupTable(rows)
+
+
+def reversed_z6():
+    """Z6 with element i renamed 5 - i, so the identity is element 5."""
+    return GroupTable(tuple(tuple(5 - (5 - a + 5 - b) % 6 for b in range(6))
+                            for a in range(6)))
+
+
+def test_derived_fields_match_their_definitions():
+    for table in ORACLE_TABLES:
+        rows, n = table.table, table.order
+        e = table.identity
+        assert all(rows[e][x] == x == rows[x][e] for x in range(n))
+        assert all(rows[a][table.inv(a)] == e for a in range(n))
+        assert table.is_abelian == all(
+            rows[a][b] == rows[b][a] for a in range(n) for b in range(n))
+        commutators = {rows[rows[table.inv(a)][table.inv(b)]][rows[a][b]]
+                       for a in range(n) for b in range(n)}
+        assert table.commutator_subgroup() == \
+            table.subgroup_closure(commutators)
+    assert reversed_z6().identity == 5
+
+
+def test_small_generating_set_is_computed_once_per_table():
+    # Light's test in the validation computed it; later calls read it.
+    table = abelian_table((2, 2, 2, 2, 2, 2))
+    gens = vars(table)["_small_generating_set"]
+    assert gens == (1, 2, 4, 8, 16, 32)
+    assert table.small_generating_set() is gens
+
+
 def associative_by_exhaustion(rows) -> bool:
     """The n³ oracle for Light's test in ``GroupTable.__post_init__``."""
     n = len(rows)
