@@ -307,20 +307,29 @@ class HilbConstruction:
         return self.gset.size ** 2
 
 
-def _square_images(x: Permutation, n: int) -> list[int]:
-    """rho(x): the images of the pairs z * n + w of the square (n = |Z|)
-    under x, a permutation of Z ⊔ Z mapping copies onto copies.
+def _labels_through(labels: list[int], images) -> list[int]:
+    """The labels of the pairs read through rho(x), x given by its images
+    on Z ⊔ Z and mapping copies onto copies: entry z * n + w is the label
+    of the pair rho(x)(z, w) (n = |Z|).
 
     The pair (z, w) is the transversal {z, n + w}; it goes to
-    {x(z), x(n + w)}, read first copy first.
+    {x(z), x(n + w)}, read first copy first.  If x keeps the copies that
+    is (x(z), x(n + w) - n), so row z is row x(z) of the labels; if it
+    exchanges them, (x(n + w), x(z) - n), so row z is column x(z) - n.
+    Either way the row is read at x's images of the second copy, one
+    C-level ``itemgetter`` call per row.
     """
-    images = x.images
+    n = len(images) // 2
+    if n == 1:  # one pair, which every x fixes
+        return list(labels)
     first, second = images[:n], images[n:]
-    if images[0] < n:  # keeps the copies: (z, w) -> (x(z), x(n + w) - n)
-        outer, inner = [a * n for a in first], [b - n for b in second]
-    else:  # exchanges them: (z, w) -> (x(n + w), x(z) - n)
-        outer, inner = [a - n for a in first], [b * n for b in second]
-    return [u + v for u in outer for v in inner]
+    if first[0] < n:
+        read = operator.itemgetter(*[b - n for b in second])
+        rows = (labels[a * n:a * n + n] for a in first)
+    else:
+        read = operator.itemgetter(*second)
+        rows = (labels[a - n::n] for a in first)
+    return list(itertools.chain.from_iterable(map(read, rows)))
 
 
 def _pair_image(images, n: int, k: int) -> int:
@@ -330,22 +339,27 @@ def _pair_image(images, n: int, k: int) -> int:
     return a * n + b - n if a < n else b * n + a - n
 
 
-def _transversal_images(images, n: int, firsts, seconds
-                        ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """rho(x) on the pairs {firsts[j], seconds[j]} of the square, given as
-    transversals of Z ⊔ Z (firsts in the first copy, seconds in the
-    second), returned the same way, for all j in one pass: x maps copies
-    onto copies, so its first image says whether it keeps them or
-    exchanges them for every pair.  A pair is fixed, as
-    :func:`_pair_image` reads it, exactly when its transversal is."""
-    a = tuple(map(images.__getitem__, firsts))
-    b = tuple(map(images.__getitem__, seconds))
-    return (a, b) if images[0] < n else (b, a)
+def _fixes_transversals(maps, n: int, firsts, seconds) -> bool:
+    """Whether rho of the product of ``maps`` (images on Z ⊔ Z, applied
+    first to last) fixes every pair {firsts[j], seconds[j]} of the square,
+    given as a transversal of Z ⊔ Z (firsts in the first copy, seconds in
+    the second).  A pair is fixed, as :func:`_pair_image` reads it, exactly
+    when its transversal is.  Each map sends copies onto copies, so its
+    first image says whether it keeps them or exchanges them for every
+    pair; the points are read through lazy C-level maps, in one pass that
+    stops at the first point that differs."""
+    a, b = firsts, seconds
+    for images in maps:
+        a, b = map(images.__getitem__, a), map(images.__getitem__, b)
+        if images[0] >= n:
+            a, b = b, a
+    return (all(map(operator.eq, a, firsts))
+            and all(map(operator.eq, b, seconds)))
 
 
 def _diagonal_copies(translations, n: int) -> tuple[tuple[int, ...], ...]:
-    """Copy g of the sheets in the square: the pairs z * n + g.z, read
-    off g's translation."""
+    """The copies of the sheets in the square: copy g holds the pairs
+    z * n + g.z, read off g's translation."""
     row_starts = range(0, n * n, n)
     return tuple(
         tuple(map(operator.add, row_starts, tr)) for tr in translations
@@ -393,11 +407,12 @@ def _antidiagonal_labels(gset: GSet, sym_of, class_of,
     return _pair_labels(gset, gset.group.table, by_product)
 
 
-def _check_labels_kept(labels: list[int], square_gens, what: str) -> None:
-    """Check that every generator's square action keeps every label, one
-    C-level compare per generator, so each orbit lies in one label class."""
-    for images in square_gens:
-        if list(map(labels.__getitem__, images)) != labels:
+def _check_labels_kept(labels: list[int], gens, what: str) -> None:
+    """Check that the square action of every generator in ``gens`` keeps
+    every label, one C-level compare per generator, so each orbit lies in
+    one label class."""
+    for x in gens:
+        if _labels_through(labels, x.images) != labels:
             raise HomomorphismFailure(
                 f"{what} generators do not keep the orbit labels"
             )
@@ -626,7 +641,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     translations = [gset.translation(g).images for g in range(d)]
     first = tuple(range(n))
     second = tuple(range(n, 2 * n))
-    shifted = [tuple(n + t for t in tr) for tr in translations]
+    shifted = [tuple(map(n.__add__, tr)) for tr in translations]
     swap = Permutation(second + first)
     slot_maps = tuple(Permutation(first + sh) for sh in shifted)
     diag_maps = tuple(
@@ -793,12 +808,11 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     if classes != d // commutator_order:
         raise HomomorphismFailure("abelianization has the wrong order")
     anti_labels = _antidiagonal_labels(gset, sym_of, class_of, classes)
-    pair_square = [_square_images(x, n) for x in pair_gens]
     gen_values = [ab_table.identity] + [class_of[s] for s in gens_of_g]
-    for images, value in zip(pair_square, gen_values):
+    for x, value in zip(pair_gens, gen_values):
         times = [i + c for i in range(0, sym_count * classes, classes)
                  for c in ab_table.table[value]]
-        if list(map(anti_labels.__getitem__, images)) \
+        if _labels_through(anti_labels, x.images) \
                 != list(map(times.__getitem__, anti_labels)):
             raise HomomorphismFailure("slot product is not a homomorphism")
     # Label ab_table.identity is class 1 over point 0 = (b0, b0).
@@ -818,9 +832,9 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         # The antidiagonal swap element indexed by g fixes copy g
         # pointwise — this is what makes the intermediate quotient tame
         # along the doubled locus.
-        transversals = (first, shifted[g])  # {z, |Z| + g.z}: copy g
-        if _transversal_images((swap * anti_maps[g]).images, n,
-                               *transversals) != transversals:
+        # Copy g is the transversals {z, |Z| + g.z}.
+        if not _fixes_transversals(((swap * anti_maps[g]).images,), n,
+                                   first, shifted[g]):
             raise HomomorphismFailure(
                 "antidiagonal swap element does not fix its diagonal copy"
             )
@@ -832,7 +846,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         sym_of[b] * d for b in range(nb)
     )) * d
     # The pair-group orbits on the square are exactly the fibers.
-    _check_labels_kept(point_sym, pair_square, "pair-group")
+    _check_labels_kept(point_sym, pair_gens, "pair-group")
     fiber_sizes = Counter(point_sym)
     xi_fiber_sizes = tuple(fiber_sizes[i] for i in range(sym_count))
     doubled = {i for i, p in enumerate(sym.points) if p.is_diagonal}
@@ -848,18 +862,11 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
             "diagonal copies do not exhaust the doubled-locus preimage"
         )
 
-    # The other two partitions, read from labels the same way (rho of the
-    # swap is already known).
-    square = dict(zip(pair_gens, pair_square))
-
-    def square_gens(group: Group) -> list[list[int]]:
-        return [square.get(x) or _square_images(x, n)
-                for x in group.generators]
-
+    # The other two partitions, read from labels the same way.
     # Diagonal-group orbits: d per off-doubled point, (d + t) / 2 per
     # doubled point, t = #{g : g^2 = id} (orbit classes {r, r^-1} merge).
     diag_labels = _diagonal_labels(gset, sym_of)
-    _check_labels_kept(diag_labels, square_gens(diagonal_group),
+    _check_labels_kept(diag_labels, diagonal_group.generators,
                        "diagonal-group")
     diag_counts = _classes_per_point(diag_labels, d, sym_count)
     for i in range(sym_count):
@@ -869,7 +876,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
 
     # Antidiagonal-group orbits: constant |G/[G, G]| per point (= d for
     # abelian G) — the intermediate quotient is unramified.
-    _check_labels_kept(anti_labels, square_gens(antidiagonal_group),
+    _check_labels_kept(anti_labels, antidiagonal_group.generators,
                        "antidiagonal-group")
     anti_counts = _classes_per_point(anti_labels, classes, sym_count)
     if anti_counts != [classes] * sym_count:
@@ -965,9 +972,8 @@ def fixed_components(c: HilbConstruction) -> frozenset[int]:
     for g, diag in enumerate(c.diagonal_maps):
         # diag(g) moves the second copy by g, so copy g, the pairs
         # (z, g.z), is the transversals {z, diag(g)(|Z| + z)}.
-        transversals = (first, diag.images[n:])
-        if _transversal_images(swap, n, *_transversal_images(
-                diag.images, n, *transversals)) == transversals:
+        if _fixes_transversals((diag.images, swap), n,
+                               first, diag.images[n:]):
             found.add(g)
     table = c.gset.group
     closed_form = {

@@ -724,31 +724,42 @@ def test_construct_lists_no_fiber(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("table, base", [
-    (cyclic_table(3), ("a", "b")), (abelian_table((2, 2)), ("a", "b")),
-    (symmetric_table(3), ("a",)),
+    (cyclic_table(1), ("a",)), (cyclic_table(3), ("a", "b")),
+    (abelian_table((2, 2)), ("a", "b")), (symmetric_table(3), ("a",)),
 ])
-def test_transversal_images_read_the_square_action(table, base):
+def test_row_readings_follow_the_square_action(table, base):
+    # Over the whole pair group: labels read row by row through rho(x)
+    # (with each pair labelled by its own index, that is rho(x) itself),
+    # and the one-pass fixer test for x and for swap . x on every copy,
+    # agree with the test-local square action.
     c = build(table, base)
     n = c.gset.size
     firsts = tuple(range(n))
     for x in c.pair_group:
         square = rho(x, n).images
+        assert hilbcover._labels_through(list(range(n * n)), x.images) == \
+            list(square)
+        exchanged = rho(c.swap * x, n).images
         for diag in c.diagonal_maps:  # the transversals of each copy
             seconds = diag.images[n:]
-            a, b = hilbcover._transversal_images(x.images, n, firsts, seconds)
-            assert [p * n + q - n for p, q in zip(a, b)] == \
-                [square[z * n + w - n] for z, w in zip(firsts, seconds)]
+            copy = [z * n + w - n for z, w in zip(firsts, seconds)]
+            assert hilbcover._fixes_transversals(
+                (x.images,), n, firsts, seconds) == all(
+                square[k] == k for k in copy)
+            assert hilbcover._fixes_transversals(
+                (x.images, c.swap.images), n, firsts, seconds) == all(
+                exchanged[k] == k for k in copy)
 
 
 def test_antidiagonal_fixers_are_checked_on_their_copies(monkeypatch):
     # Read each fixer on the transversals {z, |Z| + g.(z + 1)}, which are
     # not its copy: the check must refuse.
-    honest = hilbcover._transversal_images
+    honest = hilbcover._fixes_transversals
 
-    def next_sheet(images, n, firsts, seconds):
-        return honest(images, n, firsts, seconds[1:] + seconds[:1])
+    def next_sheet(maps, n, firsts, seconds):
+        return honest(maps, n, firsts, seconds[1:] + seconds[:1])
 
-    monkeypatch.setattr(hilbcover, "_transversal_images", next_sheet)
+    monkeypatch.setattr(hilbcover, "_fixes_transversals", next_sheet)
     with pytest.raises(HomomorphismFailure,
                        match="^antidiagonal swap element does not fix its "
                              "diagonal copy$"):
@@ -777,12 +788,12 @@ def exchanging_two_labels(what):
     have their first two distinct values exchanged at one pair each."""
     honest = hilbcover._check_labels_kept
 
-    def broken(labels, square_gens, label_what):
+    def broken(labels, gens, label_what):
         if label_what == what:
             labels = list(labels)
             k = next(k for k, v in enumerate(labels) if v != labels[0])
             labels[0], labels[k] = labels[k], labels[0]
-        return honest(labels, square_gens, label_what)
+        return honest(labels, gens, label_what)
     return broken
 
 
