@@ -153,6 +153,8 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
+# How json writes each exact scalar type; subclasses go through the
+# isinstance tests in emit.
 _SCALARS = {
     str: _escape,
     int: int.__repr__,
@@ -198,7 +200,8 @@ def emit(data: dict) -> str:
             opening, closing = "{", "}"
             parts = [
                 _escape(k if type(k) is str else _key_text(k)) + ": "
-                + (scalars[type(v)](v) if type(v) in scalars else value(v, sub))
+                + (scalars[type(v)](v) if type(v) in scalars
+                   else value(v, sub))
                 for k, v in sorted(o.items())
             ]
         else:
