@@ -30,16 +30,17 @@ group of the square organize everything:
   element squares to the identity.
 
 Every one of these laws is verified on every call at construction time,
-directly or by induction over generators.  The three groups are held in
-their imprimitive action on Z ⊔ Z, two copies of the sheets (the pair group
-is the wreath product G ≀ C2 in this action; Holt, Eick and O'Brien,
-*Handbook of Computational Group Theory*, 2005): the swap exchanges the
-copies, translations move each copy within itself, and the sign of an
-element says whether it exchanges them.  Every generator is checked to
-map copies onto copies, so every element does, and an element x then
-acts on the square by the rule rho: the pair (z, w) is the transversal
-{z, |Z| + w} and goes to {x(z), x(|Z| + w)}, read first copy first.
-That is the action of x on a set of two-point subsets, so rho is a
+directly or by induction over generators, or is certified by the group
+axioms that the multiplication table was validated against.  The three
+groups are held in their imprimitive action on Z ⊔ Z, two copies of the
+sheets (the pair group is the wreath product G ≀ C2 in this action; Holt,
+Eick and O'Brien, *Handbook of Computational Group Theory*, 2005): the
+swap exchanges the copies, translations move each copy within itself, and
+the sign of an element says whether it exchanges them.  Every generator is
+checked to map copies onto copies, so every element does, and an element x
+then acts on the square by the rule rho: the pair (z, w) is the
+transversal {z, |Z| + w} and goes to {x(z), x(|Z| + w)}, read first copy
+first.  That is the action of x on a set of two-point subsets, so rho is a
 homomorphism by construction and needs no certificate.  Orbit partitions
 are read from labels of the pairs that rho of every generator is checked
 to keep; fiber and component computations read rho at the single pairs
@@ -134,12 +135,22 @@ class GSet:
     """A free action of a finite group on sheets over a labeled base.
 
     The point set is G x B acted on by left multiplication in the first
-    slot; the orbit space is B.  Constructed through :func:`free_gset`,
-    which verifies freeness by exhaustion.
+    slot; the orbit space is B.  The group must be a :class:`GroupTable`,
+    whose construction validates the group axioms, and the base a nonempty
+    tuple of distinct labels, so every GSet is the free model that
+    :func:`free_gset` describes.
     """
 
     group: GroupTable
     base: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.group, GroupTable):
+            raise TypeError("the group of a GSet must be a GroupTable")
+        if not self.base:
+            raise EmptyBase("the base needs at least one point")
+        if len(set(self.base)) != len(self.base):
+            raise ValueError("duplicate base labels")
 
     @property
     def size(self) -> int:
@@ -164,10 +175,6 @@ class GSet:
     def labels(self) -> tuple[str, ...]:
         return tuple(self.point_label(z) for z in range(self.size))
 
-    def translation(self, g: int) -> Permutation:
-        """The sheet permutation (h, b) -> (g h, b)."""
-        return Permutation(_left_translation(self.group, len(self.base), g))
-
 
 def _left_translation(group: GroupTable, nb: int, g: int) -> tuple[int, ...]:
     """Images of (h, b) -> (g h, b) on the sheets over ``nb`` base points,
@@ -180,20 +187,13 @@ def _left_translation(group: GroupTable, nb: int, g: int) -> tuple[int, ...]:
 
 
 def free_gset(group: GroupTable, base) -> GSet:
-    """Build the standard free model; verify freeness point by point."""
-    base = tuple(base)
-    if not base:
-        raise EmptyBase("the base needs at least one point")
-    if len(set(base)) != len(base):
-        raise ValueError("duplicate base labels")
-    gset = GSet(group, base)
-    identity = group.identity
-    points = range(gset.size)
-    for g in range(group.order):
-        if g != identity and any(
-                map(int.__eq__, gset.translation(g).images, points)):
-            raise ValueError(f"action is not free: element {g} fixes a point")
-    return gset
+    """The standard free model of ``group`` over the labels ``base``.
+
+    The action is free with no check of its own: g sends the sheet (h, b)
+    to (g h, b), and column h of a validated table is a bijection holding
+    h in the identity's row, so g h = h only for g = e.
+    """
+    return GSet(group, tuple(base))
 
 
 @dataclass(frozen=True)
@@ -494,7 +494,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
       the commutation check below;
     * it is injective: pair(g1, g) acts as g1's translation on the first
       copy and g's on the second (the conjugated-images check), and the d
-      translations are checked to be distinct;
+      translations are distinct (certified by the table, below);
     * the swap normalizes P, as swap . pair(g1, g) . swap = pair(g, g1)
       by the same commutation, and lies outside P, since it exchanges the
       copies and P keeps them;
@@ -505,7 +505,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     listed from their normal forms, never closed (same reference):
 
     * D = diag(G) ⊔ swap . diag(G).  diag is an injective homomorphism
-      from G (the homomorphism check and the distinct translations), and
+      from G (certified by the table, below), and
       swap . diag(s) . swap = diag(s) is checked for the generators s, so
       the involution swap centralizes diag(G) and the union is a group.
       It has order 2 d, as its swap half exchanges the copies and diag(G)
@@ -527,6 +527,23 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     element of J keeps a labelling of the pairs as soon as each generator's
     square action does, and rho is never listed element by element.
 
+    Certified by the validated table, with no check of their own (the
+    :class:`GroupTable` of a :class:`GSet` has passed its row, column,
+    identity, inverse and associativity checks):
+
+    * the sheet translation of g is read off row g of the table
+      (:func:`_left_translation`), so it is the model's (h, b) -> (g h, b),
+      whose sheet coordinates the labels below read;
+    * g -> translation(g) is a homomorphism: row e is the identity
+      arrangement, so translation(e) = id, and associativity gives
+      translation(s)(translation(h)(k, b)) = (s (h k), b) = ((s h) k, b) =
+      translation(s h)(k, b).  The second-slot map of g is the identity on
+      the first copy and translation(g) on the second, the diagonal map
+      translation(g) on both, so g -> second-slot map and g -> diagonal map
+      are homomorphisms too;
+    * the translations are distinct, so all three are injective:
+      translation(g) sends the block over e to the block over g e = g.
+
     Checked directly on Z ⊔ Z:
 
     * the swap is an involution, and each pair-group generator (the swap
@@ -537,9 +554,6 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
       second; slot maps move g on the second copy and fix the first by
       construction, so the pair translation indexed (g1, g) moves (z, w)
       to (g1.z, g.w) under rho;
-    * the d sheet translations are distinct, and those of the generators
-      of G are the model's (h, b) -> (g h, b), hence all of them are (the
-      labels below read sheet coordinates);
     * the swap centralizes the generators' diagonal maps and, for abelian
       G, inverts their antidiagonal maps (the normal forms above); the
       diagonal group has order 2 d, the antidiagonal group 2 d |commutator
@@ -552,8 +566,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
 
     Checked by generator induction:
 
-    * g -> second-slot map and g -> diagonal map are homomorphisms, and
-      a -> antidiagonal map is a homomorphism exactly when G is abelian;
+    * a -> antidiagonal map is a homomorphism exactly when G is abelian;
     * slot-map(h) commutes with swap . slot-map(g1) . swap for generators
       h, hence for every h;
     * the slot product, sending a pair-group element x to the class of
@@ -638,7 +651,9 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     identity = table.identity
     gens_of_g = table.small_generating_set()
 
-    translations = [gset.translation(g).images for g in range(d)]
+    # The sheet action is the table's rows; the table's axioms certify its
+    # laws (see "Certified by the validated table").
+    translations = [_left_translation(table, nb, g) for g in range(d)]
     first = tuple(range(n))
     second = tuple(range(n, 2 * n))
     shifted = [tuple(map(n.__add__, tr)) for tr in translations]
@@ -648,30 +663,6 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         Permutation(tr + sh) for tr, sh in zip(translations, shifted)
     )
 
-    # Both families are homomorphic images of G.
-    if not slot_maps[identity].is_identity:
-        raise HomomorphismFailure("second-slot maps do not form a homomorphism")
-    if not diag_maps[identity].is_identity:
-        raise HomomorphismFailure("diagonal maps do not form a homomorphism")
-    for s in gens_of_g:
-        for h in range(d):
-            sh = mul(s, h)
-            if slot_maps[s] * slot_maps[h] != slot_maps[sh]:
-                raise HomomorphismFailure(
-                    "second-slot maps do not form a homomorphism"
-                )
-            if diag_maps[s] * diag_maps[h] != diag_maps[sh]:
-                raise HomomorphismFailure(
-                    "diagonal maps do not form a homomorphism"
-                )
-    # The orbit labels below read sheet coordinates, so the translations
-    # must be the model's (h, b) -> (g h, b); checked on generators, this
-    # holds for every g, as both sides are homomorphisms.
-    for s in gens_of_g:
-        if translations[s] != _left_translation(table, nb, s):
-            raise HomomorphismFailure(
-                "sheet translations are not left multiplications"
-            )
     if not (swap * swap).is_identity:
         raise HomomorphismFailure("swap is not an involution")
 
@@ -716,10 +707,8 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
             raise HomomorphismFailure(
                 "pair translation does not act as (g1.z, g.w)"
             )
-    # pair(g1, g) is then determined by the two translations, so distinct
-    # translations make (g1, g) -> pair(g1, g) injective.
-    if len(set(translations)) != d:
-        raise HomomorphismFailure("pair translations are not distinct")
+    # pair(g1, g) is then determined by the two translations, which are
+    # distinct, so (g1, g) -> pair(g1, g) is injective.
 
     # J = P ⊔ swap.P, of order 2 d^2, is certified, not closed, and D is
     # listed from its normal form diag(G) ⊔ swap.diag(G) (see the
@@ -854,10 +843,11 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         expected_size = d * d if i in doubled else 2 * d * d
         if xi_fiber_sizes[i] != expected_size:
             raise HomomorphismFailure("fiber size law failed")
-    # seen is the doubled-locus preimage exactly when it lies over doubled
-    # points and has as many pairs as the fibers there.
-    if (not doubled.issuperset(map(point_sym.__getitem__, seen))
-            or len(seen) != sum(xi_fiber_sizes[i] for i in doubled)):
+    # seen is the doubled-locus preimage once it lies over doubled points:
+    # it has as many pairs as the fibers there, as the d disjoint copies of
+    # |Z| = d |B| pairs and the |B| doubled fibers of d^2 pairs each both
+    # hold |B| d^2.
+    if not doubled.issuperset(map(point_sym.__getitem__, seen)):
         raise HomomorphismFailure(
             "diagonal copies do not exhaust the doubled-locus preimage"
         )
@@ -900,9 +890,11 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         point_labels=point_sym,
         diagonal_labels=diag_labels,
         antidiagonal_labels=anti_labels,
-        # Every flag below was checked above or follows from what was (see
-        # "Following from the above"): the sign's kernel, the copy-keeping
-        # half, is exactly the d^2 distinct pair translations.
+        # Every flag below was checked above, follows from what was (see
+        # "Following from the above") or is certified by the validated
+        # table (the translations are injective and homomorphic): the
+        # sign's kernel, the copy-keeping half, is exactly the d^2 distinct
+        # pair translations.
         sign_report=SignReport(
             pair_group_order=len(pair_group),
             d=d,
@@ -1024,9 +1016,9 @@ def square_cover(gset: GSet, base_label: str, *,
     homomorphism (deck(s) deck(g) = deck(s g) for the generators s and
     every g) and injective, so its image is closed and isomorphic to G.
     That G acts faithfully on the sheets of ``gset`` needs no check of its
-    own: :func:`free_gset` checks that only the identity fixes a sheet, and
-    :func:`build_construction` that the pair group has order 2 d^2, so the
-    generators it uses generate G.
+    own: the validated table makes the action free (see :func:`free_gset`),
+    and :func:`build_construction` checks that the pair group has order
+    2 d^2, so the generators it uses generate G.
     """
     table = gset.group
     if not table.is_abelian:

@@ -279,8 +279,9 @@ def classify_through_the_sheet_action(s):
     for sub in subs:
         deck_table = abelian_table(sub.quotient.torsion)
         gset = free_gset(deck_table, CLASSIFY_BASE)
+        nb = len(gset.base)
         action = permgroup.generate(
-            tuple(gset.translation(g)
+            tuple(Permutation(hilbcover._left_translation(deck_table, nb, g))
                   for g in deck_table.small_generating_set()),
             domain_size=gset.size,
         )
