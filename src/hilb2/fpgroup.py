@@ -18,6 +18,7 @@ abelian invariants and honest permutation groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 import itertools
 from math import gcd, prod
 from operator import itemgetter
@@ -786,7 +787,8 @@ def subgroups_of_abelian(invariants: AbelianInvariants) -> tuple[AbelianSubgroup
     for basis, coords in _hermite_bases(moduli):
         reduced = (tuple(v % m for v, m in zip(row, moduli)) for row in basis)
         gens = tuple(row for row in reduced if row != zero)
-        elements = tuple(sorted(_closure([zero], gens, add)))
+        steps = [partial(add, g) for g in gens]  # g + x = x + g
+        elements = tuple(sorted(_closure([zero], steps)))
         sub_invariants = factors(coords)
         quotient = AbelianInvariants(rank=0, torsion=factors(basis))
         if len(elements) != prod(sub_invariants):

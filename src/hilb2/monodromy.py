@@ -41,13 +41,15 @@ def cover_from_subgroup(g: Group, h: Group, *,
     """
     if not h.is_subgroup_of(g):
         raise NotASubgroup("the defining subgroup must lie in the group")
-    coset_of, reps = _number_cosets(g.element_list, h.element_list,
-                                    lambda x, m: m * x)
+    # Products through right-multiplication maps: coset h·x is the map
+    # of x over h, and sheet i goes to the coset of reps[i]·gen.
+    right = permgroup._right_multiplication
+    coset_of, reps = _number_cosets(g.element_list, h.element_list, right)
     degree = len(reps)
     labels = tuple(f"c{i}" for i in range(degree))
 
     monodromy_gens = tuple(
-        Permutation(tuple(coset_of[reps[i] * gen] for i in range(degree)))
+        Permutation(tuple(map(coset_of.__getitem__, map(right(gen), reps))))
         for gen in g.generators
     )
     monodromy = permgroup.generate(
@@ -57,8 +59,9 @@ def cover_from_subgroup(g: Group, h: Group, *,
         raise HomomorphismFailure("coset action is not transitive")
 
     normalizer = permgroup.normalizer(g, h)
+    rep_steps = list(map(right, reps))
     deck_perms = {
-        Permutation(tuple(coset_of[x * reps[i]] for i in range(degree)))
+        Permutation(tuple(coset_of[step(x)] for step in rep_steps))
         for x in normalizer.element_list
     }
     if len(deck_perms) != len(normalizer) // len(h):

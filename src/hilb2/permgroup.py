@@ -18,6 +18,16 @@ normality, normal closures, and the derived subgroup as the normal closure
 of the generators' commutators (Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory*, 2005).
 
+A :class:`Permutation` is its image tuple (a ``tuple`` subclass), so
+sets, dicts and sorting hash and compare permutations in C.  Closures and
+coset tables (:func:`generate`, :attr:`Group.elements`,
+:func:`small_generating_set`, :func:`quotient_table`) run the shared walks
+of :mod:`tables` on right-multiplication maps x -> x·g, one
+``operator.itemgetter`` per generator or coset representative
+(:func:`_right_multiplication`), so no product runs a Python frame; the
+walks keep plain image tuples, and each element of a closed group is
+wrapped as a :class:`Permutation` once.
+
 All objects are immutable after construction (a listed element set is
 filled in once and never changes), so they can be shared freely across
 threads and used as dictionary keys.
@@ -26,10 +36,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 import itertools
 from math import lcm
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .errors import CapExceeded, DomainMismatch, HomomorphismFailure, NotASubgroup
 from .tables import GroupTable, _closure, _coset_table, _greedy_generators
@@ -38,22 +48,30 @@ DEFAULT_ELEMENT_CAP = 20000
 DEFAULT_SUBGROUP_CAP = 512
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
-    """A bijection of {0, ..., n-1} stored as its tuple of images."""
+class Permutation(tuple):
+    """A bijection of {0, ..., n-1}: the tuple of its images.
 
-    images: tuple[int, ...]
+    Hashing, equality and ordering are those of the image tuple and run in
+    C, so a permutation is looked up in a set or dict, and sorted, at tuple
+    cost; ``sorted`` puts permutations in image-tuple order.
+    """
 
-    def __post_init__(self) -> None:
-        images = self.images
-        n = len(images)
-        if n and (len(set(images)) != n
-                  or min(images) < 0 or max(images) >= n):
-            raise ValueError(f"not a bijection of 0..{n - 1}: {self.images!r}")
+    __slots__ = ()
+
+    def __new__(cls, images) -> "Permutation":
+        self = tuple.__new__(cls, images)
+        n = len(self)
+        if n and (len(set(self)) != n or min(self) < 0 or max(self) >= n):
+            raise ValueError(
+                f"not a bijection of 0..{n - 1}: {tuple.__repr__(self)}")
+        return self
+
+    def __repr__(self) -> str:
+        return f"Permutation(images={tuple.__repr__(self)})"
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return _raw(tuple(range(n)))
+        return _raw(range(n))
 
     @classmethod
     def from_cycles(cls, n: int, cycles) -> "Permutation":
@@ -62,51 +80,53 @@ class Permutation:
         for cycle in cycles:
             for i, x in enumerate(cycle):
                 images[x] = cycle[(i + 1) % len(cycle)]
-        return cls(tuple(images))
+        return cls(images)
+
+    @property
+    def images(self) -> "Permutation":
+        """The tuple of images, which is the permutation itself."""
+        return self
 
     @property
     def domain_size(self) -> int:
-        return len(self.images)
+        return len(self)
 
     def __call__(self, x: int) -> int:
-        return self.images[x]
+        return self[x]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: ``(p * q)(x) = p(q(x))``, i.e. apply ``q`` first."""
-        p, q = self.images, other.images
-        if len(p) != len(q):
+        if len(self) != len(other):
             raise DomainMismatch(
-                f"cannot compose permutations of sizes {len(p)} and {len(q)}"
+                f"cannot compose permutations of sizes {len(self)} and "
+                f"{len(other)}"
             )
-        if len(q) > 1:
-            return _raw(itemgetter(*q)(p))
-        # itemgetter returns a bare item for one index and needs at least one.
-        return _raw(tuple(p[v] for v in q))
+        return _raw(_right_multiplication(other)(self))
 
     def inverse(self) -> "Permutation":
-        images = [0] * len(self.images)
-        for x, y in enumerate(self.images):
+        images = [0] * len(self)
+        for x, y in enumerate(self):
             images[y] = x
-        return _raw(tuple(images))
+        return _raw(images)
 
     @property
     def is_identity(self) -> bool:
-        return all(v == x for x, v in enumerate(self.images))
+        return all(v == x for x, v in enumerate(self))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each rotated to start at its smallest point."""
-        seen = [False] * len(self.images)
+        seen = [False] * len(self)
         out = []
-        for start in range(len(self.images)):
+        for start in range(len(self)):
             if seen[start]:
                 continue
             cycle = [start]
             seen[start] = True
-            x = self.images[start]
+            x = self[start]
             while x != start:
                 seen[x] = True
                 cycle.append(x)
-                x = self.images[x]
+                x = self[x]
             if len(cycle) > 1:
                 out.append(tuple(cycle))
         return tuple(out)
@@ -115,15 +135,26 @@ class Permutation:
         return lcm(1, *(len(c) for c in self.cycles()))
 
 
-def _raw(images: tuple[int, ...]) -> Permutation:
-    """Wrap an images tuple already known to be a bijection.
+# Wrap images already known to be a bijection as a Permutation, skipping
+# the constructor's check: only for tuples made by composing or inverting
+# validated permutations.  A C-level call, so wrapping each element of a
+# closed group costs no Python frame.
+_raw = partial(tuple.__new__, Permutation)
 
-    Skips the constructor's validation; only for internal use where the
-    tuple comes from composing or inverting validated permutations.
-    """
-    p = object.__new__(Permutation)
-    object.__setattr__(p, "images", images)
-    return p
+
+def _right_multiplication(g: Permutation):
+    """The map x -> x·g on image tuples, ``(x·g)(i) = x(g(i))``: it picks
+    the images of x at the images of g, with no Python frame per product.
+    Every product is made by one of these maps: ``*`` wraps its result at
+    once, and the shared walks of :mod:`tables` keep plain tuples, wrapped
+    once each when the walk is done."""
+    if len(g) > 1:
+        # g[:] is a plain tuple, which * passes on as is; a subclass
+        # would be copied item by item.
+        return itemgetter(*g[:])
+    # itemgetter returns a bare item for one index and needs at least one;
+    # on at most one point every permutation is the identity.
+    return tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,8 +181,7 @@ class Group:
     @cached_property
     def elements(self) -> frozenset[Permutation]:
         try:
-            elements = _closure([self.identity], self.generators, mul,
-                                self.order)
+            elements = _close(self.domain_size, self.generators, self.order)
         except CapExceeded:
             elements = ()
         if len(elements) != self.order:
@@ -159,7 +189,7 @@ class Group:
                 f"the generators do not close to the certified order "
                 f"{self.order}"
             )
-        return frozenset(elements)
+        return elements
 
     @cached_property
     def element_list(self) -> tuple[Permutation, ...]:
@@ -242,8 +272,16 @@ def generate(gens, *, domain_size: int | None = None,
     :class:`CapExceeded` as soon as the closure would pass ``cap`` elements.
     """
     domain_size, gens = generating_tuple(gens, domain_size)
-    ident = Permutation.identity(domain_size)
-    return _listed(domain_size, gens, _closure([ident], gens, mul, cap))
+    return _listed(domain_size, gens, _close(domain_size, gens, cap))
+
+
+def _close(domain_size: int, gens, cap: int) -> frozenset[Permutation]:
+    """The elements ``gens`` generate, by :func:`tables._closure` through
+    their right-multiplication maps; the walk keeps plain image tuples and
+    each element is wrapped once, after it."""
+    members = _closure([tuple(range(domain_size))],
+                       list(map(_right_multiplication, gens)), cap)
+    return frozenset(map(_raw, members))
 
 
 def group_from_elements(domain_size: int, elements) -> Group:
@@ -260,7 +298,7 @@ def group_from_elements(domain_size: int, elements) -> Group:
 def small_generating_set(element_list, domain_size: int) -> tuple[Permutation, ...]:
     """Greedy small generating set for a closed element list."""
     return _greedy_generators(element_list, Permutation.identity(domain_size),
-                              mul)
+                              _right_multiplication)
 
 
 def orbits(group, points=None, *, domain_size: int | None = None) -> tuple[tuple, ...]:
@@ -528,8 +566,12 @@ def quotient_table(group: Group, normal_sub: Group) -> tuple[GroupTable, dict, t
     _require_subgroup(normal_sub, group)
     if not normalized_by(normal_sub, group.generators):
         raise NotASubgroup("quotients need a normal subgroup")
-    table, coset_of, reps = _coset_table(group.element_list,
-                                         normal_sub.element_list, mul)
+    elements = group.element_list
+    table, coset_of, reps = _coset_table(elements, normal_sub.element_list,
+                                         _right_multiplication)
+    # Key the numbering by the group's own elements, not by the plain image
+    # tuples the products return.
+    coset_of = dict(zip(elements, map(coset_of.__getitem__, elements)))
     return table, coset_of, tuple(reps)
 
 

@@ -9,8 +9,10 @@ direct products, symmetric groups, the order-8 quaternion group) and an
 enumerator of all abelian groups up to a given order, which the covering
 constructions sweep over.  Its private walks (closure by right
 multiplication, greedy generators, the coset table of a normal subgroup)
-take the product as an argument, so permutations and exponent vectors
-share them with table indices.
+take right-multiplication maps x -> x·g as arguments, so permutations and
+exponent vectors share them with table indices; a table's map is a column
+lookup and a permutation's an ``operator.itemgetter``, so neither walk
+runs a Python frame per product.
 """
 from __future__ import annotations
 
@@ -32,10 +34,13 @@ class GroupTable:
 
     ``table[i][j]`` is the index of the product of elements ``i`` and ``j``.
     Row order is the canonical element order used everywhere downstream.
+    ``columns[j]`` is column ``j``, so ``columns[j][i]`` is i·j.
     """
 
     table: tuple[tuple[int, ...], ...]
     identity: int = field(init=False, repr=False, compare=False)
+    columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
+                                                 compare=False)
 
     def __post_init__(self) -> None:
         """Check the axioms Light's test needs, a row or column per C-level
@@ -50,7 +55,7 @@ class GroupTable:
         if (set(map(len, table)) != {n}
                 or min(map(min, table)) < 0 or max(map(max, table)) >= n):
             raise NotAGroup("table is not square over valid element indices")
-        columns = list(zip(*table))
+        columns = tuple(zip(*table))
         row_sizes = list(map(len, map(set, table)))
         column_sizes = list(map(len, map(set, columns)))
         if row_sizes.count(n) + column_sizes.count(n) != 2 * n:
@@ -68,6 +73,7 @@ class GroupTable:
             if ident not in row:
                 raise NotAGroup(f"element {a} has no inverse")
         object.__setattr__(self, "identity", ident)
+        object.__setattr__(self, "columns", columns)
         self._check_associative()
 
     def _check_associative(self) -> None:
@@ -100,6 +106,10 @@ class GroupTable:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
+    def _right_multiplication(self, g: int):
+        """The map x -> x·g, a lookup in column g."""
+        return self.columns[g].__getitem__
+
     @cached_property
     def inverses(self) -> tuple[int, ...]:
         return tuple(row.index(self.identity) for row in self.table)
@@ -120,7 +130,8 @@ class GroupTable:
 
     def subgroup_closure(self, seed) -> tuple[int, ...]:
         """Closure of a set of element indices under multiplication."""
-        return tuple(sorted(_closure([self.identity], tuple(seed), self.mul)))
+        steps = list(map(self._right_multiplication, seed))
+        return tuple(sorted(_closure([self.identity], steps)))
 
     def small_generating_set(self) -> tuple[int, ...]:
         """Greedy generators: each the smallest element not yet reached.
@@ -200,7 +211,8 @@ class GroupTable:
         if len(sub) == 1:
             # The cosets of the trivial subgroup are the elements themselves.
             return self, tuple(range(self.order))
-        quotient, coset_of, _ = _coset_table(range(self.order), sub, self.mul)
+        quotient, coset_of, _ = _coset_table(range(self.order), sub,
+                                             self._right_multiplication)
         return quotient, tuple(coset_of[e] for e in range(self.order))
 
     def abelian_invariants(self) -> tuple[int, ...]:
@@ -221,15 +233,16 @@ class GroupTable:
         return quotient.abelian_invariants() + (exponent,)
 
 
-def _closure(members: list, gens, mul, cap: int | None = None) -> list:
+def _closure(members: list, steps, cap: int | None = None) -> list:
     """Extend ``members``, a list holding the identity, to everything its
-    elements reach by right multiplication with ``gens``, in the order
-    reached; in a finite group that is the subgroup they generate.  Raises
-    :class:`CapExceeded` once the list would pass ``cap`` elements."""
+    elements reach by the right-multiplication maps ``steps`` (x -> x·g,
+    one per generator g), in the order reached; in a finite group that is
+    the subgroup the generators generate.  Raises :class:`CapExceeded`
+    once the list would pass ``cap`` elements."""
     seen = set(members)
     for x in members:  # the loop also visits the elements appended below
-        for g in gens:
-            y = mul(x, g)
+        for step in steps:
+            y = step(x)
             if y not in seen:
                 if cap is not None and len(seen) >= cap:
                     raise CapExceeded(
@@ -240,42 +253,47 @@ def _closure(members: list, gens, mul, cap: int | None = None) -> list:
     return members
 
 
-def _greedy_generators(elements, identity, mul) -> tuple:
+def _greedy_generators(elements, identity, right) -> tuple:
     """Greedy generators of a closed element list: each is the first
-    element not reached from ``identity`` by the ones chosen before it."""
+    element not reached from ``identity`` by the ones chosen before it.
+    ``right(g)`` is the right-multiplication map x -> x·g."""
     gens: list = []
+    steps: list = []
     members = [identity]
     reached = {identity}
     for x in elements:
         if x not in reached:
             gens.append(x)
+            steps.append(right(x))
             known = len(members)
-            reached.update(_closure(members, gens, mul)[known:])
+            reached.update(_closure(members, steps)[known:])
     return tuple(gens)
 
 
-def _number_cosets(elements, sub, mul) -> tuple[dict, list]:
+def _number_cosets(elements, sub, right) -> tuple[dict, list]:
     """The coset index of every element and the coset representatives,
-    for the cosets {mul(x, m) : m in ``sub``}; cosets are numbered by the
-    first of ``elements`` in each, which is its representative."""
+    for the cosets ``sub``·e = {m·e : m in ``sub``}, each read as the map
+    ``right(e)`` over ``sub``; for a normal ``sub`` they are the cosets
+    e·``sub`` too.  Cosets are numbered by the first of ``elements`` in
+    each, which is its representative."""
     coset_of: dict = {}
     reps: list = []
     for e in elements:
-        if e in coset_of:
-            continue
-        k = len(reps)
-        reps.append(e)
-        for m in sub:
-            coset_of[mul(e, m)] = k
+        if e not in coset_of:
+            coset = map(right(e), sub)
+            coset_of.update(zip(coset, itertools.repeat(len(reps))))
+            reps.append(e)
     return coset_of, reps
 
 
-def _coset_table(elements, sub, mul) -> tuple[GroupTable, dict, list]:
-    """Multiplication table of the cosets x·``sub`` of a normal subgroup,
-    with the numbering of :func:`_number_cosets`."""
-    coset_of, reps = _number_cosets(elements, sub, mul)
-    rows = tuple(tuple(coset_of[mul(a, b)] for b in reps) for a in reps)
-    return GroupTable(rows), coset_of, reps
+def _coset_table(elements, sub, right) -> tuple[GroupTable, dict, list]:
+    """Multiplication table of the cosets of a normal subgroup ``sub``,
+    with the numbering of :func:`_number_cosets`; column b holds the
+    cosets of a·b, the map ``right(b)`` over the representatives a."""
+    coset_of, reps = _number_cosets(elements, sub, right)
+    columns = [tuple(map(coset_of.__getitem__, map(right(b), reps)))
+               for b in reps]
+    return GroupTable(tuple(zip(*columns))), coset_of, reps
 
 
 def cyclic_table(n: int) -> GroupTable:

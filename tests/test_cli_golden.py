@@ -36,12 +36,16 @@ import contextlib
 import io
 import json
 from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
+import hilb2
 from hilb2.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "data" / "cli_golden.json"
 
 
 def _construct_cases():
@@ -104,6 +108,29 @@ def test_corpus_covers_every_case():
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_cli_output_matches_recording(argv):
     assert run_case(argv) == _recorded()[argv]
+
+
+def test_corpus_replays_byte_for_byte_under_another_hash_seed():
+    # The seed reorders every set of strings (permutations hash as tuples
+    # of ints, alike under any seed); no record may depend on that order.
+    script = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(HERE)!r})\n"
+        "import test_cli_golden\n"
+        "print(json.dumps([test_cli_golden.run_case(argv)\n"
+        "                  for argv in test_cli_golden.CASES]))\n"
+    )
+    src = str(Path(hilb2.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=120, env={"PYTHONPATH": src, "PYTHONHASHSEED": "12345"},
+    )
+    assert result.returncode == 0, result.stderr
+    replayed = json.loads(result.stdout)
+    assert [tuple(record["argv"]) for record in replayed] == list(CASES)
+    recorded = _recorded()
+    for record in replayed:
+        assert record == recorded[tuple(record["argv"])], record["argv"]
 
 
 if __name__ == "__main__":

@@ -486,43 +486,26 @@ def reference_slot_product_at_p0(c, square):
     return values, kernel_order
 
 
-def test_law_checks_cost_few_compositions(monkeypatch):
-    compositions = 0
-    compose = Permutation.__mul__
-
-    def counted(self, other):
-        nonlocal compositions
-        compositions += 1
-        return compose(self, other)
-
+def test_law_checks_cost_few_compositions(compositions):
     gset = free_gset(cyclic_table(11), ("a",))
-    monkeypatch.setattr(Permutation, "__mul__", counted)
+    compositions.count = 0
     sign_and_splitting(build_construction(gset))
-    assert compositions <= 127
+    assert compositions.count <= 127
 
 
-def test_law_checks_compose_on_two_copies_of_the_sheets(monkeypatch):
+def test_law_checks_compose_on_two_copies_of_the_sheets(compositions):
     # Each composition costs one step per point of the right factor: 2 |Z|
     # = 66 on Z ⊔ Z here, against |Z|^2 = 1,089 for a permutation of the
     # square itself.  sign_and_splitting composes nothing: it reads the
     # report that build_construction recorded.
-    points = compositions = 0
-    compose = Permutation.__mul__
-
-    def counted(self, other):
-        nonlocal points, compositions
-        points += len(other.images)
-        compositions += 1
-        return compose(self, other)
-
     gset = free_gset(cyclic_table(11), ("a", "b", "c"))
-    monkeypatch.setattr(Permutation, "__mul__", counted)
+    compositions.count = compositions.points = 0
     c = build_construction(gset)
-    built = compositions
+    built = compositions.count
     sign_and_splitting(c)
-    assert compositions == built
+    assert compositions.count == built
     fixed_components(c)
-    assert points <= 8_382
+    assert compositions.points <= 8_382
 
 
 def test_law_checks_run_under_optimization():
@@ -981,18 +964,20 @@ def test_build_makes_no_permutation_of_the_square(monkeypatch):
     # acts on Z ⊔ Z (66 points), none on the 33 sheets or on the
     # |Z|^2 = 1,089 pairs of the square.
     sizes = set()
-    validate, raw = Permutation.__post_init__, permgroup._raw
+    validate, raw = Permutation.__new__, permgroup._raw
 
-    def validated(self):
-        sizes.add(len(self.images))
-        validate(self)
+    def validated(cls, images):
+        permutation = validate(cls, images)
+        sizes.add(len(permutation))
+        return permutation
 
     def unvalidated(images):
-        sizes.add(len(images))
-        return raw(images)
+        permutation = raw(images)
+        sizes.add(len(permutation))
+        return permutation
 
     gset = free_gset(cyclic_table(11), ("a", "b", "c"))
-    monkeypatch.setattr(Permutation, "__post_init__", validated)
+    monkeypatch.setattr(Permutation, "__new__", validated)
     monkeypatch.setattr(permgroup, "_raw", unvalidated)
     build_construction(gset)
     assert sizes == {66}

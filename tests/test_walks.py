@@ -2,10 +2,13 @@
 coset table shared by every group representation (``tables._closure``,
 ``_greedy_generators``, ``_number_cosets`` and ``_coset_table``), checked
 against the per-representation loops they replaced, kept here as reference
-copies."""
+copies, and against a closure by ``*``: the walks compose permutations
+through right-multiplication maps on plain image tuples, and every element
+they hand out must still be a ``Permutation``."""
 import itertools
 from math import prod
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from hilb2 import fpgroup, permgroup
@@ -190,20 +193,6 @@ def permutation_corpus():
 GROUPS = permutation_corpus()
 
 
-@pytest.fixture
-def compositions(monkeypatch):
-    """``compositions[0]`` counts ``Permutation.__mul__`` calls from here on."""
-    count = [0]
-    compose = Permutation.__mul__
-
-    def counted(self, other):
-        count[0] += 1
-        return compose(self, other)
-
-    monkeypatch.setattr(Permutation, "__mul__", counted)
-    return count
-
-
 # --- tables -----------------------------------------------------------------
 
 def seeds(order):
@@ -259,7 +248,8 @@ def test_right_coset_covers_match_the_reference_loop(name):
     for sub in subs:
         coset_of, reps = reference_right_cosets(group, sub)
         assert _number_cosets(group.element_list, sub.element_list,
-                              lambda x, m: m * x) == (coset_of, reps)
+                              permgroup._right_multiplication) == \
+            (coset_of, reps)
         # The cover is read off that numbering: labels, monodromy and deck.
         cover = cover_from_subgroup(group, sub)
         degree = len(reps)
@@ -281,12 +271,12 @@ def test_right_coset_covers_match_the_reference_loop(name):
 def test_greedy_generators_compose_as_before(name, count, compositions):
     group = GROUPS[name]
     elements, n = group.element_list, group.domain_size
-    compositions[0] = 0
+    compositions.count = 0
     gens = permgroup.small_generating_set(elements, n)
-    assert compositions[0] == count
-    compositions[0] = 0
+    assert compositions.count == count
+    compositions.count = 0
     assert reference_small_generating_set(elements, n) == gens
-    assert compositions[0] == count
+    assert compositions.count == count
 
 
 def test_closure_cap_refuses_at_the_same_point():
@@ -295,10 +285,10 @@ def test_closure_cap_refuses_at_the_same_point():
                        match="^group closure exceeded cap of 11 elements$"):
         permgroup.generate((cycle,), cap=11)
     assert permgroup.generate((cycle,), cap=12).order == 12
-    members = _closure([0], (1,), lambda a, b: (a + b) % 12)
+    members = _closure([0], [lambda a: (a + 1) % 12])
     assert members == list(range(12))
     with pytest.raises(CapExceeded):
-        _closure([0], (1,), lambda a, b: (a + b) % 12, 11)
+        _closure([0], [lambda a: (a + 1) % 12], 11)
 
 
 def test_certified_order_still_checked_through_the_shared_walk():
@@ -307,6 +297,86 @@ def test_certified_order_still_checked_through_the_shared_walk():
         group = Group(12, (cycle,), wrong)
         with pytest.raises(HomomorphismFailure):
             group.elements
+
+
+# --- the permutation type boundary -----------------------------------------
+
+def mul_closure(gens, n) -> list:
+    """Closure by right multiplication with ``*``, in the order reached."""
+    members = [Permutation.identity(n)]
+    seen = set(members)
+    for x in members:
+        for g in gens:
+            y = x * g
+            if y not in seen:
+                seen.add(y)
+                members.append(y)
+    return members
+
+
+def assert_closed_permutations(group: Group) -> None:
+    """Every generator and element is a ``Permutation``, and the elements
+    are the ``*`` closure of the generators."""
+    for x in group.generators + group.element_list:
+        assert type(x) is Permutation
+    oracle = mul_closure(group.generators, group.domain_size)
+    assert group.element_list == tuple(sorted(oracle))
+
+
+def check_type_boundary(gens, n) -> None:
+    group = permgroup.generate(gens, domain_size=n)
+    oracle = mul_closure(group.generators, n)
+    # The walk on right-multiplication maps reaches what ``*`` reaches, in
+    # the same order.
+    steps = list(map(permgroup._right_multiplication, group.generators))
+    assert _closure([Permutation.identity(n)], steps) == oracle
+    certified = Group(n, group.generators, len(oracle))
+    derived = permgroup.commutator_subgroup(group)
+    groups = [group, certified, derived,
+              permgroup.group_from_elements(n, oracle),
+              *(permgroup.normal_closure(group, (g,))
+                for g in group.generators)]
+    if group.order <= 24:
+        groups.extend(permgroup.subgroups(group))
+    for each in groups:
+        assert_closed_permutations(each)
+    assert certified.elements == group.elements
+    table, coset_of, reps = permgroup.quotient_table(group, derived)
+    assert (table.table, coset_of, reps) == \
+        reference_quotient_table(group, derived)
+    for x in reps + tuple(coset_of):
+        assert type(x) is Permutation
+
+
+@st.composite
+def block_generators(draw):
+    """Up to three permutations of at most 8 points, each permuting the
+    points of every block of ``size`` consecutive points among themselves,
+    so that the group they generate has at most 5!·3! = 720 elements."""
+    n = draw(st.integers(1, 8))
+    size = draw(st.integers(1, 5))
+    blocks = [list(range(start, min(start + size, n)))
+              for start in range(0, n, size)]
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        images = []
+        for block in blocks:
+            images.extend(draw(st.permutations(block)))
+        gens.append(Permutation(tuple(images)))
+    return n, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_generators())
+def test_walks_make_permutations_as_the_product_closure_does(case):
+    n, gens = case
+    check_type_boundary(gens, n)
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_corpus_walks_make_permutations_as_the_product_closure_does(name):
+    group = GROUPS[name]
+    check_type_boundary(group.generators, group.domain_size)
 
 
 # --- exponent vectors -------------------------------------------------------
