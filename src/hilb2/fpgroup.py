@@ -17,11 +17,11 @@ abelian invariants and honest permutation groups.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 import itertools
 from math import gcd, prod
-from operator import itemgetter
+from operator import eq, itemgetter, ne
 
 from . import permgroup
 from .errors import (
@@ -41,6 +41,14 @@ _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_BODY = _NAME_START | set("0123456789")
 
 
+def _check_letters(words, rank: int) -> None:
+    """Refuse a letter that names no generator of a rank-``rank`` group."""
+    for word in words:
+        for letter in word:
+            if letter == 0 or abs(letter) > rank:
+                raise ValueError(f"letter {letter} is out of range")
+
+
 @dataclass(frozen=True)
 class Presentation:
     """A group presentation: generator names plus relator words.
@@ -56,10 +64,7 @@ class Presentation:
         n = len(self.generator_names)
         if len(set(self.generator_names)) != n:
             raise ValueError("duplicate generator names")
-        for word in self.relators:
-            for letter in word:
-                if letter == 0 or abs(letter) > n:
-                    raise ValueError(f"letter {letter} is out of range")
+        _check_letters(self.relators, n)
 
     @property
     def rank(self) -> int:
@@ -115,11 +120,19 @@ class CosetTable:
 
     ``rows[c]`` lists, for coset ``c``, the targets under every letter:
     column ``2*i`` is generator ``i`` and column ``2*i + 1`` its inverse.
+    ``columns[l]`` is column ``l`` of the rows, kept once so that the
+    relator check composes whole columns and the realization reads each
+    generator's permutation as it stands.
     """
 
     presentation: Presentation
     subgroup_words: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
+                                                 compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "columns", tuple(zip(*self.rows)))
 
     @property
     def index(self) -> int:
@@ -387,26 +400,38 @@ def _fixes_all(columns, cosets: tuple[int, ...], root, power: int) -> bool:
     """True iff ``root`` repeated ``power`` times brings each of ``cosets``
     back to itself.
 
-    Only ``root`` is traced, at period cost rather than ``power`` times
-    over.  Its power is the identity on ``cosets`` exactly when ``root``
-    permutes them and every cycle length divides ``power``; a map that is
-    not a permutation of ``cosets`` has no power equal to the identity.
+    ``cosets`` is sorted.  Only ``root`` is traced, at period cost rather
+    than ``power`` times over.  Its images are renamed to positions in
+    ``cosets`` (no renaming is needed when ``cosets`` is ``range(n)``), a
+    map that leaves ``cosets`` or is not a bijection is refused, and the
+    permutation p left is raised to ``power`` by square-and-multiply, each
+    product one ``itemgetter`` pass.  This is the predicate "p permutes
+    ``cosets`` and every cycle length of p divides ``power``": p^m is the
+    identity exactly then, and a map that is not a permutation of
+    ``cosets`` has no power equal to the identity.
     """
     images = _trace_all(columns, cosets, root)
-    if power == 1:
+    n = len(cosets)
+    # A map of one coset is a permutation exactly when it fixes it.
+    if power == 1 or n == 1:
         return images == cosets
-    image_of = dict(zip(cosets, images))
-    if image_of.keys() != set(images):
-        return False
-    while image_of:
-        start, x = image_of.popitem()
-        length = 1
-        while x != start:
-            x = image_of.pop(x)
-            length += 1
-        if power % length:
+    if cosets[-1] != n - 1:
+        position = dict(zip(cosets, range(n)))
+        images = tuple(map(position.get, images))
+        if None in images:
             return False
-    return True
+    elif max(images) >= n:
+        return False
+    if len(set(images)) != n:
+        return False
+    result = None
+    while True:
+        if power & 1:
+            result = images if result is None else itemgetter(*result)(images)
+        power >>= 1
+        if not power:
+            return result == tuple(range(n))
+        images = itemgetter(*images)(images)
 
 
 class _Enumerator:
@@ -456,6 +481,19 @@ class _Enumerator:
     u^m is traced as u alone (see :func:`_fixes_all`).  Every mark is
     cleared before another pass, so the stop rule, not the skip, decides
     when the enumeration ends.
+
+    Coincidences go through a union-find forest on ``parent`` whose root
+    is always the least coset of its class.  :meth:`coincidence` inlines
+    the path-halving find and the union, so moving an entry costs no
+    Python call; it visits the queue and unites classes in the order of a
+    merge-per-call version, so liveness and rows are the same.
+
+    The finished table is renumbered at C level: each column is picked at
+    the live cosets by one ``itemgetter``.  If a coset was merged away,
+    one list sends every defined coset to the new index of its
+    representative (the rank of a live coset among the live ones, ``rep``
+    being called only for dead cosets), and each picked column is
+    relabelled by one ``map`` through that list.
     """
 
     _FIRST_CHUNK = 16
@@ -487,9 +525,9 @@ class _Enumerator:
         self.subgroup_walks = [walk(_columns_word(w)) for w in subgroup_words]
 
     def rep(self, k: int) -> int:
-        while self.parent[k] != k:
-            self.parent[k] = self.parent[self.parent[k]]
-            k = self.parent[k]
+        parent = self.parent
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
         return k
 
     def define(self, alpha: int, col: list, inv: list) -> int:
@@ -509,37 +547,52 @@ class _Enumerator:
         inv[beta] = alpha
         return beta
 
-    def _merge(self, queue: list, a: int, b: int) -> None:
-        a, b = self.rep(a), self.rep(b)
-        if a != b:
-            a, b = min(a, b), max(a, b)
-            self.parent[b] = a
-            queue.append(b)
-
     def coincidence(self, a: int, b: int) -> None:
-        queue: list[int] = []
-        self._merge(queue, a, b)
-        rep = self.rep
-        i = 0
-        while i < len(queue):
-            gamma = queue[i]
-            i += 1
+        """Merge the classes of ``a`` and ``b`` and every class their rows
+        force together, moving each entry of a merged-away coset onto its
+        representative."""
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            return
+        if b < a:
+            a, b = b, a
+        parent[b] = a
+        queue = [b]
+        # The loop also visits the cosets appended to queue as it runs.
+        for gamma in queue:
             for col, inv in self.pairs:
                 delta = col[gamma]
                 if delta is None:
                     continue
                 inv[delta] = None
-                mu, nu = rep(gamma), rep(delta)
-                existing = col[mu]
-                if existing is not None:
-                    self._merge(queue, nu, existing)
+                mu = gamma
+                while parent[mu] != mu:
+                    parent[mu] = mu = parent[parent[mu]]
+                nu = delta
+                while parent[nu] != nu:
+                    parent[nu] = nu = parent[parent[nu]]
+                # Unite x's class with y's, or fill the entry mu -> nu.
+                y = col[mu]
+                if y is not None:
+                    x = nu
                 else:
-                    back = inv[nu]
-                    if back is not None:
-                        self._merge(queue, mu, back)
-                    else:
+                    y = inv[nu]
+                    if y is None:
                         col[mu] = nu
                         inv[nu] = mu
+                        continue
+                    x = mu
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x != y:
+                    if y < x:
+                        x, y = y, x
+                    parent[y] = x
+                    queue.append(y)
 
     def scan_and_fill(self, alpha: int, walk) -> None:
         """Scan a word at ``alpha`` from both ends, filling it in.
@@ -589,7 +642,7 @@ class _Enumerator:
         return all(_fixes_all(cols, live, root, power)
                    for root, power in self.powers)
 
-    def run(self) -> list[list[int]]:
+    def run(self) -> list[tuple[int, ...]]:
         for walk in self.subgroup_walks:
             self.scan_and_fill(0, walk)
         # parent[k] == k exactly when coset k is live.
@@ -620,20 +673,32 @@ class _Enumerator:
                             if col[alpha] is None:
                                 self.define(alpha, col, inv)
                 alpha += 1
-            live = tuple(k for k in range(len(parent)) if parent[k] == k)
+            defined = range(len(parent))
+            live = tuple(itertools.compress(defined, map(eq, parent, defined)))
             if self._closed(live):
                 break
-        renumber = {old: new for new, old in enumerate(live)}
-        rows = []
-        for old in live:
-            row = []
-            for col in self.cols:
-                target = col[old]
-                if target is None:
-                    raise IncompleteTable("enumeration left an undefined entry")
-                row.append(renumber[self.rep(target)])
-            rows.append(row)
-        return rows
+        # With no coset merged away the cosets are numbered already.
+        merged = len(live) < len(parent)
+        if merged:
+            # renumber[k] is the new index of k's representative: the
+            # number of live cosets before it.  Coset 0 is always live.
+            renumber = list(itertools.accumulate(
+                map(eq, parent[1:], defined[1:]), initial=0))
+            for k in itertools.compress(defined, map(ne, parent, defined)):
+                renumber[k] = renumber[self.rep(k)]
+        # itemgetter returns a bare item for one index; the one live coset
+        # is then coset 0, which the slice picks as a list.
+        pick = itemgetter(*live) if len(live) > 1 else itemgetter(slice(1))
+        columns = []
+        for col in self.cols:
+            targets = pick(col)
+            if None in targets:
+                raise IncompleteTable("enumeration left an undefined entry")
+            if merged:
+                targets = tuple(map(renumber.__getitem__, targets))
+            columns.append(targets)
+        # A rank-0 presentation has no columns and its one coset.
+        return list(zip(*columns)) if columns else [()]
 
 
 def coset_enumeration(presentation: Presentation, subgroup_words=(),
@@ -647,15 +712,16 @@ def coset_enumeration(presentation: Presentation, subgroup_words=(),
     or :class:`HomomorphismFailure` is raised.
     """
     subgroup_words = tuple(tuple(w) for w in subgroup_words)
+    _check_letters(subgroup_words, presentation.rank)
     rows = _Enumerator(presentation, subgroup_words, cap).run()
     table = CosetTable(presentation, subgroup_words, tuple(map(tuple, rows)))
     for word in subgroup_words:
         if table.trace(0, word) != 0:
             raise HomomorphismFailure("subgroup word moved coset 0")
-    columns = tuple(zip(*table.rows))
     cosets = tuple(range(table.index))
     for word in presentation.relators:
-        if not _fixes_all(columns, cosets, *_power_root(_columns_word(word))):
+        if not _fixes_all(table.columns, cosets,
+                          *_power_root(_columns_word(word))):
             raise HomomorphismFailure("relator moved a coset")
     return table
 
@@ -664,8 +730,9 @@ def permutation_realization(table: CosetTable, *,
                             cap: int = permgroup.DEFAULT_ELEMENT_CAP) -> Group:
     """The image of the presented group acting on the cosets.
 
-    Generator ``i`` becomes the permutation ``coset -> coset * g_i``.  The
-    action is transitive, so the image G has order at least the index n.
+    Generator ``i`` becomes the permutation ``coset -> coset * g_i``, which
+    is the table's column ``2*i`` as it stands; a column that is not a
+    bijection raises :class:`IncompleteTable`.  The action is transitive, so the image G has order at least the index n.
     Its order is certified without listing it whenever the centralizer of
     G in Sym(n) is transitive as well (:func:`permgroup.is_regular`): an
     element commuting with G and taking coset a to coset b makes every
@@ -678,7 +745,7 @@ def permutation_realization(table: CosetTable, *,
     n = table.index
     perms = []
     for i in range(table.presentation.rank):
-        images = tuple(table.rows[c][2 * i] for c in range(n))
+        images = table.columns[2 * i]
         if len(set(images)) != n:
             raise IncompleteTable(f"generator {i} does not act bijectively")
         perms.append(Permutation(images))

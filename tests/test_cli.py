@@ -1,6 +1,9 @@
 """End-to-end command-line behavior: outputs, formats, and exit codes."""
 import argparse
+import contextlib
+import functools
 import hashlib
+import io
 import json
 from pathlib import Path
 import resource
@@ -9,6 +12,7 @@ import sys
 import tempfile
 import time
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 import hilb2
@@ -20,6 +24,12 @@ from hilb2.cli import (
     EXIT_NONABELIAN,
     EXIT_OK,
     main,
+)
+from hilb2.fpgroup import (
+    Presentation,
+    coset_enumeration,
+    parse_presentation,
+    permutation_realization,
 )
 
 
@@ -164,6 +174,56 @@ def test_classify_names_each_distinct_cover_once(capsys, monkeypatch,
         assert len(json.loads(out)["results"]) == 16
     else:
         assert out.endswith("16 cover(s)\n")
+
+
+FINITE_PRESENTATIONS = (
+    "< a b | a^2, b^3, a b a b >",
+    "< a b | a^4, a^2 b^-2, b^-1 a b a >",
+    "< a b | a^2, b^2, a b a b a b a b >",
+    "< a b | a^2, b^4, a b a^-1 b^-1 >",
+    "< a b | a^3, b^3, a b a^-1 b^-1 >",
+    "< a b c | a^2, b^2, c^3, a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1 >",
+)
+_NAME_LETTERS = "abcxyzABZ_"
+GENERATOR_NAMES = st.builds(lambda head, tail: head + tail,
+                            st.sampled_from(_NAME_LETTERS),
+                            st.text(_NAME_LETTERS + "019", max_size=3))
+
+
+def classify_text(presentation_text):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["classify", "--presentation", presentation_text])
+    assert code == EXIT_OK
+    return out.getvalue()
+
+
+classify_text_of = functools.cache(classify_text)
+
+
+def enumerated_orders(presentation):
+    table = coset_enumeration(presentation)
+    return table.index, permutation_realization(table).order
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_classify_ignores_generator_names_and_relator_order(data):
+    text = data.draw(st.sampled_from(FINITE_PRESENTATIONS))
+    p = parse_presentation(text)
+    rank = p.rank
+    names = data.draw(st.lists(GENERATOR_NAMES, min_size=rank,
+                               max_size=rank, unique=True))
+    # Generator i of p becomes generator slot[i] of the rewritten one.
+    slot = data.draw(st.permutations(range(rank)))
+    relators = data.draw(st.permutations(p.relators))
+    rewritten = Presentation(
+        tuple(names),
+        tuple(tuple((slot[abs(x) - 1] + 1) * (1 if x > 0 else -1) for x in w)
+              for w in relators),
+    )
+    assert classify_text(str(rewritten)) == classify_text_of(text)
+    assert enumerated_orders(rewritten) == enumerated_orders(p)
 
 
 def test_classify_unknown_catalog(capsys):

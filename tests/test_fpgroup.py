@@ -211,6 +211,14 @@ def test_coset_enumeration_over_subgroup():
     assert coset_enumeration(q, (parse_word(q, "b"),)).index == 2
 
 
+def test_subgroup_word_letters_are_checked():
+    p = parse_presentation("< a b | a^3, b^2, a b a b >")
+    for letter in (0, 3, -3):
+        with pytest.raises(ValueError, match=f"^letter {letter} is out of "
+                                             f"range$"):
+            coset_enumeration(p, ((1,), (2, letter)))
+
+
 def test_coset_enumeration_cap():
     with pytest.raises(CapExceeded):
         coset_enumeration(parse_presentation("< a b | >"), cap=50)
@@ -678,6 +686,65 @@ def test_power_relators_checked_at_period_cost(data):
     word = root * power
     period, repeats = _power_root(word)
     assert period * repeats == word and repeats % power == 0
+
+
+def permutes_with_cycles_dividing(columns, cosets, root, power):
+    """Oracle for ``_fixes_all``: the traced map of ``root`` permutes
+    ``cosets`` and each of its cycle lengths divides ``power``."""
+    image = {}
+    for start in cosets:
+        coset = start
+        for letter in root:
+            coset = columns[letter][coset]
+        image[start] = coset
+    if sorted(image.values()) != list(cosets):
+        return False
+    for start in cosets:
+        length, coset = 1, image[start]
+        while coset != start:
+            length, coset = length + 1, image[coset]
+        if power % length:
+            return False
+    return True
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_power_check_matches_the_cycle_oracle(data):
+    n = data.draw(st.integers(1, 12))
+    # A sorted set of live cosets: all of range(n), a prefix of it, or
+    # any nonempty subset.
+    kind = data.draw(st.sampled_from(("all", "prefix", "subset")))
+    if kind == "all":
+        cosets = tuple(range(n))
+    elif kind == "prefix":
+        cosets = tuple(range(data.draw(st.integers(1, n))))
+    else:
+        cosets = tuple(sorted(data.draw(
+            st.sets(st.integers(0, n - 1), min_size=1))))
+    others = tuple(c for c in range(n) if c not in cosets)
+    # Half the examples trace only maps that permute the cosets, so that
+    # the cycle lengths decide; the others may leave them or collapse.
+    keep = data.draw(st.booleans())
+    columns = []
+    for _ in range(4):
+        shape = "block" if keep else data.draw(
+            st.sampled_from(("block", "permutation", "map")))
+        if shape == "block":
+            image = dict(zip(cosets, data.draw(st.permutations(cosets))))
+            image.update(zip(others, data.draw(st.permutations(others))))
+            columns.append(tuple(map(image.__getitem__, range(n))))
+        elif shape == "permutation":
+            columns.append(tuple(data.draw(st.permutations(range(n)))))
+        else:
+            columns.append(tuple(data.draw(st.lists(
+                st.integers(0, n - 1), min_size=n, max_size=n))))
+    root = tuple(data.draw(st.lists(st.integers(0, 3), min_size=1,
+                                    max_size=6)))
+    power = data.draw(st.one_of(st.integers(1, 60),
+                                st.sampled_from((12, 24, 30, 60))))
+    assert _fixes_all(columns, cosets, root, power) == \
+        permutes_with_cycles_dividing(columns, cosets, root, power)
 
 
 def test_subgroups_of_abelian_counts():
