@@ -54,6 +54,7 @@ from .monodromy import (
     cover_from_subgroup,
     cover_isomorphic,
     galois_closure,
+    hilb_covers_by_type,
     wreath_quotient_check,
 )
 from .permgroup import DEFAULT_ELEMENT_CAP
@@ -124,37 +125,30 @@ def _load_surface(args) -> SurfaceDescriptor:
     )
 
 
-def _once_per_cover(covers, fn) -> list:
-    """``fn`` of every cover, called once per distinct cover object:
-    :func:`classify_hilb_covers` hands one object to every subgroup of a
-    quotient type."""
-    done: dict[int, object] = {}
-    for cover in covers:
-        if id(cover) not in done:
-            done[id(cover)] = fn(cover)
-    return [done[id(cover)] for cover in covers]
-
-
 def cmd_classify(args, caps: Caps) -> int:
     surface = _load_surface(args)
-    covers = classify_hilb_covers(surface, cap=caps.group_cap)
+    deck_types, by_type = hilb_covers_by_type(surface, cap=caps.group_cap)
     if args.format == "json":
+        # One dict per distinct cover, repeated for every subgroup of its
+        # type.
+        results = {t: serialize.cover_to_dict(c) for t, c in by_type.items()}
         print(serialize.emit(serialize.envelope(
-            "classify", _once_per_cover(covers, serialize.cover_to_dict)
+            "classify", [results[t] for t in deck_types]
         )))
         return EXIT_OK
     pi1ab = abelianization(surface.pi1_smooth)
     print(f"covers of Hilb2({surface.name})")
     print(f"pi1^ab upstairs: {_invariants_name(pi1ab.torsion)}")
     print(f"{'degree':>6}  {'deck':<8}  {'galois':<6}  branch")
-    deck_names = _once_per_cover(covers, lambda cover: _invariants_name(
-        permgroup.abelian_invariants(cover.deck_group)
-    ))
-    for cover, deck_name in zip(covers, deck_names):
+    # A cover's deck group is the quotient of its type, so the type names
+    # it.
+    deck_names = {t: _invariants_name(t) for t in by_type}
+    for t in deck_types:
+        cover = by_type[t]
         branch = ",".join(sorted(cover.ramification_labels)) or "-"
         galois = "yes" if cover.galois else "no"
-        print(f"{cover.degree:>6}  {deck_name:<8}  {galois:<6}  {branch}")
-    print(f"{len(covers)} cover(s)")
+        print(f"{cover.degree:>6}  {deck_names[t]:<8}  {galois:<6}  {branch}")
+    print(f"{len(deck_types)} cover(s)")
     return EXIT_OK
 
 

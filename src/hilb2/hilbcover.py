@@ -72,7 +72,7 @@ from .errors import (
     UnknownPoint,
 )
 from .permgroup import DEFAULT_ELEMENT_CAP, Group, Permutation
-from .tables import GroupTable
+from .tables import GroupTable, _greedy_generators
 
 
 @dataclass(frozen=True, order=True)
@@ -332,19 +332,12 @@ def _labels_through(labels: list[int], images) -> list[int]:
     return list(itertools.chain.from_iterable(map(read, rows)))
 
 
-def _pair_image(images, n: int, k: int) -> int:
-    """rho(x)(k) for the pair index k, read from x's images on Z ⊔ Z."""
-    z, w = divmod(k, n)
-    a, b = images[z], images[n + w]
-    return a * n + b - n if a < n else b * n + a - n
-
-
 def _fixes_transversals(maps, n: int, firsts, seconds) -> bool:
     """Whether rho of the product of ``maps`` (images on Z ⊔ Z, applied
     first to last) fixes every pair {firsts[j], seconds[j]} of the square,
     given as a transversal of Z ⊔ Z (firsts in the first copy, seconds in
-    the second).  A pair is fixed, as :func:`_pair_image` reads it, exactly
-    when its transversal is.  Each map sends copies onto copies, so its
+    the second).  A pair is fixed, as rho reads it, exactly when its
+    transversal is.  Each map sends copies onto copies, so its
     first image says whether it keeps them or exchanges them for every
     pair; the points are read through lazy C-level maps, in one pass that
     stops at the first point that differs."""
@@ -1002,6 +995,22 @@ _NONABELIAN_DECK = (
 )
 
 
+def _sheets(labels: list[int], per_point: int
+            ) -> tuple[list[int], dict[int, int]]:
+    """The label classes i * per_point + c of ``labels`` as sheets,
+    numbered point by point over the symmetric points i, and over each
+    point in the order their labels first occur, which is the order of the
+    classes' smallest members.  Returns each sheet's leader, its smallest
+    pair, and the sheet number of each label.  The leaders come from one
+    C-level pass: a dict built from the reversed labels keeps, for each
+    label, the last index written, its first occurrence."""
+    leader = dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))
+    by_first = sorted(leader, key=leader.__getitem__)
+    ordered = sorted(by_first, key=per_point.__rfloordiv__)  # stable
+    return (list(map(leader.__getitem__, ordered)),
+            dict(zip(ordered, itertools.count())))
+
+
 def square_cover(gset: GSet, base_label: str, *,
                  ramification_labels=frozenset(),
                  cap: int = DEFAULT_ELEMENT_CAP) -> CoverDescriptor:
@@ -1010,11 +1019,20 @@ def square_cover(gset: GSet, base_label: str, *,
 
     Over each symmetric point ``P`` its d sheets are the antidiagonal-group
     orbits of :func:`build_construction`, labeled ``P#0 .. P#(d-1)`` by
-    smallest member; sheets over doubled points are the center labels (the
-    locus blown up downstairs), and no ramification is introduced.  The
-    deck group is G acting through the second-slot maps, checked to be a
-    homomorphism (deck(s) deck(g) = deck(s g) for the generators s and
-    every g) and injective, so its image is closed and isomorphic to G.
+    smallest member, which is the order in which their antidiagonal labels
+    first occur (:func:`_sheets`); sheets over doubled points are the
+    center labels (the locus blown up downstairs), and no ramification is
+    introduced.  The deck group is G acting through the second-slot maps,
+    read at each sheet's smallest pair and looked up by that pair's
+    label, as the orbits are the label classes.  The action is checked to
+    be a homomorphism (deck(s) deck(g) = deck(s g) for the generators s
+    and every g) and injective, so its image is closed and isomorphic to
+    G.  Its generators are the greedy generators of that image in sorted
+    order, which the table walks over the elements g sorted by deck(g):
+    g -> deck(g) is an injective homomorphism, so x is reached from the
+    identity by the earlier generators in the table exactly when deck(x)
+    is by their images, and the walk picks the same generators as one
+    over the permutations (:func:`permgroup.group_from_elements`).
     That G acts faithfully on the sheets of ``gset`` needs no check of its
     own: the validated table makes the action free (see :func:`free_gset`),
     and :func:`build_construction` checks that the pair group has order
@@ -1026,24 +1044,25 @@ def square_cover(gset: GSet, base_label: str, *,
     c = build_construction(gset, cap=cap)
     d = table.order
 
-    total: list[str] = []
-    center: list[str] = []
-    leaders: list[int] = []
-    orbit_of_point: dict[int, int] = {}
-    for i, p in enumerate(c.sym.points):
-        for k, orbit in enumerate(c.antidiagonal_orbit_fibers[i]):
-            label = f"{p.label}#{k}"
-            orbit_of_point.update(dict.fromkeys(orbit, len(total)))
-            leaders.append(orbit[0])
-            total.append(label)
-            if p.is_diagonal:
-                center.append(label)
+    suffixes = [f"#{k}" for k in range(d)]
+    names = [tuple(map(p.label.__add__, suffixes)) for p in c.sym.points]
+    total = tuple(itertools.chain.from_iterable(names))
+    center = tuple(itertools.chain.from_iterable(
+        point_names for p, point_names in zip(c.sym.points, names)
+        if p.is_diagonal
+    ))
 
+    # A slot map fixes the first copy (checked by the build), so it moves
+    # the pair z * n + w, the transversal {z, n + w}, to
+    # z * n + slot(n + w) - n.
     n = gset.size
+    labels = c.antidiagonal_labels
+    leaders, sheet_of = _sheets(labels, d)
+    row_starts = [k - k % n - n for k in leaders]  # z * n - n
+    seconds = [n + k % n for k in leaders]  # n + w
     deck = [
-        Permutation(tuple(
-            orbit_of_point[_pair_image(mover.images, n, k)] for k in leaders
-        ))
+        Permutation(map(sheet_of.__getitem__, map(labels.__getitem__, map(
+            operator.add, row_starts, map(mover.__getitem__, seconds)))))
         for mover in c.second_slot_maps
     ]
     for s in table.small_generating_set():
@@ -1054,17 +1073,20 @@ def square_cover(gset: GSet, base_label: str, *,
                 )
     if len(set(deck)) != d:
         raise HomomorphismFailure("deck action on orbits is not faithful")
-    deck_group = permgroup.group_from_elements(len(total), deck)
+    gens = _greedy_generators(sorted(range(d), key=deck.__getitem__),
+                              table.identity, table._right_multiplication)
+    deck_group = permgroup._listed(len(total), map(deck.__getitem__, gens),
+                                   deck)
 
     return CoverDescriptor(
         base_label=f"Hilb2({base_label})",
-        total_points=tuple(total),
+        total_points=total,
         monodromy=deck_group,
         degree=d,
         deck_group=deck_group,
         galois=True,
         ramification_labels=ramification_labels,
-        center_labels=tuple(center),
+        center_labels=center,
     )
 
 

@@ -338,27 +338,31 @@ def wreath_quotient_check(q_table: GroupTable, n: int, *,
 CLASSIFY_BASE = ("a", "b")
 
 
-def classify_hilb_covers(s: SurfaceDescriptor, *,
-                         cap: int = DEFAULT_ELEMENT_CAP) -> tuple[CoverDescriptor, ...]:
-    """All covers of the Hilbert square of ``s``, one per subgroup upstairs.
+def hilb_covers_by_type(s: SurfaceDescriptor, *,
+                        cap: int = DEFAULT_ELEMENT_CAP
+                        ) -> tuple[tuple[tuple[int, ...], ...],
+                                   dict[tuple[int, ...], CoverDescriptor]]:
+    """The covers of the Hilbert square of ``s`` by deck group type.
 
     The fundamental group of the Hilbert square is the abelianization of
     the smooth part's fundamental group; each of its subgroups induces a
-    Galois cover with abelian deck group, realized explicitly through the
-    squared construction (:func:`square_cover`) on the free model of the
-    quotient's abelian table over a fixed two-point base; that table is
-    the only representation of the deck group built.  The model depends
-    on the subgroup only through the quotient's invariants, so each
-    distinct quotient type is built, and its laws checked, once per call,
-    in order of first occurrence, and every subgroup of that type gets
-    that cover; nothing is kept between calls.  Results are ordered by
-    degree, then by the defining subgroup.  Raises
-    :class:`InfiniteAbelianization` when the abelianization has positive
-    free rank.  Raises ``CapExceeded`` before listing any subgroup when the
-    pair group of the largest cover, the trivial subgroup's of degree
-    N = |abelianization|, would pass ``cap``: every cover with a pair group
-    over the cap would refuse with the same message, and no smaller one
-    can fail first.
+    Galois cover whose deck group is the quotient, realized explicitly
+    through the squared construction (:func:`square_cover`) on the free
+    model of the quotient's abelian table over a fixed two-point base;
+    that table is the only representation of the deck group built.  The
+    model depends on the subgroup only through the quotient's invariants,
+    so each distinct quotient type is built, and its laws checked, once
+    per call, in order of first occurrence; nothing is kept between calls.
+
+    Returns the quotient invariants of every subgroup, ordered by degree,
+    then by the subgroup, and the cover of each type, keyed by those
+    invariants, which are also the deck group's invariant factors.
+    Raises :class:`InfiniteAbelianization` when the abelianization has
+    positive free rank.  Raises ``CapExceeded`` before listing any
+    subgroup when the pair group of the largest cover, the trivial
+    subgroup's of degree N = |abelianization|, would pass ``cap``: every
+    cover with a pair group over the cap would refuse with the same
+    message, and no smaller one can fail first.
     """
     invariants = abelianization(s.pi1_smooth)
     if invariants.rank > 0:
@@ -371,15 +375,29 @@ def classify_hilb_covers(s: SurfaceDescriptor, *,
         subgroups_of_abelian(invariants),
         key=lambda sub: (sub.index, sub.elements),
     )
+    types = tuple(sub.quotient.torsion for sub in subs)
     by_type: dict[tuple[int, ...], CoverDescriptor] = {}
-    for sub in subs:
-        torsion = sub.quotient.torsion
+    for torsion in types:
         if torsion not in by_type:
             by_type[torsion] = quasietale_correspondence(s, square_cover(
                 free_gset(abelian_table(torsion), CLASSIFY_BASE),
                 s.name, cap=cap,
             ))
-    return tuple(by_type[sub.quotient.torsion] for sub in subs)
+    return types, by_type
+
+
+def classify_hilb_covers(s: SurfaceDescriptor, *,
+                         cap: int = DEFAULT_ELEMENT_CAP) -> tuple[CoverDescriptor, ...]:
+    """All covers of the Hilbert square of ``s``, one per subgroup upstairs.
+
+    Each subgroup of the abelianized fundamental group induces a Galois
+    cover with abelian deck group (see :func:`hilb_covers_by_type`, which
+    builds each quotient type's cover once and raises as documented
+    there); every subgroup of a type gets that type's cover object.
+    Results are ordered by degree, then by the defining subgroup.
+    """
+    types, by_type = hilb_covers_by_type(s, cap=cap)
+    return tuple(map(by_type.__getitem__, types))
 
 
 def quasietale_correspondence(s: SurfaceDescriptor,

@@ -361,9 +361,36 @@ def quaternion_table() -> GroupTable:
 
 
 def abelian_table(invariants) -> GroupTable:
-    """Direct product of cyclic groups of the given orders."""
-    factors = [cyclic_table(d) for d in invariants] or [cyclic_table(1)]
-    return reduce(direct_product, factors)
+    """Direct product of cyclic groups of the given orders.
+
+    Element (a1, ..., ak) has the mixed-radix index
+    (...(a1 d2 + a2) d3 + ...) dk + ak, the first factor most significant,
+    which is the indexing ``reduce(direct_product, cyclic tables)`` gives.
+    The rows are built factor by factor from the last, and only the
+    product is validated: once the rows of the elements below the weight
+    w of a factor are known, the row of x + w is the row of x followed by
+    adding that factor's unit, a permutation of the indices, so each row
+    is one C-level ``map``.
+    """
+    invariants = tuple(invariants)
+    if min(invariants, default=1) < 1:
+        raise NotAGroup("cyclic groups have positive order")
+    n = math.prod(invariants)
+    elements = tuple(range(n))
+    rows = [elements]
+    weight = 1
+    for d in reversed(invariants):
+        span = d * weight
+        # This factor's unit raises its digit by one, from d - 1 back to 0.
+        unit = tuple(itertools.chain.from_iterable(
+            elements[b + weight:b + span] + elements[b:b + weight]
+            for b in range(0, n, span)
+        ))
+        for _ in range(d - 1):
+            rows.extend([tuple(map(unit.__getitem__, row))
+                         for row in rows[-weight:]])
+        weight = span
+    return GroupTable(tuple(rows))
 
 
 def _partitions(n: int) -> list[tuple[int, ...]]:
@@ -460,6 +487,10 @@ class GroupSpec:
                    for kind, n in self.factors)
 
     def table(self) -> GroupTable:
+        """The product table, factors in spec order, the first most
+        significant; an all-cyclic spec is one :func:`abelian_table`."""
+        if all(kind == "Z" for kind, _ in self.factors):
+            return abelian_table(n for _, n in self.factors)
         return reduce(direct_product, [
             cyclic_table(n) if kind == "Z"
             else symmetric_table(n) if kind == "S"

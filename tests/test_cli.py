@@ -150,29 +150,36 @@ def test_classify_json(capsys):
 
 
 @pytest.mark.parametrize("fmt,module,name", [
-    ("text", permgroup, "abelian_invariants"),
+    # Text names each cover's deck group from its quotient type.
+    ("text", cli, "_invariants_name"),
     ("json", serialize, "cover_to_dict"),
 ])
 def test_classify_names_each_distinct_cover_once(capsys, monkeypatch,
                                                  fmt, module, name):
     # Z2^3 has 16 subgroups of 4 quotient types, one cover object each.
-    covers = []
+    calls = []
     original = getattr(module, name)
 
     def counted(x):
-        covers.append(x)
+        calls.append(x)
         return original(x)
 
+    def refused(group):
+        raise AssertionError("classify named a deck group from its elements")
+
     monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(permgroup, "abelian_invariants", refused)
     code, out, _ = run(
         capsys, "classify", "--presentation", "< a b c | a^2, b^2, c^2 >",
         "--format", fmt,
     )
     assert code == EXIT_OK
-    assert len(covers) == len({id(x) for x in covers}) == 4
+    named = calls[1:] if fmt == "text" else calls  # text names pi1^ab first
+    assert len(named) == len({id(x) for x in named}) == 4
     if fmt == "json":
         assert len(json.loads(out)["results"]) == 16
     else:
+        assert sorted(named) == [(), (2,), (2, 2), (2, 2, 2)]
         assert out.endswith("16 cover(s)\n")
 
 
@@ -444,7 +451,8 @@ def run_limited(argv, *, address_space: int, timeout: float):
         start = time.perf_counter()
         proc = subprocess.Popen(
             [sys.executable, "-c", _CHILD, peak.name, *argv], stdout=out,
-            stderr=err, env={"PYTHONPATH": src}, preexec_fn=limit,
+            stderr=err, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+            preexec_fn=limit,
         )
         while proc.poll() is None:
             if time.perf_counter() - start > timeout:

@@ -123,7 +123,9 @@ def test_corpus_replays_byte_for_byte_under_another_hash_seed():
     src = str(Path(hilb2.__file__).resolve().parent.parent)
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
-        timeout=120, env={"PYTHONPATH": src, "PYTHONHASHSEED": "12345"},
+        timeout=120,
+        env={"PYTHONPATH": src, "PYTHONHASHSEED": "12345",
+             "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert result.returncode == 0, result.stderr
     replayed = json.loads(result.stdout)

@@ -240,7 +240,8 @@ def test_coset_table_check_runs_under_optimization():
     src = str(Path(hilb2.__file__).resolve().parent.parent)
     result = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True,
-        text=True, timeout=60, env={"PYTHONPATH": src},
+        text=True, timeout=60,
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == \

@@ -8,6 +8,7 @@ from pathlib import Path
 import subprocess
 import sys
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 import hilb2
@@ -354,6 +355,150 @@ def test_hilb_square_cover_checks_the_deck_action_is_a_homomorphism(
         hilb_square_cover(cover)
 
 
+def test_square_cover_checks_the_deck_action_is_faithful(monkeypatch):
+    # With every slot map the identity of Z ⊔ Z, every g acts trivially on
+    # the sheets: a homomorphism, but not an injective one.
+    honest = hilbcover.build_construction
+
+    def trivial(gset, **kwargs):
+        c = honest(gset, **kwargs)
+        identity = Permutation.identity(2 * gset.size)
+        return replace(c, second_slot_maps=(identity,) * c.d)
+
+    gset = free_gset(cyclic_table(3), ("a", "b"))
+    assert square_cover(gset, "X").degree == 3
+    monkeypatch.setattr(hilbcover, "build_construction", trivial)
+    with pytest.raises(HomomorphismFailure,
+                       match="^deck action on orbits is not faithful$"):
+        square_cover(gset, "X")
+
+
+def reference_pair_image(images, n, k):
+    """rho(x)(k) for the pair index k, read from x's images on Z ⊔ Z."""
+    z, w = divmod(k, n)
+    a, b = images[z], images[n + w]
+    return a * n + b - n if a < n else b * n + a - n
+
+
+def reference_deck_side(c):
+    """The deck side that read each slot map at every orbit leader through
+    the pair image, numbered the orbits from the bucketed fibers and
+    closed the deck group's generators over the sorted permutations."""
+    total, center, leaders = [], [], []
+    orbit_of_point = {}
+    for i, p in enumerate(c.sym.points):
+        for k, orbit in enumerate(c.antidiagonal_orbit_fibers[i]):
+            label = f"{p.label}#{k}"
+            orbit_of_point.update(dict.fromkeys(orbit, len(total)))
+            leaders.append(orbit[0])
+            total.append(label)
+            if p.is_diagonal:
+                center.append(label)
+    n = c.gset.size
+    deck = [
+        Permutation(tuple(
+            orbit_of_point[reference_pair_image(mover.images, n, k)]
+            for k in leaders
+        ))
+        for mover in c.second_slot_maps
+    ]
+    group = permgroup.group_from_elements(len(total), deck)
+    return tuple(total), tuple(center), group
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_deck_side_matches_the_pair_image_reading(size):
+    base = ("a", "b", "c")[:size]
+    for _, table in abelian_group_tables(12):
+        gset = free_gset(table, base)
+        total, center, group = reference_deck_side(build_construction(gset))
+        cover = square_cover(gset, "X")
+        assert cover.total_points == total
+        assert cover.center_labels == center
+        assert cover.deck_group.elements == group.elements
+        assert cover.deck_group.generators == group.generators
+        assert cover.monodromy is cover.deck_group
+
+
+def test_sheets_are_numbered_by_smallest_member():
+    # Over one point, labels 1, 0, 2 first occur at pairs 0, 1, 2, so they
+    # are sheets 0, 1, 2; the reversed labels would meet 2 first.
+    leaders, sheet_of = hilbcover._sheets([1, 0, 2, 0, 1, 2], 3)
+    assert leaders == [0, 1, 2]
+    assert sheet_of == {1: 0, 0: 1, 2: 2}
+    # Two points: point 0's labels first, each point's by first occurrence.
+    leaders, sheet_of = hilbcover._sheets([3, 1, 0, 4, 5, 2], 3)
+    assert leaders == [1, 2, 5, 0, 3, 4]
+    assert sheet_of == {1: 0, 0: 1, 2: 2, 3: 3, 4: 4, 5: 5}
+
+
+@pytest.mark.parametrize("table, base", [
+    (cyclic_table(3), ("a",)), (cyclic_table(5), ("a", "b")),
+    (abelian_table((2, 4)), ("a", "b", "c")), (cyclic_table(12), ("a", "b")),
+])
+def test_sheet_k_is_the_orbit_with_the_kth_smallest_member(table, base):
+    c = build(table, base)
+    labels = c.antidiagonal_labels
+    leaders, sheet_of = hilbcover._sheets(labels, c.d)
+    orbits = [orbit for fibers in c.antidiagonal_orbit_fibers
+              for orbit in fibers]
+    assert leaders == [orbit[0] for orbit in orbits]
+    for k, orbit in enumerate(orbits):
+        assert {sheet_of[labels[pair]] for pair in orbit} == {k}
+
+
+RELABELLED_TABLES = [table for _, table in abelian_group_tables(8)] + [
+    symmetric_table(3)]
+
+
+def relabel(table, sigma):
+    """The table with element a renamed sigma[a]; its identity is
+    sigma[e], wherever that falls."""
+    n = table.order
+    rows = [[0] * n for _ in range(n)]
+    for a, row in enumerate(table.table):
+        for b, ab in enumerate(row):
+            rows[sigma[a]][sigma[b]] = sigma[ab]
+    return GroupTable(tuple(map(tuple, rows)))
+
+
+def labelling_invariants(table, base):
+    """What must not depend on how the group and the base are written
+    down: the build's group orders, fiber sizes, orbit counts, copy sizes
+    and fixed-copy count, and, for abelian G, the cover's degree, center
+    count and deck invariants."""
+    c = build(table, base)
+    found = (
+        len(c.pair_group), len(c.diagonal_group), len(c.antidiagonal_group),
+        c.xi_fiber_sizes, c.antidiagonal_orbit_counts,
+        tuple(map(len, c.diagonal_orbit_fibers)),
+        tuple(map(len, c.diagonal_copies)), len(fixed_components(c)),
+    )
+    if table.is_abelian:
+        cover = square_cover(free_gset(table, base), "X")
+        found += (cover.degree, len(cover.center_labels),
+                  permgroup.abelian_invariants(cover.deck_group))
+    return found
+
+
+@functools.cache
+def plain_invariants(index, size):
+    return labelling_invariants(RELABELLED_TABLES[index],
+                                ("a", "b", "c")[:size])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_answers_do_not_depend_on_the_labelling(data):
+    index = data.draw(st.integers(0, len(RELABELLED_TABLES) - 1))
+    table = RELABELLED_TABLES[index]
+    sigma = data.draw(st.permutations(range(table.order)))
+    base = data.draw(st.lists(st.text("abcxyz", min_size=1, max_size=3),
+                              min_size=1, max_size=3, unique=True))
+    assert labelling_invariants(relabel(table, sigma), tuple(base)) == \
+        plain_invariants(index, len(base))
+
+
 def assert_laws_exhaustively(c):
     """Every law that ``build_construction`` and ``sign_and_splitting``
     check on generators, restated over all pairs of elements, with the
@@ -546,7 +691,8 @@ def test_law_checks_run_under_optimization():
     src = str(Path(hilb2.__file__).resolve().parent.parent)
     result = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True,
-        text=True, timeout=60, env={"PYTHONPATH": src},
+        text=True, timeout=60,
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == (

@@ -22,6 +22,7 @@ from hilb2.monodromy import (
     cover_from_subgroup,
     cover_isomorphic,
     galois_closure,
+    hilb_covers_by_type,
     quasietale_correspondence,
     remove_base_labels,
     wreath_model,
@@ -340,6 +341,20 @@ def test_classify_matches_the_sheet_action_pipeline(surface):
     assert [cover_data(c) for c in new] == [cover_data(c) for c in old]
 
 
+@pytest.mark.parametrize("surface", CLASSIFIED_SURFACES,
+                         ids=lambda s: s.name)
+def test_covers_by_type_name_their_deck_groups(surface):
+    # Each subgroup's quotient type is its cover's deck group's invariant
+    # factors, which classify prints without reading the group.
+    types, by_type = hilb_covers_by_type(surface)
+    subs = subgroups_of_abelian(abelianization(surface.pi1_smooth))
+    assert sorted(types) == sorted(sub.quotient.torsion for sub in subs)
+    assert list(by_type) == list(dict.fromkeys(types))
+    for torsion, cover in by_type.items():
+        assert permgroup.abelian_invariants(cover.deck_group) == torsion
+    assert classify_hilb_covers(surface) == tuple(map(by_type.get, types))
+
+
 def classify_one_cover_per_subgroup(s):
     """The classify loop that built and checked one cover per subgroup."""
     subs = sorted(
@@ -445,7 +460,8 @@ def test_wreath_order_law_runs_under_optimization():
     src = str(Path(hilb2.__file__).resolve().parent.parent)
     result = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True,
-        text=True, timeout=120, env={"PYTHONPATH": src},
+        text=True, timeout=120,
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert result.returncode == 1, result.stderr
     failures = [line for line in result.stdout.splitlines()
