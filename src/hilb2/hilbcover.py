@@ -30,23 +30,24 @@ group of the square organize everything:
   element squares to the identity.
 
 Every one of these laws is verified on every call at construction time,
-directly or by induction over generators, or is certified by the group
-axioms that the multiplication table was validated against.  The three
-groups are held in their imprimitive action on Z ⊔ Z, two copies of the
-sheets (the pair group is the wreath product G ≀ C2 in this action; Holt,
-Eick and O'Brien, *Handbook of Computational Group Theory*, 2005): the
-swap exchanges the copies, translations move each copy within itself, and
-the sign of an element says whether it exchanges them.  Every generator is
-checked to map copies onto copies, so every element does, and an element x
-then acts on the square by the rule rho: the pair (z, w) is the
-transversal {z, |Z| + w} and goes to {x(z), x(|Z| + w)}, read first copy
-first.  That is the action of x on a set of two-point subsets, so rho is a
-homomorphism by construction and needs no certificate.  Orbit partitions
-are read from labels of the pairs that rho of every generator is checked
-to keep; fiber and component computations read rho at the single pairs
-they need; no group is listed on the square.  Because Z ⊔ Z
-has two points even for one sheet over one base point, where the square
-has one, the abstract group sizes stay faithful in that degenerate case.
+directly or by induction over generators, or is certified by how the maps
+are built and by the group axioms that the multiplication table was
+validated against.  The three groups are held in their imprimitive action
+on Z ⊔ Z, two copies of the sheets (the pair group is the wreath product
+G ≀ C2 in this action; Holt, Eick and O'Brien, *Handbook of Computational
+Group Theory*, 2005): the swap exchanges the copies, translations move
+each copy within itself, and the sign of an element says whether it
+exchanges them.  Every generator maps copies onto copies by construction,
+so every element does, and an element x then acts on the square by the
+rule rho: the pair (z, w) is the transversal {z, |Z| + w} and goes to
+{x(z), x(|Z| + w)}, read first copy first.  That is the action of x on a
+set of two-point subsets, so rho is a homomorphism by construction and
+needs no certificate.  Orbit partitions are read from labels of the pairs
+that rho of every generator is checked to keep; fiber and component
+computations read rho at the single pairs they need; no group is listed
+on the square.  Because Z ⊔ Z has two points even for one sheet over one
+base point, where the square has one, the abstract group sizes stay
+faithful in that degenerate case.
 
 Index conventions, fixed for reproducibility: a sheet (g, b) has index
 g * |B| + b with g in multiplication-table order and b in input order; a
@@ -197,38 +198,6 @@ def free_gset(group: GroupTable, base) -> GSet:
 
 
 @dataclass(frozen=True)
-class SignReport:
-    """Audit record for the swap-parity homomorphism and its splitting.
-
-    :func:`build_construction` records it from the laws it has checked, so
-    every flag is true and ``ok`` holds on any construction that was built.
-    """
-
-    pair_group_order: int
-    d: int
-    kernel_order: int
-    kernel_is_translation_image: bool
-    translation_injective: bool
-    translation_homomorphism: bool
-    sign_homomorphism: bool
-    section_sign: int
-    section_squares_to_identity: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.kernel_is_translation_image
-            and self.translation_injective
-            and self.translation_homomorphism
-            and self.sign_homomorphism
-            and self.section_sign == -1
-            and self.section_squares_to_identity
-            and self.kernel_order == self.d ** 2
-            and self.pair_group_order == 2 * self.d ** 2
-        )
-
-
-@dataclass(frozen=True)
 class HilbConstruction:
     """The verified package built on the square of a free G-sheet model.
 
@@ -240,7 +209,9 @@ class HilbConstruction:
     the transversal {x(z), x(|Z| + w)}, read first copy first.
     The pair translation (g1, g) acts as g1 on the first copy and g on the
     second, so by (z, w) -> (g1.z, g.w) on the square;
-    ``antidiagonal_maps[a]`` is the pair translation by (a, a^-1).
+    ``second_slot_maps[g]``, ``diagonal_maps[g]`` and
+    ``antidiagonal_maps[a]`` are the pair translations by (e, g), (g, g)
+    and (a, a^-1).
     ``pair_group`` holds its generators and its certified order 2 d^2 and
     lists its elements only when a caller first reads them; the diagonal
     group, and the antidiagonal group of an abelian G, are listed from
@@ -260,7 +231,6 @@ class HilbConstruction:
     ``xi_fiber_sizes[i]``, the number of pairs over point i, and
     ``antidiagonal_orbit_counts[i]``, the number of antidiagonal-group
     orbits there.
-    ``sign_report`` is the :class:`SignReport` the build recorded.
     """
 
     gset: GSet
@@ -275,7 +245,6 @@ class HilbConstruction:
     sym: SymQuotient
     xi_fiber_sizes: tuple[int, ...]
     antidiagonal_orbit_counts: tuple[int, ...]
-    sign_report: SignReport
     point_labels: list[int] = field(repr=False, compare=False)
     diagonal_labels: list[int] = field(repr=False, compare=False)
     antidiagonal_labels: list[int] = field(repr=False, compare=False)
@@ -368,6 +337,16 @@ def _pair_labels(gset: GSet, rows, tables) -> list[int]:
     return list(itertools.chain.from_iterable(itertools.chain.from_iterable(
         map(cell.__getitem__, row) for row in rows for cell in cells
     )))
+
+
+def _point_labels(gset: GSet, sym_of) -> list[int]:
+    """The pair-group label of each pair: its symmetric point.  Pair
+    z * n + w lies over sym_of[b][b'] for the base points b, b' of z and
+    w alone, so each row of the square repeats sym_of[b] d times."""
+    d = gset.group.order
+    return list(itertools.chain.from_iterable(
+        sym_of[b] * d for b in range(len(gset.base))
+    )) * d
 
 
 def _diagonal_labels(gset: GSet, sym_of) -> list[int]:
@@ -467,7 +446,8 @@ def refuse_pair_group_over_cap(d: int, cap: int) -> None:
 
 
 def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbConstruction:
-    """Assemble the whole package and verify every law on every call.
+    """Assemble the whole package; every law is checked on every call or
+    certified below.
 
     A failed law raises :class:`HomomorphismFailure` naming it (it means
     the model itself is broken, not the input).  The maps and groups act
@@ -478,43 +458,60 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     every h is a homomorphism, and the elements that commute with a fixed
     element form a subgroup.
 
+    Every map is built as what it is, with no check of its own.  The swap
+    sends point z to |Z| + z and back, so it is an involution that
+    exchanges the two copies.  The pair translation pair(g1, g) is the
+    permutation that is g1's translation on the first copy and g's on the
+    second, so it keeps each copy and moves the pair (z, w) to
+    (g1.z, g.w) under rho.  The second-slot map of g is pair(e, g), the
+    diagonal map diag(g) = pair(g, g) and the antidiagonal map
+    anti(a) = pair(a, a^-1).
+
     The pair group J = <swap, slot maps> is certified as G ≀ C2 of order
     2 d^2, never closed (Dixon and Mortimer, *Permutation Groups*, 1996,
-    §2.6).  Write P for the pair translations pair(g1, g) =
-    (swap . slot-map(g1) . swap) . slot-map(g):
+    §2.6).  Write P for the pair translations:
 
-    * pair is a homomorphism from G x G, by the slot-map homomorphism and
-      the commutation check below;
-    * it is injective: pair(g1, g) acts as g1's translation on the first
-      copy and g's on the second (the conjugated-images check), and the d
-      translations are distinct (certified by the table, below);
+    * pair is an injective homomorphism from G x G: it acts on each copy
+      by a translation, and g -> translation(g) is an injective
+      homomorphism (certified by the table, below), so
+      pair(g1, g) . pair(h1, h) = pair(g1 h1, g h), and pair(g1, g) is the
+      identity only for g1 = g = e;
     * the swap normalizes P, as swap . pair(g1, g) . swap = pair(g, g1)
-      by the same commutation, and lies outside P, since it exchanges the
-      copies and P keeps them;
+      (conjugating by the swap exchanges the copies), and lies outside P,
+      since it exchanges the copies and P keeps them;
     * so P ⊔ swap . P is a group of order 2 d^2; it holds J's generators
       (swap and pair(e, g)) and lies in J, so it is J.
 
     The diagonal group D, and the antidiagonal group H of an abelian G, are
     listed from their normal forms, never closed (same reference):
 
-    * D = diag(G) ⊔ swap . diag(G).  diag is an injective homomorphism
-      from G (certified by the table, below), and
+    * D = diag(G) ⊔ swap . diag(G).  diag is pair on the diagonal of
+      G x G, so an injective homomorphism, and
       swap . diag(s) . swap = diag(s) is checked for the generators s, so
       the involution swap centralizes diag(G) and the union is a group.
       It has order 2 d, as its swap half exchanges the copies and diag(G)
       keeps them; it holds D's generators (the swap and the diag(s)) and
       lies in D, so it is D;
-    * H = anti(G) ⊔ swap . anti(G) for abelian G, in the same way, with
+    * anti(s) . anti(b) = pair(s b, s^-1 b^-1) while
+      anti(s b) = pair(s b, b^-1 s^-1), so anti is a homomorphism exactly
+      when G is abelian, and then an injective one, as pair is.  For
+      abelian G, H = anti(G) ⊔ swap . anti(G) in the same way as D, with
       swap . anti(s) . swap = anti(s^-1) checked on generators, so
-      conjugation by the swap inverts anti(G).  A nonabelian H is closed
-      from its generators.
+      conjugation by the swap inverts anti(G); its order is
+      2 d = 2 d |[G, G]|.  A nonabelian H is closed from its generators;
+      its order is checked to be that of the slot-product kernel,
+      2 d |[G, G]| (below), and its copy-keeping half, the kernel of the
+      sign on H, has index 2 in H, as the swap lies in H with sign -1;
+    * when every g satisfies g^2 = e, a^-1 = a, so anti(a) = diag(a) for
+      every a, and G is abelian: H and D are listed from the same maps, so
+      the two intermediate subgroups coincide.
 
     The generators of D and H are the swap and pair translations, so both
     lie in J by construction, and so do the slot maps.
 
     The square action rho needs no certificate (no presentation of G ≀ C2
     whose relators its generator images satisfy): every generator of J
-    maps copies onto copies, which is checked, so every element of J does,
+    maps copies onto copies by construction, so every element of J does,
     and on such permutations rho is the action on the transversal
     two-point sets {z, |Z| + w}, a homomorphism by construction.  So an
     element of J keeps a labelling of the pairs as soon as each generator's
@@ -530,58 +527,44 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     * g -> translation(g) is a homomorphism: row e is the identity
       arrangement, so translation(e) = id, and associativity gives
       translation(s)(translation(h)(k, b)) = (s (h k), b) = ((s h) k, b) =
-      translation(s h)(k, b).  The second-slot map of g is the identity on
-      the first copy and translation(g) on the second, the diagonal map
-      translation(g) on both, so g -> second-slot map and g -> diagonal map
-      are homomorphisms too;
-    * the translations are distinct, so all three are injective:
-      translation(g) sends the block over e to the block over g e = g.
+      translation(s h)(k, b);
+    * the translations are distinct, so it is injective: translation(g)
+      sends the block over e to the block over g e = g;
+    * the d diagonal copies T[g] = {(z, g.z)} of the sheets are disjoint
+      sheet sets: T[g] holds one pair for each sheet z, and T[g] and T[h]
+      share none for g != h, as g.z = h.z would make h^-1 g != e fix z,
+      which the free action (see :func:`free_gset`) rules out;
+    * the abelianization read by :meth:`GroupTable.quotient_by` has one
+      element for each coset of [G, G], so its order is d / |[G, G]|.
 
     Checked directly on Z ⊔ Z:
 
-    * the swap is an involution, and each pair-group generator (the swap
-      and the generator slot maps) maps copies onto copies;
-    * diagonal map of g = swap . slot-map(g) . swap . slot-map(g), read as
-      the pair translation indexed (g, g);
-    * swap . slot-map(g1) . swap moves g1 on the first copy and fixes the
-      second; slot maps move g on the second copy and fix the first by
-      construction, so the pair translation indexed (g1, g) moves (z, w)
-      to (g1.z, g.w) under rho;
     * the swap centralizes the generators' diagonal maps and, for abelian
-      G, inverts their antidiagonal maps (the normal forms above); the
-      diagonal group has order 2 d, the antidiagonal group 2 d |commutator
-      of G| (its copy-keeping half has order d |commutator of G|, and is
-      the antidiagonal maps in the abelian case);
+      G, inverts their antidiagonal maps (the normal forms above);
     * the diagonal group is normal in the pair group exactly when every
-      g satisfies g^2 = id; the antidiagonal group is always normal; the
-      two subgroups coincide in the g^2 = id case (normality itself is
-      settled on generators, see :func:`permgroup.normalized_by`).
+      g satisfies g^2 = id; the antidiagonal group is always normal
+      (normality itself is settled on generators, see
+      :func:`permgroup.normalized_by`).
 
-    Checked by generator induction:
-
-    * a -> antidiagonal map is a homomorphism exactly when G is abelian;
-    * slot-map(h) commutes with swap . slot-map(g1) . swap for generators
-      h, hence for every h;
-    * the slot product, sending a pair-group element x to the class of
-      g1 * g in the abelianization of G, where (g1.b0, g.b0) =
-      rho(x)(b0, b0), is a homomorphism onto G/[G, G] with kernel exactly
-      the antidiagonal group — the intermediate quotient is Galois with
-      deck group G/[G, G], which is all of G in the abelian case.  It is
-      read from the antidiagonal labels (symmetric point, class of g1 g2)
-      below: on every pair, the swap keeps each label and slot-map(s)
-      multiplies each label's class by the class of s.  As rho is a
-      homomorphism, the elements that multiply every class by one value
-      form a subgroup, on which the value is multiplicative; it holds the
-      generators, so it is J, and an element's value is its slot product
-      (the label of (b0, b0) has class 1).  rho(x)(b0, b0) hits each pair
-      over (b0, b0) twice as x runs over J, so the kernel has order twice
-      the number of those pairs of class 1, checked to be the order of
-      the antidiagonal group.  That group lies in the kernel, as its
-      generators keep every antidiagonal label (the orbit check below),
-      so it is the kernel.  It is generated by the swap, the antidiagonal
-      maps of the generators of G and the pair translations (c, e) for c
-      in [G, G]; its order and this kernel check reject a wrong
-      generating set.
+    Checked by generator induction: the slot product, sending a pair-group
+    element x to the class of g1 * g in the abelianization of G, where
+    (g1.b0, g.b0) = rho(x)(b0, b0), is a homomorphism onto G/[G, G] with
+    kernel exactly the antidiagonal group — the intermediate quotient is
+    Galois with deck group G/[G, G], which is all of G in the abelian
+    case.  It is read from the antidiagonal labels (symmetric point, class
+    of g1 g2) below: on every pair, the swap keeps each label and
+    slot-map(s) multiplies each label's class by the class of s.  As rho
+    is a homomorphism, the elements that multiply every class by one value
+    form a subgroup, on which the value is multiplicative; it holds the
+    generators, so it is J, and an element's value is its slot product
+    (the label of (b0, b0) has class 1).  rho(x)(b0, b0) hits each pair
+    over (b0, b0) twice as x runs over J, so the kernel has order twice
+    the number of those pairs of class 1, d |[G, G]|, checked to be the
+    order of the antidiagonal group.  That group lies in the kernel, as
+    its generators keep every antidiagonal label (the orbit check below),
+    so it is the kernel.  It is generated by the swap, the antidiagonal
+    maps of the generators of G and the pair translations (c, e) for c in
+    [G, G]; its order and this kernel check reject a wrong generating set.
 
     Checked through rho, the three orbit partitions read from labels, with
     no orbit search.  Each group labels the pairs ((g1, b), (g2, b')) of
@@ -608,9 +591,9 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
       symmetric point is one orbit.  They are checked to number
       |G/[G, G]| over every point (constant fibers; d of them in the
       abelian case);
-    * the diagonal preimage splits into d disjoint copies of the sheet
-      set, and each copy is fixed pointwise by its antidiagonal swap
-      element.
+    * the d diagonal copies are checked to lie over the doubled locus, so
+      they split the doubled-locus preimage, and each copy is checked to
+      be fixed pointwise by its antidiagonal swap element.
 
     The sizes and counts these laws name are read off the labels, the
     fiber sizes as how often each symmetric point occurs and the orbit
@@ -618,19 +601,13 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     themselves are bucketed only when a caller first reads them (see
     :class:`HilbConstruction`).
 
-    Following from the above:
-
-    * prefixing slot-map(h) rewrites the pair translation (g1, g) into
-      (g1, h g) — commutation, then the slot-map homomorphism;
-    * the sign (-1 when an element exchanges the copies, 1 when it keeps
-      them) is a homomorphism onto the order-2 group: every element maps
-      copies onto copies, so it permutes the two copies, and the sign is
-      that permutation.  Its kernel, the copy-keeping half, is exactly the
-      injective image P of G x G (the certificate of J above), and the
-      swap, an involution of sign -1, splits it.
-
-    These results are recorded as the :class:`SignReport` that
-    :func:`sign_and_splitting` returns.
+    Following from the above, the sign (-1 when an element exchanges the
+    copies, 1 when it keeps them) is a homomorphism from J onto the
+    order-2 group: every element maps copies onto copies, so it permutes
+    the two copies, and the sign is that permutation.  Its kernel, the
+    copy-keeping half, is exactly the injective image P of G x G (the
+    certificate of J above), and the swap, an involution of sign -1,
+    splits it.  So the sign splits on every construction this returns.
 
     Raises ``CapExceeded`` before building anything if the pair group, of
     order 2 d^2, would pass ``cap``.
@@ -645,95 +622,33 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     gens_of_g = table.small_generating_set()
 
     # The sheet action is the table's rows; the table's axioms certify its
-    # laws (see "Certified by the validated table").
+    # laws (see "Certified by the validated table"), and every map is a
+    # direct sum of two of them or the swap.
     translations = [_left_translation(table, nb, g) for g in range(d)]
     first = tuple(range(n))
-    second = tuple(range(n, 2 * n))
     shifted = [tuple(map(n.__add__, tr)) for tr in translations]
-    swap = Permutation(second + first)
-    slot_maps = tuple(Permutation(first + sh) for sh in shifted)
-    diag_maps = tuple(
-        Permutation(tr + sh) for tr, sh in zip(translations, shifted)
-    )
-
-    if not (swap * swap).is_identity:
-        raise HomomorphismFailure("swap is not an involution")
-
-    # rho and the sign below need every element to map copies onto copies;
-    # by induction it is enough that the pair-group generators do (the
-    # other two groups lie inside the pair group by construction).
-    pair_gens = (swap,) + tuple(slot_maps[g] for g in gens_of_g)
-    for x in pair_gens:
-        if len({a < n for a in x.images[:n]}) != 1:
-            raise HomomorphismFailure(
-                "a pair-group generator does not map copies onto copies"
-            )
-
-    # Pair translations and the rewriting identities; only the entries a
-    # law reads are composed.
-    conjugated = [swap * slot_maps[g1] * swap for g1 in range(d)]
 
     def pair(g1: int, g: int) -> Permutation:
-        return conjugated[g1] * slot_maps[g]
+        return Permutation(translations[g1] + shifted[g])
 
-    # diagonal map = (swap . slot . swap) . slot.
-    for g in range(d):
-        if pair(g, g) != diag_maps[g]:
-            raise HomomorphismFailure(
-                "diagonal map is not the double swap-slot word"
-            )
-    for h in gens_of_g:
-        for g1 in range(d):
-            if slot_maps[h] * conjugated[g1] != pair(g1, h):
-                raise HomomorphismFailure(
-                    "slot map does not commute past a conjugated slot map"
-                )
-    # Prefixing a slot map rewrites the second index:
-    # slot(h) pair(g1, g) = conj(g1) slot(h) slot(g) = pair(g1, h g) by the
-    # commutation just checked and the slot-map homomorphism.
+    swap = Permutation(tuple(range(n, 2 * n)) + first)
+    slot_maps = tuple(pair(identity, g) for g in range(d))
+    diag_maps = tuple(map(pair, range(d), range(d)))
+    anti_maps = tuple(map(pair, range(d), table.inverses))
+    pair_gens = (swap,) + tuple(slot_maps[g] for g in gens_of_g)
 
-    # swap . slot(g1) . swap moves g1 on the first copy and fixes the
-    # second, slot(g) the other way round by construction, so pair(g1, g)
-    # acts as g1 on the first copy and g on the second: (g1.z, g.w).
-    for g1, tr in enumerate(translations):
-        if conjugated[g1].images != tr + second:
-            raise HomomorphismFailure(
-                "pair translation does not act as (g1.z, g.w)"
-            )
-    # pair(g1, g) is then determined by the two translations, which are
-    # distinct, so (g1, g) -> pair(g1, g) is injective.
-
-    # J = P ⊔ swap.P, of order 2 d^2, is certified, not closed, and D is
-    # listed from its normal form diag(G) ⊔ swap.diag(G) (see the
-    # docstring).
+    # J = P ⊔ swap.P, of order 2 d^2, is certified, not closed, and D and
+    # an abelian H are listed from their normal forms (see the docstring).
+    # The swap, the generators' antidiagonal maps and (c, e) for c in
+    # [G, G] generate H: with the swap they give [G, G] x [G, G], and
+    # modulo that the antidiagonal maps of generators give every (a, a^-1).
     pair_group = Group(*permgroup.generating_tuple(pair_gens, 2 * n), 2 * d * d)
     diagonal_group = _swap_normal_form(
         swap, diag_maps, gens_of_g, range(d),
         "swap does not centralize the diagonal maps",
     )
-    if len(diagonal_group) != 2 * d:
-        raise HomomorphismFailure(
-            "diagonal group is not diagonals plus swap times diagonals"
-        )
-
-    # The antidiagonal family and its group.  The swap, the generators'
-    # antidiagonal maps and (c, e) for c in [G, G] generate it: with the
-    # swap they give [G, G] x [G, G], and modulo that the antidiagonal
-    # maps of generators give every (a, a^-1).
-    anti_maps = tuple(pair(a, table.inv(a)) for a in range(d))
-    anti_hom = anti_maps[identity].is_identity and all(
-        anti_maps[s] * anti_maps[b] == anti_maps[mul(s, b)]
-        for s in gens_of_g for b in range(d)
-    )
-    if anti_hom != table.is_abelian:
-        raise HomomorphismFailure(
-            "antidiagonal maps compose homomorphically iff G is abelian"
-        )
     commutator = table.commutator_subgroup()
-    commutator_order = len(commutator)
     if table.is_abelian:
-        # Listed from its normal form anti(G) ⊔ swap.anti(G); its
-        # copy-keeping half is the antidiagonal maps.
         antidiagonal_group = _swap_normal_form(
             swap, anti_maps, gens_of_g, table.inverses,
             "swap does not invert the antidiagonal maps",
@@ -744,33 +659,18 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
             + tuple(pair(c, identity) for c in commutator),
             domain_size=2 * n, cap=cap,
         )
-        plus_part = {
-            w for w in antidiagonal_group.elements if w.images[0] < n
-        }
-        if len(plus_part) != d * commutator_order:
-            raise HomomorphismFailure(
-                "translation half of the antidiagonal group has the wrong "
-                "order"
-            )
-    if len(antidiagonal_group) != 2 * d * commutator_order:
-        raise HomomorphismFailure("antidiagonal group has the wrong order")
 
     # Normality laws for the two intermediate subgroups; t counts the
     # solutions of g^2 = id.
     t = sum(1 for g in range(d) if mul(g, g) == identity)
-    squares_to_id = t == d
     if permgroup.normalized_by(diagonal_group, pair_group.generators) \
-            != squares_to_id:
+            != (t == d):
         raise HomomorphismFailure(
             "diagonal group normality differs from the g^2 = id condition"
         )
     if not permgroup.normalized_by(antidiagonal_group, pair_group.generators):
         raise HomomorphismFailure(
             "antidiagonal group is not normal in the pair group"
-        )
-    if squares_to_id and antidiagonal_group.elements != diagonal_group.elements:
-        raise HomomorphismFailure(
-            "the two intermediate subgroups differ despite g^2 = id"
         )
 
     # Symmetric points: sym_of[b][b'] indexes the point {b, b'}.
@@ -787,8 +687,6 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # multiplies every label's class by the class of s.
     ab_table, class_of = table.quotient_by(commutator)
     classes = ab_table.order
-    if classes != d // commutator_order:
-        raise HomomorphismFailure("abelianization has the wrong order")
     anti_labels = _antidiagonal_labels(gset, sym_of, class_of, classes)
     gen_values = [ab_table.identity] + [class_of[s] for s in gens_of_g]
     for x, value in zip(pair_gens, gen_values):
@@ -803,31 +701,20 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
             "slot-product kernel is not the antidiagonal group"
         )
 
+    # The antidiagonal swap element indexed by g, swap . anti(g), fixes
+    # copy g, the transversals {z, |Z| + g.z}, pointwise — this is what
+    # makes the intermediate quotient tame along the doubled locus.
     diagonal_copies = _diagonal_copies(translations, n)
-    seen: set[int] = set()
-    for g, copy in enumerate(diagonal_copies):
-        if len(copy) != n:
-            raise HomomorphismFailure("diagonal copy is not a sheet set")
-        if seen.intersection(copy):
-            raise HomomorphismFailure("diagonal copies overlap")
-        seen.update(copy)
-        # The antidiagonal swap element indexed by g fixes copy g
-        # pointwise — this is what makes the intermediate quotient tame
-        # along the doubled locus.
-        # Copy g is the transversals {z, |Z| + g.z}.
-        if not _fixes_transversals(((swap * anti_maps[g]).images,), n,
+    for g, anti in enumerate(anti_maps):
+        if not _fixes_transversals((anti.images, swap.images), n,
                                    first, shifted[g]):
             raise HomomorphismFailure(
                 "antidiagonal swap element does not fix its diagonal copy"
             )
 
-    # Symmetric-point fibers of the big quotient map: pair k = z * n + w
-    # lies over point_sym[k], which depends on the base points of z and w
-    # alone, so each row of the square repeats sym_of[b] d times.
-    point_sym = list(itertools.chain.from_iterable(
-        sym_of[b] * d for b in range(nb)
-    )) * d
-    # The pair-group orbits on the square are exactly the fibers.
+    # The pair-group orbits on the square are exactly the symmetric-point
+    # fibers.
+    point_sym = _point_labels(gset, sym_of)
     _check_labels_kept(point_sym, pair_gens, "pair-group")
     fiber_sizes = Counter(point_sym)
     xi_fiber_sizes = tuple(fiber_sizes[i] for i in range(sym_count))
@@ -836,11 +723,12 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         expected_size = d * d if i in doubled else 2 * d * d
         if xi_fiber_sizes[i] != expected_size:
             raise HomomorphismFailure("fiber size law failed")
-    # seen is the doubled-locus preimage once it lies over doubled points:
-    # it has as many pairs as the fibers there, as the d disjoint copies of
-    # |Z| = d |B| pairs and the |B| doubled fibers of d^2 pairs each both
-    # hold |B| d^2.
-    if not doubled.issuperset(map(point_sym.__getitem__, seen)):
+    # The d disjoint copies of |Z| = d |B| pairs and the |B| doubled fibers
+    # of d^2 pairs each both hold |B| d^2 pairs, so the copies are the
+    # doubled-locus preimage once they lie over doubled points.
+    if not doubled.issuperset(map(point_sym.__getitem__,
+                                  itertools.chain.from_iterable(
+                                      diagonal_copies))):
         raise HomomorphismFailure(
             "diagonal copies do not exhaust the doubled-locus preimage"
         )
@@ -883,38 +771,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
         point_labels=point_sym,
         diagonal_labels=diag_labels,
         antidiagonal_labels=anti_labels,
-        # Every flag below was checked above, follows from what was (see
-        # "Following from the above") or is certified by the validated
-        # table (the translations are injective and homomorphic): the
-        # sign's kernel, the copy-keeping half, is exactly the d^2 distinct
-        # pair translations.
-        sign_report=SignReport(
-            pair_group_order=len(pair_group),
-            d=d,
-            kernel_order=d * d,
-            kernel_is_translation_image=True,
-            translation_injective=True,
-            translation_homomorphism=True,
-            sign_homomorphism=True,
-            section_sign=-1 if swap.images[0] >= n else 1,
-            section_squares_to_identity=True,
-        ),
     )
-
-
-def sign_and_splitting(c: HilbConstruction) -> SignReport:
-    """The swap-parity map on the pair group splits with kernel G x G.
-
-    The sign of a pair-group element is -1 when it exchanges the two copies
-    of Z ⊔ Z and 1 when it keeps them; the sign map is a homomorphism onto
-    the order-2 group, split by the swap, and its kernel is exactly the
-    injective image of G x G through the pair translations.  Every one of
-    these laws is checked, or derived from checked laws, by
-    :func:`build_construction`, which records the report returned here; a
-    failure raises :class:`HomomorphismFailure` there, so no construction
-    exists whose report is not ``ok``.
-    """
-    return c.sign_report
 
 
 def big_fiber(c: HilbConstruction, point) -> tuple[int, ...]:
@@ -929,8 +786,9 @@ def big_fiber(c: HilbConstruction, point) -> tuple[int, ...]:
 def diagonal_components(c: HilbConstruction) -> dict[int, tuple[int, ...]]:
     """The d disjoint sheets over the doubled locus, keyed by g.
 
-    Sheet g is {(z, g.z)}; disjointness and exhaustion of the doubled-locus
-    preimage are checked at construction time.
+    Sheet g is {(z, g.z)}; the sheets are disjoint by the free action, and
+    their exhaustion of the doubled-locus preimage is checked at
+    construction time.
     """
     return dict(enumerate(c.diagonal_copies))
 
@@ -1052,7 +910,7 @@ def square_cover(gset: GSet, base_label: str, *,
         if p.is_diagonal
     ))
 
-    # A slot map fixes the first copy (checked by the build), so it moves
+    # A slot map fixes the first copy (it is pair(e, g)), so it moves
     # the pair z * n + w, the transversal {z, n + w}, to
     # z * n + slot(n + w) - n.
     n = gset.size

@@ -22,7 +22,6 @@ from hilb2.hilbcover import (
     build_construction,
     fixed_components,
     free_gset,
-    sign_and_splitting,
 )
 from hilb2.hodge import isv_pattern_check, isv_surface_check, symmetric_square_hodge
 from hilb2.monodromy import (
@@ -80,25 +79,28 @@ def test_fiber_cardinality_laws():
     assert time.monotonic() - start < 2.0
 
 
+def sign(x, n):
+    """-1 if x exchanges the two copies of Z ⊔ Z, 1 if it keeps them."""
+    return 1 if set(x.images[:n]) == set(range(n)) else -1
+
+
 def test_group_orders_and_sign_splitting():
     """|pair group| = 2d^2 and |intermediate group| = 2d with the latter
-    normal; the parity map is a split surjection whose kernel is the
-    injective image of G x G.  The swap-plus-diagonal subgroup also has
-    order 2d but fails normality for the order-6 nonabelian group.  < 2 s."""
+    normal; the sign, whether an element exchanges the two copies of the
+    sheets, splits: its kernel, the copy-keeping half, has order d^2, and
+    the swap exchanges the copies and squares to the identity.  The
+    swap-plus-diagonal subgroup also has order 2d but fails normality for
+    the order-6 nonabelian group.  < 2 s."""
     start = time.monotonic()
     for (name, b), c in sweep().items():
-        d = c.d
+        d, n = c.d, c.gset.size
         assert len(c.pair_group) == 2 * d * d, (name, b)
         assert len(c.antidiagonal_group) == 2 * d, (name, b)
         assert permgroup.is_normal(c.antidiagonal_group, c.pair_group), \
             (name, b)
-        sign = sign_and_splitting(c)
-        assert sign.ok, (name, b)
-        assert sign.kernel_order == d * d, (name, b)
-        assert sign.kernel_is_translation_image, (name, b)
-        assert sign.translation_injective, (name, b)
-        assert sign.translation_homomorphism, (name, b)
-        assert sign.section_squares_to_identity, (name, b)
+        assert sum(sign(x, n) == 1 for x in c.pair_group) == d * d, (name, b)
+        assert sign(c.swap, n) == -1, (name, b)
+        assert (c.swap * c.swap).is_identity, (name, b)
     nonabelian = build_construction(free_gset(symmetric_table(3), ("b0",)))
     assert len(nonabelian.diagonal_group) == 2 * nonabelian.d
     assert not permgroup.is_normal(

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 import hilb2
-from hilb2 import permgroup
+from hilb2 import fpgroup, permgroup
 from hilb2.catalog import get_surface, surface_names
 from hilb2.errors import (
     CapExceeded,
@@ -246,6 +246,70 @@ def test_coset_table_check_runs_under_optimization():
     assert result.returncode == 0, result.stderr
     assert result.stdout == \
         "relator moved a coset\nsubgroup word moved coset 0\n"
+
+
+@pytest.mark.parametrize("rows, words, failure", [
+    ([[0, 0], [0, 0]], (), "relator moved a coset"),
+    ([[1, 1], [0, 0]], ((1,),), "subgroup word moved coset 0"),
+])
+def test_coset_table_checks_name_the_law(monkeypatch, rows, words, failure):
+    # The enumerator's rows replaced: a table in which a^2 moves coset 0,
+    # and one in which the subgroup word a moves it.
+    monkeypatch.setattr(_Enumerator, "run", lambda self: rows)
+    with pytest.raises(HomomorphismFailure, match=f"^{failure}$"):
+        coset_enumeration(parse_presentation("< a | a^2 >"), words)
+
+
+@pytest.mark.parametrize("broken, failure", [
+    # C doubled: the invariants of H read (4,), not (2,).
+    (lambda basis, coords: (basis, tuple(tuple(2 * v for v in row)
+                                         for row in coords)),
+     r"subgroup of order 2 has invariant factors \(4,\)"),
+    # The modulus added to each row of B: the same elements, but a lattice
+    # 3Z that no longer holds 2Z, so the quotient reads order 3.
+    (lambda basis, coords: (tuple(tuple(v + 2 for v in row)
+                                  for row in basis), coords),
+     "subgroup of order 2 with quotient of order 3 in a group of order 2"),
+], ids=["invariants", "quotient"])
+def test_subgroup_orders_are_checked(monkeypatch, broken, failure):
+    # The first Hermite basis of Z2 is B = (1) with C = (2): H is all of Z2.
+    honest = fpgroup._hermite_bases
+    monkeypatch.setattr(fpgroup, "_hermite_bases", lambda moduli: (
+        broken(*pair) for pair in honest(moduli)))
+    with pytest.raises(HomomorphismFailure, match=f"^{failure}$"):
+        subgroups_of_abelian(AbelianInvariants(0, (2,)))
+
+
+def test_subgroup_order_checks_run_under_optimization():
+    script = (
+        "from hilb2 import fpgroup\n"
+        "from hilb2.errors import HomomorphismFailure\n"
+        "honest = fpgroup._hermite_bases\n"
+        "for tamper in (\n"
+        "    lambda basis, coords: (basis, tuple(tuple(2 * v for v in row)\n"
+        "                                        for row in coords)),\n"
+        "    lambda basis, coords: (tuple(tuple(v + 2 for v in row)\n"
+        "                                 for row in basis), coords),\n"
+        "):\n"
+        "    fpgroup._hermite_bases = lambda moduli, tamper=tamper: (\n"
+        "        tamper(*pair) for pair in honest(moduli))\n"
+        "    try:\n"
+        "        fpgroup.subgroups_of_abelian(\n"
+        "            fpgroup.AbelianInvariants(0, (2,)))\n"
+        "    except HomomorphismFailure as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(hilb2.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True,
+        text=True, timeout=60,
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "subgroup of order 2 has invariant factors (4,)\n"
+        "subgroup of order 2 with quotient of order 3 in a group of order 2\n"
+    )
 
 
 class ReferenceEnumerator:
@@ -661,9 +725,13 @@ def test_realization_certifies_d800_without_closing(monkeypatch):
 
 def test_certified_order_is_checked_when_elements_are_listed():
     cycle = Permutation(tuple((x + 1) % 6 for x in range(6)))
-    with pytest.raises(HomomorphismFailure):
+    with pytest.raises(HomomorphismFailure,
+                       match="^the generators do not close to the certified "
+                             "order 3$"):
         permgroup.Group(6, (cycle,), 3).elements
-    with pytest.raises(HomomorphismFailure):
+    with pytest.raises(HomomorphismFailure,
+                       match="^the generators do not close to the certified "
+                             "order 6$"):
         permgroup.Group(6, (cycle * cycle,), 6).elements
     assert permgroup.Group(6, (cycle,), 6).elements == \
         permgroup.generate((cycle,)).elements

@@ -31,7 +31,6 @@ from hilb2.hilbcover import (
     fixed_components,
     free_gset,
     hilb_square_cover,
-    sign_and_splitting,
     square_cover,
     symmetric_quotient,
     xi_tilde_fibers,
@@ -71,6 +70,17 @@ def rho(x, n):
 def sign(x, n):
     """-1 if x exchanges the two copies of Z ⊔ Z, 1 if it keeps them."""
     return 1 if set(x.images[:n]) == set(range(n)) else -1
+
+
+def assert_sign_splits(c):
+    """The sign splits on the pair group: |J| = 2 d^2, its copy-keeping
+    half has order d^2, and the swap exchanges the copies and squares to
+    the identity."""
+    d, n = c.d, c.gset.size
+    assert len(c.pair_group) == 2 * d * d
+    assert sum(sign(x, n) == 1 for x in c.pair_group) == d * d
+    assert sign(c.swap, n) == -1
+    assert (c.swap * c.swap).is_identity
 
 
 def translations(gset):
@@ -206,11 +216,11 @@ def test_orbit_count_laws_across_group_types():
         t = sum(1 for g in range(d) if table.mul(g, g) == table.identity)
         ab_order = d // len(table.commutator_subgroup())
         assert c.swap.domain_size == 2 * c.gset.size
-        assert sign_and_splitting(c).ok
         fixed_components(c)
         # The build certifies |J| and never lists J; the oracle below
         # closes it on demand, which checks the certified order.
         assert "elements" not in c.pair_group.__dict__
+        assert_sign_splits(c)
         assert {rho(x, c.gset.size) for x in c.pair_group} \
             == marker_square_action(c)
         for i, point in enumerate(c.sym.points):
@@ -236,24 +246,22 @@ def test_subgroup_orders_and_normality():
     z1 = build(cyclic_table(1), ("a",))
     assert len(z1.pair_group) == 2
     assert len(z1.antidiagonal_group) == 2
-    assert sign_and_splitting(z1).ok
+    assert_sign_splits(z1)
 
 
-def test_sign_and_splitting_report():
-    c = build(cyclic_table(2), ("a", "b"))
-    report = sign_and_splitting(c)
-    assert report.ok
-    assert report.pair_group_order == 8
-    assert report.d == 2
-    assert report.kernel_order == 4
-    assert report.kernel_is_translation_image
-    assert report.translation_injective
-    assert report.translation_homomorphism
-    assert report.sign_homomorphism
-    assert report.section_sign == -1
-    assert report.section_squares_to_identity
-    # Also sound for a nonabelian translation group.
-    assert sign_and_splitting(build(symmetric_table(3), ("a",))).ok
+def test_sign_splits_with_kernel_the_pair_translations():
+    # The copy-keeping half is the injective image of G x G: g1's
+    # translation on the first copy and g's on the second, for all d^2
+    # pairs (g1, g); the swap splits the sign.  Also for a nonabelian G.
+    for table, base in ((cyclic_table(2), ("a", "b")),
+                        (symmetric_table(3), ("a",))):
+        c = build(table, base)
+        assert_sign_splits(c)
+        n, tr = c.gset.size, translations(c.gset)
+        assert {x for x in c.pair_group if sign(x, n) == 1} == {
+            Permutation(tr[g1] + tuple(n + t for t in tr[g]))
+            for g1 in range(c.d) for g in range(c.d)
+        }
 
 
 def test_diagonal_components_and_fixers():
@@ -351,7 +359,8 @@ def test_hilb_square_cover_checks_the_deck_action_is_a_homomorphism(
     cover = regular_cover(cyclic_table(4))
     assert hilb_square_cover(cover).degree == 4
     monkeypatch.setattr(hilbcover, "build_construction", swapped)
-    with pytest.raises(HomomorphismFailure, match="not a homomorphism"):
+    with pytest.raises(HomomorphismFailure,
+                       match="^deck action on orbits is not a homomorphism$"):
         hilb_square_cover(cover)
 
 
@@ -500,8 +509,8 @@ def test_answers_do_not_depend_on_the_labelling(data):
 
 
 def assert_laws_exhaustively(c):
-    """Every law that ``build_construction`` and ``sign_and_splitting``
-    check on generators, restated over all pairs of elements, with the
+    """Every law that ``build_construction`` checks on generators or
+    certifies, restated over all pairs of elements, with the
     square action and the sign computed test-locally."""
     table = c.gset.group
     d, n = c.d, c.gset.size
@@ -586,7 +595,7 @@ def assert_laws_exhaustively(c):
 ], ids=["Z6", "Z2xZ4", "Z2^3", "Z3^2", "S3"])
 def test_generator_checked_laws_hold_for_every_pair(table, base):
     c = build(table, base)
-    assert sign_and_splitting(c).ok
+    assert_sign_splits(c)
     assert_laws_exhaustively(c)
 
 
@@ -634,23 +643,18 @@ def reference_slot_product_at_p0(c, square):
 def test_law_checks_cost_few_compositions(compositions):
     gset = free_gset(cyclic_table(11), ("a",))
     compositions.count = 0
-    sign_and_splitting(build_construction(gset))
-    assert compositions.count <= 127
+    build_construction(gset)
+    assert compositions.count <= 38
 
 
 def test_law_checks_compose_on_two_copies_of_the_sheets(compositions):
     # Each composition costs one step per point of the right factor: 2 |Z|
     # = 66 on Z ⊔ Z here, against |Z|^2 = 1,089 for a permutation of the
-    # square itself.  sign_and_splitting composes nothing: it reads the
-    # report that build_construction recorded.
+    # square itself.
     gset = free_gset(cyclic_table(11), ("a", "b", "c"))
     compositions.count = compositions.points = 0
-    c = build_construction(gset)
-    built = compositions.count
-    sign_and_splitting(c)
-    assert compositions.count == built
-    fixed_components(c)
-    assert compositions.points <= 8_382
+    fixed_components(build_construction(gset))
+    assert compositions.points <= 2_508
 
 
 def test_law_checks_run_under_optimization():
@@ -662,6 +666,8 @@ def test_law_checks_run_under_optimization():
         "honest = hilbcover._left_translation\n"
         "honest_form = hilbcover._swap_normal_form\n"
         "honest_labels = hilbcover._antidiagonal_labels\n"
+        "honest_points = hilbcover._point_labels\n"
+        "honest_diagonal = hilbcover._diagonal_labels\n"
         "breaks = (\n"
         "    (hilbcover, '_left_translation',\n"
         "     lambda group, nb, g: honest(group, nb, group.inv(g))),\n"
@@ -678,12 +684,25 @@ def test_law_checks_run_under_optimization():
         "     lambda gset, sym_of, class_of, classes: honest_labels(\n"
         "         gset, [[(1 - i) % 3 for i in row] for row in sym_of],\n"
         "         class_of, classes)),\n"
+        "    (hilbcover, '_point_labels',\n"
+        "     lambda gset, sym_of: [\n"
+        "         0 if i == 1 else i for i in honest_points(gset, sym_of)]),\n"
+        "    (hilbcover, '_diagonal_labels',\n"
+        "     lambda gset, sym_of: [\n"
+        "         i - i % 3 for i in honest_diagonal(gset, sym_of)]),\n"
+        "    (hilbcover, '_antidiagonal_labels',\n"
+        "     lambda gset, sym_of, class_of, classes: [\n"
+        "         i - classes if i // classes == 2 else i\n"
+        "         for i in honest_labels(gset, sym_of, class_of, classes)]),\n"
+        "    (permgroup, 'normalized_by', lambda sub, gens: True),\n"
+        "    (hilbcover, '_fixes_transversals', lambda *args: True),\n"
         ")\n"
         "for owner, name, broken in breaks:\n"
         "    kept = getattr(owner, name)\n"
         "    setattr(owner, name, broken)\n"
         "    try:\n"
-        "        hilbcover.build_construction(gset)\n"
+        "        c = hilbcover.build_construction(gset)\n"
+        "        hilbcover.fixed_components(c)\n"
         "    except HomomorphismFailure as exc:\n"
         "        print(exc)\n"
         "    setattr(owner, name, kept)\n"
@@ -701,6 +720,12 @@ def test_law_checks_run_under_optimization():
         "swap does not invert the antidiagonal maps\n"
         "slot product is not a homomorphism\n"
         "slot-product kernel is not the antidiagonal group\n"
+        "fiber size law failed\n"
+        "diagonal-group orbit count law failed\n"
+        "antidiagonal-group orbit count is not the abelianization order\n"
+        "diagonal group normality differs from the g^2 = id condition\n"
+        "fixed diagonal copies [0, 1, 2] disagree with the order-2 "
+        "prediction [0]\n"
     )
 
 
@@ -864,10 +889,13 @@ def test_the_table_certifies_the_sheet_action(table, base):
 def test_slot_and_diagonal_maps_are_read_off_the_translations(table, base):
     c = build(table, base)
     n = c.gset.size
-    for g, tr in enumerate(translations(c.gset)):
+    trs = translations(c.gset)
+    for g, tr in enumerate(trs):
         shifted = tuple(n + t for t in tr)
         assert c.second_slot_maps[g].images == tuple(range(n)) + shifted
         assert c.diagonal_maps[g].images == tr + shifted
+        assert c.antidiagonal_maps[g].images == \
+            tr + tuple(n + t for t in trs[table.inv(g)])
 
 
 LAZY_FIBERS = ("sym_fibers", "diagonal_orbit_fibers",
@@ -1015,6 +1043,49 @@ def test_orbit_labels_are_checked_against_every_generator(monkeypatch, what):
                        match=f"^{what} generators do not keep the orbit "
                              f"labels$"):
         build_construction(gset)
+
+
+@pytest.mark.parametrize("labels, merge, failure", [
+    # The pairs over a+b labelled as if over 2a.
+    ("_point_labels", lambda i: 0 if i == 1 else i, "fiber size law failed"),
+    # Every class over a point merged into its first (d = 3).
+    ("_diagonal_labels", lambda i: i - i % 3,
+     "diagonal-group orbit count law failed"),
+    # The classes over 2b merged into those over a+b (3 classes a point).
+    ("_antidiagonal_labels", lambda i: i - 3 if i // 3 == 2 else i,
+     "antidiagonal-group orbit count is not the abelianization order"),
+], ids=["pair-group", "diagonal-group", "antidiagonal-group"])
+def test_orbit_counts_are_checked_on_the_kept_labels(monkeypatch, labels,
+                                                     merge, failure):
+    # Two label classes merged: a coarser labelling that every generator
+    # still keeps, so only the count law can refuse it.
+    honest = getattr(hilbcover, labels)
+    monkeypatch.setattr(hilbcover, labels,
+                        lambda *args: list(map(merge, honest(*args))))
+    with pytest.raises(HomomorphismFailure, match=f"^{failure}$"):
+        build(cyclic_table(3), ("a", "b"))
+
+
+@pytest.mark.parametrize("normal, failure", [
+    # In Z3 only e squares to e, so the diagonal group must not be normal.
+    (True, r"diagonal group normality differs from the g\^2 = id condition"),
+    (False, "antidiagonal group is not normal in the pair group"),
+], ids=["diagonal", "antidiagonal"])
+def test_normality_laws_are_checked(monkeypatch, normal, failure):
+    monkeypatch.setattr(permgroup, "normalized_by", lambda sub, gens: normal)
+    with pytest.raises(HomomorphismFailure, match=f"^{failure}$"):
+        build(cyclic_table(3), ("a",))
+
+
+def test_fixed_copies_are_checked_against_the_closed_form(monkeypatch):
+    # A fixer test that finds every copy fixed disagrees with the elements
+    # of order at most 2, which in Z3 is the identity alone.
+    c = build(cyclic_table(3), ("a", "b"))
+    monkeypatch.setattr(hilbcover, "_fixes_transversals", lambda *args: True)
+    with pytest.raises(HomomorphismFailure,
+                       match=r"^fixed diagonal copies \[0, 1, 2\] disagree "
+                             r"with the order-2 prediction \[0\]$"):
+        fixed_components(c)
 
 
 def test_doubled_point_labels_need_the_inverse_pairing(monkeypatch):

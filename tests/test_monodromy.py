@@ -12,7 +12,11 @@ from hilb2 import permgroup
 from hilb2 import hilbcover, monodromy, tables
 from hilb2.catalog import get_surface, surface_names
 from hilb2.descriptors import CoverDescriptor, SurfaceDescriptor
-from hilb2.errors import CapExceeded, InfiniteAbelianization
+from hilb2.errors import (
+    CapExceeded,
+    HomomorphismFailure,
+    InfiniteAbelianization,
+)
 from hilb2.fpgroup import abelianization, parse_presentation, subgroups_of_abelian
 from hilb2.hilbcover import free_gset, hilb_square_cover, square_cover
 from hilb2.monodromy import (
@@ -444,6 +448,19 @@ def test_quasietale_correspondence_and_label_removal():
     assert cleaned.is_etale
     untouched = remove_base_labels(cover, {"p9"})
     assert untouched.ramification_labels == frozenset({"p1"})
+
+
+def test_wreath_order_law_names_the_law(monkeypatch):
+    # Vectors that act trivially leave only the coordinate permutations,
+    # so the decorated group of Z2 wr S2 has order 2 instead of 8.
+    honest = monodromy._vector_permutation
+    monkeypatch.setattr(monodromy, "_vector_permutation",
+                        lambda vector, q_table, n: honest(
+                            [q_table.identity] * n, q_table, n))
+    with pytest.raises(HomomorphismFailure,
+                       match="^decorated permutation group has the wrong "
+                             "order$"):
+        wreath_model(group_from_spec("Z2")[1], 2)
 
 
 def test_wreath_order_law_runs_under_optimization():

@@ -295,7 +295,9 @@ def test_certified_order_still_checked_through_the_shared_walk():
     cycle = Permutation(tuple((x + 1) % 12 for x in range(12)))
     for wrong in (6, 24):
         group = Group(12, (cycle,), wrong)
-        with pytest.raises(HomomorphismFailure):
+        with pytest.raises(HomomorphismFailure,
+                           match="^the generators do not close to the "
+                                 f"certified order {wrong}$"):
             group.elements
 
 
