@@ -60,6 +60,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 import itertools
+import math
 import operator
 
 from . import permgroup
@@ -180,11 +181,82 @@ class GSet:
 def _left_translation(group: GroupTable, nb: int, g: int) -> tuple[int, ...]:
     """Images of (h, b) -> (g h, b) on the sheets over ``nb`` base points,
     read off row g of the multiplication table: the block of the nb sheets
-    over h goes to the block over g h."""
+    over h goes to the block over g h.
+
+    On a validated table, g -> translation(g) is an injective
+    homomorphism, with no check of its own: row e is the identity
+    arrangement, so translation(e) = id; associativity gives
+    translation(s)(translation(h)(k, b)) = (s (h k), b) = ((s h) k, b) =
+    translation(s h)(k, b); and translation(g) sends the block over e to
+    the block over g e = g, so distinct elements give distinct maps.
+    """
     blocks = [range(h * nb, h * nb + nb) for h in range(group.order)]
     return tuple(itertools.chain.from_iterable(
         map(blocks.__getitem__, group.table[g])
     ))
+
+
+@dataclass(frozen=True)
+class WreathModel:
+    """G ≀ Sₙ in its imprimitive action on n copies of the free G-set Z
+    over nb base points (Dixon and Mortimer, *Permutation Groups*, 1996,
+    §2.6).
+
+    Point i |Z| + z is sheet z in copy i.  ``vector(v)`` is the direct sum
+    that acts on copy i by v[i]'s translation, read from ``copies[i]``, so
+    it keeps every copy; transposition lift i exchanges copies i and
+    i + 1, sheet by sheet.  ``wreath`` is generated by the lifts and by
+    vector(e, ..., e, s) for the generators s of G, and its order d^n n!
+    is certified, never closed:
+
+    * vector is an injective homomorphism from G^n, as g -> translation(g)
+      is one (see :func:`_left_translation`) on each copy;
+    * a permutation p of the copies acts as (i, z) -> (p(i), z), an
+      injective homomorphism from Sₙ, and the lifts, images of the
+      transpositions (i, i + 1), generate its image Ŝ;
+    * the lift of p conjugates vector(v) into the vector with v[i] in copy
+      p(i), so Ŝ normalizes V = vector(G^n), and meets it only in the
+      identity, as V keeps every copy;
+    * so V Ŝ is a group of order d^n n!.  It holds the generators and they
+      generate it: with Ŝ they move each generator of G into every copy,
+      which gives V.
+
+    ``wreath.elements`` closes the generators on first read and checks
+    that they reach exactly the certified order.
+    """
+
+    wreath: Group
+    transposition_lifts: tuple[Permutation, ...]
+    copies: tuple[tuple[tuple[int, ...], ...], ...] = field(
+        repr=False, compare=False)
+
+    def vector(self, v) -> Permutation:
+        # copies[i][g] holds the images of copy i's points under g.
+        return Permutation(sum(map(tuple.__getitem__, self.copies, v), ()))
+
+
+def wreath_product(table: GroupTable, nb: int, n: int) -> WreathModel:
+    """The wreath product G ≀ Sₙ of ``table``'s group on n copies of its
+    free G-set over ``nb`` base points (see :class:`WreathModel`)."""
+    d = table.order
+    size = d * nb
+    translations = tuple(_left_translation(table, nb, g) for g in range(d))
+    copies = (translations,) + tuple(
+        tuple(tuple(map((i * size).__add__, tr)) for tr in translations)
+        for i in range(1, n))
+    lifts = []
+    for i in range(n - 1):
+        arrangement = list(range(n))
+        arrangement[i], arrangement[i + 1] = i + 1, i
+        lifts.append(Permutation(tuple(itertools.chain.from_iterable(
+            range(c * size, c * size + size) for c in arrangement))))
+    # vector(e, ..., e, s): the identity on every copy but the last.
+    fixed = tuple(range((n - 1) * size))
+    vectors = [Permutation(fixed + copies[-1][s])
+               for s in table.small_generating_set()]
+    wreath = Group(*permgroup.generating_tuple(lifts + vectors, n * size),
+                   d ** n * math.factorial(n))
+    return WreathModel(wreath, tuple(lifts), copies)
 
 
 def free_gset(group: GroupTable, base) -> GSet:
@@ -417,20 +489,14 @@ def _split_by_point(classes, per_point: int
     )
 
 
-def _swap_normal_form(swap: Permutation, maps, gens, partner,
-                      failure: str) -> Group:
+def _swap_normal_form(swap: Permutation, maps, gens) -> Group:
     """The group maps ⊔ swap . maps on Z ⊔ Z, listed.
 
-    ``maps`` is a homomorphic image of G by distinct copy-keeping
-    permutations and ``partner`` an automorphism of G; checks
-    swap . maps[s] . swap == maps[partner[s]] for the generators s of G
-    (raising ``failure`` if not), so conjugation by the involution swap
-    keeps the image, and the union is closed.  Its generators are the swap
-    and the generators' maps.
+    ``maps`` is an injective image of G by pair translations that
+    conjugation by the involution swap keeps (proved by the caller, see
+    :func:`build_construction`), so the union is closed.  Its generators
+    are the swap and the maps of ``gens``, the generators of G.
     """
-    for s in gens:
-        if swap * maps[s] * swap != maps[partner[s]]:
-            raise HomomorphismFailure(failure)
     return permgroup._listed(
         *permgroup.generating_tuple((swap,) + tuple(maps[s] for s in gens),
                                     swap.domain_size),
@@ -458,46 +524,37 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     every h is a homomorphism, and the elements that commute with a fixed
     element form a subgroup.
 
-    Every map is built as what it is, with no check of its own.  The swap
-    sends point z to |Z| + z and back, so it is an involution that
-    exchanges the two copies.  The pair translation pair(g1, g) is the
-    permutation that is g1's translation on the first copy and g's on the
-    second, so it keeps each copy and moves the pair (z, w) to
-    (g1.z, g.w) under rho.  The second-slot map of g is pair(e, g), the
-    diagonal map diag(g) = pair(g, g) and the antidiagonal map
-    anti(a) = pair(a, a^-1).
-
-    The pair group J = <swap, slot maps> is certified as G ≀ C2 of order
-    2 d^2, never closed (Dixon and Mortimer, *Permutation Groups*, 1996,
-    §2.6).  Write P for the pair translations:
-
-    * pair is an injective homomorphism from G x G: it acts on each copy
-      by a translation, and g -> translation(g) is an injective
-      homomorphism (certified by the table, below), so
-      pair(g1, g) . pair(h1, h) = pair(g1 h1, g h), and pair(g1, g) is the
-      identity only for g1 = g = e;
-    * the swap normalizes P, as swap . pair(g1, g) . swap = pair(g, g1)
-      (conjugating by the swap exchanges the copies), and lies outside P,
-      since it exchanges the copies and P keeps them;
-    * so P ⊔ swap . P is a group of order 2 d^2; it holds J's generators
-      (swap and pair(e, g)) and lies in J, so it is J.
+    Every map is built as what it is, with no check of its own.  The pair
+    group J is G ≀ C2 on the two copies, :func:`wreath_product` at n = 2,
+    so its order 2 d^2 is certified there, never closed (see
+    :class:`WreathModel`).  Its one transposition lift is the swap, which
+    sends point z to |Z| + z and back, an involution that exchanges the
+    copies.  The pair translation pair(g1, g) = vector((g1, g)) is g1's
+    translation on the first copy and g's on the second, so it keeps each
+    copy and moves the pair (z, w) to (g1.z, g.w) under rho.  The
+    second-slot map of g is pair(e, g), the diagonal map
+    diag(g) = pair(g, g) and the antidiagonal map anti(a) = pair(a, a^-1).
+    J is generated by the swap and the slot maps of G's generators.  Write
+    P for the pair translations: pair is an injective homomorphism from
+    G x G, J = P ⊔ swap . P, and swap . pair(g1, g) . swap = pair(g, g1).
 
     The diagonal group D, and the antidiagonal group H of an abelian G, are
     listed from their normal forms, never closed (same reference):
 
     * D = diag(G) ⊔ swap . diag(G).  diag is pair on the diagonal of
       G x G, so an injective homomorphism, and
-      swap . diag(s) . swap = diag(s) is checked for the generators s, so
-      the involution swap centralizes diag(G) and the union is a group.
+      swap . diag(s) . swap = diag(s), so the involution swap centralizes
+      diag(G) and the union is a group.
       It has order 2 d, as its swap half exchanges the copies and diag(G)
       keeps them; it holds D's generators (the swap and the diag(s)) and
       lies in D, so it is D;
     * anti(s) . anti(b) = pair(s b, s^-1 b^-1) while
       anti(s b) = pair(s b, b^-1 s^-1), so anti is a homomorphism exactly
       when G is abelian, and then an injective one, as pair is.  For
-      abelian G, H = anti(G) ⊔ swap . anti(G) in the same way as D, with
-      swap . anti(s) . swap = anti(s^-1) checked on generators, so
-      conjugation by the swap inverts anti(G); its order is
+      abelian G, H = anti(G) ⊔ swap . anti(G) in the same way as D:
+      swap . anti(s) . swap = pair(s^-1, s) = anti(s^-1), as the inverse
+      map of a validated table is an involution, so conjugation by the
+      swap inverts anti(G); its order is
       2 d = 2 d |[G, G]|.  A nonabelian H is closed from its generators;
       its order is checked to be that of the slot-product kernel,
       2 d |[G, G]| (below), and its copy-keeping half, the kernel of the
@@ -523,13 +580,8 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
 
     * the sheet translation of g is read off row g of the table
       (:func:`_left_translation`), so it is the model's (h, b) -> (g h, b),
-      whose sheet coordinates the labels below read;
-    * g -> translation(g) is a homomorphism: row e is the identity
-      arrangement, so translation(e) = id, and associativity gives
-      translation(s)(translation(h)(k, b)) = (s (h k), b) = ((s h) k, b) =
-      translation(s h)(k, b);
-    * the translations are distinct, so it is injective: translation(g)
-      sends the block over e to the block over g e = g;
+      whose sheet coordinates the labels below read, and g ->
+      translation(g) is an injective homomorphism;
     * the d diagonal copies T[g] = {(z, g.z)} of the sheets are disjoint
       sheet sets: T[g] holds one pair for each sheet z, and T[g] and T[h]
       share none for g != h, as g.z = h.z would make h^-1 g != e fix z,
@@ -537,14 +589,10 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     * the abelianization read by :meth:`GroupTable.quotient_by` has one
       element for each coset of [G, G], so its order is d / |[G, G]|.
 
-    Checked directly on Z ⊔ Z:
-
-    * the swap centralizes the generators' diagonal maps and, for abelian
-      G, inverts their antidiagonal maps (the normal forms above);
-    * the diagonal group is normal in the pair group exactly when every
-      g satisfies g^2 = id; the antidiagonal group is always normal
-      (normality itself is settled on generators, see
-      :func:`permgroup.normalized_by`).
+    Checked directly on Z ⊔ Z: the diagonal group is normal in the pair
+    group exactly when every g satisfies g^2 = id; the antidiagonal group
+    is always normal (normality itself is settled on generators, see
+    :func:`permgroup.normalized_by`).
 
     Checked by generator induction: the slot product, sending a pair-group
     element x to the class of g1 * g in the abelianization of G, where
@@ -606,8 +654,8 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     order-2 group: every element maps copies onto copies, so it permutes
     the two copies, and the sign is that permutation.  Its kernel, the
     copy-keeping half, is exactly the injective image P of G x G (the
-    certificate of J above), and the swap, an involution of sign -1,
-    splits it.  So the sign splits on every construction this returns.
+    certificate of :class:`WreathModel`), and the swap, an involution of
+    sign -1, splits it.  So the sign splits on every construction this returns.
 
     Raises ``CapExceeded`` before building anything if the pair group, of
     order 2 d^2, would pass ``cap``.
@@ -621,42 +669,31 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     identity = table.identity
     gens_of_g = table.small_generating_set()
 
-    # The sheet action is the table's rows; the table's axioms certify its
-    # laws (see "Certified by the validated table"), and every map is a
-    # direct sum of two of them or the swap.
-    translations = [_left_translation(table, nb, g) for g in range(d)]
-    first = tuple(range(n))
-    shifted = [tuple(map(n.__add__, tr)) for tr in translations]
-
-    def pair(g1: int, g: int) -> Permutation:
-        return Permutation(translations[g1] + shifted[g])
-
-    swap = Permutation(tuple(range(n, 2 * n)) + first)
-    slot_maps = tuple(pair(identity, g) for g in range(d))
-    diag_maps = tuple(map(pair, range(d), range(d)))
-    anti_maps = tuple(map(pair, range(d), table.inverses))
+    # J is G ≀ C2 on two copies of the sheets, its order certified, not
+    # closed, and every map is the swap or a pair translation, a direct sum
+    # of two translations (see the docstring).
+    model = wreath_product(table, nb, 2)
+    pair_group = model.wreath
+    swap, = model.transposition_lifts
+    pair = model.vector
+    slot_maps = tuple(pair((identity, g)) for g in range(d))
+    diag_maps = tuple(map(pair, zip(range(d), range(d))))
+    anti_maps = tuple(map(pair, zip(range(d), table.inverses)))
     pair_gens = (swap,) + tuple(slot_maps[g] for g in gens_of_g)
 
-    # J = P ⊔ swap.P, of order 2 d^2, is certified, not closed, and D and
-    # an abelian H are listed from their normal forms (see the docstring).
-    # The swap, the generators' antidiagonal maps and (c, e) for c in
-    # [G, G] generate H: with the swap they give [G, G] x [G, G], and
-    # modulo that the antidiagonal maps of generators give every (a, a^-1).
-    pair_group = Group(*permgroup.generating_tuple(pair_gens, 2 * n), 2 * d * d)
-    diagonal_group = _swap_normal_form(
-        swap, diag_maps, gens_of_g, range(d),
-        "swap does not centralize the diagonal maps",
-    )
+    # D and an abelian H are listed from their normal forms (see the
+    # docstring).  The swap, the generators' antidiagonal maps and (c, e)
+    # for c in [G, G] generate H: with the swap they give [G, G] x [G, G],
+    # and modulo that the antidiagonal maps of generators give every
+    # (a, a^-1).
+    diagonal_group = _swap_normal_form(swap, diag_maps, gens_of_g)
     commutator = table.commutator_subgroup()
     if table.is_abelian:
-        antidiagonal_group = _swap_normal_form(
-            swap, anti_maps, gens_of_g, table.inverses,
-            "swap does not invert the antidiagonal maps",
-        )
+        antidiagonal_group = _swap_normal_form(swap, anti_maps, gens_of_g)
     else:
         antidiagonal_group = permgroup.generate(
             (swap,) + tuple(anti_maps[s] for s in gens_of_g)
-            + tuple(pair(c, identity) for c in commutator),
+            + tuple(pair((c, identity)) for c in commutator),
             domain_size=2 * n, cap=cap,
         )
 
@@ -703,11 +740,13 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
 
     # The antidiagonal swap element indexed by g, swap . anti(g), fixes
     # copy g, the transversals {z, |Z| + g.z}, pointwise — this is what
-    # makes the intermediate quotient tame along the doubled locus.
-    diagonal_copies = _diagonal_copies(translations, n)
-    for g, anti in enumerate(anti_maps):
+    # makes the intermediate quotient tame along the doubled locus.  The
+    # first copy of diag(g) is g's translation, the second of pair(e, g)
+    # is |Z| + g.z.
+    diagonal_copies = _diagonal_copies([x[:n] for x in diag_maps], n)
+    for anti, slot in zip(anti_maps, slot_maps):
         if not _fixes_transversals((anti.images, swap.images), n,
-                                   first, shifted[g]):
+                                   range(n), slot[n:]):
             raise HomomorphismFailure(
                 "antidiagonal swap element does not fix its diagonal copy"
             )

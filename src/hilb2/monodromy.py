@@ -19,12 +19,17 @@ from . import permgroup
 from .descriptors import CoverDescriptor, SurfaceDescriptor
 from .errors import (
     CapExceeded,
-    HomomorphismFailure,
     InfiniteAbelianization,
     NotASubgroup,
 )
 from .fpgroup import abelianization, subgroups_of_abelian
-from .hilbcover import free_gset, refuse_pair_group_over_cap, square_cover
+from .hilbcover import (
+    WreathModel,
+    free_gset,
+    refuse_pair_group_over_cap,
+    square_cover,
+    wreath_product,
+)
 from .permgroup import DEFAULT_ELEMENT_CAP, Group, Permutation
 from .tables import GroupTable, _number_cosets, abelian_table
 
@@ -147,69 +152,20 @@ def cover_isomorphic(a: CoverDescriptor, b: CoverDescriptor) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class WreathModel:
-    """Q ≀ Sₙ in its imprimitive action on n copies of Q.
-
-    Point i·|Q| + x is the element x in copy i.  A vector acts on each copy
-    by left multiplication with its component there, and transposition
-    lift i exchanges copies i and i+1.  The action is faithful for every Q,
-    |Q| = 1 included, so the order is always |Q|^n * n!  (Dixon and
-    Mortimer, *Permutation Groups*, 1996, §2.6).
-    """
-
-    q_table: GroupTable
-    n: int
-    wreath: Group
-    transposition_lifts: tuple[Permutation, ...]
-
-
-def _vector_permutation(vector, q_table: GroupTable, n: int) -> Permutation:
-    """Left multiplication by ``vector[i]`` on copy i; no copy moves."""
-    q = q_table.order
-    mul = q_table.mul
-    return Permutation(tuple(
-        i * q + mul(vector[i], x) for i in range(n) for x in range(q)
-    ))
-
-
 def wreath_model(q_table: GroupTable, n: int, *,
                  cap: int = DEFAULT_ELEMENT_CAP) -> WreathModel:
-    """Build Q ≀ Sₙ on n copies of Q with its transposition lifts.
+    """Q ≀ Sₙ on n copies of Q, :func:`hilbcover.wreath_product` over one
+    base point: point i·|Q| + x is the element x in copy i.
 
     Raises :class:`CapExceeded` before building anything when |Q|^n * n!
     passes ``cap``.
     """
     if n < 2:
         raise ValueError("need at least two coordinates")
-    q = q_table.order
-    order = q ** n * math.factorial(n)
+    order = q_table.order ** n * math.factorial(n)
     if order > cap:
         raise CapExceeded(f"|W| would be {order} > group cap {cap}")
-
-    lifts = []
-    for i in range(n - 1):
-        copies = list(range(n))
-        copies[i], copies[i + 1] = i + 1, i
-        lifts.append(Permutation(tuple(
-            c * q + x for c in copies for x in range(q)
-        )))
-
-    vector_gens = []
-    identity = q_table.identity
-    for a in q_table.small_generating_set():
-        vector = [identity] * n
-        vector[0] = a
-        vector_gens.append(_vector_permutation(vector, q_table, n))
-
-    wreath = permgroup.generate(
-        tuple(vector_gens) + tuple(lifts), domain_size=n * q, cap=cap
-    )
-    if len(wreath) != order:
-        raise HomomorphismFailure(
-            "decorated permutation group has the wrong order"
-        )
-    return WreathModel(q_table, n, wreath, tuple(lifts))
+    return wreath_product(q_table, 1, n)
 
 
 @dataclass(frozen=True)
@@ -253,7 +209,7 @@ def wreath_quotient_check(q_table: GroupTable, n: int, *,
     """Verify that killing the transposition lifts leaves exactly Q-abelian.
 
     Builds W = Q ≀ Sₙ, of order |Q|^n n!, on n copies of Q (see
-    :class:`WreathModel`), takes the normal closure N of the transposition
+    :func:`wreath_model`), takes the normal closure N of the transposition
     lifts, and checks by exhaustion:
 
     * every twisted-difference vector (the slotwise products
@@ -287,9 +243,7 @@ def wreath_quotient_check(q_table: GroupTable, n: int, *,
             k_vectors.add(tuple(
                 mul(inverse(g[p_inverse[i]]), g[i]) for i in range(n)
             ))
-    k_perms = {
-        _vector_permutation(v, q_table, n) for v in k_vectors
-    }
+    k_perms = set(map(model.vector, k_vectors))
     k_in_closure = all(perm in N.elements for perm in k_perms)
     nontrivial = [p for p in k_perms if not p.is_identity]
     if nontrivial:

@@ -4,8 +4,8 @@ Groups are closed under composition element by element (with a hard cap),
 subgroup lattices are found by repeatedly extending known subgroups by
 single elements, and normality is settled by conjugating the subgroup's
 generators with the group's generators.  A group whose order is certified
-without closing it (a regular action, see :func:`is_regular`, or the
-wreath product G ≀ C2 that :func:`hilbcover.build_construction` certifies)
+without closing it (a regular action, see :func:`is_regular`, or a
+wreath product G ≀ Sₙ that :class:`hilbcover.WreathModel` certifies)
 lists its elements only when they are first read.
 No stabilizer chains, no randomness: at the scales this package works with
 (a few thousand elements at most) full enumeration keeps every answer

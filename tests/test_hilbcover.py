@@ -644,7 +644,7 @@ def test_law_checks_cost_few_compositions(compositions):
     gset = free_gset(cyclic_table(11), ("a",))
     compositions.count = 0
     build_construction(gset)
-    assert compositions.count <= 38
+    assert compositions.count <= 34
 
 
 def test_law_checks_compose_on_two_copies_of_the_sheets(compositions):
@@ -654,7 +654,7 @@ def test_law_checks_compose_on_two_copies_of_the_sheets(compositions):
     gset = free_gset(cyclic_table(11), ("a", "b", "c"))
     compositions.count = compositions.points = 0
     fixed_components(build_construction(gset))
-    assert compositions.points <= 2_508
+    assert compositions.points <= 2_244
 
 
 def test_law_checks_run_under_optimization():
@@ -664,7 +664,6 @@ def test_law_checks_run_under_optimization():
         "from hilb2.tables import cyclic_table\n"
         "gset = hilbcover.free_gset(cyclic_table(3), ('a', 'b'))\n"
         "honest = hilbcover._left_translation\n"
-        "honest_form = hilbcover._swap_normal_form\n"
         "honest_labels = hilbcover._antidiagonal_labels\n"
         "honest_points = hilbcover._point_labels\n"
         "honest_diagonal = hilbcover._diagonal_labels\n"
@@ -672,9 +671,6 @@ def test_law_checks_run_under_optimization():
         "    (hilbcover, '_left_translation',\n"
         "     lambda group, nb, g: honest(group, nb, group.inv(g))),\n"
         "    (permgroup, 'normalized_by', lambda sub, gens: False),\n"
-        "    (hilbcover, '_swap_normal_form',\n"
-        "     lambda swap, maps, gens, partner, failure: honest_form(\n"
-        "         swap, maps, gens, range(len(maps)), failure)),\n"
         "    (hilbcover, '_antidiagonal_labels',\n"
         "     lambda gset, sym_of, class_of, classes: hilbcover._pair_labels(\n"
         "         gset, [range(3)] * 3,\n"
@@ -717,7 +713,6 @@ def test_law_checks_run_under_optimization():
     assert result.stdout == (
         "slot product is not a homomorphism\n"
         "antidiagonal group is not normal in the pair group\n"
-        "swap does not invert the antidiagonal maps\n"
         "slot product is not a homomorphism\n"
         "slot-product kernel is not the antidiagonal group\n"
         "fiber size law failed\n"
@@ -1103,27 +1098,6 @@ def test_doubled_point_labels_need_the_inverse_pairing(monkeypatch):
     monkeypatch.setattr(hilbcover, "_diagonal_labels", unpaired)
     with pytest.raises(HomomorphismFailure,
                        match="^diagonal-group generators do not keep"):
-        build_construction(gset)
-
-
-@pytest.mark.parametrize("failure, wrong_partner", [
-    ("swap does not centralize the diagonal maps",
-     lambda table: table.inverses),
-    ("swap does not invert the antidiagonal maps",
-     lambda table: range(table.order)),
-])
-def test_swap_normal_forms_are_checked(monkeypatch, failure, wrong_partner):
-    table = cyclic_table(3)
-    gset = free_gset(table, ("a",))
-    honest = hilbcover._swap_normal_form
-
-    def broken(swap, maps, gens, partner, message):
-        if message == failure:
-            partner = wrong_partner(table)
-        return honest(swap, maps, gens, partner, message)
-
-    monkeypatch.setattr(hilbcover, "_swap_normal_form", broken)
-    with pytest.raises(HomomorphismFailure, match=f"^{failure}$"):
         build_construction(gset)
 
 

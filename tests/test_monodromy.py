@@ -1,6 +1,7 @@
 """Subgroup-to-cover dictionary, Galois closure, wreath quotient checks,
 and the classification pipeline."""
 from dataclasses import replace
+import itertools
 from pathlib import Path
 import subprocess
 import sys
@@ -160,6 +161,45 @@ def test_wreath_model_structure():
         wreath_model(z3, 1)
 
 
+def closed_vector(vector, q_table, n):
+    """Left multiplication by vector[i] on copy i of Q, point by point
+    from the table: the reference for the builder's direct sums."""
+    q, mul = q_table.order, q_table.mul
+    return Permutation(tuple(
+        i * q + mul(vector[i], x) for i in range(n) for x in range(q)
+    ))
+
+
+@pytest.mark.parametrize("spec, n", [
+    ("Z1", 2), ("Z1", 3), ("Z2", 2), ("Z2", 3), ("Z3", 2), ("Z3", 3),
+    ("S3", 2), ("S3", 3), ("Q8", 2),
+])
+def test_certified_wreath_matches_the_closure(spec, n):
+    # The oracle closes, with generate, the copy-0 vectors of Q's
+    # generators and the transposition lifts; W puts them in the last copy.
+    _, table = group_from_spec(spec)
+    q, identity = table.order, table.identity
+    model = wreath_model(table, n)
+    assert "elements" not in model.wreath.__dict__
+    lifts = []
+    for i in range(n - 1):
+        copies = list(range(n))
+        copies[i], copies[i + 1] = i + 1, i
+        lifts.append(Permutation(tuple(
+            c * q + x for c in copies for x in range(q))))
+    vectors = [closed_vector((a,) + (identity,) * (n - 1), table, n)
+               for a in table.small_generating_set()]
+    closure = permgroup.generate(vectors + lifts, domain_size=n * q)
+    assert model.transposition_lifts == tuple(lifts)
+    assert model.wreath.elements == closure.elements
+    # The twisted-difference vectors, as wreath_quotient_check forms them.
+    for p in itertools.permutations(range(n)):
+        for g in itertools.product(range(q), repeat=n):
+            v = tuple(table.mul(table.inv(g[p.index(i)]), g[i])
+                      for i in range(n))
+            assert model.vector(v) == closed_vector(v, table, n)
+
+
 def test_wreath_quotient_check_frozen_values():
     # (|W|, |N|, order of the twisted-difference closure, Q^ab invariants)
     expected = {
@@ -203,6 +243,7 @@ def test_wreath_cap_refuses_before_building(monkeypatch):
         raise AssertionError("a group was closed before the cap check")
 
     monkeypatch.setattr(permgroup, "generate", refuse)
+    monkeypatch.setattr(permgroup, "_close", refuse)
     with pytest.raises(CapExceeded) as refused:
         wreath_quotient_check(q8, 3, cap=3071)
     assert str(refused.value) == "|W| would be 3072 > group cap 3071"
@@ -451,27 +492,38 @@ def test_quasietale_correspondence_and_label_removal():
 
 
 def test_wreath_order_law_names_the_law(monkeypatch):
-    # Vectors that act trivially leave only the coordinate permutations,
-    # so the decorated group of Z2 wr S2 has order 2 instead of 8.
-    honest = monodromy._vector_permutation
-    monkeypatch.setattr(monodromy, "_vector_permutation",
-                        lambda vector, q_table, n: honest(
-                            [q_table.identity] * n, q_table, n))
+    # W generated by its transposition lifts alone, still certified at
+    # |Q|^n n!: Z2 wr S2, of order 8, closes to the 2 copy permutations.
+    honest = monodromy.wreath_product
+
+    def lifts_only(table, nb, n):
+        model = honest(table, nb, n)
+        gens = permgroup.generating_tuple(model.transposition_lifts,
+                                          model.wreath.domain_size)
+        return replace(model, wreath=Group(*gens, model.wreath.order))
+
+    monkeypatch.setattr(monodromy, "wreath_product", lifts_only)
     with pytest.raises(HomomorphismFailure,
-                       match="^decorated permutation group has the wrong "
-                             "order$"):
-        wreath_model(group_from_spec("Z2")[1], 2)
+                       match="^the generators do not close to the certified "
+                             "order 8$"):
+        wreath_quotient_check(group_from_spec("Z2")[1], 2)
 
 
 def test_wreath_order_law_runs_under_optimization():
-    # Vectors that act trivially leave only the coordinate permutations,
-    # so the decorated group has order n! instead of |Q|^n n!.
+    # Without the vector generators each wreath cell closes to the n! copy
+    # permutations instead of its certified |Q|^n n! elements.
     script = (
         "import sys\n"
-        "from hilb2 import cli, monodromy\n"
-        "honest = monodromy._vector_permutation\n"
-        "monodromy._vector_permutation = lambda vector, q_table, n: (\n"
-        "    honest([q_table.identity] * n, q_table, n))\n"
+        "from dataclasses import replace\n"
+        "from hilb2 import cli, monodromy, permgroup\n"
+        "honest = monodromy.wreath_product\n"
+        "def lifts_only(table, nb, n):\n"
+        "    model = honest(table, nb, n)\n"
+        "    gens = permgroup.generating_tuple(model.transposition_lifts,\n"
+        "                                      model.wreath.domain_size)\n"
+        "    return replace(model, wreath=permgroup.Group(\n"
+        "        *gens, model.wreath.order))\n"
+        "monodromy.wreath_product = lifts_only\n"
         "sys.exit(cli.main(['verify']))\n"
     )
     src = str(Path(hilb2.__file__).resolve().parent.parent)
@@ -481,10 +533,12 @@ def test_wreath_order_law_runs_under_optimization():
         env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert result.returncode == 1, result.stderr
-    failures = [line for line in result.stdout.splitlines()
-                if line.startswith("FAIL")]
-    assert len(failures) == 8
-    for line in failures:
-        assert line.startswith("FAIL - wreath[")
-        assert line.endswith("(HomomorphismFailure: decorated permutation "
-                             "group has the wrong order)")
+    orders = {("Z2", 2): 8, ("Z3", 2): 18, ("Z4", 2): 32, ("Z2xZ2", 2): 32,
+              ("S3", 2): 72, ("Q8", 2): 128, ("Z2", 3): 48, ("Z3", 3): 162}
+    assert [line for line in result.stdout.splitlines()
+            if line.startswith("FAIL")] == [
+        f"FAIL - wreath[{spec},n={n}]: killing transposition lifts leaves "
+        f"Q^ab  (HomomorphismFailure: the generators do not close to the "
+        f"certified order {order})"
+        for (spec, n), order in orders.items()
+    ]
