@@ -223,6 +223,11 @@ class WreathModel:
 
     ``wreath.elements`` closes the generators on first read and checks
     that they reach exactly the certified order.
+
+    The lifts and vectors are wrapped unvalidated (``permgroup._raw``), as
+    is any sum copies[p(0)][g_0] + ... + copies[p(n - 1)][g_(n-1)] for a
+    permutation p of the copies: copies[i][g], g's translation shifted into
+    copy i, is a bijection onto copy i, so such a sum is a bijection.
     """
 
     wreath: Group
@@ -231,8 +236,7 @@ class WreathModel:
         repr=False, compare=False)
 
     def vector(self, v) -> Permutation:
-        # copies[i][g] holds the images of copy i's points under g.
-        return Permutation(sum(map(tuple.__getitem__, self.copies, v), ()))
+        return permgroup._raw(sum(map(tuple.__getitem__, self.copies, v), ()))
 
 
 def wreath_product(table: GroupTable, nb: int, n: int) -> WreathModel:
@@ -248,11 +252,11 @@ def wreath_product(table: GroupTable, nb: int, n: int) -> WreathModel:
     for i in range(n - 1):
         arrangement = list(range(n))
         arrangement[i], arrangement[i + 1] = i + 1, i
-        lifts.append(Permutation(tuple(itertools.chain.from_iterable(
-            range(c * size, c * size + size) for c in arrangement))))
+        lifts.append(permgroup._raw(itertools.chain.from_iterable(
+            range(c * size, c * size + size) for c in arrangement)))
     # vector(e, ..., e, s): the identity on every copy but the last.
     fixed = tuple(range((n - 1) * size))
-    vectors = [Permutation(fixed + copies[-1][s])
+    vectors = [permgroup._raw(fixed + copies[-1][s])
                for s in table.small_generating_set()]
     wreath = Group(*permgroup.generating_tuple(lifts + vectors, n * size),
                    d ** n * math.factorial(n))
@@ -348,29 +352,31 @@ class HilbConstruction:
         return self.gset.size ** 2
 
 
-def _labels_through(labels: list[int], images) -> list[int]:
-    """The labels of the pairs read through rho(x), x given by its images
-    on Z ⊔ Z and mapping copies onto copies: entry z * n + w is the label
-    of the pair rho(x)(z, w) (n = |Z|).
+def _rows(labels, n: int) -> list[tuple[int, ...]]:
+    """The labels of the pairs z * n + w cut into n rows, row z in w order."""
+    return list(zip(*[iter(labels)] * n))
 
-    The pair (z, w) is the transversal {z, n + w}; it goes to
-    {x(z), x(n + w)}, read first copy first.  If x keeps the copies that
-    is (x(z), x(n + w) - n), so row z is row x(z) of the labels; if it
-    exchanges them, (x(n + w), x(z) - n), so row z is column x(z) - n.
-    Either way the row is read at x's images of the second copy, one
-    C-level ``itemgetter`` call per row.
-    """
+
+def _label_lines(labels, n: int) -> list[tuple[int, ...]]:
+    """The rows of ``labels`` and then its columns: line n + w holds the
+    labels of the pairs z * n + w in z order."""
+    rows = _rows(labels, n)
+    return rows + list(zip(*rows))
+
+
+def _rows_through(lines, images) -> list[tuple[int, ...]]:
+    """The rows of the labels of the pairs rho(x)(z, w), x given by its
+    images on Z ⊔ Z and mapping copies onto copies (``lines`` from
+    :func:`_label_lines`, n = |Z|).  The pair (z, w), the transversal
+    {z, n + w}, goes to {x(z), x(n + w)}: the label in row x(z) at column
+    x(n + w) - n if x keeps the copies, in column x(z) - n at row
+    x(n + w) if it exchanges them.  Either way row z is line x(z) read at
+    x(n + w) mod n, one C-level ``itemgetter`` call per row."""
     n = len(images) // 2
     if n == 1:  # one pair, which every x fixes
-        return list(labels)
-    first, second = images[:n], images[n:]
-    if first[0] < n:
-        read = operator.itemgetter(*[b - n for b in second])
-        rows = (labels[a * n:a * n + n] for a in first)
-    else:
-        read = operator.itemgetter(*second)
-        rows = (labels[a - n::n] for a in first)
-    return list(itertools.chain.from_iterable(map(read, rows)))
+        return lines[:1]
+    read = operator.itemgetter(*map(n.__rmod__, images[n:]))
+    return list(map(read, map(lines.__getitem__, images[:n])))
 
 
 def _fixes_transversals(maps, n: int, firsts, seconds) -> bool:
@@ -453,10 +459,12 @@ def _antidiagonal_labels(gset: GSet, sym_of, class_of,
 
 def _check_labels_kept(labels: list[int], gens, what: str) -> None:
     """Check that the square action of every generator in ``gens`` keeps
-    every label, one C-level compare per generator, so each orbit lies in
-    one label class."""
+    every label, the rows read through it compared with the rows, so each
+    orbit lies in one label class."""
+    n = math.isqrt(len(labels))
+    lines = _label_lines(labels, n)
     for x in gens:
-        if _labels_through(labels, x.images) != labels:
+        if _rows_through(lines, x.images) != lines[:n]:
             raise HomomorphismFailure(
                 f"{what} generators do not keep the orbit labels"
             )
@@ -489,18 +497,20 @@ def _split_by_point(classes, per_point: int
     )
 
 
-def _swap_normal_form(swap: Permutation, maps, gens) -> Group:
-    """The group maps ⊔ swap . maps on Z ⊔ Z, listed.
-
-    ``maps`` is an injective image of G by pair translations that
-    conjugation by the involution swap keeps (proved by the caller, see
-    :func:`build_construction`), so the union is closed.  Its generators
-    are the swap and the maps of ``gens``, the generators of G.
-    """
+def _swap_normal_form(model: WreathModel, maps, partner, gens) -> Group:
+    """The group maps ⊔ swap . maps on Z ⊔ Z of the pair group ``model``,
+    listed, for maps[g] = pair(g, partner[g]), an injective image of G
+    that conjugation by the involution swap keeps, so the union is closed;
+    its swap half is listed as direct sums (both proved in
+    :func:`build_construction`).  Its generators are the swap and the maps
+    of ``gens``, the generators of G."""
+    swap, = model.transposition_lifts
+    first, second = model.copies
+    swapped = map(operator.add, second, map(first.__getitem__, partner))
     return permgroup._listed(
         *permgroup.generating_tuple((swap,) + tuple(maps[s] for s in gens),
                                     swap.domain_size),
-        frozenset((*maps, *(swap * x for x in maps))),
+        frozenset((*maps, *map(permgroup._raw, swapped))),
     )
 
 
@@ -537,6 +547,9 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     J is generated by the swap and the slot maps of G's generators.  Write
     P for the pair translations: pair is an injective homomorphism from
     G x G, J = P ⊔ swap . P, and swap . pair(g1, g) . swap = pair(g, g1).
+    The swap carries each copy's images to the other, so swap . pair(g1, g)
+    is the sum copies[1][g1] + copies[0][g] (see :class:`WreathModel`): the
+    swap halves of D and H are listed as such sums, with no product.
 
     The diagonal group D, and the antidiagonal group H of an abelian G, are
     listed from their normal forms, never closed (same reference):
@@ -686,10 +699,11 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # for c in [G, G] generate H: with the swap they give [G, G] x [G, G],
     # and modulo that the antidiagonal maps of generators give every
     # (a, a^-1).
-    diagonal_group = _swap_normal_form(swap, diag_maps, gens_of_g)
+    diagonal_group = _swap_normal_form(model, diag_maps, range(d), gens_of_g)
     commutator = table.commutator_subgroup()
     if table.is_abelian:
-        antidiagonal_group = _swap_normal_form(swap, anti_maps, gens_of_g)
+        antidiagonal_group = _swap_normal_form(model, anti_maps,
+                                               table.inverses, gens_of_g)
     else:
         antidiagonal_group = permgroup.generate(
             (swap,) + tuple(anti_maps[s] for s in gens_of_g)
@@ -725,12 +739,13 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     ab_table, class_of = table.quotient_by(commutator)
     classes = ab_table.order
     anti_labels = _antidiagonal_labels(gset, sym_of, class_of, classes)
+    anti_lines = _label_lines(anti_labels, n)
     gen_values = [ab_table.identity] + [class_of[s] for s in gens_of_g]
     for x, value in zip(pair_gens, gen_values):
         times = [i + c for i in range(0, sym_count * classes, classes)
                  for c in ab_table.table[value]]
-        if _labels_through(anti_labels, x.images) \
-                != list(map(times.__getitem__, anti_labels)):
+        if _rows_through(anti_lines, x.images) \
+                != _rows(map(times.__getitem__, anti_labels), n):
             raise HomomorphismFailure("slot product is not a homomorphism")
     # Label ab_table.identity is class 1 over point 0 = (b0, b0).
     if 2 * anti_labels.count(ab_table.identity) != len(antidiagonal_group):

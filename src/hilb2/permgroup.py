@@ -111,7 +111,7 @@ class Permutation(tuple):
 
     @property
     def is_identity(self) -> bool:
-        return all(v == x for x, v in enumerate(self))
+        return self == tuple(range(len(self)))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each rotated to start at its smallest point."""

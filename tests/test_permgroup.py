@@ -88,7 +88,8 @@ def test_from_cycles_and_cycle_decomposition():
     assert p.cycles() == ((0, 1, 2), (3, 4))
     assert p.order() == 6
     assert Permutation.identity(4).cycles() == ()
-    assert Permutation.identity(4).is_identity
+    assert not p.is_identity
+    assert all(Permutation.identity(n).is_identity for n in range(5))
 
 
 def test_generate_matches_brute_force_closure():
