@@ -26,7 +26,10 @@ base points and the JSON ``classify`` record of
 ``< a b | a^2, b^6, a b a^-1 b^-1 >``, whose sheet labels and deck
 permutations follow the orbit order, come from the build that closed the
 diagonal and antidiagonal groups and searched the square for their
-orbits.  A change that alters any of them alters what users see.  To
+orbits; the ``classify`` records of Z2xZ4xZ8 (text) and Z4xZ4 (JSON),
+in which subgroups of equal index have different quotient types, come
+from the lattice that sorted subgroups by their closed element lists.
+A change that alters any of them alters what users see.  To
 record the corpus again after a deliberate output change, run from the
 repository root:
 
@@ -84,6 +87,10 @@ CASES = (
      "--format", "json"),
     ("construct", "--group", "Z2xZ6", "--base-size", "3", "--format", "json"),
     ("classify", "--presentation", "< a b | a^2, b^6, a b a^-1 b^-1 >",
+     "--format", "json"),
+    ("classify", "--presentation",
+     "< a b c | a^2, b^4, c^8, a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1 >"),
+    ("classify", "--presentation", "< a b | a^4, b^4, a b a^-1 b^-1 >",
      "--format", "json"),
 )
 
