@@ -18,10 +18,10 @@ abelian invariants and honest permutation groups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 import itertools
 from math import gcd, prod
-from operator import eq, itemgetter, ne
+from operator import eq, itemgetter, mod, ne
 
 from . import permgroup
 from .errors import (
@@ -33,7 +33,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .permgroup import Group, Permutation
-from .tables import _closure
+from .tables import _closure, _prime_factorization
 
 DEFAULT_COSET_CAP = 100000
 
@@ -759,29 +759,149 @@ def permutation_realization(table: CosetTable, *,
 
 @dataclass(frozen=True)
 class AbelianSubgroup:
-    """A subgroup of a finite abelian group, with its quotient data.
+    """A subgroup H of a finite abelian group G, read off its Hermite basis.
 
     Elements are exponent vectors relative to the ambient invariant
-    factors.  ``generators`` are the nonzero rows of the subgroup's
-    Hermite basis reduced modulo those factors, at most one per factor.
-    ``invariants`` are the subgroup's own invariant factors and
-    ``quotient`` describes the ambient group modulo this subgroup, i.e.
-    the deck group of the cover the subgroup classifies.
+    factors n.  ``basis`` is the Hermite basis B of the lattice L with
+    H = L/diag(n)·Zᵏ and ``coords`` the matrix C with diag(n) = C·B (see
+    :func:`_hermite_bases`).  ``order`` is |G| / ∏ diag(B) and
+    ``quotient`` describes G/H = Zᵏ/L, the deck group of the cover the
+    subgroup classifies.  ``generators`` (the nonzero rows of B reduced
+    modulo n, at most one per factor), ``elements`` (the closure of the
+    generators, sorted) and ``invariants`` (H's own invariant factors,
+    those of Zᵏ/C·Zᵏ) are computed on first read, and the last two are
+    checked against ``order`` then.
     """
 
     ambient: tuple[int, ...]
-    elements: tuple[tuple[int, ...], ...]
-    generators: tuple[tuple[int, ...], ...]
-    invariants: tuple[int, ...]
+    basis: tuple[tuple[int, ...], ...]
+    coords: tuple[tuple[int, ...], ...]
+    order: int
     quotient: AbelianInvariants
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
     @property
     def index(self) -> int:
         return self.quotient.order
+
+    @property
+    def key(self) -> tuple[tuple[int, ...], ...]:
+        """Sorts subgroups of one order as their sorted element lists do.
+
+        Two sorted lists of equal length compare at the least element of
+        the sets' symmetric difference: the list that holds it comes
+        first.  Compare any two sets that way.  Tuples whose first i
+        coordinates vanish come first, and those of H are H_i, spanned by
+        the rows of B from row i down.  So H and H' compare as H_1 and
+        H'_1 unless those are equal; then by the least nonzero first
+        coordinate d_0 (the smaller holds more); then, at d_0, by the
+        cosets t + H_1 of the two tails, whose least elements are the
+        tails themselves, as B's entries above each diagonal entry d_j
+        lie in range(d_j).  By induction, B's rows compared from the
+        bottom up decide.
+        """
+        return self.basis[::-1]
+
+    @cached_property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        moduli = self.ambient
+        reduced = (tuple(map(mod, row, moduli)) for row in self.basis)
+        return tuple(row for row in reduced if any(row))
+
+    @cached_property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        moduli = self.ambient
+
+        def add(u, v):
+            return tuple((a + b) % m for a, b, m in zip(u, v, moduli))
+
+        steps = [partial(add, g) for g in self.generators]  # g + x = x + g
+        elements = tuple(sorted(_closure([(0,) * len(moduli)], steps)))
+        if len(elements) != self.order:
+            raise HomomorphismFailure(
+                f"the generators of a subgroup of order {self.order} close "
+                f"to {len(elements)} elements"
+            )
+        return elements
+
+    @cached_property
+    def invariants(self) -> tuple[int, ...]:
+        # Read modulo |det C| itself, which kills Zᵏ/C·Zᵏ, so they are
+        # exact; the check is then |det C|·|det B| = |G|.
+        det = prod(row[i] for i, row in enumerate(self.coords))
+        invariants = _cokernel_invariants(self.coords, _prime_powers(det))
+        if prod(invariants) != self.order:
+            raise HomomorphismFailure(
+                f"subgroup of order {self.order} has invariant factors "
+                f"{invariants}"
+            )
+        return invariants
+
+
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, p^a) for each prime power p^a exactly dividing ``n``."""
+    return [(p, p ** a) for p, a in _prime_factorization(n)]
+
+
+def _primary_parts(matrix, p: int, q: int) -> list[int]:
+    """The cyclic factors p^e > 1 of the p-part of Zᵏ/L, for L the row
+    lattice of a nonsingular upper-triangular integer matrix, read modulo
+    q = p^a: exact when q kills that p-part.
+
+    Elimination over Z/q, a local ring, with pivots of least valuation:
+    a pivot p^v·u (u a unit) clears its column in every other row, and its
+    row and column then split off a factor p^v.  A unit on the diagonal
+    is such a pivot at once, and of the rows above it only those kept so
+    far (with no unit on their diagonal) can hold its column.  Once no
+    entry is left the rest split off p^a each.  The number of pivots of
+    valuation below j is k minus the p-primary rank #{e >= j}.
+    """
+    kept, cols = [], []
+    for i, row in enumerate(matrix):
+        if row[i] % p:
+            inverse = pow(row[i], -1, q)
+            for r in kept:
+                f = r[i] * inverse % q
+                if f:
+                    for j in range(i + 1, len(row)):
+                        r[j] = (r[j] - f * row[j]) % q
+        else:
+            kept.append([x % q for x in row])
+            cols.append(i)
+    parts = []
+    while kept:
+        least, pivot = q, None
+        for r in kept:
+            for j in cols:
+                g = gcd(r[j], q)
+                if g < least:
+                    least, pivot = g, (r, j)
+        if pivot is None:
+            return parts + [q] * len(kept)
+        r, j = pivot
+        kept.remove(r)
+        cols.remove(j)
+        if least > 1:
+            parts.append(least)
+        inverse = pow(r[j] // least, -1, q)
+        for s in kept:
+            f = s[j] // least * inverse % q
+            if f:
+                for c in cols:
+                    s[c] = (s[c] - f * r[c]) % q
+    return parts
+
+
+def _cokernel_invariants(matrix, prime_powers) -> tuple[int, ...]:
+    """Invariant factors > 1 of Zᵏ/L, for L the row lattice of a
+    nonsingular upper-triangular integer matrix, from its p-primary parts
+    read modulo each (p, q) of ``prime_powers`` (see :func:`_primary_parts`):
+    the t-th factor from the top is the product of every prime's t-th
+    largest part."""
+    parts = [sorted(_primary_parts(matrix, p, q), reverse=True)
+             for p, q in prime_powers]
+    chain = [prod(column)
+             for column in itertools.zip_longest(*parts, fillvalue=1)]
+    return tuple(reversed(chain))
 
 
 def _hermite_bases(moduli):
@@ -805,21 +925,23 @@ def _hermite_bases(moduli):
         pivots = [row[i + 1 + j] for j, row in enumerate(rows)]
         divisors = [d for d in range(1, n + 1) if n % d == 0]
         for d in divisors:
+            m = n // d
             for tail in itertools.product(*map(range, pivots)):
-                row = (0,) * i + (d,) + tail
-                x = [0] * k
-                x[i] = n // d
-                for j in range(i + 1, k):
-                    s = x[i] * row[j] + sum(
-                        x[l] * rows[l - i - 1][j] for l in range(i + 1, j)
-                    )
-                    q, r = divmod(-s, pivots[j - i - 1])
+                # Clear m·tail coordinate by coordinate with the rows below.
+                x = [m]
+                rest = [m * t for t in tail]
+                for j, below in enumerate(rows):
+                    q, r = divmod(rest[j], pivots[j])
                     if r:
                         break
-                    x[j] = q
+                    x.append(-q)
+                    if q:
+                        for l in range(j + 1, len(rest)):
+                            rest[l] -= q * below[i + 1 + l]
                 else:
-                    yield from extend(i - 1, (row,) + rows,
-                                      (tuple(x),) + coords)
+                    zeros = (0,) * i
+                    yield from extend(i - 1, (zeros + (d,) + tail,) + rows,
+                                      (zeros + tuple(x),) + coords)
 
     return extend(k - 1, (), ())
 
@@ -829,51 +951,35 @@ def subgroups_of_abelian(invariants: AbelianInvariants) -> tuple[AbelianSubgroup
 
     The ambient group G = Zᵏ/diag(n) is realized as exponent vectors
     modulo the invariant factors n.  Its subgroups H correspond one to one
-    to the lattices between diag(n)·Zᵏ and Zᵏ, enumerated through their
-    Hermite bases B with diag(n) = C·B (see :func:`_hermite_bases`).  The
-    quotient G/H is Zᵏ/L, so its invariants come from the Smith form of B;
-    H is L/diag(n)·Zᵏ, whose relations in the basis B are the rows of C,
-    so its invariants come from the Smith form of C.  The elements are the
-    closure of the rows of B reduced modulo n, which are the generators.
-    Every call checks |H| = ∏ invariants and |H|·|G/H| = |G|.
-    Deterministic order: by subgroup order, then element list.
+    to the lattices L between diag(n)·Zᵏ and Zᵏ, enumerated through their
+    Hermite bases B with diag(n) = C·B (see :func:`_hermite_bases`), and
+    each is read off its basis at lattice cost: |G/H| = |Zᵏ/L| = ∏ diag(B),
+    so |H| = |G| / ∏ diag(B), and the quotient's invariants are those of
+    Zᵏ/L, whose p-primary parts are read modulo the p-part of G's exponent
+    (:func:`_cokernel_invariants`); no Smith form is taken and no element
+    listed.  Every call checks |H|·|G/H| = |G| with |G/H| the product of
+    those invariants, which fails if the exponent does not kill Zᵏ/L.
+    Deterministic order: by subgroup order, then element list, read off
+    the bases (:attr:`AbelianSubgroup.key`).
     """
     if not invariants.is_finite:
         raise InfiniteGroup("subgroup enumeration needs a finite group")
     moduli = invariants.torsion
-    total = prod(moduli)
-    zero = (0,) * len(moduli)
-
-    def add(u, v):
-        return tuple((a + b) % m for a, b, m in zip(u, v, moduli))
-
-    def factors(matrix) -> tuple[int, ...]:
-        return tuple(d for d in smith_invariant_factors(matrix) if d > 1)
-
+    total = invariants.order
+    prime_powers = _prime_powers(moduli[-1] if moduli else 1)
+    quotients: dict[tuple[int, ...], AbelianInvariants] = {}
     out = []
     for basis, coords in _hermite_bases(moduli):
-        reduced = (tuple(v % m for v, m in zip(row, moduli)) for row in basis)
-        gens = tuple(row for row in reduced if row != zero)
-        steps = [partial(add, g) for g in gens]  # g + x = x + g
-        elements = tuple(sorted(_closure([zero], steps)))
-        sub_invariants = factors(coords)
-        quotient = AbelianInvariants(rank=0, torsion=factors(basis))
-        if len(elements) != prod(sub_invariants):
+        torsion = _cokernel_invariants(basis, prime_powers)
+        quotient = quotients.get(torsion)
+        if quotient is None:
+            quotient = quotients[torsion] = AbelianInvariants(0, torsion)
+        order = total // prod(row[i] for i, row in enumerate(basis))
+        if order * quotient.order != total:
             raise HomomorphismFailure(
-                f"subgroup of order {len(elements)} has invariant factors "
-                f"{sub_invariants}"
-            )
-        if len(elements) * quotient.order != total:
-            raise HomomorphismFailure(
-                f"subgroup of order {len(elements)} with quotient of order "
+                f"subgroup of order {order} with quotient of order "
                 f"{quotient.order} in a group of order {total}"
             )
-        out.append(AbelianSubgroup(
-            ambient=moduli,
-            elements=elements,
-            generators=gens,
-            invariants=sub_invariants,
-            quotient=quotient,
-        ))
-    out.sort(key=lambda s: (s.order, s.elements))
+        out.append(AbelianSubgroup(moduli, basis, coords, order, quotient))
+    out.sort(key=lambda s: (s.order, s.key))
     return tuple(out)

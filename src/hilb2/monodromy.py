@@ -333,7 +333,7 @@ def hilb_covers_by_type(s: SurfaceDescriptor, *,
     refuse_pair_group_over_cap(invariants.order, cap)
     subs = sorted(
         subgroups_of_abelian(invariants),
-        key=lambda sub: (sub.index, sub.elements),
+        key=lambda sub: (sub.index, sub.key),
     )
     types = tuple(sub.quotient.torsion for sub in subs)
     by_type: dict[tuple[int, ...], CoverDescriptor] = {}

@@ -25,6 +25,7 @@ from hilb2.errors import (
 )
 from hilb2.fpgroup import (
     AbelianInvariants,
+    AbelianSubgroup,
     CosetTable,
     Presentation,
     _Enumerator,
@@ -260,44 +261,82 @@ def test_coset_table_checks_name_the_law(monkeypatch, rows, words, failure):
         coset_enumeration(parse_presentation("< a | a^2 >"), words)
 
 
-@pytest.mark.parametrize("broken, failure", [
-    # C doubled: the invariants of H read (4,), not (2,).
-    (lambda basis, coords: (basis, tuple(tuple(2 * v for v in row)
-                                         for row in coords)),
+def corner_set(basis, coords):
+    """The trivial subgroup's basis 2·I of Z2xZ2 with its corner set to 1:
+    a lattice of index 4 that no longer holds (2, 0), so Z²/L is Z4 and
+    reads Z2 modulo the exponent 2."""
+    if basis == ((2, 0), (0, 2)):
+        return ((2, 1), (0, 2)), coords
+    return basis, coords
+
+
+def doubled_coords(basis, coords):
+    """C doubled: for H = Z2 itself, B = (1) and C = (4), so the invariants
+    of H read (4,), not (2,)."""
+    return basis, tuple(tuple(2 * v for v in row) for row in coords)
+
+
+@pytest.mark.parametrize("moduli, broken, failure", [
+    ((2,), doubled_coords,
      r"subgroup of order 2 has invariant factors \(4,\)"),
-    # The modulus added to each row of B: the same elements, but a lattice
-    # 3Z that no longer holds 2Z, so the quotient reads order 3.
-    (lambda basis, coords: (tuple(tuple(v + 2 for v in row)
-                                  for row in basis), coords),
-     "subgroup of order 2 with quotient of order 3 in a group of order 2"),
+    ((2, 2), corner_set,
+     "subgroup of order 1 with quotient of order 2 in a group of order 4"),
 ], ids=["invariants", "quotient"])
-def test_subgroup_orders_are_checked(monkeypatch, broken, failure):
-    # The first Hermite basis of Z2 is B = (1) with C = (2): H is all of Z2.
+def test_subgroup_orders_are_checked(monkeypatch, moduli, broken, failure):
+    # The quotient is checked on every call, the invariants on first read.
     honest = fpgroup._hermite_bases
     monkeypatch.setattr(fpgroup, "_hermite_bases", lambda moduli: (
         broken(*pair) for pair in honest(moduli)))
     with pytest.raises(HomomorphismFailure, match=f"^{failure}$"):
-        subgroups_of_abelian(AbelianInvariants(0, (2,)))
+        subgroups_of_abelian(AbelianInvariants(0, moduli))[-1].invariants
+
+
+def test_subgroup_invariants_are_checked_on_first_read(monkeypatch):
+    honest = fpgroup._hermite_bases
+    monkeypatch.setattr(fpgroup, "_hermite_bases", lambda moduli: (
+        doubled_coords(*pair) for pair in honest(moduli)))
+    whole = subgroups_of_abelian(AbelianInvariants(0, (2,)))[-1]
+    assert "invariants" not in vars(whole)
+    assert whole.order == 2 and whole.elements == ((0,), (1,))
+    with pytest.raises(HomomorphismFailure,
+                       match=r"^subgroup of order 2 has invariant factors "
+                             r"\(4,\)$"):
+        whole.invariants
+
+
+def test_subgroup_elements_are_checked_on_first_read():
+    # A record whose order disagrees with its basis: B = (1) generates Z2.
+    record = AbelianSubgroup((2,), ((1,),), ((2,),), 1,
+                             AbelianInvariants(0, ()))
+    with pytest.raises(HomomorphismFailure,
+                       match="^the generators of a subgroup of order 1 "
+                             "close to 2 elements$"):
+        record.elements
 
 
 def test_subgroup_order_checks_run_under_optimization():
     script = (
         "from hilb2 import fpgroup\n"
         "from hilb2.errors import HomomorphismFailure\n"
+        "doubled_coords = lambda basis, coords: (\n"
+        "    basis, tuple(tuple(2 * v for v in row) for row in coords))\n"
+        "corner_set = lambda basis, coords: (\n"
+        "    ((2, 1), (0, 2)) if basis == ((2, 0), (0, 2)) else basis, coords)\n"
         "honest = fpgroup._hermite_bases\n"
-        "for tamper in (\n"
-        "    lambda basis, coords: (basis, tuple(tuple(2 * v for v in row)\n"
-        "                                        for row in coords)),\n"
-        "    lambda basis, coords: (tuple(tuple(v + 2 for v in row)\n"
-        "                                 for row in basis), coords),\n"
-        "):\n"
+        "record = fpgroup.AbelianSubgroup(\n"
+        "    (2,), ((1,),), ((2,),), 1, fpgroup.AbelianInvariants(0, ()))\n"
+        "for moduli, tamper in (((2,), doubled_coords), ((2, 2), corner_set)):\n"
         "    fpgroup._hermite_bases = lambda moduli, tamper=tamper: (\n"
         "        tamper(*pair) for pair in honest(moduli))\n"
         "    try:\n"
         "        fpgroup.subgroups_of_abelian(\n"
-        "            fpgroup.AbelianInvariants(0, (2,)))\n"
+        "            fpgroup.AbelianInvariants(0, moduli))[-1].invariants\n"
         "    except HomomorphismFailure as exc:\n"
         "        print(exc)\n"
+        "try:\n"
+        "    record.elements\n"
+        "except HomomorphismFailure as exc:\n"
+        "    print(exc)\n"
     )
     src = str(Path(hilb2.__file__).resolve().parent.parent)
     result = subprocess.run(
@@ -308,7 +347,8 @@ def test_subgroup_order_checks_run_under_optimization():
     assert result.returncode == 0, result.stderr
     assert result.stdout == (
         "subgroup of order 2 has invariant factors (4,)\n"
-        "subgroup of order 2 with quotient of order 3 in a group of order 2\n"
+        "subgroup of order 1 with quotient of order 2 in a group of order 4\n"
+        "the generators of a subgroup of order 1 close to 2 elements\n"
     )
 
 

@@ -122,7 +122,9 @@ def reference_right_cosets(group: Group, sub: Group):
 
 
 def reference_subgroups_of_abelian(moduli):
-    """``subgroups_of_abelian`` with its own depth-first closure."""
+    """``subgroups_of_abelian`` with its own depth-first closure and Smith
+    forms: each record, sorted by order and element list, with the
+    elements, generators and invariants it must read lazily."""
     total = prod(moduli)
     zero = (0,) * len(moduli)
 
@@ -151,15 +153,11 @@ def reference_subgroups_of_abelian(moduli):
         elements = closure(gens)
         quotient = AbelianInvariants(rank=0, torsion=factors(basis))
         assert len(elements) * quotient.order == total
-        out.append(AbelianSubgroup(
-            ambient=moduli,
-            elements=elements,
-            generators=gens,
-            invariants=factors(coords),
-            quotient=quotient,
-        ))
-    out.sort(key=lambda s: (s.order, s.elements))
-    return tuple(out)
+        record = AbelianSubgroup(moduli, basis, coords, len(elements),
+                                 quotient)
+        out.append((record, elements, gens, factors(coords)))
+    out.sort(key=lambda row: (row[0].order, row[1]))
+    return out
 
 
 # --- groups -----------------------------------------------------------------
@@ -385,5 +383,8 @@ def test_corpus_walks_make_permutations_as_the_product_closure_does(name):
 
 @pytest.mark.parametrize("moduli", [(2, 2, 2, 2), (2, 4, 8), (3, 9)], ids=str)
 def test_abelian_subgroup_records_match_the_reference(moduli):
-    assert subgroups_of_abelian(AbelianInvariants(0, moduli)) == \
-        reference_subgroups_of_abelian(moduli)
+    subs = subgroups_of_abelian(AbelianInvariants(0, moduli))
+    want = reference_subgroups_of_abelian(moduli)
+    assert subs == tuple(record for record, *_ in want)
+    assert [(s.elements, s.generators, s.invariants) for s in subs] == \
+        [tuple(lazy) for _, *lazy in want]
