@@ -457,12 +457,12 @@ def _antidiagonal_labels(gset: GSet, sym_of, class_of,
     return _pair_labels(gset, gset.group.table, by_product)
 
 
-def _check_labels_kept(labels: list[int], gens, what: str) -> None:
+def _check_labels_kept(lines, gens, what: str) -> None:
     """Check that the square action of every generator in ``gens`` keeps
-    every label, the rows read through it compared with the rows, so each
-    orbit lies in one label class."""
-    n = math.isqrt(len(labels))
-    lines = _label_lines(labels, n)
+    every label (``lines`` from :func:`_label_lines`), the rows read
+    through it compared with the rows, so each orbit lies in one label
+    class."""
+    n = len(lines) // 2
     for x in gens:
         if _rows_through(lines, x.images) != lines[:n]:
             raise HomomorphismFailure(
@@ -689,9 +689,12 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     pair_group = model.wreath
     swap, = model.transposition_lifts
     pair = model.vector
-    slot_maps = tuple(pair((identity, g)) for g in range(d))
-    diag_maps = tuple(map(pair, zip(range(d), range(d))))
-    anti_maps = tuple(map(pair, zip(range(d), table.inverses)))
+    first, second = model.copies
+    slot_maps = tuple(map(permgroup._raw, map(
+        operator.add, itertools.repeat(first[identity], d), second)))
+    diag_maps = tuple(map(permgroup._raw, map(operator.add, first, second)))
+    anti_maps = tuple(map(permgroup._raw, map(
+        operator.add, first, map(second.__getitem__, table.inverses))))
     pair_gens = (swap,) + tuple(slot_maps[g] for g in gens_of_g)
 
     # D and an abelian H are listed from their normal forms (see the
@@ -769,7 +772,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # The pair-group orbits on the square are exactly the symmetric-point
     # fibers.
     point_sym = _point_labels(gset, sym_of)
-    _check_labels_kept(point_sym, pair_gens, "pair-group")
+    _check_labels_kept(_label_lines(point_sym, n), pair_gens, "pair-group")
     fiber_sizes = Counter(point_sym)
     xi_fiber_sizes = tuple(fiber_sizes[i] for i in range(sym_count))
     doubled = {i for i, p in enumerate(sym.points) if p.is_diagonal}
@@ -791,8 +794,8 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # Diagonal-group orbits: d per off-doubled point, (d + t) / 2 per
     # doubled point, t = #{g : g^2 = id} (orbit classes {r, r^-1} merge).
     diag_labels = _diagonal_labels(gset, sym_of)
-    _check_labels_kept(diag_labels, diagonal_group.generators,
-                       "diagonal-group")
+    _check_labels_kept(_label_lines(diag_labels, n),
+                       diagonal_group.generators, "diagonal-group")
     diag_counts = _classes_per_point(diag_labels, d, sym_count)
     for i in range(sym_count):
         expected = (d + t) // 2 if i in doubled else d
@@ -801,7 +804,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
 
     # Antidiagonal-group orbits: constant |G/[G, G]| per point (= d for
     # abelian G) — the intermediate quotient is unramified.
-    _check_labels_kept(anti_labels, antidiagonal_group.generators,
+    _check_labels_kept(anti_lines, antidiagonal_group.generators,
                        "antidiagonal-group")
     anti_counts = _classes_per_point(anti_labels, classes, sym_count)
     if anti_counts != [classes] * sym_count:

@@ -104,10 +104,8 @@ class Permutation(tuple):
         return _raw(_right_multiplication(other)(self))
 
     def inverse(self) -> "Permutation":
-        images = [0] * len(self)
-        for x, y in enumerate(self):
-            images[y] = x
-        return _raw(images)
+        # The point sent to y sorts to place y.
+        return _raw(sorted(range(len(self)), key=self.__getitem__))
 
     @property
     def is_identity(self) -> bool:
@@ -469,9 +467,10 @@ def normalized_by(sub: Group, gens) -> bool:
     generator s in ``gens`` it holds for the whole group they generate.
     """
     hgens = sub.generators or sub.element_list
+    by_hgens = list(map(_right_multiplication, hgens))
     for a in gens:
-        ainv = a.inverse()
-        if any(a * h * ainv not in sub.elements for h in hgens):
+        by_ainv = _right_multiplication(a.inverse())
+        if any(by_ainv(by_h(a)) not in sub.elements for by_h in by_hgens):
             return False
     return True
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 import hilb2
-from hilb2 import cli, monodromy, permgroup, serialize
+from hilb2 import cli, fpgroup, monodromy, permgroup, serialize
 from hilb2.cli import (
     EXIT_BAD_INPUT,
     EXIT_CAP,
@@ -275,6 +275,26 @@ def test_classify_refuses_before_listing_subgroups(capsys, monkeypatch):
     assert code == EXIT_CAP
     assert out == ""
     assert err == "error: group closure exceeded cap of 20000 elements\n"
+
+
+def test_classify_reads_subgroups_off_their_bases(capsys, monkeypatch):
+    # Z2xZ4xZ8 has 81 subgroups; classify reads each one's order, quotient
+    # and sort key off its Hermite basis, with no Smith form of its own and
+    # no closure of its elements.
+    calls = {"smith_invariant_factors": 0, "_closure": 0}
+    for name in calls:
+        def counted(*args, _name=name, _honest=getattr(fpgroup, name)):
+            calls[_name] += 1
+            return _honest(*args)
+        monkeypatch.setattr(fpgroup, name, counted)
+    code, out, _ = run(
+        capsys, "classify", "--presentation",
+        "< a b c | a^2, b^4, c^8, a b a^-1 b^-1, a c a^-1 c^-1, b c b^-1 c^-1 >",
+    )
+    assert code == EXIT_OK
+    assert out.count(" yes ") == 81
+    # The only Smith forms are the abelianizations of the presentation.
+    assert calls == {"smith_invariant_factors": 2, "_closure": 0}
 
 
 def test_hodge_text(capsys):

@@ -4,6 +4,7 @@ The Smith invariant factors are cross-checked with the determinantal
 divisor formula (gcd of all k-by-k minors), a derivation independent of
 the row/column reduction in the implementation.
 """
+import collections
 import itertools
 import math
 from pathlib import Path
@@ -41,7 +42,11 @@ from hilb2.fpgroup import (
     subgroups_of_abelian,
 )
 from hilb2.permgroup import Permutation
-from hilb2.tables import GroupTable, abelian_table
+from hilb2.tables import (
+    GroupTable,
+    abelian_table,
+    invariant_factors_from_primary,
+)
 
 
 def minor_determinant(matrix, rows, cols):
@@ -983,6 +988,81 @@ def rank_two_count(p, m, n):
 
 def subgroup_count(moduli):
     return len(subgroups_of_abelian(AbelianInvariants(0, moduli)))
+
+
+def partitions_within(bound):
+    """The partitions mu with mu_j <= bound_j for every part (``bound`` a
+    partition, largest part first): the types of subgroups of a p-group of
+    type ``bound``."""
+    if not bound:
+        return [()]
+    out = []
+    for first in range(bound[0], -1, -1):
+        out += [(first,) + rest if first else ()
+                for rest in partitions_within(
+                    tuple(min(b, first) for b in bound[1:]))
+                if first or not rest]
+    return out
+
+
+def conjugate(partition, length):
+    """mu'_1, ..., mu'_length: mu'_i counts the parts of at least i."""
+    return [sum(1 for part in partition if part >= i)
+            for i in range(1, length + 1)]
+
+
+def birkhoff_count(p, lam, mu):
+    """Subgroups of type mu in an abelian p-group of type lam: the product
+    over i of p^(mu'_(i+1) (lam'_i - mu'_i)) [lam'_i - mu'_(i+1),
+    mu'_i - mu'_(i+1)]_p (Birkhoff 1935; Butler, Subgroup Lattices and
+    Symmetric Functions, Mem. AMS 539, 1994)."""
+    top = lam[0] if lam else 0
+    lc, mc = conjugate(lam, top), conjugate(mu, top + 1)
+    count = 1
+    for i in range(top):
+        count *= p ** (mc[i + 1] * (lc[i] - mc[i])) * gaussian_binomial(
+            lc[i] - mc[i + 1], mc[i] - mc[i + 1], p)
+    return count
+
+
+def abelian_types(order):
+    """Every abelian group of ``order``, as its primes and their types."""
+    primes = [(p, e) for p in range(2, order + 1)
+              if all(p % q for q in range(2, p)) and order % p == 0
+              for e in [max(e for e in range(1, order.bit_length() + 1)
+                            if order % p ** e == 0)]]
+    for lams in itertools.product(*[
+            [lam for lam in partitions_within((e,) * e) if sum(lam) == e]
+            for _, e in primes]):
+        yield [(p, lam) for (p, _), lam in zip(primes, lams)]
+
+
+def invariant_chain(typed):
+    """The invariant factors of the group with p-types ``typed``."""
+    return invariant_factors_from_primary(
+        [p ** part for p, lam in typed for part in lam])
+
+
+def test_subgroup_types_match_the_birkhoff_count():
+    # The count is multiplicative over the Sylow parts, and G/H has the
+    # type of the annihilator of H in the dual group, which is isomorphic
+    # to G, so the quotient types are counted by the same formula.
+    groups = 0
+    for order in range(1, 101):
+        for typed in abelian_types(order):
+            want = collections.Counter()
+            for mus in itertools.product(
+                    *[partitions_within(lam) for _, lam in typed]):
+                want[invariant_chain(list(zip([p for p, _ in typed], mus)))] \
+                    += math.prod(birkhoff_count(p, lam, mu)
+                                 for (p, lam), mu in zip(typed, mus))
+            subs = subgroups_of_abelian(
+                AbelianInvariants(0, invariant_chain(typed)))
+            assert collections.Counter(s.invariants for s in subs) == want
+            assert collections.Counter(s.quotient.torsion for s in subs) \
+                == want
+            groups += 1
+    assert groups == 185
 
 
 def test_subgroup_counts_match_closed_forms():

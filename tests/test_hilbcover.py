@@ -1032,16 +1032,19 @@ def test_diagonal_copies_are_checked_to_exhaust_the_doubled_locus(
 
 
 def exchanging_two_labels(what):
-    """Wrap ``_check_labels_kept`` so the labels handed to it for ``what``
-    have their first two distinct values exchanged at one pair each."""
+    """Wrap ``_check_labels_kept`` so the label lines handed to it for
+    ``what`` are those of labels whose first two distinct values are
+    exchanged at one pair each."""
     honest = hilbcover._check_labels_kept
 
-    def broken(labels, gens, label_what):
+    def broken(lines, gens, label_what):
         if label_what == what:
-            labels = list(labels)
+            n = len(lines) // 2
+            labels = [v for row in lines[:n] for v in row]
             k = next(k for k, v in enumerate(labels) if v != labels[0])
             labels[0], labels[k] = labels[k], labels[0]
-        return honest(labels, gens, label_what)
+            lines = hilbcover._label_lines(labels, n)
+        return honest(lines, gens, label_what)
     return broken
 
 
@@ -1055,6 +1058,36 @@ def test_orbit_labels_are_checked_against_every_generator(monkeypatch, what):
                        match=f"^{what} generators do not keep the orbit "
                              f"labels$"):
         build_construction(gset)
+
+
+def test_orbit_label_checks_run_under_optimization():
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "from test_hilbcover import exchanging_two_labels\n"
+        "from hilb2 import hilbcover\n"
+        "from hilb2.errors import HomomorphismFailure\n"
+        "from hilb2.tables import cyclic_table\n"
+        "gset = hilbcover.free_gset(cyclic_table(3), ('a', 'b'))\n"
+        "honest = hilbcover._check_labels_kept\n"
+        "for what in ('pair-group', 'diagonal-group', 'antidiagonal-group'):\n"
+        "    hilbcover._check_labels_kept = exchanging_two_labels(what)\n"
+        "    try:\n"
+        "        hilbcover.build_construction(gset)\n"
+        "    except HomomorphismFailure as exc:\n"
+        "        print(exc)\n"
+        "    hilbcover._check_labels_kept = honest\n"
+    )
+    src = str(Path(hilb2.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True,
+        text=True, timeout=60,
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "".join(
+        f"{what} generators do not keep the orbit labels\n"
+        for what in ("pair-group", "diagonal-group", "antidiagonal-group"))
 
 
 @pytest.mark.parametrize("labels, merge, failure", [
