@@ -787,17 +787,17 @@ class AbelianSubgroup:
     def key(self) -> tuple[tuple[int, ...], ...]:
         """Sorts subgroups of one order as their sorted element lists do.
 
-        Two sorted lists of equal length compare at the least element of
-        the sets' symmetric difference: the list that holds it comes
-        first.  Compare any two sets that way.  Tuples whose first i
-        coordinates vanish come first, and those of H are H_i, spanned by
-        the rows of B from row i down.  So H and H' compare as H_1 and
-        H'_1 unless those are equal; then by the least nonzero first
-        coordinate d_0 (the smaller holds more); then, at d_0, by the
-        cosets t + H_1 of the two tails, whose least elements are the
-        tails themselves, as B's entries above each diagonal entry d_j
-        lie in range(d_j).  By induction, B's rows compared from the
-        bottom up decide.
+        Sorted lists of equal length compare at the least element of the
+        two sets' symmetric difference, the list holding it first; order
+        any two sets that way.  Tuples with first coordinate 0 come first,
+        and those of H form H_1, whose Hermite basis is B below row 0.  So
+        H and H' compare as H_1 and H'_1 unless those are equal; then by
+        d_0, the least nonzero first coordinate (the smaller one holds an
+        element the other lacks); then, at first coordinate d_0, by the
+        cosets t + H_1 of the two row tails, whose least elements are the
+        tails themselves, as B's entries above each diagonal entry d_j lie
+        in range(d_j).  By induction, B's rows compared from the bottom up
+        decide.
         """
         return self.basis[::-1]
 
