@@ -33,7 +33,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .permgroup import Group, Permutation
-from .tables import _closure, _prime_factorization
+from .tables import _closure, _invariant_chain, _prime_factorization
 
 DEFAULT_COSET_CAP = 100000
 
@@ -847,7 +847,8 @@ def _primary_parts(matrix, p: int, q: int) -> list[int]:
     lattice of a nonsingular upper-triangular integer matrix, read modulo
     q = p^a: exact when q kills that p-part.
 
-    Elimination over Z/q, a local ring, with pivots of least valuation:
+    Elimination over Z/q, a local ring (entries are reduced only as they
+    change), with pivots of least valuation:
     a pivot p^v·u (u a unit) clears its column in every other row, and its
     row and column then split off a factor p^v.  A unit on the diagonal
     is such a pivot at once, and of the rows above it only those kept so
@@ -865,7 +866,7 @@ def _primary_parts(matrix, p: int, q: int) -> list[int]:
                     for j in range(i + 1, len(row)):
                         r[j] = (r[j] - f * row[j]) % q
         else:
-            kept.append([x % q for x in row])
+            kept.append(list(row))
             cols.append(i)
     parts = []
     while kept:
@@ -894,14 +895,9 @@ def _primary_parts(matrix, p: int, q: int) -> list[int]:
 def _cokernel_invariants(matrix, prime_powers) -> tuple[int, ...]:
     """Invariant factors > 1 of Zᵏ/L, for L the row lattice of a
     nonsingular upper-triangular integer matrix, from its p-primary parts
-    read modulo each (p, q) of ``prime_powers`` (see :func:`_primary_parts`):
-    the t-th factor from the top is the product of every prime's t-th
-    largest part."""
-    parts = [sorted(_primary_parts(matrix, p, q), reverse=True)
-             for p, q in prime_powers]
-    chain = [prod(column)
-             for column in itertools.zip_longest(*parts, fillvalue=1)]
-    return tuple(reversed(chain))
+    read modulo each (p, q) of ``prime_powers`` (see :func:`_primary_parts`)."""
+    return _invariant_chain(_primary_parts(matrix, p, q)
+                            for p, q in prime_powers)
 
 
 def _hermite_bases(moduli):

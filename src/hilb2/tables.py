@@ -429,18 +429,17 @@ def invariant_factors_from_primary(primary) -> tuple[int, ...]:
     for q in primary:
         [(p, e)] = _prime_factorization(q)
         by_prime.setdefault(p, []).append(p ** e)
-    for parts in by_prime.values():
-        parts.sort(reverse=True)
-    length = max((len(v) for v in by_prime.values()), default=0)
-    chain = []
-    for k in range(length):
-        d = 1
-        for parts in by_prime.values():
-            if k < len(parts):
-                d *= parts[k]
-        chain.append(d)
-    chain.reverse()  # ascending, d1 | d2 | ... | dk
-    return tuple(chain)
+    return _invariant_chain(by_prime.values())
+
+
+def _invariant_chain(parts_by_prime) -> tuple[int, ...]:
+    """The invariant factor chain d1 | d2 | ... (ascending) of a product of
+    cyclic groups of prime-power orders, given as one list per prime: the
+    t-th factor from the top multiplies every prime's t-th largest part."""
+    columns = itertools.zip_longest(
+        *(sorted(parts, reverse=True) for parts in parts_by_prime),
+        fillvalue=1)
+    return tuple(reversed(list(map(math.prod, columns))))
 
 
 def abelian_group_tables(max_order: int) -> list[tuple[str, GroupTable]]:
