@@ -135,9 +135,10 @@ def cmd_classify(args, caps: Caps) -> int:
             "classify", [results[t] for t in deck_types]
         )))
         return EXIT_OK
-    pi1ab = abelianization(surface.pi1_smooth)
+    # The trivial subgroup, of index |pi1^ab|, is the only one of the
+    # largest index, so the last type is pi1^ab itself.
     print(f"covers of Hilb2({surface.name})")
-    print(f"pi1^ab upstairs: {_invariants_name(pi1ab.torsion)}")
+    print(f"pi1^ab upstairs: {_invariants_name(deck_types[-1])}")
     print(f"{'degree':>6}  {'deck':<8}  {'galois':<6}  branch")
     # A cover's deck group is the quotient of its type, so the type names
     # it.

@@ -779,7 +779,7 @@ class AbelianSubgroup:
     order: int
     quotient: AbelianInvariants
 
-    @property
+    @cached_property
     def index(self) -> int:
         return self.quotient.order
 

@@ -56,7 +56,6 @@ point z and of the second copy point |Z| + z.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 import itertools
@@ -190,10 +189,11 @@ def _left_translation(group: GroupTable, nb: int, g: int) -> tuple[int, ...]:
     translation(s h)(k, b); and translation(g) sends the block over e to
     the block over g e = g, so distinct elements give distinct maps.
     """
-    blocks = [range(h * nb, h * nb + nb) for h in range(group.order)]
-    return tuple(itertools.chain.from_iterable(
-        map(blocks.__getitem__, group.table[g])
-    ))
+    row = group.table[g]
+    if nb == 1:
+        return tuple(row)
+    offsets = range(nb)
+    return tuple([h + b for h in [x * nb for x in row] for b in offsets])
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,7 @@ def wreath_product(table: GroupTable, nb: int, n: int) -> WreathModel:
     size = d * nb
     translations = tuple(_left_translation(table, nb, g) for g in range(d))
     copies = (translations,) + tuple(
-        tuple(tuple(map((i * size).__add__, tr)) for tr in translations)
+        tuple(tuple([i * size + z for z in tr]) for tr in translations)
         for i in range(1, n))
     lifts = []
     for i in range(n - 1):
@@ -371,12 +371,16 @@ def _rows_through(lines, images) -> list[tuple[int, ...]]:
     {z, n + w}, goes to {x(z), x(n + w)}: the label in row x(z) at column
     x(n + w) - n if x keeps the copies, in column x(z) - n at row
     x(n + w) if it exchanges them.  Either way row z is line x(z) read at
-    x(n + w) mod n, one C-level ``itemgetter`` call per row."""
+    x(n + w) mod n, one C-level ``itemgetter`` call per row, or line x(z)
+    itself where x(n + w) mod n = w for every w, as for the swap."""
     n = len(images) // 2
     if n == 1:  # one pair, which every x fixes
         return lines[:1]
-    read = operator.itemgetter(*map(n.__rmod__, images[n:]))
-    return list(map(read, map(lines.__getitem__, images[:n])))
+    at = [w % n for w in images[n:]]
+    if at == list(range(n)):
+        return [lines[z] for z in images[:n]]
+    read = operator.itemgetter(*at)
+    return [read(lines[z]) for z in images[:n]]
 
 
 def _fixes_transversals(maps, n: int, firsts, seconds) -> bool:
@@ -384,23 +388,26 @@ def _fixes_transversals(maps, n: int, firsts, seconds) -> bool:
     first to last) fixes every pair {firsts[j], seconds[j]} of the square,
     given as a transversal of Z ⊔ Z (firsts in the first copy, seconds in
     the second).  A pair is fixed, as rho reads it, exactly when its
-    transversal is.  Each map sends copies onto copies, so its
-    first image says whether it keeps them or exchanges them for every
-    pair; the points are read through lazy C-level maps, in one pass that
-    stops at the first point that differs."""
-    a, b = firsts, seconds
+    transversal is.  Each map sends copies onto copies, so its first
+    image says whether it keeps them or exchanges them for every pair.
+    All 2 |firsts| points are read through each map in one pass; if the
+    product exchanges the copies, each first point must land on its second
+    and each second on its first, so the result is one list comparison
+    either way."""
+    points = [*firsts, *seconds]
+    exchanged = False
     for images in maps:
-        a, b = map(images.__getitem__, a), map(images.__getitem__, b)
-        if images[0] >= n:
-            a, b = b, a
-    return (all(map(operator.eq, a, firsts))
-            and all(map(operator.eq, b, seconds)))
+        points = [images[p] for p in points]
+        exchanged ^= images[0] >= n
+    if exchanged:
+        return points == [*seconds, *firsts]
+    return points == [*firsts, *seconds]
 
 
 def _diagonal_copies(translations, n: int) -> tuple[tuple[int, ...], ...]:
     """The copies of the sheets in the square: copy g holds the pairs
     z * n + g.z, read off g's translation."""
-    row_starts = range(0, n * n, n)
+    row_starts = list(range(0, n * n, n))
     return tuple(
         tuple(map(operator.add, row_starts, tr)) for tr in translations
     )
@@ -434,10 +441,11 @@ def _diagonal_labels(gset: GSet, sym_of) -> list[int]:
     table = gset.group
     d, inv = table.order, table.inverses
     nb = len(gset.base)
+    # min(r, r^-1), r^-1 and r for every r, at the sign 0, 1, -1 of b - b'.
+    orientations = (tuple(map(min, range(d), inv)), inv, range(d))
     oriented = [
-        [tuple(sym_of[b][b2] * d
-               + (r if b < b2 else inv[r] if b > b2 else min(r, inv[r]))
-               for r in range(d))
+        [tuple([sym_of[b][b2] * d + r
+                for r in orientations[(b > b2) - (b < b2)]])
          for b2 in range(nb)]
         for b in range(nb)
     ]
@@ -450,7 +458,7 @@ def _antidiagonal_labels(gset: GSet, sym_of, class_of,
     i * classes + the class of g1 g2 in G/[G, G], over symmetric point i."""
     nb = len(gset.base)
     by_product = [
-        [tuple(sym_of[b][b2] * classes + c for c in class_of)
+        [tuple([sym_of[b][b2] * classes + c for c in class_of])
          for b2 in range(nb)]
         for b in range(nb)
     ]
@@ -462,9 +470,9 @@ def _check_labels_kept(lines, gens, what: str) -> None:
     every label (``lines`` from :func:`_label_lines`), the rows read
     through it compared with the rows, so each orbit lies in one label
     class."""
-    n = len(lines) // 2
+    rows = lines[:len(lines) // 2]
     for x in gens:
-        if _rows_through(lines, x.images) != lines[:n]:
+        if _rows_through(lines, x.images) != rows:
             raise HomomorphismFailure(
                 f"{what} generators do not keep the orbit labels"
             )
@@ -473,8 +481,8 @@ def _check_labels_kept(lines, gens, what: str) -> None:
 def _classes_per_point(labels, per_point: int, points: int) -> list[int]:
     """The number of distinct labels i * per_point + r over each symmetric
     point i, read from the set of labels."""
-    counts = Counter(map(per_point.__rfloordiv__, set(labels)))
-    return [counts[i] for i in range(points)]
+    owners = [label // per_point for label in set(labels)]
+    return list(map(owners.count, range(points)))
 
 
 def _label_classes(labels, count: int) -> list[tuple[int, ...]]:
@@ -497,16 +505,22 @@ def _split_by_point(classes, per_point: int
     )
 
 
-def _swap_normal_form(model: WreathModel, maps, partner, gens) -> Group:
-    """The group maps ⊔ swap . maps on Z ⊔ Z of the pair group ``model``,
+def _swapped(model: WreathModel, partner) -> list[tuple[int, ...]]:
+    """The images of swap . pair(g, partner[g]) for every g, the direct sums
+    copies[1][g] + copies[0][partner[g]] of the pair group ``model`` (see
+    :func:`build_construction`)."""
+    first, second = model.copies
+    return list(map(operator.add, second, [first[h] for h in partner]))
+
+
+def _swap_normal_form(model: WreathModel, maps, swapped, gens) -> Group:
+    """The group maps ⊔ swapped on Z ⊔ Z of the pair group ``model``,
     listed, for maps[g] = pair(g, partner[g]), an injective image of G
-    that conjugation by the involution swap keeps, so the union is closed;
-    its swap half is listed as direct sums (both proved in
+    that conjugation by the involution swap keeps, so the union is closed,
+    and swapped[g] = swap . maps[g] (:func:`_swapped`; both proved in
     :func:`build_construction`).  Its generators are the swap and the maps
     of ``gens``, the generators of G."""
     swap, = model.transposition_lifts
-    first, second = model.copies
-    swapped = map(operator.add, second, map(first.__getitem__, partner))
     return permgroup._listed(
         *permgroup.generating_tuple((swap,) + tuple(maps[s] for s in gens),
                                     swap.domain_size),
@@ -654,7 +668,8 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
       abelian case);
     * the d diagonal copies are checked to lie over the doubled locus, so
       they split the doubled-locus preimage, and each copy is checked to
-      be fixed pointwise by its antidiagonal swap element.
+      be fixed pointwise by its antidiagonal swap element, read as the
+      direct sum that H's swap half lists for it.
 
     The sizes and counts these laws name are read off the labels, the
     fiber sizes as how often each symmetric point occurs and the orbit
@@ -678,7 +693,6 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     refuse_pair_group_over_cap(d, cap)
     n = gset.size
     nb = len(gset.base)
-    mul = table.mul
     identity = table.identity
     gens_of_g = table.small_generating_set()
 
@@ -702,11 +716,13 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # for c in [G, G] generate H: with the swap they give [G, G] x [G, G],
     # and modulo that the antidiagonal maps of generators give every
     # (a, a^-1).
-    diagonal_group = _swap_normal_form(model, diag_maps, range(d), gens_of_g)
+    diagonal_group = _swap_normal_form(model, diag_maps,
+                                       _swapped(model, range(d)), gens_of_g)
+    anti_swapped = _swapped(model, table.inverses)  # swap . anti(g)
     commutator = table.commutator_subgroup()
     if table.is_abelian:
-        antidiagonal_group = _swap_normal_form(model, anti_maps,
-                                               table.inverses, gens_of_g)
+        antidiagonal_group = _swap_normal_form(model, anti_maps, anti_swapped,
+                                               gens_of_g)
     else:
         antidiagonal_group = permgroup.generate(
             (swap,) + tuple(anti_maps[s] for s in gens_of_g)
@@ -716,7 +732,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
 
     # Normality laws for the two intermediate subgroups; t counts the
     # solutions of g^2 = id.
-    t = sum(1 for g in range(d) if mul(g, g) == identity)
+    t = list(map(operator.getitem, table.table, range(d))).count(identity)
     if permgroup.normalized_by(diagonal_group, pair_group.generators) \
             != (t == d):
         raise HomomorphismFailure(
@@ -744,11 +760,19 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     anti_labels = _antidiagonal_labels(gset, sym_of, class_of, classes)
     anti_lines = _label_lines(anti_labels, n)
     gen_values = [ab_table.identity] + [class_of[s] for s in gens_of_g]
+    anti_rows = anti_lines[:n]
+    # Reads a map of the labels at each pair's label; it is called only
+    # for d > 1, so on at least four pairs.
+    relabel = operator.itemgetter(*anti_labels)
     for x, value in zip(pair_gens, gen_values):
-        times = [i + c for i in range(0, sym_count * classes, classes)
-                 for c in ab_table.table[value]]
-        if _rows_through(anti_lines, x.images) \
-                != _rows(map(times.__getitem__, anti_labels), n):
+        # Class 1's row of the validated table is the identity
+        # arrangement, so it keeps every label: the rows are the target.
+        target = anti_rows
+        if value != ab_table.identity:
+            times = [i + c for i in range(0, sym_count * classes, classes)
+                     for c in ab_table.table[value]]
+            target = _rows(relabel(times), n)
+        if _rows_through(anti_lines, x.images) != target:
             raise HomomorphismFailure("slot product is not a homomorphism")
     # Label ab_table.identity is class 1 over point 0 = (b0, b0).
     if 2 * anti_labels.count(ab_table.identity) != len(antidiagonal_group):
@@ -759,12 +783,11 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # The antidiagonal swap element indexed by g, swap . anti(g), fixes
     # copy g, the transversals {z, |Z| + g.z}, pointwise — this is what
     # makes the intermediate quotient tame along the doubled locus.  The
-    # first copy of diag(g) is g's translation, the second of pair(e, g)
-    # is |Z| + g.z.
-    diagonal_copies = _diagonal_copies([x[:n] for x in diag_maps], n)
-    for anti, slot in zip(anti_maps, slot_maps):
-        if not _fixes_transversals((anti.images, swap.images), n,
-                                   range(n), slot[n:]):
+    # first copy of the model holds g's translation, and the second half
+    # of pair(e, g) is |Z| + g.z.
+    diagonal_copies = _diagonal_copies(first, n)
+    for fixer, slot in zip(anti_swapped, slot_maps):
+        if not _fixes_transversals((fixer,), n, range(n), slot[n:]):
             raise HomomorphismFailure(
                 "antidiagonal swap element does not fix its diagonal copy"
             )
@@ -773,13 +796,11 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # fibers.
     point_sym = _point_labels(gset, sym_of)
     _check_labels_kept(_label_lines(point_sym, n), pair_gens, "pair-group")
-    fiber_sizes = Counter(point_sym)
-    xi_fiber_sizes = tuple(fiber_sizes[i] for i in range(sym_count))
-    doubled = {i for i, p in enumerate(sym.points) if p.is_diagonal}
-    for i in range(sym_count):
-        expected_size = d * d if i in doubled else 2 * d * d
-        if xi_fiber_sizes[i] != expected_size:
-            raise HomomorphismFailure("fiber size law failed")
+    xi_fiber_sizes = tuple(map(point_sym.count, range(sym_count)))
+    doubled = set(map(list.__getitem__, sym_of, range(nb)))  # each {b, b}
+    if xi_fiber_sizes != tuple(d * d if i in doubled else 2 * d * d
+                               for i in range(sym_count)):
+        raise HomomorphismFailure("fiber size law failed")
     # The d disjoint copies of |Z| = d |B| pairs and the |B| doubled fibers
     # of d^2 pairs each both hold |B| d^2 pairs, so the copies are the
     # doubled-locus preimage once they lie over doubled points.
@@ -796,11 +817,9 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     diag_labels = _diagonal_labels(gset, sym_of)
     _check_labels_kept(_label_lines(diag_labels, n),
                        diagonal_group.generators, "diagonal-group")
-    diag_counts = _classes_per_point(diag_labels, d, sym_count)
-    for i in range(sym_count):
-        expected = (d + t) // 2 if i in doubled else d
-        if diag_counts[i] != expected:
-            raise HomomorphismFailure("diagonal-group orbit count law failed")
+    if _classes_per_point(diag_labels, d, sym_count) != [
+            (d + t) // 2 if i in doubled else d for i in range(sym_count)]:
+        raise HomomorphismFailure("diagonal-group orbit count law failed")
 
     # Antidiagonal-group orbits: constant |G/[G, G]| per point (= d for
     # abelian G) — the intermediate quotient is unramified.
@@ -916,13 +935,11 @@ def _sheets(labels: list[int], per_point: int
     numbered point by point over the symmetric points i, and over each
     point in the order their labels first occur, which is the order of the
     classes' smallest members.  Returns each sheet's leader, its smallest
-    pair, and the sheet number of each label.  The leaders come from one
-    C-level pass: a dict built from the reversed labels keeps, for each
-    label, the last index written, its first occurrence."""
-    leader = dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))
-    by_first = sorted(leader, key=leader.__getitem__)
-    ordered = sorted(by_first, key=per_point.__rfloordiv__)  # stable
-    return (list(map(leader.__getitem__, ordered)),
+    pair, and the sheet number of each label.  ``dict.fromkeys`` lists
+    the labels in the order they first occur, in one C-level pass, and
+    each leader is the first index of its label."""
+    ordered = sorted(dict.fromkeys(labels), key=per_point.__rfloordiv__)
+    return (list(map(labels.index, ordered)),
             dict(zip(ordered, itertools.count())))
 
 
@@ -939,10 +956,15 @@ def square_cover(gset: GSet, base_label: str, *,
     center labels (the locus blown up downstairs), and no ramification is
     introduced.  The deck group is G acting through the second-slot maps,
     read at each sheet's smallest pair and looked up by that pair's
-    label, as the orbits are the label classes.  The action is checked to
-    be a homomorphism (deck(s) deck(g) = deck(s g) for the generators s
-    and every g) and injective, so its image is closed and isomorphic to
-    G.  Its generators are the greedy generators of that image in sorted
+    label, as the orbits are the label classes.  Each deck(g) is a
+    bijection of the sheets with no check of its own: slot-map(g) lies in
+    the pair group, so it keeps each symmetric point and multiplies every
+    antidiagonal label's class by the class of g (the slot-product law
+    :func:`build_construction` checks), a bijection of the labels over
+    each point, all of which occur (its orbit count law).  The action is
+    checked to be a homomorphism (deck(s) deck(g) = deck(s g) for the
+    generators s and every g, one C-level pass of right multiplications
+    per s) and injective, so its image is closed and isomorphic to G.  Its generators are the greedy generators of that image in sorted
     order, which the table walks over the elements g sorted by deck(g):
     g -> deck(g) is an injective homomorphism, so x is reached from the
     identity by the earlier generators in the table exactly when deck(x)
@@ -976,16 +998,20 @@ def square_cover(gset: GSet, base_label: str, *,
     row_starts = [k - k % n - n for k in leaders]  # z * n - n
     seconds = [n + k % n for k in leaders]  # n + w
     deck = [
-        Permutation(map(sheet_of.__getitem__, map(labels.__getitem__, map(
-            operator.add, row_starts, map(mover.__getitem__, seconds)))))
+        permgroup._raw([sheet_of[labels[z + mover[w]]]
+                        for z, w in zip(row_starts, seconds)])
         for mover in c.second_slot_maps
     ]
+    # deck(s) deck(g) for every g is deck(s) read through each deck(g)'s
+    # right multiplication, and deck(s g) for every g is deck read along
+    # row s of the table: one C-level pass per generator s.
+    by_deck = list(map(permgroup._right_multiplication, deck))
     for s in table.small_generating_set():
-        for g in range(d):
-            if deck[s] * deck[g] != deck[table.mul(s, g)]:
-                raise HomomorphismFailure(
-                    "deck action on orbits is not a homomorphism"
-                )
+        if list(map(operator.call, by_deck, itertools.repeat(deck[s], d))) \
+                != list(map(deck.__getitem__, table.table[s])):
+            raise HomomorphismFailure(
+                "deck action on orbits is not a homomorphism"
+            )
     if len(set(deck)) != d:
         raise HomomorphismFailure("deck action on orbits is not faithful")
     gens = _greedy_generators(sorted(range(d), key=deck.__getitem__),

@@ -104,8 +104,10 @@ class Permutation(tuple):
         return _raw(_right_multiplication(other)(self))
 
     def inverse(self) -> "Permutation":
-        # The point sent to y sorts to place y.
-        return _raw(sorted(range(len(self)), key=self.__getitem__))
+        inverse = [0] * len(self)
+        for x, y in enumerate(self):
+            inverse[y] = x
+        return _raw(inverse)
 
     @property
     def is_identity(self) -> bool:

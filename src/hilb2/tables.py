@@ -199,6 +199,10 @@ class GroupTable:
         sub = set(subgroup)
         if self.identity not in sub:
             raise NotAGroup("a subgroup contains the identity")
+        if len(sub) == 1:
+            # {e} is closed and normal by the identity and inverse axioms,
+            # and its cosets are the elements themselves.
+            return self, tuple(range(self.order))
         for a in sub:
             for b in sub:
                 if self.table[a][b] not in sub:
@@ -208,9 +212,6 @@ class GroupTable:
             for m in sub:
                 if self.table[self.table[g][m]][gi] not in sub:
                     raise NotAGroup("subgroup is not normal in the table")
-        if len(sub) == 1:
-            # The cosets of the trivial subgroup are the elements themselves.
-            return self, tuple(range(self.order))
         quotient, coset_of, _ = _coset_table(range(self.order), sub,
                                              self._right_multiplication)
         return quotient, tuple(coset_of[e] for e in range(self.order))
@@ -436,10 +437,15 @@ def _invariant_chain(parts_by_prime) -> tuple[int, ...]:
     """The invariant factor chain d1 | d2 | ... (ascending) of a product of
     cyclic groups of prime-power orders, given as one list per prime: the
     t-th factor from the top multiplies every prime's t-th largest part."""
-    columns = itertools.zip_longest(
-        *(sorted(parts, reverse=True) for parts in parts_by_prime),
-        fillvalue=1)
-    return tuple(reversed(list(map(math.prod, columns))))
+    chain: list[int] = []
+    for parts in parts_by_prime:
+        for t, part in enumerate(sorted(parts, reverse=True)):
+            if t < len(chain):
+                chain[t] *= part
+            else:
+                chain.append(part)
+    chain.reverse()
+    return tuple(chain)
 
 
 def abelian_group_tables(max_order: int) -> list[tuple[str, GroupTable]]:

@@ -344,42 +344,81 @@ def test_deck_orbits_of_a_cover_have_distinct_smallest_labels():
                         galois=True)
 
 
-def test_hilb_square_cover_checks_the_deck_action_is_a_homomorphism(
-        monkeypatch):
-    # In Z4, exchanging the slot maps of the generator 1 and its square 2
-    # keeps the deck action injective but breaks 1 + 1 = 2.
-    honest = hilbcover.build_construction
-
+def exchanging_slots_one_and_two(honest):
+    """Wrap ``build_construction`` so that the slot maps of 1 and 2 are
+    exchanged.  In Z4, 2 is the square of the generator 1, so the deck
+    action stays injective but breaks 1 + 1 = 2."""
     def swapped(gset, **kwargs):
         c = honest(gset, **kwargs)
         slots = list(c.second_slot_maps)
         slots[1], slots[2] = slots[2], slots[1]
         return replace(c, second_slot_maps=tuple(slots))
+    return swapped
 
+
+def trivial_slots(honest):
+    """Wrap ``build_construction`` so that every slot map is the identity
+    of Z ⊔ Z: every g then acts trivially on the sheets, a homomorphism
+    but not an injective one."""
+    def trivial(gset, **kwargs):
+        c = honest(gset, **kwargs)
+        identity = Permutation.identity(2 * gset.size)
+        return replace(c, second_slot_maps=(identity,) * c.d)
+    return trivial
+
+
+def test_hilb_square_cover_checks_the_deck_action_is_a_homomorphism(
+        monkeypatch):
     cover = regular_cover(cyclic_table(4))
     assert hilb_square_cover(cover).degree == 4
-    monkeypatch.setattr(hilbcover, "build_construction", swapped)
+    monkeypatch.setattr(hilbcover, "build_construction",
+                        exchanging_slots_one_and_two(build_construction))
     with pytest.raises(HomomorphismFailure,
                        match="^deck action on orbits is not a homomorphism$"):
         hilb_square_cover(cover)
 
 
 def test_square_cover_checks_the_deck_action_is_faithful(monkeypatch):
-    # With every slot map the identity of Z ⊔ Z, every g acts trivially on
-    # the sheets: a homomorphism, but not an injective one.
-    honest = hilbcover.build_construction
-
-    def trivial(gset, **kwargs):
-        c = honest(gset, **kwargs)
-        identity = Permutation.identity(2 * gset.size)
-        return replace(c, second_slot_maps=(identity,) * c.d)
-
     gset = free_gset(cyclic_table(3), ("a", "b"))
     assert square_cover(gset, "X").degree == 3
-    monkeypatch.setattr(hilbcover, "build_construction", trivial)
+    monkeypatch.setattr(hilbcover, "build_construction",
+                        trivial_slots(build_construction))
     with pytest.raises(HomomorphismFailure,
                        match="^deck action on orbits is not faithful$"):
         square_cover(gset, "X")
+
+
+def test_deck_checks_run_under_optimization():
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "from test_hilbcover import exchanging_slots_one_and_two, "
+        "trivial_slots\n"
+        "from hilb2 import hilbcover\n"
+        "from hilb2.errors import HomomorphismFailure\n"
+        "from hilb2.tables import cyclic_table\n"
+        "honest = hilbcover.build_construction\n"
+        "for order, broken in ((4, exchanging_slots_one_and_two),\n"
+        "                      (3, trivial_slots)):\n"
+        "    hilbcover.build_construction = broken(honest)\n"
+        "    gset = hilbcover.free_gset(cyclic_table(order), ('a', 'b'))\n"
+        "    try:\n"
+        "        hilbcover.square_cover(gset, 'X')\n"
+        "    except HomomorphismFailure as exc:\n"
+        "        print(exc)\n"
+        "    hilbcover.build_construction = honest\n"
+    )
+    src = str(Path(hilb2.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True,
+        text=True, timeout=60,
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "deck action on orbits is not a homomorphism\n"
+        "deck action on orbits is not faithful\n"
+    )
 
 
 def reference_pair_image(images, n, k):
@@ -655,6 +694,15 @@ def test_law_checks_compose_on_two_copies_of_the_sheets(compositions):
     compositions.count = compositions.points = 0
     fixed_components(build_construction(gset))
     assert compositions.points <= 792
+
+
+def test_square_cover_costs_the_build_and_the_deck_law(compositions):
+    # The build's 12 products, then deck(s) deck(g) for the one generator
+    # s of Z11 and every g, d |gens| = 11 more.
+    gset = free_gset(cyclic_table(11), ("a", "b"))
+    compositions.count = 0
+    square_cover(gset, "X")
+    assert compositions.count <= 23
 
 
 def test_build_validates_no_permutation(monkeypatch):
