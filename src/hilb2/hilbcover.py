@@ -517,9 +517,9 @@ def _swap_normal_form(model: WreathModel, maps, swapped, gens) -> Group:
     """The group maps ⊔ swapped on Z ⊔ Z of the pair group ``model``,
     listed, for maps[g] = pair(g, partner[g]), an injective image of G
     that conjugation by the involution swap keeps, so the union is closed,
-    and swapped[g] = swap . maps[g] (:func:`_swapped`; both proved in
-    :func:`build_construction`).  Its generators are the swap and the maps
-    of ``gens``, the generators of G."""
+    and swapped = ``_swapped(model, partner)``, listing swap . maps[g]
+    (both proved in :func:`build_construction`).  Its generators are the
+    swap and the maps of ``gens``, the generators of G."""
     swap, = model.transposition_lifts
     return permgroup._listed(
         *permgroup.generating_tuple((swap,) + tuple(maps[s] for s in gens),
