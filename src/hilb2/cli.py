@@ -126,7 +126,8 @@ def _load_surface(args) -> SurfaceDescriptor:
 
 def cmd_classify(args, caps: Caps) -> int:
     surface = _load_surface(args)
-    deck_types, by_type = hilb_covers_by_type(surface, cap=caps.group_cap)
+    pi1ab, deck_types, by_type = hilb_covers_by_type(surface,
+                                                     cap=caps.group_cap)
     if args.format == "json":
         # One dict per distinct cover, repeated for every subgroup of its
         # type.
@@ -135,10 +136,8 @@ def cmd_classify(args, caps: Caps) -> int:
             "classify", [results[t] for t in deck_types]
         )))
         return EXIT_OK
-    # The trivial subgroup, of index |pi1^ab|, is the only one of the
-    # largest index, so the last type is pi1^ab itself.
     print(f"covers of Hilb2({surface.name})")
-    print(f"pi1^ab upstairs: {_invariants_name(deck_types[-1])}")
+    print(f"pi1^ab upstairs: {_invariants_name(pi1ab.torsion)}")
     print(f"{'degree':>6}  {'deck':<8}  {'galois':<6}  branch")
     # A cover's deck group is the quotient of its type, so the type names
     # it.

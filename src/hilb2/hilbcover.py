@@ -189,11 +189,9 @@ def _left_translation(group: GroupTable, nb: int, g: int) -> tuple[int, ...]:
     translation(s h)(k, b); and translation(g) sends the block over e to
     the block over g e = g, so distinct elements give distinct maps.
     """
-    row = group.table[g]
-    if nb == 1:
-        return tuple(row)
     offsets = range(nb)
-    return tuple([h + b for h in [x * nb for x in row] for b in offsets])
+    return tuple([h + b for h in [x * nb for x in group.table[g]]
+                  for b in offsets])
 
 
 @dataclass(frozen=True)
@@ -371,15 +369,11 @@ def _rows_through(lines, images) -> list[tuple[int, ...]]:
     {z, n + w}, goes to {x(z), x(n + w)}: the label in row x(z) at column
     x(n + w) - n if x keeps the copies, in column x(z) - n at row
     x(n + w) if it exchanges them.  Either way row z is line x(z) read at
-    x(n + w) mod n, one C-level ``itemgetter`` call per row, or line x(z)
-    itself where x(n + w) mod n = w for every w, as for the swap."""
+    x(n + w) mod n, one C-level ``itemgetter`` call per row."""
     n = len(images) // 2
     if n == 1:  # one pair, which every x fixes
         return lines[:1]
-    at = [w % n for w in images[n:]]
-    if at == list(range(n)):
-        return [lines[z] for z in images[:n]]
-    read = operator.itemgetter(*at)
+    read = operator.itemgetter(*[w % n for w in images[n:]])
     return [read(lines[z]) for z in images[:n]]
 
 
@@ -505,22 +499,26 @@ def _split_by_point(classes, per_point: int
     )
 
 
-def _swapped(model: WreathModel, partner) -> list[tuple[int, ...]]:
-    """The images of swap . pair(g, partner[g]) for every g, the direct sums
-    copies[1][g] + copies[0][partner[g]] of the pair group ``model`` (see
-    :func:`build_construction`)."""
+def _antidiagonal_maps(model: WreathModel,
+                       inverses) -> tuple[Permutation, ...]:
+    """The antidiagonal maps pair(g, g^-1) of the pair group ``model`` for
+    every g, direct sums of g's translation in the first copy and that of
+    ``inverses[g]`` in the second."""
     first, second = model.copies
-    return list(map(operator.add, second, [first[h] for h in partner]))
+    return tuple(map(permgroup._raw, map(
+        operator.add, first, map(second.__getitem__, inverses))))
 
 
-def _swap_normal_form(model: WreathModel, maps, swapped, gens) -> Group:
-    """The group maps ⊔ swapped on Z ⊔ Z of the pair group ``model``,
+def _swap_normal_form(model: WreathModel, maps, partner, gens) -> Group:
+    """The group maps ⊔ swap . maps on Z ⊔ Z of the pair group ``model``,
     listed, for maps[g] = pair(g, partner[g]), an injective image of G
-    that conjugation by the involution swap keeps, so the union is closed,
-    and swapped = ``_swapped(model, partner)``, listing swap . maps[g]
-    (both proved in :func:`build_construction`).  Its generators are the
-    swap and the maps of ``gens``, the generators of G."""
+    that conjugation by the involution swap keeps, so the union is closed;
+    its swap half is listed as direct sums (both proved in
+    :func:`build_construction`).  Its generators are the swap and the maps
+    of ``gens``, the generators of G."""
     swap, = model.transposition_lifts
+    first, second = model.copies
+    swapped = [second[g] + first[h] for g, h in enumerate(partner)]
     return permgroup._listed(
         *permgroup.generating_tuple((swap,) + tuple(maps[s] for s in gens),
                                     swap.domain_size),
@@ -668,8 +666,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
       abelian case);
     * the d diagonal copies are checked to lie over the doubled locus, so
       they split the doubled-locus preimage, and each copy is checked to
-      be fixed pointwise by its antidiagonal swap element, read as the
-      direct sum that H's swap half lists for it.
+      be fixed pointwise by its antidiagonal swap element.
 
     The sizes and counts these laws name are read off the labels, the
     fiber sizes as how often each symmetric point occurs and the orbit
@@ -707,8 +704,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     slot_maps = tuple(map(permgroup._raw, map(
         operator.add, itertools.repeat(first[identity], d), second)))
     diag_maps = tuple(map(permgroup._raw, map(operator.add, first, second)))
-    anti_maps = tuple(map(permgroup._raw, map(
-        operator.add, first, map(second.__getitem__, table.inverses))))
+    anti_maps = _antidiagonal_maps(model, table.inverses)
     pair_gens = (swap,) + tuple(slot_maps[g] for g in gens_of_g)
 
     # D and an abelian H are listed from their normal forms (see the
@@ -716,13 +712,11 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # for c in [G, G] generate H: with the swap they give [G, G] x [G, G],
     # and modulo that the antidiagonal maps of generators give every
     # (a, a^-1).
-    diagonal_group = _swap_normal_form(model, diag_maps,
-                                       _swapped(model, range(d)), gens_of_g)
-    anti_swapped = _swapped(model, table.inverses)  # swap . anti(g)
+    diagonal_group = _swap_normal_form(model, diag_maps, range(d), gens_of_g)
     commutator = table.commutator_subgroup()
     if table.is_abelian:
-        antidiagonal_group = _swap_normal_form(model, anti_maps, anti_swapped,
-                                               gens_of_g)
+        antidiagonal_group = _swap_normal_form(model, anti_maps,
+                                               table.inverses, gens_of_g)
     else:
         antidiagonal_group = permgroup.generate(
             (swap,) + tuple(anti_maps[s] for s in gens_of_g)
@@ -760,19 +754,11 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     anti_labels = _antidiagonal_labels(gset, sym_of, class_of, classes)
     anti_lines = _label_lines(anti_labels, n)
     gen_values = [ab_table.identity] + [class_of[s] for s in gens_of_g]
-    anti_rows = anti_lines[:n]
-    # Reads a map of the labels at each pair's label; it is called only
-    # for d > 1, so on at least four pairs.
-    relabel = operator.itemgetter(*anti_labels)
     for x, value in zip(pair_gens, gen_values):
-        # Class 1's row of the validated table is the identity
-        # arrangement, so it keeps every label: the rows are the target.
-        target = anti_rows
-        if value != ab_table.identity:
-            times = [i + c for i in range(0, sym_count * classes, classes)
-                     for c in ab_table.table[value]]
-            target = _rows(relabel(times), n)
-        if _rows_through(anti_lines, x.images) != target:
+        times = [i + c for i in range(0, sym_count * classes, classes)
+                 for c in ab_table.table[value]]
+        if _rows_through(anti_lines, x.images) \
+                != _rows([times[label] for label in anti_labels], n):
             raise HomomorphismFailure("slot product is not a homomorphism")
     # Label ab_table.identity is class 1 over point 0 = (b0, b0).
     if 2 * anti_labels.count(ab_table.identity) != len(antidiagonal_group):
@@ -786,8 +772,9 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # first copy of the model holds g's translation, and the second half
     # of pair(e, g) is |Z| + g.z.
     diagonal_copies = _diagonal_copies(first, n)
-    for fixer, slot in zip(anti_swapped, slot_maps):
-        if not _fixes_transversals((fixer,), n, range(n), slot[n:]):
+    for anti, slot in zip(anti_maps, slot_maps):
+        if not _fixes_transversals((anti.images, swap.images), n,
+                                   range(n), slot[n:]):
             raise HomomorphismFailure(
                 "antidiagonal swap element does not fix its diagonal copy"
             )
@@ -956,16 +943,12 @@ def square_cover(gset: GSet, base_label: str, *,
     center labels (the locus blown up downstairs), and no ramification is
     introduced.  The deck group is G acting through the second-slot maps,
     read at each sheet's smallest pair and looked up by that pair's
-    label, as the orbits are the label classes.  Each deck(g) is a
-    bijection of the sheets with no check of its own: slot-map(g) lies in
-    the pair group, so it keeps each symmetric point and multiplies every
-    antidiagonal label's class by the class of g (the slot-product law
-    :func:`build_construction` checks), a bijection of the labels over
-    each point, all of which occur (its orbit count law).  The action is
-    checked to be a homomorphism (deck(s) deck(g) = deck(s g) for the
-    generators s and every g, one C-level pass of right multiplications
-    per s) and injective, so its image is closed and isomorphic to G.  Its generators are the greedy generators of that image in sorted
-    order, which the table walks over the elements g sorted by deck(g):
+    label, as the orbits are the label classes.  The action is checked to
+    be a homomorphism (deck(s) deck(g) = deck(s g) for the generators s
+    and every g, one pass of right multiplications per s) and injective,
+    so its image is closed and isomorphic to G.  Its generators are the
+    greedy generators of that image in sorted order, which the table walks
+    over the elements g sorted by deck(g):
     g -> deck(g) is an injective homomorphism, so x is reached from the
     identity by the earlier generators in the table exactly when deck(x)
     is by their images, and the walk picks the same generators as one
@@ -998,16 +981,16 @@ def square_cover(gset: GSet, base_label: str, *,
     row_starts = [k - k % n - n for k in leaders]  # z * n - n
     seconds = [n + k % n for k in leaders]  # n + w
     deck = [
-        permgroup._raw([sheet_of[labels[z + mover[w]]]
-                        for z, w in zip(row_starts, seconds)])
+        Permutation([sheet_of[labels[z + mover[w]]]
+                     for z, w in zip(row_starts, seconds)])
         for mover in c.second_slot_maps
     ]
     # deck(s) deck(g) for every g is deck(s) read through each deck(g)'s
     # right multiplication, and deck(s g) for every g is deck read along
-    # row s of the table: one C-level pass per generator s.
+    # row s of the table: one pass per generator s.
     by_deck = list(map(permgroup._right_multiplication, deck))
     for s in table.small_generating_set():
-        if list(map(operator.call, by_deck, itertools.repeat(deck[s], d))) \
+        if [times(deck[s]) for times in by_deck] \
                 != list(map(deck.__getitem__, table.table[s])):
             raise HomomorphismFailure(
                 "deck action on orbits is not a homomorphism"

@@ -22,7 +22,7 @@ from .errors import (
     InfiniteAbelianization,
     NotASubgroup,
 )
-from .fpgroup import abelianization, subgroups_of_abelian
+from .fpgroup import AbelianInvariants, abelianization, subgroups_of_abelian
 from .hilbcover import (
     WreathModel,
     free_gset,
@@ -300,7 +300,8 @@ CLASSIFY_BASE = ("a", "b")
 
 def hilb_covers_by_type(s: SurfaceDescriptor, *,
                         cap: int = DEFAULT_ELEMENT_CAP
-                        ) -> tuple[tuple[tuple[int, ...], ...],
+                        ) -> tuple[AbelianInvariants,
+                                   tuple[tuple[int, ...], ...],
                                    dict[tuple[int, ...], CoverDescriptor]]:
     """The covers of the Hilbert square of ``s`` by deck group type.
 
@@ -314,9 +315,10 @@ def hilb_covers_by_type(s: SurfaceDescriptor, *,
     so each distinct quotient type is built, and its laws checked, once
     per call, in order of first occurrence; nothing is kept between calls.
 
-    Returns the quotient invariants of every subgroup, ordered by degree,
-    then by the subgroup, and the cover of each type, keyed by those
-    invariants, which are also the deck group's invariant factors.
+    Returns the abelianization, the quotient invariants of every
+    subgroup, ordered by degree, then by the subgroup, and the cover of
+    each type, keyed by those invariants, which are also the deck group's
+    invariant factors.
     Raises :class:`InfiniteAbelianization` when the abelianization has
     positive free rank.  Raises ``CapExceeded`` before listing any
     subgroup when the pair group of the largest cover, the trivial
@@ -343,7 +345,7 @@ def hilb_covers_by_type(s: SurfaceDescriptor, *,
                 free_gset(abelian_table(torsion), CLASSIFY_BASE),
                 s.name, cap=cap,
             ))
-    return types, by_type
+    return invariants, types, by_type
 
 
 def classify_hilb_covers(s: SurfaceDescriptor, *,
@@ -356,7 +358,7 @@ def classify_hilb_covers(s: SurfaceDescriptor, *,
     there); every subgroup of a type gets that type's cover object.
     Results are ordered by degree, then by the defining subgroup.
     """
-    types, by_type = hilb_covers_by_type(s, cap=cap)
+    _, types, by_type = hilb_covers_by_type(s, cap=cap)
     return tuple(map(by_type.__getitem__, types))
 
 

@@ -293,8 +293,8 @@ def test_classify_reads_subgroups_off_their_bases(capsys, monkeypatch):
     )
     assert code == EXIT_OK
     assert out.count(" yes ") == 81
-    # The only Smith form is the abelianization of the presentation; the
-    # text header reads pi1^ab off the trivial subgroup's quotient type.
+    # The only Smith form is the abelianization of the presentation, which
+    # the text header prints as hilb_covers_by_type returns it.
     assert calls == {"smith_invariant_factors": 1, "_closure": 0}
 
 

@@ -731,6 +731,7 @@ def test_law_checks_run_under_optimization():
         "honest_labels = hilbcover._antidiagonal_labels\n"
         "honest_points = hilbcover._point_labels\n"
         "honest_diagonal = hilbcover._diagonal_labels\n"
+        "honest_anti = hilbcover._antidiagonal_maps\n"
         "breaks = (\n"
         "    (hilbcover, '_left_translation',\n"
         "     lambda group, nb, g: honest(group, nb, group.inv(g))),\n"
@@ -755,6 +756,9 @@ def test_law_checks_run_under_optimization():
         "         i - classes if i // classes == 2 else i\n"
         "         for i in honest_labels(gset, sym_of, class_of, classes)]),\n"
         "    (permgroup, 'normalized_by', lambda sub, gens: True),\n"
+        "    (hilbcover, '_antidiagonal_maps', lambda model, inverses: (\n"
+        "         honest_anti(model, inverses)[1:]\n"
+        "         + honest_anti(model, inverses)[:1])),\n"
         "    (hilbcover, '_fixes_transversals', lambda *args: True),\n"
         ")\n"
         "for owner, name, broken in breaks:\n"
@@ -783,6 +787,7 @@ def test_law_checks_run_under_optimization():
         "diagonal-group orbit count law failed\n"
         "antidiagonal-group orbit count is not the abelianization order\n"
         "diagonal group normality differs from the g^2 = id condition\n"
+        "antidiagonal swap element does not fix its diagonal copy\n"
         "fixed diagonal copies [0, 1, 2] disagree with the order-2 "
         "prediction [0]\n"
     )
@@ -1056,6 +1061,23 @@ def test_antidiagonal_fixers_are_checked_on_their_copies(monkeypatch):
         return honest(maps, n, firsts, seconds[1:] + seconds[:1])
 
     monkeypatch.setattr(hilbcover, "_fixes_transversals", next_sheet)
+    with pytest.raises(HomomorphismFailure,
+                       match="^antidiagonal swap element does not fix its "
+                             "diagonal copy$"):
+        build_construction(free_gset(cyclic_table(3), ("a", "b")))
+
+
+def test_antidiagonal_fixers_are_read_off_the_antidiagonal_maps(
+        monkeypatch):
+    # List anti(g + 1) at g: the same maps, so the same H, but the swap
+    # element read at g fixes copy g + 1, not copy g.
+    honest = hilbcover._antidiagonal_maps
+
+    def shifted(model, inverses):
+        maps = honest(model, inverses)
+        return maps[1:] + maps[:1]
+
+    monkeypatch.setattr(hilbcover, "_antidiagonal_maps", shifted)
     with pytest.raises(HomomorphismFailure,
                        match="^antidiagonal swap element does not fix its "
                              "diagonal copy$"):

@@ -391,8 +391,9 @@ def test_classify_matches_the_sheet_action_pipeline(surface):
 def test_covers_by_type_name_their_deck_groups(surface):
     # Each subgroup's quotient type is its cover's deck group's invariant
     # factors, which classify prints without reading the group.
-    types, by_type = hilb_covers_by_type(surface)
-    subs = subgroups_of_abelian(abelianization(surface.pi1_smooth))
+    invariants, types, by_type = hilb_covers_by_type(surface)
+    assert invariants == abelianization(surface.pi1_smooth)
+    subs = subgroups_of_abelian(invariants)
     assert sorted(types) == sorted(sub.quotient.torsion for sub in subs)
     assert list(by_type) == list(dict.fromkeys(types))
     for torsion, cover in by_type.items():
