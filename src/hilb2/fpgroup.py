@@ -405,7 +405,8 @@ def _fixes_all(columns, cosets: tuple[int, ...], root, power: int) -> bool:
     ``cosets`` (no renaming is needed when ``cosets`` is ``range(n)``), a
     map that leaves ``cosets`` or is not a bijection is refused, and the
     permutation p left is raised to ``power`` by square-and-multiply, each
-    product one ``itemgetter`` pass.  This is the predicate "p permutes
+    product one pass of a map that :func:`permgroup._right_multiplication`
+    builds.  This is the predicate "p permutes
     ``cosets`` and every cycle length of p divides ``power``": p^m is the
     identity exactly then, and a map that is not a permutation of
     ``cosets`` has no power equal to the identity.
@@ -424,14 +425,15 @@ def _fixes_all(columns, cosets: tuple[int, ...], root, power: int) -> bool:
         return False
     if len(set(images)) != n:
         return False
+    right = permgroup._right_multiplication
     result = None
     while True:
         if power & 1:
-            result = images if result is None else itemgetter(*result)(images)
+            result = images if result is None else right(result)(images)
         power >>= 1
         if not power:
             return result == tuple(range(n))
-        images = itemgetter(*images)(images)
+        images = right(images)(images)
 
 
 class _Enumerator:
@@ -465,7 +467,18 @@ class _Enumerator:
       and merge nothing;
     * coincidence processing maps a closed, defined walk onto one at the
       representative, so a mark stays true for every coset that stays
-      live, and a coset merged away is never scanned again anyway.
+      live, and a coset merged away is never scanned again anyway;
+    * the mark also moves to the surviving root: at each union of a root
+      b into a root a, :meth:`coincidence` adds a to every set that holds
+      b.  Once its queue is empty, each defined step c -> c' of b's walk
+      is a defined step rep(c) -> rep(c') (an entry of a merged-away
+      coset is moved to its representative or its target's class is
+      united with the one already there, never dropped), so the walk of
+      u^m from rep(b) = a is the image of b's walk: fully defined and
+      back at a.  A scan at a would define, deduce and merge nothing,
+      exactly as one at b would have.  Marks are read only between
+      coincidences, so a mark held by a class's root is true whenever it
+      is read.
 
     Skipping only scans that would change nothing leaves the HLT definition
     order as it is: the rows equal those of an enumeration that scans every
@@ -522,6 +535,8 @@ class _Enumerator:
             (walk(letters), tuple(map(column_of, root)), power, set())
             for letters, (root, power) in zip(relators, self.powers)
         ]
+        # The sets that marks are written to, those of the power relators.
+        self.marks = [scan[3] for scan in self.scans if scan[2] > 1]
         self.subgroup_walks = [walk(_columns_word(w)) for w in subgroup_words]
 
     def rep(self, k: int) -> int:
@@ -561,6 +576,10 @@ class _Enumerator:
         if b < a:
             a, b = b, a
         parent[b] = a
+        marks = self.marks
+        for closed in marks:
+            if b in closed:
+                closed.add(a)
         queue = [b]
         # The loop also visits the cosets appended to queue as it runs.
         for gamma in queue:
@@ -592,6 +611,9 @@ class _Enumerator:
                     if y < x:
                         x, y = y, x
                     parent[y] = x
+                    for closed in marks:
+                        if y in closed:
+                            closed.add(x)
                     queue.append(y)
 
     def scan_and_fill(self, alpha: int, walk) -> None:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 import itertools
 import math
+from operator import itemgetter
 import re
 
 from .errors import CapExceeded, NotAGroup
@@ -87,14 +88,20 @@ class GroupTable:
         :meth:`small_generating_set`, which needs only the checks before
         this one), so once each generator is checked to lie in S, S is the
         whole table (Clifford & Preston, *The Algebraic Theory of
-        Semigroups* I, 1961, §1.2).
+        Semigroups* I, 1961, §1.2).  Each generator g is checked with one
+        ``itemgetter`` of g's row, which picks x·(g·y) for every y out of
+        row x.
         """
         table = self.table
+        if len(table) == 1:
+            # The one-element table is associative, and itemgetter would
+            # return a bare item for one index.
+            return
         for g in self.small_generating_set():
-            g_row = table[g]
+            pick = itemgetter(*table[g])
             for x, row in enumerate(table):
                 left = table[row[g]]  # (x·g)·y for every y
-                right = tuple(map(row.__getitem__, g_row))  # x·(g·y)
+                right = pick(row)  # x·(g·y)
                 if left != right:
                     y = next(y for y, v in enumerate(left) if v != right[y])
                     raise NotAGroup(f"associativity fails at ({x}, {g}, {y})")
@@ -370,8 +377,9 @@ def abelian_table(invariants) -> GroupTable:
     The rows are built factor by factor from the last, and only the
     product is validated: once the rows of the elements below the weight
     w of a factor are known, the row of x + w is the row of x followed by
-    adding that factor's unit, a permutation of the indices, so each row
-    is one C-level ``map``.
+    adding that factor's unit, a permutation of the indices.  The group is
+    abelian, so that row is also the row of x read at each index plus the
+    unit, and each row is one pass of one ``itemgetter`` per factor.
     """
     invariants = tuple(invariants)
     if min(invariants, default=1) < 1:
@@ -387,9 +395,11 @@ def abelian_table(invariants) -> GroupTable:
             elements[b + weight:b + span] + elements[b:b + weight]
             for b in range(0, n, span)
         ))
+        # Only a factor with d > 1 reads it, and then n >= 2: itemgetter
+        # returns a bare item for one index.
+        shift = itemgetter(*unit)
         for _ in range(d - 1):
-            rows.extend([tuple(map(unit.__getitem__, row))
-                         for row in rows[-weight:]])
+            rows.extend(map(shift, rows[-weight:]))
         weight = span
     return GroupTable(tuple(rows))
 

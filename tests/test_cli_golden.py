@@ -36,8 +36,10 @@ repository root:
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 import contextlib
+import glob
 import io
 import json
+import os
 from pathlib import Path
 import subprocess
 import sys
@@ -140,6 +142,60 @@ def test_corpus_replays_byte_for_byte_under_another_hash_seed():
     recorded = _recorded()
     for record in replayed:
         assert record == recorded[tuple(record["argv"])], record["argv"]
+
+
+# Replays every record under the interpreter it runs in, with no pytest.
+REPLAY = """\
+import contextlib, io, json, sys
+from hilb2.cli import main
+records = []
+with open(sys.argv[1], encoding="utf-8") as golden:
+    for record in json.load(golden):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(record["argv"]))
+        records.append({"argv": record["argv"], "exit": code,
+                        "stdout": out.getvalue(), "stderr": err.getvalue()})
+print(json.dumps({"version": list(sys.version_info[:2]), "records": records}))
+"""
+
+
+def _python_3_10():
+    """The executable of a Python 3.10 that starts, or None: ``python3.10``
+    on the path, else a pyenv-installed 3.10."""
+    root = os.environ.get("PYENV_ROOT", os.path.expanduser("~/.pyenv"))
+    candidates = ["python3.10", *sorted(glob.glob(
+        os.path.join(root, "versions", "3.10.*", "bin", "python3")))]
+    for candidate in candidates:
+        try:
+            probe = subprocess.run(
+                [candidate, "-c", "import sys; print(sys.executable)"],
+                capture_output=True, text=True, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if probe.returncode == 0 and probe.stdout.strip():
+            return probe.stdout.strip()
+    return None
+
+
+def test_corpus_replays_byte_for_byte_under_python_3_10():
+    # pyproject.toml promises Python >= 3.10; a call that only a later
+    # version has would change a record or fail here.
+    python = _python_3_10()
+    if python is None:
+        pytest.skip("no Python 3.10 interpreter starts")
+    src = str(Path(hilb2.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [python, "-c", REPLAY, str(GOLDEN)], capture_output=True, text=True,
+        timeout=300, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert result.returncode == 0, result.stderr
+    replayed = json.loads(result.stdout)
+    assert replayed["version"] == [3, 10]
+    records = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(replayed["records"]) == len(records)
+    for record, recorded in zip(replayed["records"], records):
+        assert record == recorded, record["argv"]
 
 
 if __name__ == "__main__":

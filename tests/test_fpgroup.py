@@ -637,18 +637,27 @@ def test_d800_scans_each_relator_cycle_once(monkeypatch):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_power_relator_skips_keep_the_reference_rows(data):
-    rank = data.draw(st.integers(1, 3))
+    abelian = data.draw(st.booleans())
+    rank = 2 if abelian else data.draw(st.integers(1, 3))
     letters = st.sampled_from([k for i in range(1, rank + 1) for k in (i, -i)])
-    exponents = st.integers(1, 8)
-    # Powers of single generators make finite groups of some size likely,
-    # so that the other relators' cycles close and get skipped.
-    relators = [(i,) * data.draw(exponents) for i in range(1, rank + 1)
-                if data.draw(st.booleans())]
-    relators += [
-        tuple(data.draw(st.lists(letters, min_size=1, max_size=4)))
-        * data.draw(exponents)
-        for _ in range(data.draw(st.integers(1, 3)))
-    ]
+    if abelian:
+        # < a b | a^k, b^l, a b a^-1 b^-1 >: the commutator's scans merge
+        # cosets that the power relators' scans marked closed, so the
+        # marks move to the surviving roots.
+        exponents = st.integers(1, 12)
+        relators = [(1,) * data.draw(exponents), (2,) * data.draw(exponents),
+                    (1, 2, -1, -2)]
+    else:
+        exponents = st.integers(1, 8)
+        # Powers of single generators make finite groups of some size
+        # likely, so that the other relators' cycles close and get skipped.
+        relators = [(i,) * data.draw(exponents) for i in range(1, rank + 1)
+                    if data.draw(st.booleans())]
+        relators += [
+            tuple(data.draw(st.lists(letters, min_size=1, max_size=4)))
+            * data.draw(exponents)
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
     p = Presentation(tuple("abc"[:rank]), tuple(relators))
     words = tuple(data.draw(st.lists(
         st.lists(letters, min_size=1, max_size=4).map(tuple), max_size=1)))
@@ -668,6 +677,40 @@ def test_power_relator_skips_keep_the_reference_rows(data):
                 coset_enumeration(p, words, cap=cap)
             assert str(error.value) == \
                 f"coset enumeration exceeded cap of {cap} cosets"
+
+
+def test_merged_cycles_are_not_scanned_again(monkeypatch):
+    calls = count_enumerator_calls(monkeypatch)
+    table = coset_enumeration(
+        parse_presentation("< a b | a^40, b^40, a b a^-1 b^-1 >"))
+    assert table.index == 1600
+    assert calls["_closed"] == 1
+    # 80 cycles of a^40 and b^40 close; with the marks left on the cosets
+    # that coincidences merge away, 802 power relator scans ran and
+    # scan_and_fill was called 2,402 times.
+    assert calls["scan_and_fill"] == 1680
+
+
+def test_triangle_refusal_skips_merged_cycles(monkeypatch):
+    calls = count_enumerator_calls(monkeypatch)
+    with pytest.raises(CapExceeded):
+        coset_enumeration(parse_presentation(
+            "< a b | a^2, b^3, a b a b a b a b a b a b >"), cap=4000)
+    # 3,187 with the marks left on the cosets merged away.
+    assert calls["scan_and_fill"] == 2493
+
+
+@pytest.mark.parametrize("power", [8, 11])
+def test_power_check_products_are_counted(compositions, power):
+    table = coset_enumeration(parse_presentation(f"< a | a^{power} >"))
+    assert table.index == power
+    # Square-and-multiply squares once per binary digit after the leading
+    # one and multiplies once per further 1 digit; the power is checked
+    # once by the stop rule and once by the final relator check.
+    digits = bin(power)[2:]
+    products = (len(digits) - 1) + (digits.count("1") - 1)
+    assert compositions.count == 2 * products
+    assert compositions.points == 2 * products * power
 
 
 @pytest.mark.parametrize("text", [dihedral(800), dicyclic(30),
