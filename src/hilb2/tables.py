@@ -93,10 +93,8 @@ class GroupTable:
         row x.
         """
         table = self.table
-        if len(table) == 1:
-            # The one-element table is associative, and itemgetter would
-            # return a bare item for one index.
-            return
+        # The one-element table has no generators, so no itemgetter here
+        # gets the single index for which it would return a bare item.
         for g in self.small_generating_set():
             pick = itemgetter(*table[g])
             for x, row in enumerate(table):

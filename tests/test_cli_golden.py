@@ -119,32 +119,9 @@ def test_cli_output_matches_recording(argv):
     assert run_case(argv) == _recorded()[argv]
 
 
-def test_corpus_replays_byte_for_byte_under_another_hash_seed():
-    # The seed reorders every set of strings (permutations hash as tuples
-    # of ints, alike under any seed); no record may depend on that order.
-    script = (
-        "import json, sys\n"
-        f"sys.path.insert(0, {str(HERE)!r})\n"
-        "import test_cli_golden\n"
-        "print(json.dumps([test_cli_golden.run_case(argv)\n"
-        "                  for argv in test_cli_golden.CASES]))\n"
-    )
-    src = str(Path(hilb2.__file__).resolve().parent.parent)
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-        timeout=120,
-        env={"PYTHONPATH": src, "PYTHONHASHSEED": "12345",
-             "PYTHONDONTWRITEBYTECODE": "1"},
-    )
-    assert result.returncode == 0, result.stderr
-    replayed = json.loads(result.stdout)
-    assert [tuple(record["argv"]) for record in replayed] == list(CASES)
-    recorded = _recorded()
-    for record in replayed:
-        assert record == recorded[tuple(record["argv"])], record["argv"]
-
-
-# Replays every record under the interpreter it runs in, with no pytest.
+# Replays every record of the corpus file named by argv[1] under the
+# interpreter it runs in; it imports no pytest, which an older interpreter
+# may lack.
 REPLAY = """\
 import contextlib, io, json, sys
 from hilb2.cli import main
@@ -158,6 +135,30 @@ with open(sys.argv[1], encoding="utf-8") as golden:
                         "stdout": out.getvalue(), "stderr": err.getvalue()})
 print(json.dumps({"version": list(sys.version_info[:2]), "records": records}))
 """
+
+
+def replay_in_child(python, **env) -> dict:
+    """REPLAY's output from a child process of ``python``, checked to hold
+    every recorded record byte for byte."""
+    src = str(Path(hilb2.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [python, "-c", REPLAY, str(GOLDEN)], capture_output=True, text=True,
+        timeout=300,
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1", **env},
+    )
+    assert result.returncode == 0, result.stderr
+    replayed = json.loads(result.stdout)
+    records = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(replayed["records"]) == len(records)
+    for record, recorded in zip(replayed["records"], records):
+        assert record == recorded, record["argv"]
+    return replayed
+
+
+def test_corpus_replays_byte_for_byte_under_another_hash_seed():
+    # The seed reorders every set of strings (permutations hash as tuples
+    # of ints, alike under any seed); no record may depend on that order.
+    replay_in_child(sys.executable, PYTHONHASHSEED="12345")
 
 
 def _python_3_10():
@@ -184,19 +185,7 @@ def test_corpus_replays_byte_for_byte_under_python_3_10():
     python = _python_3_10()
     if python is None:
         pytest.skip("no Python 3.10 interpreter starts")
-    src = str(Path(hilb2.__file__).resolve().parent.parent)
-    result = subprocess.run(
-        [python, "-c", REPLAY, str(GOLDEN)], capture_output=True, text=True,
-        timeout=300, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
-    )
-    assert result.returncode == 0, result.stderr
-    replayed = json.loads(result.stdout)
-    assert replayed["version"] == [3, 10]
-    records = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert len(replayed["records"]) == len(records)
-    for record, recorded in zip(replayed["records"], records):
-        assert record == recorded, record["argv"]
-
+    assert replay_in_child(python)["version"] == [3, 10]
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
