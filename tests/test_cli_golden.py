@@ -187,6 +187,7 @@ def test_corpus_replays_byte_for_byte_under_python_3_10():
         pytest.skip("no Python 3.10 interpreter starts")
     assert replay_in_child(python)["version"] == [3, 10]
 
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     records = [run_case(argv) for argv in CASES]

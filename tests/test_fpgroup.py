@@ -634,7 +634,9 @@ def test_d800_scans_each_relator_cycle_once(monkeypatch):
     assert calls["scan_and_fill"] <= 2400
 
 
-@settings(max_examples=300, deadline=None)
+# About half the examples are abelian products and half, some 300, are
+# random presentations.
+@settings(max_examples=600, deadline=None)
 @given(st.data())
 def test_power_relator_skips_keep_the_reference_rows(data):
     abelian = data.draw(st.booleans())
