@@ -41,8 +41,10 @@ import itertools
 from math import lcm
 from operator import itemgetter
 
-from .errors import CapExceeded, DomainMismatch, HomomorphismFailure, NotASubgroup
-from .tables import GroupTable, _closure, _coset_table, _greedy_generators
+from .errors import (CapExceeded, DomainMismatch, HomomorphismFailure,
+                     NotAGroup, NotASubgroup)
+from .tables import (GroupTable, _closure, _coset_table, _greedy_generators,
+                     invariants_from_orders)
 
 DEFAULT_ELEMENT_CAP = 20000
 DEFAULT_SUBGROUP_CAP = 512
@@ -578,5 +580,6 @@ def quotient_table(group: Group, normal_sub: Group) -> tuple[GroupTable, dict, t
 
 def abelian_invariants(group: Group) -> tuple[int, ...]:
     """Invariant factors of a finite abelian permutation group."""
-    table, _, _ = quotient_table(group, Group.trivial(group.domain_size))
-    return table.abelian_invariants()
+    if not group.is_abelian():
+        raise NotAGroup("invariant factors are defined for abelian groups")
+    return invariants_from_orders(map(Permutation.order, group.element_list))

@@ -7,15 +7,16 @@ associativity by Light's test on a generating set.
 The module also provides a small zoo of standard groups (cyclic groups,
 direct products, symmetric groups, the order-8 quaternion group) and an
 enumerator of all abelian groups up to a given order, which the covering
-constructions sweep over.  Its private walks (closure by right
-multiplication, greedy generators, the coset table of a normal subgroup)
-take right-multiplication maps x -> x·g as arguments, so permutations and
-exponent vectors share them with table indices; a table's map is a column
-lookup and a permutation's an ``operator.itemgetter``, so neither walk
-runs a Python frame per product.
+constructions sweep over.  Abelian invariants are read off element orders.
+Its private walks (closure by right multiplication, greedy generators, the
+coset table of a normal subgroup) take right-multiplication maps x -> x·g as
+arguments, so permutations and exponent vectors share them with table
+indices; a table's map is a column lookup and a permutation's an
+``operator.itemgetter``, so neither walk runs a Python frame per product.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 import itertools
@@ -222,21 +223,10 @@ class GroupTable:
         return quotient, tuple(coset_of[e] for e in range(self.order))
 
     def abelian_invariants(self) -> tuple[int, ...]:
-        """Invariant factors d1 | d2 | ... of a finite abelian group.
-
-        Uses the classical structure argument: a cyclic subgroup generated
-        by an element of maximal order is a direct summand, so its order is
-        the last invariant factor and the rest recurse on the quotient.
-        """
+        """Invariant factors d1 | d2 | ... of a finite abelian group."""
         if not self.is_abelian:
             raise NotAGroup("invariant factors are defined for abelian groups")
-        if self.order == 1:
-            return ()
-        best = max(range(self.order), key=self.order_of)
-        exponent = self.order_of(best)
-        cyclic = self.subgroup_closure([best])
-        quotient, _ = self.quotient_by(cyclic)
-        return quotient.abelian_invariants() + (exponent,)
+        return invariants_from_orders(map(self.order_of, range(self.order)))
 
 
 def _closure(members: list, steps, cap: int | None = None) -> list:
@@ -432,13 +422,25 @@ def _prime_factorization(n: int) -> list[tuple[int, int]]:
     return factors
 
 
-def invariant_factors_from_primary(primary) -> tuple[int, ...]:
-    """Combine prime-power cyclic orders into an invariant factor chain."""
-    by_prime: dict[int, list[int]] = {}
-    for q in primary:
-        [(p, e)] = _prime_factorization(q)
-        by_prime.setdefault(p, []).append(p ** e)
-    return _invariant_chain(by_prime.values())
+def invariants_from_orders(orders) -> tuple[int, ...]:
+    """The invariant factors d1 | d2 | ... (ascending) of a finite abelian
+    group G, given the order of each of its elements.
+
+    If its p-primary part is Z/p^e1 x ... x Z/p^ek, the elements of order
+    dividing p^j number N_j = p^(min(j, e1) + ... + min(j, ek)), as Z/p^e
+    has p^min(j, e) of them.  So N_j / N_(j-1) = p^r_j with r_j = #{i :
+    ei >= j}: the ranks r_1 >= r_2 >= ... form the conjugate partition of
+    (e1, ..., ek), whose t-th part is #{j : r_j >= t} for t <= r_1.  Each
+    ei is at most e, the exponent of p in |G|, so N_0, ..., N_e suffice.
+    """
+    count = Counter(orders)
+    parts_by_prime = []
+    for p, e in _prime_factorization(sum(count.values())):
+        within = list(itertools.accumulate(count[p ** j] for j in range(e + 1)))
+        growth = [b // a for a, b in zip(within, within[1:])]  # p^r_j
+        parts_by_prime.append([p ** sum(g >= p ** t for g in growth)
+                               for t in range(1, e + 1) if p ** t <= growth[0]])
+    return _invariant_chain(parts_by_prime)
 
 
 def _invariant_chain(parts_by_prime) -> tuple[int, ...]:
@@ -472,8 +474,7 @@ def abelian_group_tables(max_order: int) -> list[tuple[str, GroupTable]]:
             for p, e in _prime_factorization(order)
         ]
         for combo in itertools.product(*per_prime):
-            primary = [q for group in combo for q in group]
-            chain = invariant_factors_from_primary(primary)
+            chain = _invariant_chain(combo)
             name = "x".join(f"Z{d}" for d in reversed(chain))
             out.append((name, abelian_table(chain)))
     return out

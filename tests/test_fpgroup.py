@@ -42,11 +42,7 @@ from hilb2.fpgroup import (
     subgroups_of_abelian,
 )
 from hilb2.permgroup import Permutation
-from hilb2.tables import (
-    GroupTable,
-    abelian_table,
-    invariant_factors_from_primary,
-)
+from hilb2.tables import GroupTable, _invariant_chain, abelian_table
 
 
 def minor_determinant(matrix, rows, cols):
@@ -1084,8 +1080,7 @@ def abelian_types(order):
 
 def invariant_chain(typed):
     """The invariant factors of the group with p-types ``typed``."""
-    return invariant_factors_from_primary(
-        [p ** part for p, lam in typed for part in lam])
+    return _invariant_chain([[p ** part for part in lam] for p, lam in typed])
 
 
 def test_subgroup_types_match_the_birkhoff_count():

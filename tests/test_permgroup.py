@@ -8,8 +8,9 @@ import re
 import pytest
 
 from hilb2 import fpgroup, permgroup
-from hilb2.errors import CapExceeded, DomainMismatch, NotASubgroup
+from hilb2.errors import CapExceeded, DomainMismatch, NotAGroup, NotASubgroup
 from hilb2.permgroup import Group, Permutation
+from hilb2.tables import abelian_group_tables
 
 
 def all_permutations(n):
@@ -390,3 +391,18 @@ def test_abelian_invariants_of_permutation_groups():
     )
     assert permgroup.abelian_invariants(v4) == (2, 2)
     assert permgroup.abelian_invariants(Group.trivial(3)) == ()
+    # The regular representation of every abelian group of order <= 64,
+    # by the right multiplications of its greedy generators.
+    for name, table in abelian_group_tables(64):
+        regular = permgroup.generate(
+            [Permutation(table.columns[g])
+             for g in table.small_generating_set()],
+            domain_size=table.order,
+        )
+        chain = tuple(int(z[1:]) for z in reversed(name.split("x"))
+                      if z != "Z1")
+        assert regular.order == table.order
+        assert permgroup.abelian_invariants(regular) == chain, name
+    with pytest.raises(NotAGroup,
+                       match="^invariant factors are defined for abelian groups$"):
+        permgroup.abelian_invariants(s3())

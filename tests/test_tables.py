@@ -2,8 +2,11 @@
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from hilb2 import permgroup
 from hilb2.cli import main
 from hilb2.errors import NotAGroup
+from hilb2.fpgroup import smith_invariant_factors
+from hilb2.permgroup import Permutation
 from hilb2.tables import (
     GroupTable,
     abelian_group_tables,
@@ -198,6 +201,15 @@ def test_quaternion_table():
     assert quotient.abelian_invariants() == (2, 2)
 
 
+def name_chain(name):
+    """The invariant factors, ascending, that a catalog name lists largest
+    first: ``Z4xZ2`` gives (2, 4), and ``Z1`` the empty chain."""
+    return tuple(int(z[1:]) for z in reversed(name.split("x")) if z != "Z1")
+
+
+CATALOG_64 = abelian_group_tables(64)
+
+
 def test_abelian_table_and_invariants():
     assert abelian_table(()).order == 1
     assert abelian_table((2, 4)).abelian_invariants() == (2, 4)
@@ -205,6 +217,50 @@ def test_abelian_table_and_invariants():
     assert abelian_table((2, 2, 2)).abelian_invariants() == (2, 2, 2)
     assert cyclic_table(12).abelian_invariants() == (12,)
     assert cyclic_table(1).abelian_invariants() == ()
+    # The element-order reading against the catalog's names and against
+    # the Smith form of the named factors, taken in the name's order.
+    for name, table in CATALOG_64:
+        factors = [int(z[1:]) for z in name.split("x")]
+        diagonal = [[d if i == j else 0 for j in range(len(factors))]
+                    for i, d in enumerate(factors)]
+        smith = tuple(d for d in smith_invariant_factors(diagonal) if d != 1)
+        assert table.abelian_invariants() == name_chain(name) == smith, name
+    with pytest.raises(NotAGroup,
+                       match="^invariant factors are defined for abelian groups$"):
+        symmetric_table(3).abelian_invariants()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_abelian_invariants_do_not_depend_on_the_labelling(data):
+    name, table = data.draw(st.sampled_from(CATALOG_64))
+    sigma = data.draw(st.permutations(range(table.order)))
+    rows = [[0] * table.order for _ in range(table.order)]
+    for a, row in enumerate(table.table):
+        for b, ab in enumerate(row):
+            rows[sigma[a]][sigma[b]] = sigma[ab]
+    relabelled = GroupTable(tuple(map(tuple, rows)))
+    assert relabelled.abelian_invariants() == name_chain(name)
+
+
+def test_abelian_invariants_build_no_table(monkeypatch):
+    table = abelian_table((2, 4, 8))
+    regular = permgroup.generate(
+        [Permutation(table.columns[g]) for g in table.small_generating_set()],
+        domain_size=table.order,
+    )
+    built = []
+    validate = GroupTable.__post_init__
+
+    def counted(self):
+        built.append(self.order)
+        validate(self)
+
+    monkeypatch.setattr(GroupTable, "__post_init__", counted)
+    assert table.abelian_invariants() == (2, 4, 8)
+    from_table = len(built)
+    assert permgroup.abelian_invariants(regular) == (2, 4, 8)
+    assert (from_table, len(built) - from_table) == (0, 0)
 
 
 def test_abelian_group_tables_catalog():
