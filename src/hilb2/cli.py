@@ -196,10 +196,9 @@ def cmd_construct(args, caps: Caps) -> int:
         }
         for i in order
     ]
-    components = [
-        {"g": g, "size": len(block), "fixed": g in fixed}
-        for g, block in enumerate(construction.diagonal_copies)
-    ]
+    # Copy g holds one pair (z, g.z) for each sheet z.
+    components = [{"g": g, "size": gset.size, "fixed": g in fixed}
+                  for g in range(construction.d)]
     if args.format == "json":
         result = {
             "type": "construction",
@@ -629,3 +628,7 @@ def main(argv=None) -> int:
 
 def main_script() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main_script()

@@ -157,9 +157,6 @@ class GSet:
     def size(self) -> int:
         return self.group.order * len(self.base)
 
-    def point_of(self, g: int, b: int) -> int:
-        return g * len(self.base) + b
-
     def g_of(self, z: int) -> int:
         return z // len(self.base)
 
@@ -189,9 +186,16 @@ def _left_translation(group: GroupTable, nb: int, g: int) -> tuple[int, ...]:
     translation(s h)(k, b); and translation(g) sends the block over e to
     the block over g e = g, so distinct elements give distinct maps.
     """
-    offsets = range(nb)
-    return tuple([h + b for h in [x * nb for x in group.table[g]]
-                  for b in offsets])
+    row = group.table[g]
+    if nb == 1:
+        return tuple(row)
+    return tuple([h + b for h in [x * nb for x in row] for b in range(nb)])
+
+
+def _reader(indices):
+    """Reads a sequence at ``indices`` in one C-level call; one index
+    occurs only over one sheet, where ``tuple`` reads the one item."""
+    return operator.itemgetter(*indices) if len(indices) > 1 else tuple
 
 
 @dataclass(frozen=True)
@@ -243,9 +247,11 @@ def wreath_product(table: GroupTable, nb: int, n: int) -> WreathModel:
     d = table.order
     size = d * nb
     translations = tuple(_left_translation(table, nb, g) for g in range(d))
+    # Copy i reads each translation off its points, sharing their ints.
     copies = (translations,) + tuple(
-        tuple(tuple([i * size + z for z in tr]) for tr in translations)
-        for i in range(1, n))
+        tuple([read(points) for read in map(_reader, translations)])
+        for points in (tuple(range(i * size, i * size + size))
+                       for i in range(1, n)))
     lifts = []
     for i in range(n - 1):
         arrangement = list(range(n))
@@ -275,24 +281,22 @@ def free_gset(group: GroupTable, base) -> GSet:
 class HilbConstruction:
     """The verified package built on the square of a free G-sheet model.
 
-    ``swap``, ``second_slot_maps``, ``diagonal_maps`` and
-    ``antidiagonal_maps`` permute Z ⊔ Z, the 2 |Z| points of two copies of
-    the sheets (sheet z of the first copy is point z, of the second point
-    |Z| + z), and so do the three groups they generate.  Each maps copies
-    onto copies; an element x moves the pair z * |Z| + w of the square to
-    the transversal {x(z), x(|Z| + w)}, read first copy first.
-    The pair translation (g1, g) acts as g1 on the first copy and g on the
-    second, so by (z, w) -> (g1.z, g.w) on the square;
-    ``second_slot_maps[g]``, ``diagonal_maps[g]`` and
-    ``antidiagonal_maps[a]`` are the pair translations by (e, g), (g, g)
-    and (a, a^-1).
-    ``pair_group`` holds its generators and its certified order 2 d^2 and
-    lists its elements only when a caller first reads them; the diagonal
-    group, and the antidiagonal group of an abelian G, are listed from
-    their normal forms (the maps, and the swap times the maps), and a
-    nonabelian antidiagonal group is closed.
+    ``swap`` and the three groups permute Z ⊔ Z, the 2 |Z| points of two
+    copies of the sheets (sheet z of the first copy is point z, of the
+    second |Z| + z), and so do the maps below.  Each maps copies onto
+    copies; an element x moves the pair z * |Z| + w of the square to the
+    transversal {x(z), x(|Z| + w)}, read first copy first.  The pair
+    translation (g1, g) acts as g1 on the first copy and g on the second,
+    so by (z, w) -> (g1.z, g.w) on the square; ``second_slot_maps[g]``,
+    ``diagonal_maps[g]`` and ``antidiagonal_maps[a]`` are those by (e, g),
+    (g, g) and (a, a^-1).  They and ``diagonal_copies[g]``, the pairs
+    (z, g.z), are read from the copies of ``model`` (J's
+    :class:`WreathModel`) when first read.  ``pair_group``, of certified
+    order 2 d^2, lists its elements only when they are first read, and so
+    do the diagonal group and an abelian antidiagonal group, which answer
+    membership from their normal forms (the maps and the swap times the
+    maps); a nonabelian antidiagonal group is closed.
 
-    ``diagonal_copies[g]`` lists the pair indices (z, g.z);
     ``sym_fibers[i]`` lists the pair indices over symmetric point i;
     ``diagonal_orbit_fibers[i]`` / ``antidiagonal_orbit_fibers[i]`` list
     the orbits of the respective subgroup over symmetric point i, each
@@ -309,16 +313,13 @@ class HilbConstruction:
 
     gset: GSet
     swap: Permutation
-    second_slot_maps: tuple[Permutation, ...]
-    diagonal_maps: tuple[Permutation, ...]
-    antidiagonal_maps: tuple[Permutation, ...]
     pair_group: Group
     diagonal_group: Group
     antidiagonal_group: Group
-    diagonal_copies: tuple[tuple[int, ...], ...]
     sym: SymQuotient
     xi_fiber_sizes: tuple[int, ...]
     antidiagonal_orbit_counts: tuple[int, ...]
+    model: WreathModel = field(repr=False, compare=False)
     point_labels: list[int] = field(repr=False, compare=False)
     diagonal_labels: list[int] = field(repr=False, compare=False)
     antidiagonal_labels: list[int] = field(repr=False, compare=False)
@@ -326,6 +327,23 @@ class HilbConstruction:
     @property
     def d(self) -> int:
         return self.gset.group.order
+
+    @cached_property
+    def second_slot_maps(self) -> tuple[Permutation, ...]:
+        e = self.gset.group.identity
+        return tuple(self.model.vector((e, g)) for g in range(self.d))
+
+    @cached_property
+    def diagonal_maps(self) -> tuple[Permutation, ...]:
+        return tuple(self.model.vector((g, g)) for g in range(self.d))
+
+    @cached_property
+    def antidiagonal_maps(self) -> tuple[Permutation, ...]:
+        return tuple(_antidiagonal_maps(self.model, self.gset.group.inverses))
+
+    @cached_property
+    def diagonal_copies(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_diagonal_copies(self.model.copies[0], self.gset.size))
 
     @cached_property
     def sym_fibers(self) -> tuple[tuple[int, ...], ...]:
@@ -344,10 +362,6 @@ class HilbConstruction:
         return _split_by_point(_label_classes(
             self.antidiagonal_labels, len(self.sym.points) * classes),
             classes)
-
-    @property
-    def pair_count(self) -> int:
-        return self.gset.size ** 2
 
 
 def _rows(labels, n: int) -> list[tuple[int, ...]]:
@@ -371,10 +385,8 @@ def _rows_through(lines, images) -> list[tuple[int, ...]]:
     x(n + w) if it exchanges them.  Either way row z is line x(z) read at
     x(n + w) mod n, one C-level ``itemgetter`` call per row."""
     n = len(images) // 2
-    if n == 1:  # one pair, which every x fixes
-        return lines[:1]
-    read = operator.itemgetter(*[w % n for w in images[n:]])
-    return [read(lines[z]) for z in images[:n]]
+    read = _reader([w % n for w in images[n:]])
+    return list(map(read, map(lines.__getitem__, images[:n])))
 
 
 def _fixes_transversals(maps, n: int, firsts, seconds) -> bool:
@@ -384,38 +396,40 @@ def _fixes_transversals(maps, n: int, firsts, seconds) -> bool:
     the second).  A pair is fixed, as rho reads it, exactly when its
     transversal is.  Each map sends copies onto copies, so its first
     image says whether it keeps them or exchanges them for every pair.
-    All 2 |firsts| points are read through each map in one pass; if the
-    product exchanges the copies, each first point must land on its second
-    and each second on its first, so the result is one list comparison
+    All 2 |firsts| points are read through each map by one ``itemgetter``;
+    if the product exchanges the copies, each first point must land on its
+    second and each second on its first, so the result is one comparison
     either way."""
-    points = [*firsts, *seconds]
+    points = (*firsts, *seconds)
     exchanged = False
     for images in maps:
-        points = [images[p] for p in points]
+        points = operator.itemgetter(*points)(images)
         exchanged ^= images[0] >= n
     if exchanged:
-        return points == [*seconds, *firsts]
-    return points == [*firsts, *seconds]
+        return points == (*seconds, *firsts)
+    return points == (*firsts, *seconds)
 
 
-def _diagonal_copies(translations, n: int) -> tuple[tuple[int, ...], ...]:
-    """The copies of the sheets in the square: copy g holds the pairs
-    z * n + g.z, read off g's translation."""
-    row_starts = list(range(0, n * n, n))
-    return tuple(
-        tuple(map(operator.add, row_starts, tr)) for tr in translations
-    )
+def _diagonal_copies(translations, n: int):
+    """The copies of the sheets in the square, one by one: copy g holds
+    the pairs z * n + g.z, read off g's translation."""
+    row_starts = range(0, n * n, n)
+    return (tuple(map(operator.add, row_starts, tr)) for tr in translations)
 
 
-def _pair_labels(gset: GSet, rows, tables) -> list[int]:
+def _pair_labels(translations, tables) -> list[int]:
     """A label for each pair of the square: the pair ((g1, b), (g2, b'))
-    gets ``tables[b][b'][rows[g1][g2]]``.  ``cells[b][r]`` holds the labels
-    at r for every b' in base order, so the row of sheet z = (g1, b), in
-    sheet order (g2, b'), is one map of ``cells[b]`` over ``rows[g1]``."""
-    cells = [list(zip(*by_second)) for by_second in tables]
-    return list(itertools.chain.from_iterable(itertools.chain.from_iterable(
-        map(cell.__getitem__, row) for row in rows for cell in cells
-    )))
+    gets ``tables[b][b'][t]``, where ``translations[g1]`` sends the sheet
+    (g2, b') to (t, b').  So the row of sheet (g1, b), in sheet order
+    (g2, b'), is the row of (e, b), ``tables[b][b'][g2]``, read at
+    ``translations[g1]``: one C-level call per row."""
+    starts = [tuple(itertools.chain.from_iterable(zip(*by_second)))
+              for by_second in tables]
+    labels: list[int] = []
+    for read in map(_reader, translations):
+        for start in starts:
+            labels.extend(read(start))
+    return labels
 
 
 def _point_labels(gset: GSet, sym_of) -> list[int]:
@@ -428,13 +442,12 @@ def _point_labels(gset: GSet, sym_of) -> list[int]:
     )) * d
 
 
-def _diagonal_labels(gset: GSet, sym_of) -> list[int]:
+def _diagonal_labels(table: GroupTable, translations, sym_of) -> list[int]:
     """The diagonal-group label of each pair ((g1, b), (g2, b')): i * d + r
     over symmetric point i, where r = g1^-1 g2 if b < b', r^-1 if b > b'
-    and min(r, r^-1) if b = b'."""
-    table = gset.group
+    and min(r, r^-1) if b = b', read at g1^-1's translation."""
     d, inv = table.order, table.inverses
-    nb = len(gset.base)
+    nb = len(sym_of)
     # min(r, r^-1), r^-1 and r for every r, at the sign 0, 1, -1 of b - b'.
     orientations = (tuple(map(min, range(d), inv)), inv, range(d))
     oriented = [
@@ -443,20 +456,21 @@ def _diagonal_labels(gset: GSet, sym_of) -> list[int]:
          for b2 in range(nb)]
         for b in range(nb)
     ]
-    return _pair_labels(gset, [table.table[a] for a in inv], oriented)
+    return _pair_labels(list(map(translations.__getitem__, inv)), oriented)
 
 
-def _antidiagonal_labels(gset: GSet, sym_of, class_of,
+def _antidiagonal_labels(translations, sym_of, class_of,
                          classes: int) -> list[int]:
     """The antidiagonal-group label of each pair ((g1, b), (g2, b')):
-    i * classes + the class of g1 g2 in G/[G, G], over symmetric point i."""
-    nb = len(gset.base)
+    i * classes + the class of g1 g2 in G/[G, G], over symmetric point i,
+    read at g1's translation (``translations[g]``)."""
+    nb = len(sym_of)
     by_product = [
         [tuple([sym_of[b][b2] * classes + c for c in class_of])
          for b2 in range(nb)]
         for b in range(nb)
     ]
-    return _pair_labels(gset, gset.group.table, by_product)
+    return _pair_labels(translations, by_product)
 
 
 def _check_labels_kept(lines, gens, what: str) -> None:
@@ -499,31 +513,39 @@ def _split_by_point(classes, per_point: int
     )
 
 
-def _antidiagonal_maps(model: WreathModel,
-                       inverses) -> tuple[Permutation, ...]:
-    """The antidiagonal maps pair(g, g^-1) of the pair group ``model`` for
-    every g, direct sums of g's translation in the first copy and that of
-    ``inverses[g]`` in the second."""
+def _antidiagonal_maps(model: WreathModel, inverses):
+    """The antidiagonal maps pair(g, g^-1) of the pair group ``model``, one
+    by one in g order, direct sums of g's translation in the first copy
+    and that of ``inverses[g]`` in the second."""
     first, second = model.copies
-    return tuple(map(permgroup._raw, map(
-        operator.add, first, map(second.__getitem__, inverses))))
+    return map(permgroup._raw, map(
+        operator.add, first, map(second.__getitem__, inverses)))
 
 
-def _swap_normal_form(model: WreathModel, maps, partner, gens) -> Group:
+def _swap_normal_form(model: WreathModel, partner, gens) -> Group:
     """The group maps ⊔ swap . maps on Z ⊔ Z of the pair group ``model``,
-    listed, for maps[g] = pair(g, partner[g]), an injective image of G
-    that conjugation by the involution swap keeps, so the union is closed;
-    its swap half is listed as direct sums (both proved in
-    :func:`build_construction`).  Its generators are the swap and the maps
-    of ``gens``, the generators of G."""
+    for maps[g] = pair(g, partner[g]), an injective image of G that
+    conjugation by the involution swap keeps, so the union is closed (both
+    proved in :func:`build_construction`), generated by the swap and the
+    maps of ``gens``.  Membership is read off the normal form, and the
+    members are listed only when first read (``Group.member_at``):
+    maps[g] = copies[0][g] + copies[1][partner[g]] and swap . maps[g] =
+    copies[1][g] + copies[0][partner[g]] send point 0 to g.0 and
+    |Z| + g.0, distinct by the free action."""
     swap, = model.transposition_lifts
     first, second = model.copies
-    swapped = [second[g] + first[h] for g, h in enumerate(partner)]
-    return permgroup._listed(
-        *permgroup.generating_tuple((swap,) + tuple(maps[s] for s in gens),
-                                    swap.domain_size),
-        frozenset((*maps, *map(permgroup._raw, swapped))),
-    )
+    n = len(first[0])
+    at = {tr[0]: g for g, tr in enumerate(first)}  # g.z0 -> g
+
+    def member_at(p: int) -> Permutation | None:
+        g = at.get(p % n)
+        return None if g is None else permgroup._raw(
+            first[g] + second[partner[g]] if p < n
+            else second[g] + first[partner[g]])
+
+    return Group(*permgroup.generating_tuple(
+        (swap, *(member_at(first[s][0]) for s in gens)), 2 * n),
+        2 * len(at), member_at)
 
 
 def refuse_pair_group_over_cap(d: int, cap: int) -> None:
@@ -561,10 +583,12 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     G x G, J = P ⊔ swap . P, and swap . pair(g1, g) . swap = pair(g, g1).
     The swap carries each copy's images to the other, so swap . pair(g1, g)
     is the sum copies[1][g1] + copies[0][g] (see :class:`WreathModel`): the
-    swap halves of D and H are listed as such sums, with no product.
+    swap halves of D and H are such sums, with no product.  No map is held:
+    each is read from the model's copies when a check needs it.
 
-    The diagonal group D, and the antidiagonal group H of an abelian G, are
-    listed from their normal forms, never closed (same reference):
+    The diagonal group D, and the antidiagonal group H of an abelian G,
+    answer membership from their normal forms (:func:`_swap_normal_form`),
+    never closed (same reference):
 
     * D = diag(G) ⊔ swap . diag(G).  diag is pair on the diagonal of
       G x G, so an injective homomorphism, and
@@ -585,7 +609,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
       2 d |[G, G]| (below), and its copy-keeping half, the kernel of the
       sign on H, has index 2 in H, as the swap lies in H with sign -1;
     * when every g satisfies g^2 = e, a^-1 = a, so anti(a) = diag(a) for
-      every a, and G is abelian: H and D are listed from the same maps, so
+      every a, and G is abelian: H and D have the same normal form, so
       the two intermediate subgroups coincide.
 
     The generators of D and H are the swap and pair translations, so both
@@ -606,7 +630,9 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     * the sheet translation of g is read off row g of the table
       (:func:`_left_translation`), so it is the model's (h, b) -> (g h, b),
       whose sheet coordinates the labels below read, and g ->
-      translation(g) is an injective homomorphism;
+      translation(g) is an injective homomorphism.  So the row of labels
+      of sheet (g1, b), reading g1 g2 or g1^-1 g2 at (g2, b'), is that of
+      (e, b) read at g1's or g1^-1's translation (:func:`_pair_labels`);
     * the d diagonal copies T[g] = {(z, g.z)} of the sheets are disjoint
       sheet sets: T[g] holds one pair for each sheet z, and T[g] and T[h]
       share none for g != h, as g.z = h.z would make h^-1 g != e fix z,
@@ -701,25 +727,21 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     swap, = model.transposition_lifts
     pair = model.vector
     first, second = model.copies
-    slot_maps = tuple(map(permgroup._raw, map(
-        operator.add, itertools.repeat(first[identity], d), second)))
-    diag_maps = tuple(map(permgroup._raw, map(operator.add, first, second)))
-    anti_maps = _antidiagonal_maps(model, table.inverses)
-    pair_gens = (swap,) + tuple(slot_maps[g] for g in gens_of_g)
+    pair_gens = (swap,) + tuple(pair((identity, s)) for s in gens_of_g)
 
-    # D and an abelian H are listed from their normal forms (see the
-    # docstring).  The swap, the generators' antidiagonal maps and (c, e)
-    # for c in [G, G] generate H: with the swap they give [G, G] x [G, G],
-    # and modulo that the antidiagonal maps of generators give every
-    # (a, a^-1).
-    diagonal_group = _swap_normal_form(model, diag_maps, range(d), gens_of_g)
+    # D and an abelian H answer membership from their normal forms (see
+    # the docstring).  The swap, the generators' antidiagonal maps and
+    # (c, e) for c in [G, G] generate H: with the swap they give
+    # [G, G] x [G, G], and modulo that the antidiagonal maps of generators
+    # give every (a, a^-1).
+    diagonal_group = _swap_normal_form(model, range(d), gens_of_g)
     commutator = table.commutator_subgroup()
     if table.is_abelian:
-        antidiagonal_group = _swap_normal_form(model, anti_maps,
-                                               table.inverses, gens_of_g)
+        antidiagonal_group = _swap_normal_form(model, table.inverses,
+                                               gens_of_g)
     else:
         antidiagonal_group = permgroup.generate(
-            (swap,) + tuple(anti_maps[s] for s in gens_of_g)
+            (swap,) + tuple(pair((s, table.inverses[s])) for s in gens_of_g)
             + tuple(pair((c, identity)) for c in commutator),
             domain_size=2 * n, cap=cap,
         )
@@ -751,14 +773,14 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # multiplies every label's class by the class of s.
     ab_table, class_of = table.quotient_by(commutator)
     classes = ab_table.order
-    anti_labels = _antidiagonal_labels(gset, sym_of, class_of, classes)
+    anti_labels = _antidiagonal_labels(first, sym_of, class_of, classes)
     anti_lines = _label_lines(anti_labels, n)
     gen_values = [ab_table.identity] + [class_of[s] for s in gens_of_g]
+    targets = _reader(anti_labels)  # the labels read off times
     for x, value in zip(pair_gens, gen_values):
         times = [i + c for i in range(0, sym_count * classes, classes)
                  for c in ab_table.table[value]]
-        if _rows_through(anti_lines, x.images) \
-                != _rows([times[label] for label in anti_labels], n):
+        if _rows_through(anti_lines, x) != _rows(targets(times), n):
             raise HomomorphismFailure("slot product is not a homomorphism")
     # Label ab_table.identity is class 1 over point 0 = (b0, b0).
     if 2 * anti_labels.count(ab_table.identity) != len(antidiagonal_group):
@@ -769,12 +791,10 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # The antidiagonal swap element indexed by g, swap . anti(g), fixes
     # copy g, the transversals {z, |Z| + g.z}, pointwise — this is what
     # makes the intermediate quotient tame along the doubled locus.  The
-    # first copy of the model holds g's translation, and the second half
-    # of pair(e, g) is |Z| + g.z.
-    diagonal_copies = _diagonal_copies(first, n)
-    for anti, slot in zip(anti_maps, slot_maps):
-        if not _fixes_transversals((anti.images, swap.images), n,
-                                   range(n), slot[n:]):
+    # second copy of the model holds |Z| + g.z.
+    for anti, shifted in zip(_antidiagonal_maps(model, table.inverses),
+                             second):
+        if not _fixes_transversals((anti, swap), n, range(n), shifted):
             raise HomomorphismFailure(
                 "antidiagonal swap element does not fix its diagonal copy"
             )
@@ -791,9 +811,8 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # The d disjoint copies of |Z| = d |B| pairs and the |B| doubled fibers
     # of d^2 pairs each both hold |B| d^2 pairs, so the copies are the
     # doubled-locus preimage once they lie over doubled points.
-    if not doubled.issuperset(map(point_sym.__getitem__,
-                                  itertools.chain.from_iterable(
-                                      diagonal_copies))):
+    if not doubled.issuperset(itertools.chain.from_iterable(
+            _reader(copy)(point_sym) for copy in _diagonal_copies(first, n))):
         raise HomomorphismFailure(
             "diagonal copies do not exhaust the doubled-locus preimage"
         )
@@ -801,7 +820,7 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # The other two partitions, read from labels the same way.
     # Diagonal-group orbits: d per off-doubled point, (d + t) / 2 per
     # doubled point, t = #{g : g^2 = id} (orbit classes {r, r^-1} merge).
-    diag_labels = _diagonal_labels(gset, sym_of)
+    diag_labels = _diagonal_labels(table, first, sym_of)
     _check_labels_kept(_label_lines(diag_labels, n),
                        diagonal_group.generators, "diagonal-group")
     if _classes_per_point(diag_labels, d, sym_count) != [
@@ -821,29 +840,17 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     return HilbConstruction(
         gset=gset,
         swap=swap,
-        second_slot_maps=slot_maps,
-        diagonal_maps=diag_maps,
-        antidiagonal_maps=anti_maps,
         pair_group=pair_group,
         diagonal_group=diagonal_group,
         antidiagonal_group=antidiagonal_group,
-        diagonal_copies=diagonal_copies,
         sym=sym,
         xi_fiber_sizes=xi_fiber_sizes,
         antidiagonal_orbit_counts=tuple(anti_counts),
+        model=model,
         point_labels=point_sym,
         diagonal_labels=diag_labels,
         antidiagonal_labels=anti_labels,
     )
-
-
-def big_fiber(c: HilbConstruction, point) -> tuple[int, ...]:
-    """Pair indices over a symmetric point (a SymPoint or its label).
-
-    Size is 2 d^2 off the doubled locus and d^2 on it, a law checked at
-    construction time.
-    """
-    return c.sym_fibers[c.sym.index_of(point)]
 
 
 def diagonal_components(c: HilbConstruction) -> dict[int, tuple[int, ...]]:
@@ -865,22 +872,17 @@ def fixed_components(c: HilbConstruction) -> frozenset[int]:
     T[g] = {(z, g.z)}, pointwise: diag(h) with h != e moves every pair, as
     the action is free, and swap . diag(h) sends (z, g.z) to (h g.z, h.z),
     a fixed point only if h = g and g^2 = e.  So each copy's one
-    candidate is read on all of the copy's pairs in one pass, and
-    the result is re-checked against the closed form {g : g * g =
-    identity} (the swap itself fixes the true diagonal).  Note the
-    contrast with the antidiagonal group, where every diagonal copy has a
-    pointwise fixer.
+    candidate is read on all of the copy's pairs in one pass, and the
+    result is re-checked against the closed form {g : g * g = identity}
+    (the swap itself fixes the true diagonal).  Note the contrast with the
+    antidiagonal group, where every diagonal copy has a pointwise fixer.
     """
     n = c.gset.size
-    found = set()
-    swap = c.swap.images
-    first = tuple(range(n))
-    for g, diag in enumerate(c.diagonal_maps):
-        # diag(g) moves the second copy by g, so copy g, the pairs
-        # (z, g.z), is the transversals {z, diag(g)(|Z| + z)}.
-        if _fixes_transversals((diag.images, swap), n,
-                               first, diag.images[n:]):
-            found.add(g)
+    # diag(g) = copies[0][g] + copies[1][g] moves the second copy by g, so
+    # copy g, the pairs (z, g.z), is the transversals {z, copies[1][g][z]}.
+    found = {g for g, (tr, shifted) in enumerate(zip(*c.model.copies))
+             if _fixes_transversals((tr + shifted, c.swap), n, range(n),
+                                    shifted)}
     table = c.gset.group
     closed_form = {
         g for g in range(table.order) if table.mul(g, g) == table.identity
@@ -891,22 +893,6 @@ def fixed_components(c: HilbConstruction) -> frozenset[int]:
             f"prediction {sorted(closed_form)}"
         )
     return frozenset(found)
-
-
-def xi_tilde_fibers(c: HilbConstruction) -> dict[str, tuple[tuple[int, ...], ...]]:
-    """Fibers of the intermediate degree-d quotient, keyed by point label.
-
-    These are the antidiagonal-group orbits over each symmetric point;
-    every fiber carries exactly |G/[G, G]| orbits — d of them when G is
-    abelian — so the intermediate cover is unramified, as checked at
-    construction time.  (The diagonal-group orbit decomposition, whose
-    count drops to (d + t) / 2 over doubled points, is available as
-    ``c.diagonal_orbit_fibers``.)
-    """
-    return {
-        p.label: c.antidiagonal_orbit_fibers[i]
-        for i, p in enumerate(c.sym.points)
-    }
 
 
 _NONABELIAN_DECK = (

@@ -333,11 +333,12 @@ def hilb_covers_by_type(s: SurfaceDescriptor, *,
             f"{invariants.rank}; only finite groups classify here"
         )
     refuse_pair_group_over_cap(invariants.order, cap)
-    subs = sorted(
-        subgroups_of_abelian(invariants),
-        key=lambda sub: (sub.index, sub.key),
-    )
-    types = tuple(sub.quotient.torsion for sub in subs)
+    # subgroups_of_abelian lists by (order, key) and the index is N / order,
+    # so the (index, key) order is that list with its order blocks reversed.
+    blocks = [list(block) for _, block in itertools.groupby(
+        subgroups_of_abelian(invariants), key=lambda sub: sub.order)]
+    types = tuple(sub.quotient.torsion
+                  for sub in itertools.chain.from_iterable(reversed(blocks)))
     by_type: dict[tuple[int, ...], CoverDescriptor] = {}
     for torsion in types:
         if torsion not in by_type:

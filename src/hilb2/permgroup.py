@@ -6,7 +6,8 @@ single elements, and normality is settled by conjugating the subgroup's
 generators with the group's generators.  A group whose order is certified
 without closing it (a regular action, see :func:`is_regular`, or a
 wreath product G ≀ Sₙ that :class:`hilbcover.WreathModel` certifies)
-lists its elements only when they are first read.
+lists its elements only when they are first read, as does a group given
+by a normal form (``Group.member_at``).
 No stabilizer chains, no randomness: at the scales this package works with
 (a few thousand elements at most) full enumeration keeps every answer
 independently auditable and bit-for-bit reproducible.
@@ -40,6 +41,7 @@ from functools import cached_property, partial
 import itertools
 from math import lcm
 from operator import itemgetter
+from typing import Callable
 
 from .errors import (CapExceeded, DomainMismatch, HomomorphismFailure,
                      NotAGroup, NotASubgroup)
@@ -165,16 +167,19 @@ class Group:
 
     ``generators`` generate the group and ``order`` is its size.  The
     elements are listed on first use: a group built by closure has them
-    already, a group of certified order closes its generators when
-    ``elements`` is first read and checks that the closure has exactly
-    ``order`` elements.  ``element_list`` is sorted by image tuple, which
-    fixes a canonical element order used for every deterministic
-    construction downstream.
+    already; a group given by a normal form reads them off ``member_at``
+    (its member, if any, that sends point 0 to a given point; the caller
+    certifies that these form the group), which also answers ``in``; and
+    a group of certified order closes its generators when ``elements`` is
+    first read and checks that the closure has exactly ``order`` elements.
+    ``element_list`` is sorted by image tuple, which fixes a canonical
+    element order used for every deterministic construction downstream.
     """
 
     domain_size: int
     generators: tuple[Permutation, ...]
     order: int
+    member_at: Callable[[int], Permutation | None] | None = None
 
     @classmethod
     def trivial(cls, domain_size: int) -> "Group":
@@ -182,6 +187,9 @@ class Group:
 
     @cached_property
     def elements(self) -> frozenset[Permutation]:
+        if self.member_at is not None:
+            return frozenset(filter(None, map(self.member_at,
+                                              range(self.domain_size))))
         try:
             elements = _close(self.domain_size, self.generators, self.order)
         except CapExceeded:
@@ -202,7 +210,9 @@ class Group:
         return Permutation.identity(self.domain_size)
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self.elements
+        if self.member_at is None:
+            return p in self.elements
+        return bool(p) and self.member_at(p[0]) == p
 
     def __iter__(self):
         return iter(self.element_list)
@@ -460,9 +470,9 @@ def is_normal(sub: Group, group: Group) -> bool:
 
 
 def normalized_by(sub: Group, gens) -> bool:
-    """True iff the group generated by ``gens`` normalizes ``sub``.  That
-    group is never listed; a caller that knows ``sub`` lies in it learns
-    that ``sub`` is normal there.
+    """True iff the group generated by ``gens`` normalizes ``sub``, each
+    conjugate tested by ``in sub``.  That group is never listed; a caller
+    that knows ``sub`` lies in it learns that ``sub`` is normal there.
 
     Only generators are conjugated.  If s h s^-1 lies in ``sub`` for every
     generator h of ``sub``, then s sub s^-1 is contained in ``sub``, and
@@ -474,7 +484,7 @@ def normalized_by(sub: Group, gens) -> bool:
     by_hgens = list(map(_right_multiplication, hgens))
     for a in gens:
         by_ainv = _right_multiplication(a.inverse())
-        if any(by_ainv(by_h(a)) not in sub.elements for by_h in by_hgens):
+        if any(by_ainv(by_h(a)) not in sub for by_h in by_hgens):
             return False
     return True
 
@@ -501,7 +511,7 @@ def normalizer(group: Group, sub: Group) -> Group:
     members = []
     for a in group.element_list:
         ainv = a.inverse()
-        if all(a * h * ainv in sub.elements for h in hgens):
+        if all(a * h * ainv in sub for h in hgens):
             members.append(a)
     return group_from_elements(group.domain_size, members)
 

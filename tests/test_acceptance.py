@@ -4,6 +4,7 @@ Each test is one structural law, checked with zero tolerance over an
 exhaustive sweep, and finishes inside an explicit wall-clock budget.
 """
 import contextlib
+import hashlib
 import io
 import itertools
 import math
@@ -359,3 +360,24 @@ def test_large_coset_enumerations():
                                               "cap of 4000 cosets$"):
             coset_enumeration(parse_presentation(text), cap=4000)
     assert time.monotonic() - start < 0.35
+
+
+def test_construct_over_one_base_point_stays_at_label_memory():
+    """Z400 over one base point, 160,000 pairs, in a fresh child under an
+    address-space limit: the output is byte for byte that of the build
+    that listed D and H and held every map (digest), and the child's peak
+    resident set stays under 40 MB (31 MB measured; 56 MB before D and H
+    answered membership from their normal forms).  < 5 s."""
+    from test_cli import run_limited
+
+    code, out, err, seconds, peak_mb = run_limited(
+        ("construct", "--group", "Z400", "--base-size", "1",
+         "--group-cap", "320000", "--coset-cap", "160000"),
+        address_space=1 << 28, timeout=30,
+    )
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7ff641053c140f1346fad0c36d8f1f310f582ad7b1825ed4e6e032ce65ab88da"
+    )
+    assert peak_mb < 40
+    assert seconds < 5.0

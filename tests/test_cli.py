@@ -440,6 +440,21 @@ def test_verify_json(capsys):
     assert statuses == {"ok"}
 
 
+@pytest.mark.parametrize("module", ["hilb2", "hilb2.cli"])
+def test_both_module_entry_points_run_the_command_line(module):
+    # python -m hilb2.cli once ran nothing and exited 0.
+    src = str(Path(hilb2.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-m", module, "classify", "--catalog", "nope"],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert result.returncode == EXIT_BAD_INPUT
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("error: no catalog surface named 'nope'")
+
+
 # Runs ``python -m hilb2`` on the arguments after the report path, and at
 # exit writes the interpreter's own peak resident set (the VmHWM line, in kB)
 # to that path.  ``wait4``'s ru_maxrss cannot stand in for it: a forked

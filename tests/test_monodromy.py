@@ -3,6 +3,7 @@ and the classification pipeline."""
 from dataclasses import replace
 import itertools
 from pathlib import Path
+from types import SimpleNamespace
 import subprocess
 import sys
 
@@ -18,7 +19,12 @@ from hilb2.errors import (
     HomomorphismFailure,
     InfiniteAbelianization,
 )
-from hilb2.fpgroup import abelianization, parse_presentation, subgroups_of_abelian
+from hilb2.fpgroup import (
+    AbelianInvariants,
+    abelianization,
+    parse_presentation,
+    subgroups_of_abelian,
+)
 from hilb2.hilbcover import free_gset, hilb_square_cover, square_cover
 from hilb2.monodromy import (
     CLASSIFY_BASE,
@@ -543,3 +549,36 @@ def test_wreath_order_law_runs_under_optimization():
         f"certified order {order})"
         for (spec, n), order in orders.items()
     ]
+
+
+def abelian_chains(max_order):
+    """The invariant factors of every abelian group of order up to
+    ``max_order``, one per isomorphism class."""
+    for order in range(1, max_order + 1):
+        per_prime = [
+            [tuple(p ** part for part in partition)
+             for partition in tables._partitions(e)]
+            for p, e in tables._prime_factorization(order)
+        ]
+        for combo in itertools.product(*per_prime):
+            yield tables._invariant_chain(combo)
+
+
+def test_index_order_reverses_the_blocks_of_equal_order(monkeypatch):
+    # hilb_covers_by_type reverses the blocks of equal order of the
+    # (order, key) list; that is exactly the (index, key) order, for every
+    # abelian group of order <= 100 (no cover is built here).
+    chains = list(abelian_chains(100))
+    assert len(chains) == 185
+    monkeypatch.setattr(monodromy, "square_cover", lambda *args, **kw: None)
+    monkeypatch.setattr(monodromy, "quasietale_correspondence",
+                        lambda s, cover: None)
+    surface = SimpleNamespace(pi1_smooth=None, name="X")
+    for chain in chains:
+        invariants = AbelianInvariants(0, chain)
+        monkeypatch.setattr(monodromy, "abelianization",
+                            lambda presentation: invariants)
+        subs = sorted(subgroups_of_abelian(invariants),
+                      key=lambda sub: (sub.index, sub.key))
+        _, types, _ = hilb_covers_by_type(surface, cap=10 ** 6)
+        assert types == tuple(sub.quotient.torsion for sub in subs), chain
