@@ -183,7 +183,7 @@ def cmd_construct(args, caps: Caps) -> int:
     table = spec.table()
     gset = free_gset(table, _base_labels(args.base_size))
     # The sign splits on every construction that builds (see
-    # build_construction), so the sign splitting is reported as ok.
+    # hilbcover.assemble_construction), so the sign splitting is ok.
     construction = build_construction(gset, cap=caps.group_cap)
     fixed = fixed_components(construction)
 

@@ -5,49 +5,40 @@ over a base B.  On the square Z x Z live the coordinate swap
 (z, w) -> (w, z), the second-slot translations (z, w) -> (z, g.w), the
 diagonal translations (z, w) -> (g.z, g.w) and the antidiagonal
 translations (z, w) -> (a.z, a^-1.w).  Three subgroups of the symmetry
-group of the square organize everything:
+group of the square organize everything, each generated by the swap and
+one family of translations:
 
-* the pair group, generated by the swap and the second-slot translations,
-  has order 2 d^2 and its orbit space is the symmetric quotient of B;
-* the diagonal group, generated by the swap and the diagonal translations,
-  has order 2 d; its orbits over an off-doubled symmetric point number d,
-  but over a doubled point they number (d + t) / 2 where t counts the
-  solutions of g^2 = id (each orbit pair {r, r^-1} merges), so its orbit
-  space covers the symmetric quotient with non-constant fibers unless
-  every element of G squares to the identity.  It is normal in the pair
-  group exactly in that square-to-identity case;
-* the antidiagonal group, generated by the swap and the antidiagonal
-  translations, is always normal in the pair group: the product of the
-  two slot coordinates, read in the abelianization of G, is a surjective
-  homomorphism from the pair group onto G/[G, G] whose kernel is exactly
-  the antidiagonal group.  Its order is 2 d |[G, G]| and it has exactly
-  |G/[G, G]| orbits over every symmetric point — the same count on and
-  off the doubled locus — so its orbit space is an unramified
-  intermediate quotient of degree |G/[G, G]|.  For abelian G that degree
-  is d and the quotient induces the full Hilbert-square cover; for
-  nonabelian G only the abelianized cover survives the squaring.  The
-  antidiagonal group coincides with the diagonal one whenever every
-  element squares to the identity.
+* the pair group J (second-slot translations), of order 2 d^2, whose
+  orbit space is the symmetric quotient of B;
+* the diagonal group D (diagonal translations), of order 2 d, whose orbit
+  space covers the symmetric quotient with fewer sheets over the doubled
+  locus unless every element of G squares to the identity;
+* the antidiagonal group H (antidiagonal translations), the kernel of the
+  slot product from J onto G/[G, G], whose orbit space is an unramified
+  intermediate quotient of degree |G/[G, G]|: the full Hilbert-square
+  cover for abelian G, only the abelianized cover for nonabelian G.
 
-Every one of these laws is verified on every call at construction time,
-directly or by induction over generators, or is certified by how the maps
-are built and by the group axioms that the multiplication table was
-validated against.  The three groups are held in their imprimitive action
-on Z ⊔ Z, two copies of the sheets (the pair group is the wreath product
-G ≀ C2 in this action; Holt, Eick and O'Brien, *Handbook of Computational
-Group Theory*, 2005): the swap exchanges the copies, translations move
-each copy within itself, and the sign of an element says whether it
-exchanges them.  Every generator maps copies onto copies by construction,
-so every element does, and an element x then acts on the square by the
-rule rho: the pair (z, w) is the transversal {z, |Z| + w} and goes to
-{x(z), x(|Z| + w)}, read first copy first.  That is the action of x on a
-set of two-point subsets, so rho is a homomorphism by construction and
-needs no certificate.  Orbit partitions are read from labels of the pairs
-that rho of every generator is checked to keep; fiber and component
-computations read rho at the single pairs they need; no group is listed
-on the square.  Because Z ⊔ Z has two points even for one sheet over one
-base point, where the square has one, the abstract group sizes stay
-faithful in that degenerate case.
+:func:`build_construction` makes them in two phases:
+:func:`assemble_construction` builds the groups and the labels of their
+orbits and checks nothing, then :func:`check_construction` checks every
+law above, reading only what was built, with each law's proof at its
+check.
+
+The groups are held in their imprimitive action on Z ⊔ Z, two copies of
+the sheets (the pair group is the wreath product G ≀ C2 in this action;
+Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005):
+the swap exchanges the copies, translations move each copy within itself,
+and the sign of an element says whether it exchanges them.  Every
+generator maps copies onto copies by construction, so every element does,
+and an element x then acts on the square by the rule rho: the pair (z, w)
+is the transversal {z, |Z| + w} and goes to {x(z), x(|Z| + w)}, read
+first copy first.  That is the action of x on a set of two-point subsets,
+so rho is a homomorphism by construction and needs no certificate (no
+presentation of G ≀ C2 whose relators its generator images satisfy): an
+element keeps a labelling of the pairs as soon as each generator's square
+action does, and rho is never listed element by element.  Because Z ⊔ Z
+has two points even for one sheet over one base point, where the square
+has one, the group orders stay faithful in that degenerate case.
 
 Index conventions, fixed for reproducibility: a sheet (g, b) has index
 g * |B| + b with g in multiplication-table order and b in input order; a
@@ -279,33 +270,29 @@ def free_gset(group: GroupTable, base) -> GSet:
 
 @dataclass(frozen=True)
 class HilbConstruction:
-    """The verified package built on the square of a free G-sheet model.
+    """The squared construction of a free G-sheet model (see the module
+    docstring), as :func:`assemble_construction` builds it and
+    :func:`check_construction` checks it.
 
-    ``swap`` and the three groups permute Z ⊔ Z, the 2 |Z| points of two
-    copies of the sheets (sheet z of the first copy is point z, of the
-    second |Z| + z), and so do the maps below.  Each maps copies onto
-    copies; an element x moves the pair z * |Z| + w of the square to the
-    transversal {x(z), x(|Z| + w)}, read first copy first.  The pair
-    translation (g1, g) acts as g1 on the first copy and g on the second,
-    so by (z, w) -> (g1.z, g.w) on the square; ``second_slot_maps[g]``,
-    ``diagonal_maps[g]`` and ``antidiagonal_maps[a]`` are those by (e, g),
-    (g, g) and (a, a^-1).  They and ``diagonal_copies[g]``, the pairs
+    ``swap`` and the three groups permute Z ⊔ Z, and an element moves the
+    pair z * |Z| + w of the square by rho.  ``second_slot_maps[g]``, the
+    pair translation (e, g), and ``diagonal_copies[g]``, the pairs
     (z, g.z), are read from the copies of ``model`` (J's
     :class:`WreathModel`) when first read.  ``pair_group``, of certified
     order 2 d^2, lists its elements only when they are first read, and so
     do the diagonal group and an abelian antidiagonal group, which answer
-    membership from their normal forms (the maps and the swap times the
-    maps); a nonabelian antidiagonal group is closed.
+    membership from their normal forms; a nonabelian antidiagonal group is
+    closed.
 
-    ``sym_fibers[i]`` lists the pair indices over symmetric point i;
+    ``point_labels``, ``diagonal_labels`` and ``antidiagonal_labels`` give
+    each pair k of the square a label whose class is its orbit under the
+    pair, diagonal and antidiagonal group respectively.  ``sym_fibers[i]``
+    lists the pair indices over symmetric point i;
     ``diagonal_orbit_fibers[i]`` / ``antidiagonal_orbit_fibers[i]`` list
     the orbits of the respective subgroup over symmetric point i, each
-    orbit sorted, orbits ordered by smallest member.  The build checks
-    every law about them from the labels of the pairs it keeps
-    (``point_labels``, ``diagonal_labels``, ``antidiagonal_labels``: the
-    label of pair k is its class), so the three fiber lists are bucketed
-    from those labels only when a caller first reads them, and a caller
-    that needs only sizes reads the counts the build recorded:
+    orbit sorted, orbits ordered by smallest member.  The three are
+    bucketed from the labels only when a caller first reads them; a caller
+    that needs only sizes reads the counts recorded from the labels:
     ``xi_fiber_sizes[i]``, the number of pairs over point i, and
     ``antidiagonal_orbit_counts[i]``, the number of antidiagonal-group
     orbits there.
@@ -332,14 +319,6 @@ class HilbConstruction:
     def second_slot_maps(self) -> tuple[Permutation, ...]:
         e = self.gset.group.identity
         return tuple(self.model.vector((e, g)) for g in range(self.d))
-
-    @cached_property
-    def diagonal_maps(self) -> tuple[Permutation, ...]:
-        return tuple(self.model.vector((g, g)) for g in range(self.d))
-
-    @cached_property
-    def antidiagonal_maps(self) -> tuple[Permutation, ...]:
-        return tuple(_antidiagonal_maps(self.model, self.gset.group.inverses))
 
     @cached_property
     def diagonal_copies(self) -> tuple[tuple[int, ...], ...]:
@@ -526,7 +505,7 @@ def _swap_normal_form(model: WreathModel, partner, gens) -> Group:
     """The group maps ⊔ swap . maps on Z ⊔ Z of the pair group ``model``,
     for maps[g] = pair(g, partner[g]), an injective image of G that
     conjugation by the involution swap keeps, so the union is closed (both
-    proved in :func:`build_construction`), generated by the swap and the
+    proved in :func:`assemble_construction`), generated by the swap and the
     maps of ``gens``.  Membership is read off the normal form, and the
     members are listed only when first read (``Group.member_at``):
     maps[g] = copies[0][g] + copies[1][partner[g]] and swap . maps[g] =
@@ -555,18 +534,13 @@ def refuse_pair_group_over_cap(d: int, cap: int) -> None:
         raise CapExceeded(f"group closure exceeded cap of {cap} elements")
 
 
-def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbConstruction:
-    """Assemble the whole package; every law is checked on every call or
-    certified below.
+def assemble_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP
+                          ) -> HilbConstruction:
+    """Build everything :class:`HilbConstruction` holds for ``gset`` and
+    check nothing; :func:`check_construction` checks the laws.
 
-    A failed law raises :class:`HomomorphismFailure` naming it (it means
-    the model itself is broken, not the input).  The maps and groups act
-    on Z ⊔ Z (see :class:`HilbConstruction`).  A law about all of G or all
-    of the pair group J is checked on generators only where a standard
-    induction carries it to every element: a map phi from a finite group
-    with phi(e) = id and phi(s h) = phi(s) phi(h) for every generator s and
-    every h is a homomorphism, and the elements that commute with a fixed
-    element form a subgroup.
+    Raises ``CapExceeded`` before building anything if the pair group, of
+    order 2 d^2, would pass ``cap``.
 
     Every map is built as what it is, with no check of its own.  The pair
     group J is G ≀ C2 on the two copies, :func:`wreath_product` at n = 2,
@@ -581,10 +555,13 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     J is generated by the swap and the slot maps of G's generators.  Write
     P for the pair translations: pair is an injective homomorphism from
     G x G, J = P ⊔ swap . P, and swap . pair(g1, g) . swap = pair(g, g1).
-    The swap carries each copy's images to the other, so swap . pair(g1, g)
-    is the sum copies[1][g1] + copies[0][g] (see :class:`WreathModel`): the
-    swap halves of D and H are such sums, with no product.  No map is held:
-    each is read from the model's copies when a check needs it.
+    So the sign (-1 when an element exchanges the copies, 1 when it keeps
+    them) is a homomorphism from J onto the order-2 group with kernel P,
+    and the swap, an involution of sign -1, splits it.  The swap carries
+    each copy's images to the other, so swap . pair(g1, g) is the sum
+    copies[1][g1] + copies[0][g]: the swap halves of D and H are such
+    sums, with no product.  No map is held: each is read from the model's
+    copies when a check needs it.
 
     The diagonal group D, and the antidiagonal group H of an abelian G,
     answer membership from their normal forms (:func:`_swap_normal_form`),
@@ -593,21 +570,20 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     * D = diag(G) ⊔ swap . diag(G).  diag is pair on the diagonal of
       G x G, so an injective homomorphism, and
       swap . diag(s) . swap = diag(s), so the involution swap centralizes
-      diag(G) and the union is a group.
-      It has order 2 d, as its swap half exchanges the copies and diag(G)
-      keeps them; it holds D's generators (the swap and the diag(s)) and
-      lies in D, so it is D;
+      diag(G) and the union is a group.  It has order 2 d, as its swap
+      half exchanges the copies and diag(G) keeps them; it holds D's
+      generators (the swap and the diag(s)) and lies in D, so it is D;
     * anti(s) . anti(b) = pair(s b, s^-1 b^-1) while
       anti(s b) = pair(s b, b^-1 s^-1), so anti is a homomorphism exactly
       when G is abelian, and then an injective one, as pair is.  For
       abelian G, H = anti(G) ⊔ swap . anti(G) in the same way as D:
       swap . anti(s) . swap = pair(s^-1, s) = anti(s^-1), as the inverse
       map of a validated table is an involution, so conjugation by the
-      swap inverts anti(G); its order is
-      2 d = 2 d |[G, G]|.  A nonabelian H is closed from its generators;
-      its order is checked to be that of the slot-product kernel,
-      2 d |[G, G]| (below), and its copy-keeping half, the kernel of the
-      sign on H, has index 2 in H, as the swap lies in H with sign -1;
+      swap inverts anti(G); its order is 2 d = 2 d |[G, G]|.  A nonabelian
+      H is closed from the swap, the antidiagonal maps of G's generators
+      and (c, e) for c in [G, G]: with the swap these give
+      [G, G] x [G, G], and modulo that the antidiagonal maps of generators
+      give every (a, a^-1);
     * when every g satisfies g^2 = e, a^-1 = a, so anti(a) = diag(a) for
       every a, and G is abelian: H and D have the same normal form, so
       the two intermediate subgroups coincide.
@@ -615,148 +591,33 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     The generators of D and H are the swap and pair translations, so both
     lie in J by construction, and so do the slot maps.
 
-    The square action rho needs no certificate (no presentation of G ≀ C2
-    whose relators its generator images satisfy): every generator of J
-    maps copies onto copies by construction, so every element of J does,
-    and on such permutations rho is the action on the transversal
-    two-point sets {z, |Z| + w}, a homomorphism by construction.  So an
-    element of J keeps a labelling of the pairs as soon as each generator's
-    square action does, and rho is never listed element by element.
-
-    Certified by the validated table, with no check of their own (the
-    :class:`GroupTable` of a :class:`GSet` has passed its row, column,
-    identity, inverse and associativity checks):
-
-    * the sheet translation of g is read off row g of the table
-      (:func:`_left_translation`), so it is the model's (h, b) -> (g h, b),
-      whose sheet coordinates the labels below read, and g ->
-      translation(g) is an injective homomorphism.  So the row of labels
-      of sheet (g1, b), reading g1 g2 or g1^-1 g2 at (g2, b'), is that of
-      (e, b) read at g1's or g1^-1's translation (:func:`_pair_labels`);
-    * the d diagonal copies T[g] = {(z, g.z)} of the sheets are disjoint
-      sheet sets: T[g] holds one pair for each sheet z, and T[g] and T[h]
-      share none for g != h, as g.z = h.z would make h^-1 g != e fix z,
-      which the free action (see :func:`free_gset`) rules out;
-    * the abelianization read by :meth:`GroupTable.quotient_by` has one
-      element for each coset of [G, G], so its order is d / |[G, G]|.
-
-    Checked directly on Z ⊔ Z: the diagonal group is normal in the pair
-    group exactly when every g satisfies g^2 = id; the antidiagonal group
-    is always normal (normality itself is settled on generators, see
-    :func:`permgroup.normalized_by`).
-
-    Checked by generator induction: the slot product, sending a pair-group
-    element x to the class of g1 * g in the abelianization of G, where
-    (g1.b0, g.b0) = rho(x)(b0, b0), is a homomorphism onto G/[G, G] with
-    kernel exactly the antidiagonal group — the intermediate quotient is
-    Galois with deck group G/[G, G], which is all of G in the abelian
-    case.  It is read from the antidiagonal labels (symmetric point, class
-    of g1 g2) below: on every pair, the swap keeps each label and
-    slot-map(s) multiplies each label's class by the class of s.  As rho
-    is a homomorphism, the elements that multiply every class by one value
-    form a subgroup, on which the value is multiplicative; it holds the
-    generators, so it is J, and an element's value is its slot product
-    (the label of (b0, b0) has class 1).  rho(x)(b0, b0) hits each pair
-    over (b0, b0) twice as x runs over J, so the kernel has order twice
-    the number of those pairs of class 1, d |[G, G]|, checked to be the
-    order of the antidiagonal group.  That group lies in the kernel, as
-    its generators keep every antidiagonal label (the orbit check below),
-    so it is the kernel.  It is generated by the swap, the antidiagonal
-    maps of the generators of G and the pair translations (c, e) for c in
-    [G, G]; its order and this kernel check reject a wrong generating set.
-
-    Checked through rho, the three orbit partitions read from labels, with
-    no orbit search.  Each group labels the pairs ((g1, b), (g2, b')) of
-    the square; every generator's square action is checked to keep every
-    label, so each orbit lies in one label class, and each class is one
-    orbit for the reason given:
-
-    * J labels a pair by its symmetric point {b, b'}.  P moves it to every
-      pair over (b, b') and the swap to (b', b), so the orbits are the
-      symmetric-point fibers, checked to have size 2 d^2 off the doubled
-      locus and d^2 on it;
-    * D labels it by its symmetric point and r = g1^-1 g2 if b < b', r^-1
-      if b > b', min(r, r^-1) if b = b'.  D holds every diagonal
-      translation, (g1, g2) -> (g g1, g g2), which keeps r and runs
-      through the d pairs of each r over (b, b'), and the swap, which
-      exchanges (b, b') with (b', b) and r with r^-1.  Its orbits over a
-      symmetric point are checked to number d off the doubled locus and
-      (d + t) / 2 on it, t = #{g : g^2 = id};
-    * H labels it by its symmetric point and the class of g1 g2 in
-      G/[G, G], for any G.  The copy-keeping half of H has order
-      d |[G, G]| and acts freely on pairs, as the translations do, so its
-      orbits on the d^2 pairs over (b, b') have d |[G, G]| members, as
-      many as a label class holds there; with the swap, each class over a
-      symmetric point is one orbit.  They are checked to number
-      |G/[G, G]| over every point (constant fibers; d of them in the
-      abelian case);
-    * the d diagonal copies are checked to lie over the doubled locus, so
-      they split the doubled-locus preimage, and each copy is checked to
-      be fixed pointwise by its antidiagonal swap element.
-
-    The sizes and counts these laws name are read off the labels, the
-    fiber sizes as how often each symmetric point occurs and the orbit
-    counts as the distinct labels over each point; the partitions
-    themselves are bucketed only when a caller first reads them (see
-    :class:`HilbConstruction`).
-
-    Following from the above, the sign (-1 when an element exchanges the
-    copies, 1 when it keeps them) is a homomorphism from J onto the
-    order-2 group: every element maps copies onto copies, so it permutes
-    the two copies, and the sign is that permutation.  Its kernel, the
-    copy-keeping half, is exactly the injective image P of G x G (the
-    certificate of :class:`WreathModel`), and the swap, an involution of
-    sign -1, splits it.  So the sign splits on every construction this returns.
-
-    Raises ``CapExceeded`` before building anything if the pair group, of
-    order 2 d^2, would pass ``cap``.
+    The labels read the model's sheet coordinates: the sheet translation
+    of g is read off row g of the validated table
+    (:func:`_left_translation`), so it is (h, b) -> (g h, b), and the row
+    of labels of sheet (g1, b), reading g1 g2 or g1^-1 g2 at (g2, b'), is
+    that of (e, b) read at g1's or g1^-1's translation
+    (:func:`_pair_labels`).  The fiber sizes are recorded as how often
+    each symmetric point occurs among the point labels, and the
+    antidiagonal orbit counts as the distinct antidiagonal labels over
+    each point.
     """
     table = gset.group
-    d = table.order
-    refuse_pair_group_over_cap(d, cap)
-    n = gset.size
+    refuse_pair_group_over_cap(table.order, cap)
     nb = len(gset.base)
-    identity = table.identity
     gens_of_g = table.small_generating_set()
-
-    # J is G ≀ C2 on two copies of the sheets, its order certified, not
-    # closed, and every map is the swap or a pair translation, a direct sum
-    # of two translations (see the docstring).
     model = wreath_product(table, nb, 2)
-    pair_group = model.wreath
     swap, = model.transposition_lifts
-    pair = model.vector
-    first, second = model.copies
-    pair_gens = (swap,) + tuple(pair((identity, s)) for s in gens_of_g)
-
-    # D and an abelian H answer membership from their normal forms (see
-    # the docstring).  The swap, the generators' antidiagonal maps and
-    # (c, e) for c in [G, G] generate H: with the swap they give
-    # [G, G] x [G, G], and modulo that the antidiagonal maps of generators
-    # give every (a, a^-1).
-    diagonal_group = _swap_normal_form(model, range(d), gens_of_g)
-    commutator = table.commutator_subgroup()
+    first = model.copies[0]
     if table.is_abelian:
         antidiagonal_group = _swap_normal_form(model, table.inverses,
                                                gens_of_g)
     else:
         antidiagonal_group = permgroup.generate(
-            (swap,) + tuple(pair((s, table.inverses[s])) for s in gens_of_g)
-            + tuple(pair((c, identity)) for c in commutator),
-            domain_size=2 * n, cap=cap,
-        )
-
-    # Normality laws for the two intermediate subgroups; t counts the
-    # solutions of g^2 = id.
-    t = list(map(operator.getitem, table.table, range(d))).count(identity)
-    if permgroup.normalized_by(diagonal_group, pair_group.generators) \
-            != (t == d):
-        raise HomomorphismFailure(
-            "diagonal group normality differs from the g^2 = id condition"
-        )
-    if not permgroup.normalized_by(antidiagonal_group, pair_group.generators):
-        raise HomomorphismFailure(
-            "antidiagonal group is not normal in the pair group"
+            (swap,) + tuple(model.vector((s, table.inverses[s]))
+                            for s in gens_of_g)
+            + tuple(model.vector((c, table.identity))
+                    for c in table.commutator_subgroup()),
+            domain_size=2 * gset.size, cap=cap,
         )
 
     # Symmetric points: sym_of[b][b'] indexes the point {b, b'}.
@@ -765,25 +626,95 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     sym_index = {ij: i for i, ij in enumerate(_index_pairs(nb))}
     sym_of = [[sym_index[(min(bz, bw), max(bz, bw))] for bw in range(nb)]
               for bz in range(nb)]
+    ab_table, class_of = table.abelianization
+    point_labels = _point_labels(gset, sym_of)
+    anti_labels = _antidiagonal_labels(first, sym_of, class_of,
+                                       ab_table.order)
+    return HilbConstruction(
+        gset=gset,
+        swap=swap,
+        pair_group=model.wreath,
+        diagonal_group=_swap_normal_form(model, range(table.order),
+                                         gens_of_g),
+        antidiagonal_group=antidiagonal_group,
+        sym=sym,
+        xi_fiber_sizes=tuple(map(point_labels.count, range(sym_count))),
+        antidiagonal_orbit_counts=tuple(
+            _classes_per_point(anti_labels, ab_table.order, sym_count)),
+        model=model,
+        point_labels=point_labels,
+        diagonal_labels=_diagonal_labels(table, first, sym_of),
+        antidiagonal_labels=anti_labels,
+    )
 
-    # The product of the two slots, read in the abelianization of G, is a
-    # homomorphism onto G/[G, G] with kernel exactly the antidiagonal
-    # group, read from the antidiagonal labels i * classes + class of
-    # g1 g2 (see the docstring): the swap keeps every label, slot-map(s)
-    # multiplies every label's class by the class of s.
-    ab_table, class_of = table.quotient_by(commutator)
+
+def check_construction(c: HilbConstruction) -> None:
+    """Check every law of the squared construction ``c``, reading nothing
+    but ``c``.  A failed law raises :class:`HomomorphismFailure` naming it
+    (it means the model itself is broken, not the input).
+
+    A law about all of G or all of J is checked on generators only where a
+    standard induction carries it to every element: a map phi from a
+    finite group with phi(e) = id and phi(s h) = phi(s) phi(h) for every
+    generator s and every h is a homomorphism, and the elements that
+    commute with a fixed element form a subgroup.  Each law's proof sits
+    at its check.
+    """
+    table = c.gset.group
+    d, n = table.order, c.gset.size
+    identity = table.identity
+    gens_of_g = table.small_generating_set()
+    first, second = c.model.copies
+    pair_gens = (c.swap,) + tuple(c.model.vector((identity, s))
+                                  for s in gens_of_g)
+    sym_count = len(c.sym.points)
+    doubled = {i for i, p in enumerate(c.sym.points) if p.is_diagonal}
+
+    # D is normal in J exactly when every g satisfies g^2 = e, that is when
+    # t = #{g : g^2 = e} is d, and H always is; normality is settled on
+    # J's generators (see permgroup.normalized_by).
+    t = table.squares.count(identity)
+    if permgroup.normalized_by(c.diagonal_group, c.pair_group.generators) \
+            != (t == d):
+        raise HomomorphismFailure(
+            "diagonal group normality differs from the g^2 = id condition"
+        )
+    if not permgroup.normalized_by(c.antidiagonal_group,
+                                   c.pair_group.generators):
+        raise HomomorphismFailure(
+            "antidiagonal group is not normal in the pair group"
+        )
+
+    # The slot product, sending x in J to the class of g1 g in G/[G, G],
+    # where (g1.b0, g.b0) = rho(x)(b0, b0), is a homomorphism onto
+    # G/[G, G] with kernel exactly H: the intermediate quotient is Galois
+    # with deck group G/[G, G], all of G in the abelian case.  It is read
+    # from the antidiagonal labels i * classes + class of g1 g2 over
+    # symmetric point i: the swap keeps each label, and slot-map(s)
+    # multiplies each label's class by the class of s.  As rho is a
+    # homomorphism, the elements that multiply every class by one value
+    # form a subgroup, on which the value is multiplicative; it holds the
+    # generators, so it is J, and an element's value is its slot product
+    # (the label of (b0, b0) has class 1).  G/[G, G] has one element for
+    # each coset of [G, G], and rho(x)(b0, b0) hits each pair over
+    # (b0, b0) twice as x runs over J, so the kernel has order twice the
+    # number of those pairs of class 1, d |[G, G]|, checked to be |H|.  H
+    # lies in the kernel, as its generators keep every antidiagonal label
+    # (the orbit check below), so it is the kernel; its order and this
+    # check reject a wrong generating set of H.
+    ab_table, class_of = table.abelianization
     classes = ab_table.order
-    anti_labels = _antidiagonal_labels(first, sym_of, class_of, classes)
+    anti_labels = c.antidiagonal_labels
     anti_lines = _label_lines(anti_labels, n)
     gen_values = [ab_table.identity] + [class_of[s] for s in gens_of_g]
     targets = _reader(anti_labels)  # the labels read off times
     for x, value in zip(pair_gens, gen_values):
-        times = [i + c for i in range(0, sym_count * classes, classes)
-                 for c in ab_table.table[value]]
+        times = [i + k for i in range(0, sym_count * classes, classes)
+                 for k in ab_table.table[value]]
         if _rows_through(anti_lines, x) != _rows(targets(times), n):
             raise HomomorphismFailure("slot product is not a homomorphism")
     # Label ab_table.identity is class 1 over point 0 = (b0, b0).
-    if 2 * anti_labels.count(ab_table.identity) != len(antidiagonal_group):
+    if 2 * anti_labels.count(ab_table.identity) != len(c.antidiagonal_group):
         raise HomomorphismFailure(
             "slot-product kernel is not the antidiagonal group"
         )
@@ -792,65 +723,81 @@ def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbCon
     # copy g, the transversals {z, |Z| + g.z}, pointwise — this is what
     # makes the intermediate quotient tame along the doubled locus.  The
     # second copy of the model holds |Z| + g.z.
-    for anti, shifted in zip(_antidiagonal_maps(model, table.inverses),
+    for anti, shifted in zip(_antidiagonal_maps(c.model, table.inverses),
                              second):
-        if not _fixes_transversals((anti, swap), n, range(n), shifted):
+        if not _fixes_transversals((anti, c.swap), n, range(n), shifted):
             raise HomomorphismFailure(
                 "antidiagonal swap element does not fix its diagonal copy"
             )
 
-    # The pair-group orbits on the square are exactly the symmetric-point
-    # fibers.
-    point_sym = _point_labels(gset, sym_of)
-    _check_labels_kept(_label_lines(point_sym, n), pair_gens, "pair-group")
-    xi_fiber_sizes = tuple(map(point_sym.count, range(sym_count)))
-    doubled = set(map(list.__getitem__, sym_of, range(nb)))  # each {b, b}
-    if xi_fiber_sizes != tuple(d * d if i in doubled else 2 * d * d
-                               for i in range(sym_count)):
+    # The three orbit partitions are read from the labels, with no orbit
+    # search: _check_labels_kept puts each orbit in one label class, and
+    # each class is one orbit for the reason given at its check.  J labels
+    # a pair ((g1, b), (g2, b')) by its symmetric point {b, b'}.  P moves
+    # it to every pair over (b, b') and the swap to (b', b), so the orbits
+    # are the symmetric-point fibers, of 2 d^2 pairs off the doubled locus
+    # and d^2 on it.
+    point_labels = c.point_labels
+    _check_labels_kept(_label_lines(point_labels, n), pair_gens, "pair-group")
+    if c.xi_fiber_sizes != tuple(d * d if i in doubled else 2 * d * d
+                                 for i in range(sym_count)):
         raise HomomorphismFailure("fiber size law failed")
-    # The d disjoint copies of |Z| = d |B| pairs and the |B| doubled fibers
-    # of d^2 pairs each both hold |B| d^2 pairs, so the copies are the
-    # doubled-locus preimage once they lie over doubled points.
+    # The d diagonal copies T[g] = {(z, g.z)} are disjoint sheet sets: T[g]
+    # holds one pair for each sheet z, and T[g] and T[h] share none for
+    # g != h, as g.z = h.z would make h^-1 g != e fix z, which the free
+    # action rules out (see free_gset).  The d copies of |Z| = d |B| pairs
+    # and the |B| doubled fibers of d^2 pairs each both hold |B| d^2
+    # pairs, so the copies are the doubled-locus preimage once they lie
+    # over doubled points.
     if not doubled.issuperset(itertools.chain.from_iterable(
-            _reader(copy)(point_sym) for copy in _diagonal_copies(first, n))):
+            _reader(copy)(point_labels)
+            for copy in _diagonal_copies(first, n))):
         raise HomomorphismFailure(
             "diagonal copies do not exhaust the doubled-locus preimage"
         )
 
-    # The other two partitions, read from labels the same way.
-    # Diagonal-group orbits: d per off-doubled point, (d + t) / 2 per
-    # doubled point, t = #{g : g^2 = id} (orbit classes {r, r^-1} merge).
-    diag_labels = _diagonal_labels(table, first, sym_of)
-    _check_labels_kept(_label_lines(diag_labels, n),
-                       diagonal_group.generators, "diagonal-group")
-    if _classes_per_point(diag_labels, d, sym_count) != [
+    # D labels a pair by its symmetric point and r = g1^-1 g2 if b < b',
+    # r^-1 if b > b' and min(r, r^-1) if b = b'.  D holds every diagonal
+    # translation, (g1, g2) -> (g g1, g g2), which keeps r and runs
+    # through the d pairs of each r over (b, b'), and the swap, which
+    # exchanges (b, b') with (b', b) and r with r^-1.  So its orbits over a
+    # symmetric point number d off the doubled locus and (d + t) / 2 on
+    # it, where each class pair {r, r^-1} merges.
+    _check_labels_kept(_label_lines(c.diagonal_labels, n),
+                       c.diagonal_group.generators, "diagonal-group")
+    if _classes_per_point(c.diagonal_labels, d, sym_count) != [
             (d + t) // 2 if i in doubled else d for i in range(sym_count)]:
         raise HomomorphismFailure("diagonal-group orbit count law failed")
 
-    # Antidiagonal-group orbits: constant |G/[G, G]| per point (= d for
-    # abelian G) — the intermediate quotient is unramified.
-    _check_labels_kept(anti_lines, antidiagonal_group.generators,
+    # H labels a pair by its symmetric point and the class of g1 g2 in
+    # G/[G, G].  The copy-keeping half of H, the kernel of the sign on H,
+    # has index 2 in H, as the swap lies in H with sign -1, so it has
+    # order d |[G, G]| (|H| is checked above); it acts freely on pairs, as
+    # the translations do, so its orbits on the d^2 pairs over (b, b')
+    # have d |[G, G]| members, as many as a label class holds there.  With
+    # the swap, each class over a symmetric point is one orbit, so they
+    # number |G/[G, G]| over every point (d for abelian G): the
+    # intermediate quotient is unramified.
+    _check_labels_kept(anti_lines, c.antidiagonal_group.generators,
                        "antidiagonal-group")
-    anti_counts = _classes_per_point(anti_labels, classes, sym_count)
-    if anti_counts != [classes] * sym_count:
+    if c.antidiagonal_orbit_counts != (classes,) * sym_count:
         raise HomomorphismFailure(
             "antidiagonal-group orbit count is not the abelianization order"
         )
 
-    return HilbConstruction(
-        gset=gset,
-        swap=swap,
-        pair_group=pair_group,
-        diagonal_group=diagonal_group,
-        antidiagonal_group=antidiagonal_group,
-        sym=sym,
-        xi_fiber_sizes=xi_fiber_sizes,
-        antidiagonal_orbit_counts=tuple(anti_counts),
-        model=model,
-        point_labels=point_sym,
-        diagonal_labels=diag_labels,
-        antidiagonal_labels=anti_labels,
-    )
+
+def build_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP) -> HilbConstruction:
+    """The squared construction of ``gset``, assembled
+    (:func:`assemble_construction`) and then checked
+    (:func:`check_construction`): every law is checked on every call or
+    certified by how the construction is built.
+
+    Raises ``CapExceeded`` before building anything if the pair group, of
+    order 2 d^2, would pass ``cap``.
+    """
+    c = assemble_construction(gset, cap=cap)
+    check_construction(c)
+    return c
 
 
 def diagonal_components(c: HilbConstruction) -> dict[int, tuple[int, ...]]:
@@ -868,7 +815,7 @@ def fixed_components(c: HilbConstruction) -> frozenset[int]:
     of the diagonal group.
 
     The diagonal group is diag(G) ⊔ swap . diag(G) (its normal form, see
-    :func:`build_construction`), and only swap . diag(g) can fix copy g,
+    :func:`assemble_construction`), and only swap . diag(g) can fix copy g,
     T[g] = {(z, g.z)}, pointwise: diag(h) with h != e moves every pair, as
     the action is free, and swap . diag(h) sends (z, g.z) to (h g.z, h.z),
     a fixed point only if h = g and g^2 = e.  So each copy's one
@@ -883,10 +830,9 @@ def fixed_components(c: HilbConstruction) -> frozenset[int]:
     found = {g for g, (tr, shifted) in enumerate(zip(*c.model.copies))
              if _fixes_transversals((tr + shifted, c.swap), n, range(n),
                                     shifted)}
-    table = c.gset.group
-    closed_form = {
-        g for g in range(table.order) if table.mul(g, g) == table.identity
-    }
+    identity = c.gset.group.identity
+    closed_form = {g for g, square in enumerate(c.gset.group.squares)
+                   if square == identity}
     if found != closed_form:
         raise HomomorphismFailure(
             f"fixed diagonal copies {sorted(found)} disagree with the order-2 "
@@ -941,8 +887,8 @@ def square_cover(gset: GSet, base_label: str, *,
     over the permutations (:func:`permgroup.group_from_elements`).
     That G acts faithfully on the sheets of ``gset`` needs no check of its
     own: the validated table makes the action free (see :func:`free_gset`),
-    and :func:`build_construction` checks that the pair group has order
-    2 d^2, so the generators it uses generate G.
+    and the pair group has the certified order 2 d^2
+    (:func:`assemble_construction`), so the generators it uses generate G.
     """
     table = gset.group
     if not table.is_abelian:

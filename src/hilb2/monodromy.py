@@ -258,8 +258,7 @@ def wreath_quotient_check(q_table: GroupTable, n: int, *,
         quotient.abelian_invariants() if quotient_abelian else ()
     )
 
-    commutator = q_table.commutator_subgroup()
-    qab_table, class_of = q_table.quotient_by(commutator)
+    qab_table, class_of = q_table.abelianization
     qab = qab_table.abelian_invariants()
 
     identity_points = [i * q + q_table.identity for i in range(n)]

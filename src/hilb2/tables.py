@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 import itertools
 import math
-from operator import itemgetter
+from operator import getitem, itemgetter
 import re
 
 from .errors import CapExceeded, NotAGroup
@@ -120,6 +120,11 @@ class GroupTable:
     def inverses(self) -> tuple[int, ...]:
         return tuple(row.index(self.identity) for row in self.table)
 
+    @cached_property
+    def squares(self) -> tuple[int, ...]:
+        """g·g for every element g, read off the table's diagonal."""
+        return tuple(map(getitem, self.table, range(len(self.table))))
+
     def inv(self, a: int) -> int:
         return self.inverses[a]
 
@@ -190,10 +195,15 @@ class GroupTable:
         }
         return self.subgroup_closure(commutators)
 
+    @cached_property
+    def abelianization(self) -> tuple["GroupTable", tuple[int, ...]]:
+        """The quotient by the commutator subgroup and the class of every
+        element (:meth:`quotient_by`), computed once per table."""
+        return self.quotient_by(self.commutator_subgroup())
+
     def abelianized_invariants(self) -> tuple[int, ...]:
         """Invariant factors of this group modulo its commutator subgroup."""
-        quotient, _ = self.quotient_by(self.commutator_subgroup())
-        return quotient.abelian_invariants()
+        return self.abelianization[0].abelian_invariants()
 
     def quotient_by(self, subgroup) -> tuple["GroupTable", tuple[int, ...]]:
         """Quotient table by a normal subgroup (given as element indices).

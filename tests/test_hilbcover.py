@@ -1,7 +1,7 @@
 """The squared-model construction: symmetric quotients, the three
 symmetry groups of the square, fiber laws, diagonal copies, and the
 induced cover of the Hilbert square."""
-from dataclasses import replace
+from dataclasses import fields, replace
 import functools
 import itertools
 from pathlib import Path
@@ -556,8 +556,9 @@ def assert_laws_exhaustively(c):
     d, n = c.d, c.gset.size
     mul = table.mul
     swap = c.swap
-    slot, diag = c.second_slot_maps, c.diagonal_maps
-    anti = c.antidiagonal_maps
+    slot = c.second_slot_maps
+    diag = [c.model.vector((g, g)) for g in range(d)]
+    anti = list(hilbcover._antidiagonal_maps(c.model, table.inverses))
     tr = translations(c.gset)
     # Pair translation (g1, g): g1's translation on the first copy, g's on
     # the second, built here independently of the library's words.
@@ -849,11 +850,12 @@ def reference_closures(c):
         Permutation(tr[x] + second)
         for x in table.commutator_subgroup()
     )
+    anti = list(hilbcover._antidiagonal_maps(c.model, table.inverses))
     diagonal = permgroup.generate(
-        (c.swap,) + tuple(c.diagonal_maps[s] for s in gens),
+        (c.swap,) + tuple(c.model.vector((s, s)) for s in gens),
         domain_size=2 * n)
     antidiagonal = permgroup.generate(
-        (c.swap,) + tuple(c.antidiagonal_maps[s] for s in gens)
+        (c.swap,) + tuple(anti[s] for s in gens)
         + commutator_pairs, domain_size=2 * n)
     return diagonal, antidiagonal
 
@@ -1057,11 +1059,12 @@ def test_slot_and_diagonal_maps_are_read_off_the_translations(table, base):
     c = build(table, base)
     n = c.gset.size
     trs = translations(c.gset)
+    anti = list(hilbcover._antidiagonal_maps(c.model, table.inverses))
     for g, tr in enumerate(trs):
         shifted = tuple(n + t for t in tr)
         assert c.second_slot_maps[g].images == tuple(range(n)) + shifted
-        assert c.diagonal_maps[g].images == tr + shifted
-        assert c.antidiagonal_maps[g].images == \
+        assert c.model.vector((g, g)).images == tr + shifted
+        assert anti[g].images == \
             tr + tuple(n + t for t in trs[table.inv(g)])
 
 
@@ -1144,7 +1147,8 @@ def test_row_readings_follow_the_square_action(table, base):
         assert hilbcover._rows_through(lines, x.images) == \
             hilbcover._rows(square, n)
         exchanged = rho(c.swap * x, n).images
-        for diag in c.diagonal_maps:  # the transversals of each copy
+        for g in range(c.d):  # the transversals of each copy
+            diag = c.model.vector((g, g))
             seconds = diag.images[n:]
             copy = [z * n + w - n for z, w in zip(firsts, seconds)]
             assert hilbcover._fixes_transversals(
@@ -1396,3 +1400,98 @@ def test_build_makes_no_permutation_of_the_square(monkeypatch):
     monkeypatch.setattr(permgroup, "_raw", unvalidated)
     build_construction(gset)
     assert sizes == {66}
+
+
+@pytest.mark.parametrize(
+    "table, base", [case[1:] for case in ORACLE_CASES],
+    ids=[f"{name}-b{len(base)}" for name, _, base in ORACLE_CASES],
+)
+def test_the_assembler_builds_what_build_construction_returns(table, base):
+    gset = free_gset(table, base)
+    assembled = hilbcover.assemble_construction(gset)
+    built = build_construction(gset)
+    for field in fields(built):
+        assert getattr(assembled, field.name) == getattr(built, field.name), \
+            field.name
+    for group in ("pair_group", "diagonal_group", "antidiagonal_group"):
+        assert getattr(assembled, group).generators == \
+            getattr(built, group).generators
+    assert assembled.model.copies == built.model.copies
+
+
+def exchanging_first_two_labels(labels):
+    """``labels`` with pair 0's label exchanged with that of the first pair
+    labelled otherwise."""
+    labels = list(labels)
+    k = next(k for k, label in enumerate(labels) if label != labels[0])
+    labels[0], labels[k] = labels[k], labels[0]
+    return labels
+
+
+# Each label array with two labels exchanged breaks the first law that
+# reads it; each recorded count off by one breaks its count law.
+TAMPERED_FIELDS = [
+    ("point_labels", exchanging_first_two_labels,
+     "pair-group generators do not keep the orbit labels"),
+    ("diagonal_labels", exchanging_first_two_labels,
+     "diagonal-group generators do not keep the orbit labels"),
+    ("antidiagonal_labels", exchanging_first_two_labels,
+     "slot product is not a homomorphism"),
+    ("xi_fiber_sizes", lambda sizes: (sizes[0] + 1,) + sizes[1:],
+     "fiber size law failed"),
+    ("antidiagonal_orbit_counts",
+     lambda counts: counts[:-1] + (counts[-1] - 1,),
+     "antidiagonal-group orbit count is not the abelianization order"),
+]
+
+
+@pytest.mark.parametrize("name, tamper, failure", TAMPERED_FIELDS,
+                         ids=[name for name, _, _ in TAMPERED_FIELDS])
+def test_the_checker_reads_the_law_off_each_field(name, tamper, failure):
+    for table in (cyclic_table(3), abelian_table((2, 2)), symmetric_table(3)):
+        c = build(table, ("a", "b"))
+        tampered = replace(c, **{name: tamper(getattr(c, name))})
+        hilbcover.check_construction(c)
+        with pytest.raises(HomomorphismFailure, match=f"^{failure}$"):
+            hilbcover.check_construction(tampered)
+
+
+@pytest.mark.parametrize("helper, failure", [
+    ("_point_labels", "pair-group generators do not keep the orbit labels"),
+    ("_diagonal_labels",
+     "diagonal-group generators do not keep the orbit labels"),
+    ("_antidiagonal_labels", "slot product is not a homomorphism"),
+])
+def test_a_tampered_helper_passes_the_assembler_and_fails_the_checker(
+        monkeypatch, helper, failure):
+    honest = getattr(hilbcover, helper)
+    monkeypatch.setattr(hilbcover, helper, lambda *args: (
+        exchanging_first_two_labels(honest(*args))))
+    c = hilbcover.assemble_construction(free_gset(cyclic_table(3),
+                                                  ("a", "b")))
+    with pytest.raises(HomomorphismFailure, match=f"^{failure}$"):
+        hilbcover.check_construction(c)
+
+
+def test_each_build_assembles_once_and_checks_once(monkeypatch):
+    calls = []
+    assemble, check = (hilbcover.assemble_construction,
+                       hilbcover.check_construction)
+
+    def assembled(*args, **kwargs):
+        calls.append(("assemble", assemble(*args, **kwargs)))
+        return calls[-1][1]
+
+    def checked(c):
+        calls.append(("check", c))
+        return check(c)
+
+    monkeypatch.setattr(hilbcover, "assemble_construction", assembled)
+    monkeypatch.setattr(hilbcover, "check_construction", checked)
+    gset = free_gset(cyclic_table(4), ("a", "b"))
+    c = build_construction(gset, cap=100)
+    assert [phase for phase, _ in calls] == ["assemble", "check"]
+    assert all(seen is c for _, seen in calls)
+    calls.clear()
+    square_cover(gset, "X")
+    assert [phase for phase, _ in calls] == ["assemble", "check"]

@@ -201,6 +201,19 @@ def test_quaternion_table():
     assert quotient.abelian_invariants() == (2, 2)
 
 
+@pytest.mark.parametrize("table", [
+    cyclic_table(1), cyclic_table(6), abelian_table((2, 4)),
+    symmetric_table(3), quaternion_table(),
+], ids=["Z1", "Z6", "Z2xZ4", "S3", "Q8"])
+def test_squares_and_abelianization_are_computed_once_per_table(table):
+    assert table.squares == tuple(table.mul(g, g) for g in range(table.order))
+    assert table.abelianization == \
+        table.quotient_by(table.commutator_subgroup())
+    assert table.abelianization is table.abelianization
+    assert table.abelianized_invariants() == \
+        table.abelianization[0].abelian_invariants()
+
+
 def name_chain(name):
     """The invariant factors, ascending, that a catalog name lists largest
     first: ``Z4xZ2`` gives (2, 4), and ``Z1`` the empty chain."""
