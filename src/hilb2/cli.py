@@ -6,9 +6,10 @@ Subcommands: ``classify`` (covers of a surface's Hilbert square),
 (Hodge numbers of the Hilbert square from a surface triple).
 
 Exit codes: 0 success, 1 failed verification property, 2 malformed input,
-3 cap exceeded, 4 non-abelian deck group.  Error messages go to stderr and
-error paths produce no report output.  The ``HILB2_CAP`` environment
-variable overrides the default caps; explicit flags override both.
+3 cap exceeded, 4 non-abelian deck group; ``main_script`` also ends with
+141 when the reader closes stdout.  Error messages go to stderr and error
+paths produce no report output.  The ``HILB2_CAP`` environment variable
+overrides the default caps; explicit flags override both.
 """
 from __future__ import annotations
 
@@ -70,6 +71,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_CAP = 3
 EXIT_NONABELIAN = 4
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports SIGPIPE
 
 
 @dataclass(frozen=True)
@@ -553,6 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every call.
 
     Parsing leaves no state on it: each call gets a fresh ``Namespace``.
+    Its ``subcommands`` maps each subcommand's name to its parser.
     """
     parser = argparse.ArgumentParser(
         prog="hilb2",
@@ -598,12 +601,28 @@ def build_parser() -> argparse.ArgumentParser:
                        help="surface Hodge triple, e.g. 1,0,1")
     _add_common(hodge)
 
+    parser.subcommands = {"classify": classify, "construct": construct,
+                          "verify": verify, "hodge": hodge}
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, read by the named subcommand's
+    parser alone when it takes every token after the name: the top-level
+    parser would hand it those tokens and word nothing of its own."""
+    parser = build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.subcommand = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as stop:
         return int(stop.code or 0)
     try:
@@ -627,7 +646,15 @@ def main(argv=None) -> int:
 
 
 def main_script() -> None:
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): stdout goes to devnull,
+        # so the flush at exit writes nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_STDOUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

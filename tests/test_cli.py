@@ -5,6 +5,7 @@ import functools
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
 import resource
 import subprocess
@@ -21,10 +22,12 @@ from hilb2.cli import (
     EXIT_BAD_INPUT,
     EXIT_CAP,
     EXIT_CHECK_FAILED,
+    EXIT_CLOSED_STDOUT,
     EXIT_NONABELIAN,
     EXIT_OK,
     main,
 )
+from hilb2.errors import CapExceeded
 from hilb2.fpgroup import (
     Presentation,
     coset_enumeration,
@@ -97,6 +100,14 @@ def test_construct_cap_exceeded(capsys):
     assert code == EXIT_CAP
     assert out == ""
     assert "error:" in err
+
+
+def test_construct_names_the_square_over_the_coset_cap():
+    args = argparse.Namespace(group="Z2", base_size=3, format="text")
+    with pytest.raises(
+        CapExceeded, match=r"^the square would have 36 pairs > coset cap 35$"
+    ):
+        cli.cmd_construct(args, cli.Caps(coset_cap=35, group_cap=1000))
 
 
 def test_construct_rejects_zero_cap(capsys):
@@ -397,6 +408,62 @@ def test_dispatch_reads_the_command_at_call_time(capsys, monkeypatch):
     assert seen == ["1,2,1"]
 
 
+SUBCOMMANDS = ("classify", "construct", "verify", "hodge")
+OPTIONS = ("--format", "--coset-cap", "--group-cap", "--catalog",
+           "--presentation", "--group", "--base-size", "--inject-fault",
+           "--help")
+VALUES = ("Z2", "Z2xZ2", "S3", "2", "0", "-1", "two", "text", "json", "xml",
+          "quaternion", "< a | a^2 >", "1,0,1", "-1,0,1", "")
+STRAYS = ("extra", "bogus", "-h", "--", "-", "-x", "--nope", "constr")
+WELL_FORMED = (("--format", "json"), ("--coset-cap", "100"),
+               ("--group-cap", "50"), ("--group", "Z2"), ("--base-size", "1"),
+               ("--catalog", "quaternion"), ("--presentation", "< a | a^2 >"),
+               ("1,0,1",), ("--inject-fault",))
+
+# An option string whole, cut to a prefix (which may name several
+# options), or joined to a value by "=".
+option_tokens = st.one_of(
+    st.sampled_from(OPTIONS),
+    st.builds(lambda option, cut: option[:cut], st.sampled_from(OPTIONS),
+              st.integers(2, 6)),
+    st.builds("{}={}".format, st.sampled_from(OPTIONS),
+              st.sampled_from(VALUES)),
+)
+argv_tokens = st.one_of(option_tokens, st.sampled_from(VALUES),
+                        st.sampled_from(STRAYS))
+# Mostly a subcommand first, then well-formed options, options followed by
+# any value, and single tokens.
+first_tokens = st.sampled_from(SUBCOMMANDS * 4 + ("bogus", "-h", "--he",
+                                                   "--"))
+argv_chunks = st.one_of(st.sampled_from(WELL_FORMED),
+                        st.tuples(option_tokens, st.sampled_from(VALUES)),
+                        st.tuples(argv_tokens))
+argv_tails = (
+    st.lists(argv_chunks, max_size=4)
+    | st.lists(st.sampled_from(WELL_FORMED), max_size=3)
+).map(lambda chunks: [token for chunk in chunks for token in chunk])
+
+
+def parse_outcome(parse, argv):
+    """The namespace ``parse(argv)`` returns, as a dict, or the code it
+    exits with, and what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            result = vars(parse(argv))
+    except SystemExit as stop:
+        result = stop.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(first_tokens, argv_tails)
+def test_a_named_subcommand_parses_as_the_top_level_parser_does(first, rest):
+    argv = [first, *rest]
+    assert (parse_outcome(cli._parse_args, argv)
+            == parse_outcome(cli.build_parser().parse_args, argv))
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == EXIT_OK
@@ -430,6 +497,14 @@ def test_verify_tight_cap_skips(capsys):
     assert "0 failed" in out
 
 
+def test_verify_names_the_predicted_pair_group_over_the_group_cap():
+    # The first entry builds Z1 over one base point: |J| = 2.
+    _, first = cli._verify_checks(cli.Caps(coset_cap=100, group_cap=1),
+                                  False)[0]
+    with pytest.raises(CapExceeded, match=r"^\|J\| would be 2 > group cap 1$"):
+        first()
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == EXIT_OK
@@ -453,6 +528,32 @@ def test_both_module_entry_points_run_the_command_line(module):
     assert result.stdout == ""
     assert result.stderr.count("\n") == 1
     assert result.stderr.startswith("error: no catalog surface named 'nope'")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("classify", "--presentation", "< a b | a^2, b^6, a b a^-1 b^-1 >",
+     "--format", "json"),
+    ("construct", "--group", "Z2"),
+], ids=["classify json", "construct text"])
+def test_a_closed_stdout_ends_without_a_traceback(argv, unbuffered):
+    # Not exit 1, which reads as a failed verify property.
+    src = str(Path(hilb2.__file__).resolve().parent.parent)
+    env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "hilb2", *argv], stdout=write,
+            stderr=subprocess.PIPE, text=True, timeout=60, env=env,
+        )
+    finally:
+        os.close(write)
+    assert result.returncode == EXIT_CLOSED_STDOUT
+    assert result.stderr == ""
 
 
 # Runs ``python -m hilb2`` on the arguments after the report path, and at

@@ -28,7 +28,11 @@ permutations follow the orbit order, come from the build that closed the
 diagonal and antidiagonal groups and searched the square for their
 orbits; the ``classify`` records of Z2xZ4xZ8 (text) and Z4xZ4 (JSON),
 in which subgroups of equal index have different quotient types, come
-from the lattice that sorted subgroups by their closed element lists.
+from the lattice that sorted subgroups by their closed element lists;
+the records of ``PARSER_CASES``, whose help, usage and error text
+argparse writes, come from the command line that passed every call
+through the top-level parser.  argparse wraps that text at the terminal
+width, so every record is made and replayed with ``COLUMNS=80``.
 A change that alters any of them alters what users see.  To
 record the corpus again after a deliberate output change, run from the
 repository root:
@@ -43,6 +47,7 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -96,10 +101,29 @@ CASES = (
      "--format", "json"),
 )
 
+# Invocations that argparse answers itself, each worded by the top-level
+# parser or by a subcommand's.
+PARSER_CASES = (
+    (),
+    ("-h",),
+    ("bogus",),
+    ("construct",),
+    ("construct", "--help"),
+    ("construct", "--group", "Z2", "extra"),
+    ("construct", "--group", "Z2", "--format", "xml"),
+    ("classify", "--catalog", "quaternion", "--presentation", "< a | a^2 >"),
+    ("hodge", "-1,0,1"),
+)
+
+CASES += PARSER_CASES
+
+COLUMNS = "80"
+
 
 def run_case(argv) -> dict:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ, COLUMNS=COLUMNS), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return {"argv": list(argv), "exit": code,
             "stdout": out.getvalue(), "stderr": err.getvalue()}
@@ -114,7 +138,8 @@ def test_corpus_covers_every_case():
     assert set(_recorded()) == set(CASES)
 
 
-@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+@pytest.mark.parametrize("argv", CASES,
+                         ids=lambda argv: " ".join(argv) or "(no arguments)")
 def test_cli_output_matches_recording(argv):
     assert run_case(argv) == _recorded()[argv]
 
@@ -144,7 +169,8 @@ def replay_in_child(python, **env) -> dict:
     result = subprocess.run(
         [python, "-c", REPLAY, str(GOLDEN)], capture_output=True, text=True,
         timeout=300,
-        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1", **env},
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1",
+             "COLUMNS": COLUMNS, **env},
     )
     assert result.returncode == 0, result.stderr
     replayed = json.loads(result.stdout)

@@ -16,6 +16,7 @@ import hilb2
 from hilb2 import cli, hilbcover, permgroup
 from hilb2.descriptors import CoverDescriptor
 from hilb2.errors import (
+    CapExceeded,
     EmptyBase,
     HomomorphismFailure,
     NonAbelianDeckGroup,
@@ -1495,3 +1496,15 @@ def test_each_build_assembles_once_and_checks_once(monkeypatch):
     calls.clear()
     square_cover(gset, "X")
     assert [phase for phase, _ in calls] == ["assemble", "check"]
+
+
+def test_the_pair_group_refusal_names_the_group_cap():
+    # |J| = 2 d^2 = 8 for Z2: a cap of 8 builds, a cap of 7 refuses.
+    gset = free_gset(cyclic_table(2), ("a",))
+    assert len(build_construction(gset, cap=8).pair_group) == 8
+    with pytest.raises(CapExceeded,
+                       match=r"^group closure exceeded cap of 7 elements$"):
+        hilbcover.refuse_pair_group_over_cap(2, 7)
+    with pytest.raises(CapExceeded,
+                       match=r"^group closure exceeded cap of 7 elements$"):
+        build_construction(gset, cap=7)

@@ -248,7 +248,8 @@ def test_subgroups_of_small_groups():
         domain_size=4,
     )
     assert [g.order for g in permgroup.subgroups(v4)] == [1, 2, 2, 2, 4]
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"^subgroup enumeration is capped "
+                                          r"at order 5; group has order 6$"):
         permgroup.subgroups(s3(), cap=5)
 
 
