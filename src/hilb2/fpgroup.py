@@ -138,16 +138,9 @@ class CosetTable:
     def index(self) -> int:
         return len(self.rows)
 
-    def step(self, coset: int, letter: int) -> int:
-        """Apply one signed generator letter to a coset index."""
-        if letter > 0:
-            return self.rows[coset][2 * (letter - 1)]
-        return self.rows[coset][2 * (-letter - 1) + 1]
-
     def trace(self, coset: int, word) -> int:
-        for letter in word:
-            coset = self.step(coset, letter)
-        return coset
+        """The coset that the signed word ``word`` takes ``coset`` to."""
+        return _trace_all(self.columns, (coset,), _columns_word(word))[0]
 
 
 class _Parser:

@@ -507,12 +507,7 @@ def core(group: Group, sub: Group) -> Group:
 def normalizer(group: Group, sub: Group) -> Group:
     """Elements of ``group`` whose conjugation maps ``sub`` onto itself."""
     _require_subgroup(sub, group)
-    hgens = sub.generators or sub.element_list
-    members = []
-    for a in group.element_list:
-        ainv = a.inverse()
-        if all(a * h * ainv in sub for h in hgens):
-            members.append(a)
+    members = [a for a in group.element_list if normalized_by(sub, (a,))]
     return group_from_elements(group.domain_size, members)
 
 

@@ -9,16 +9,19 @@ for dispatch, and reports are wrapped in a versioned envelope.
 :func:`emit` writes exactly what ``json.dumps(data, indent=2,
 sort_keys=True)`` writes, byte for byte.  With an indent the standard
 library encodes through its pure-Python generators; :func:`emit` is one
-recursive writer instead.  It escapes strings with the C escaper
+recursive writer instead, for the types the package emits: ``str``,
+``int``, ``bool`` and ``None``, and exact ``dict`` (with ``str`` keys),
+``list`` and ``tuple``.  It escapes strings with the C escaper
 (``json.encoder.encode_basestring_ascii``) that ``json`` itself uses,
 writes a list of one scalar type with one C-level ``map``, and encodes a
 container that recurs once per nesting level, by identity: ``classify``
-hands one cover dict to every subgroup of a quotient type.
+hands one cover dict to every subgroup of a quotient type.  Anything else
+(a float, a key that is not a ``str``, a subclass, a container that holds
+itself) it hands to ``json.dumps``, which writes it or refuses it.
 """
 from __future__ import annotations
 
 import json
-import math
 
 from . import permgroup
 from .descriptors import CoverDescriptor, SurfaceDescriptor
@@ -141,41 +144,13 @@ def envelope(command: str, results: list) -> dict:
 _escape = json.encoder.encode_basestring_ascii
 _INDENT = "  "
 
-
-def _float_text(x: float) -> str:
-    """A float as :mod:`json` writes it, NaN and the infinities included."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-# How json writes each exact scalar type; subclasses go through the
-# isinstance tests in emit.
+# How json writes each scalar type the package emits, by exact type.
 _SCALARS = {
     str: _escape,
     int: int.__repr__,
-    float: _float_text,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
-
-
-def _key_text(key) -> str:
-    """A dict key as :mod:`json` converts it to a string."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True or key is False or key is None:
-        return _SCALARS[type(key)](key)
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
 
 
 def emit(data: dict) -> str:
@@ -187,7 +162,7 @@ def emit(data: dict) -> str:
 
     def container(o, level: int) -> str:
         if not o:
-            return "{}" if isinstance(o, dict) else "[]"
+            return "{}" if type(o) is dict else "[]"
         key = (id(o), level)
         text = memo.get(key)
         if text is not None:
@@ -196,10 +171,11 @@ def emit(data: dict) -> str:
             raise ValueError("Circular reference detected")
         active.add(key[0])
         inner, sub = "\n" + _INDENT * (level + 1), level + 1
-        if isinstance(o, dict):
+        if type(o) is dict:
             opening, closing = "{", "}"
+            # _escape refuses a key that is not a str.
             parts = [
-                _escape(k if type(k) is str else _key_text(k)) + ": "
+                _escape(k) + ": "
                 + (scalars[type(v)](v) if type(v) in scalars
                    else value(v, sub))
                 for k, v in sorted(o.items())
@@ -220,20 +196,16 @@ def emit(data: dict) -> str:
         scalar = scalars.get(type(o))
         if scalar is not None:
             return scalar(o)
-        # Subclasses of the JSON types, in the order json tests them.
-        if isinstance(o, str):
-            return _escape(o)
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            return _float_text(o)
-        if isinstance(o, (list, tuple, dict)):
+        if type(o) in (dict, list, tuple):
             return container(o, level)
-        raise TypeError(
-            f"Object of type {o.__class__.__name__} is not JSON serializable"
-        )
+        raise TypeError(f"{type(o).__name__} is written by json")
 
-    return value(data, 0)
+    # The writer raises TypeError on any other type or key, and ValueError
+    # on a container that holds itself; json.dumps then writes or refuses.
+    try:
+        return value(data, 0)
+    except (TypeError, ValueError):
+        return json.dumps(data, indent=2, sort_keys=True)
 
 
 def parse(text: str) -> dict:

@@ -137,7 +137,7 @@ class GroupTable:
 
     @cached_property
     def is_abelian(self) -> bool:
-        return list(map(tuple, self.table)) == list(zip(*self.table))
+        return tuple(map(tuple, self.table)) == self.columns
 
     def subgroup_closure(self, seed) -> tuple[int, ...]:
         """Closure of a set of element indices under multiplication."""
@@ -149,41 +149,16 @@ class GroupTable:
 
         Elements are reached from the identity by right-multiplying by the
         generators chosen so far, until every element is reached, so every
-        element is a product of generators.  This reads only rows, so it is
-        sound on a table not yet known to be associative.  Computed once
-        per table.
+        element is a product of generators.  This reads only table entries,
+        so it is sound on a table not yet known to be associative.
+        Computed once per table.
         """
         return self._small_generating_set
 
     @cached_property
     def _small_generating_set(self) -> tuple[int, ...]:
-        """:func:`_greedy_generators` over this table, reading its rows:
-        member m reaches row m at each generator."""
-        table = self.table
-        gens: list[int] = []
-        members = [self.identity]
-        reached = set(members)
-        for x in range(self.order):
-            if x in reached:
-                continue
-            gens.append(x)
-            # The members so far are closed under the earlier generators,
-            # so they meet x alone; every member reached from here on
-            # meets all of them.
-            start = len(members)
-            for m in members[:start]:
-                y = table[m][x]
-                if y not in reached:
-                    reached.add(y)
-                    members.append(y)
-            for m in itertools.islice(members, start, None):
-                row = table[m]
-                for g in gens:
-                    y = row[g]
-                    if y not in reached:
-                        reached.add(y)
-                        members.append(y)
-        return tuple(gens)
+        return _greedy_generators(range(self.order), self.identity,
+                                  self._right_multiplication)
 
     def commutator_subgroup(self) -> tuple[int, ...]:
         """Element indices of the subgroup generated by all commutators."""
@@ -262,17 +237,34 @@ def _closure(members: list, steps, cap: int | None = None) -> list:
 def _greedy_generators(elements, identity, right) -> tuple:
     """Greedy generators of a closed element list: each is the first
     element not reached from ``identity`` by the ones chosen before it.
-    ``right(g)`` is the right-multiplication map x -> x·g."""
+    ``right(g)`` is the right-multiplication map x -> x·g.
+
+    The members reached before a new generator are closed under the
+    earlier ones, so they meet the new one alone; every member reached
+    from then on meets all of them.  Each member thus meets each generator
+    once: |G|·|gens| products in all."""
     gens: list = []
     steps: list = []
     members = [identity]
     reached = {identity}
     for x in elements:
-        if x not in reached:
-            gens.append(x)
-            steps.append(right(x))
-            known = len(members)
-            reached.update(_closure(members, steps)[known:])
+        if x in reached:
+            continue
+        gens.append(x)
+        by_x = right(x)
+        steps.append(by_x)
+        start = len(members)
+        for m in members[:start]:
+            y = by_x(m)
+            if y not in reached:
+                reached.add(y)
+                members.append(y)
+        for m in itertools.islice(members, start, None):
+            for step in steps:
+                y = step(m)
+                if y not in reached:
+                    reached.add(y)
+                    members.append(y)
     return tuple(gens)
 
 
@@ -303,11 +295,7 @@ def _coset_table(elements, sub, right) -> tuple[GroupTable, dict, list]:
 
 
 def cyclic_table(n: int) -> GroupTable:
-    if n < 1:
-        raise NotAGroup("cyclic groups have positive order")
-    return GroupTable(tuple(
-        tuple((i + j) % n for j in range(n)) for i in range(n)
-    ))
+    return abelian_table((n,))
 
 
 def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:

@@ -144,6 +144,22 @@ def test_cli_output_matches_recording(argv):
     assert run_case(argv) == _recorded()[argv]
 
 
+JSON_CASES = [argv for argv in CASES if "json" in argv]
+
+
+def test_json_records_never_reach_the_json_dumps_fallback(monkeypatch):
+    # emit writes the package's own types itself and hands anything else
+    # to json.dumps; no record the package prints may need that.
+    def refuse(*args, **kwargs):
+        raise AssertionError("emit handed its data to json.dumps")
+
+    recorded = _recorded()
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert ("verify", "--format", "json") in JSON_CASES
+    for argv in JSON_CASES:
+        assert run_case(argv) == recorded[argv], argv
+
+
 # Replays every record of the corpus file named by argv[1] under the
 # interpreter it runs in; it imports no pytest, which an older interpreter
 # may lack.

@@ -154,7 +154,8 @@ def test_a_nonassociative_loop_is_no_table():
     # refuses it, so no GSet, and no sheet action, is built over it.
     loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
             (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
-    with pytest.raises(NotAGroup, match="^associativity fails at "):
+    with pytest.raises(NotAGroup,
+                       match=r"^associativity fails at \(1, 1, 2\)$"):
         replace(cyclic_table(5), table=loop)
 
 
@@ -318,9 +319,10 @@ def test_hilb_square_cover_rejects_bad_inputs():
     flip = permgroup.generate((Permutation((1, 0, 2)),), domain_size=3)
     with pytest.raises(NotGalois):
         hilb_square_cover(cover_from_subgroup(s3, flip))
-    with pytest.raises(NonAbelianDeckGroup):
+    nonabelian = f"^{hilbcover._NONABELIAN_DECK}$"
+    with pytest.raises(NonAbelianDeckGroup, match=nonabelian):
         hilb_square_cover(regular_cover(symmetric_table(3)))
-    with pytest.raises(NonAbelianDeckGroup):
+    with pytest.raises(NonAbelianDeckGroup, match=nonabelian):
         square_cover(free_gset(symmetric_table(3), ("a",)), "X")
 
 
@@ -330,6 +332,20 @@ def test_hilb_square_cover_rejects_a_deck_group_with_fixed_sheets():
                             monodromy=flip, degree=3, deck_group=flip,
                             galois=True)
     with pytest.raises(NotGalois, match="does not act freely"):
+        hilb_square_cover(cover)
+
+
+def test_hilb_square_cover_names_a_nonabelian_deck_group_first():
+    # S3 on three points is nonabelian and fixes sheets: the abelian
+    # check comes before the freeness check, so it names the first.
+    s3 = permgroup.generate(
+        (Permutation((1, 0, 2)), Permutation((1, 2, 0))), domain_size=3
+    )
+    cover = CoverDescriptor(base_label="X", total_points=("p", "q", "r"),
+                            monodromy=s3, degree=3, deck_group=s3,
+                            galois=True)
+    with pytest.raises(NonAbelianDeckGroup,
+                       match=f"^{hilbcover._NONABELIAN_DECK}$"):
         hilb_square_cover(cover)
 
 

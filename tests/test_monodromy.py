@@ -305,7 +305,9 @@ def test_classify_rejects_infinite_fundamental_groups():
         singular_points=(),
         hodge=None,
     )
-    with pytest.raises(InfiniteAbelianization):
+    with pytest.raises(InfiniteAbelianization,
+                       match="^the abelianized fundamental group has free "
+                             "rank 1; only finite groups classify here$"):
         classify_hilb_covers(free_surface)
 
 

@@ -31,6 +31,13 @@ def test_cyclic_table_basics():
     assert z4.order_of(2) == 2
     assert z4.is_abelian
     assert cyclic_table(1).order == 1
+    assert cyclic_table(5).table == tuple(
+        tuple((i + j) % 5 for j in range(5)) for i in range(5))
+    for refused in (lambda: cyclic_table(0), lambda: cyclic_table(-3),
+                    lambda: abelian_table((2, 0))):
+        with pytest.raises(NotAGroup,
+                           match="^cyclic groups have positive order$"):
+            refused()
 
 
 def test_table_validation():
@@ -298,8 +305,12 @@ def test_quotient_by_requires_normal_subgroup():
     assert coset_of[s3.identity] == quotient.identity
     assert quotient.abelian_invariants() == (2,)
     flip = next(g for g in range(6) if s3.order_of(g) == 2)
-    with pytest.raises(NotAGroup):
+    with pytest.raises(NotAGroup,
+                       match="^subgroup is not normal in the table$"):
         s3.quotient_by((s3.identity, flip))
+    turn = next(g for g in range(6) if s3.order_of(g) == 3)
+    with pytest.raises(NotAGroup, match="^subgroup indices are not closed$"):
+        s3.quotient_by((s3.identity, turn))
 
 
 def test_quotient_by_trivial_subgroup_is_the_table(monkeypatch, capsys):
@@ -307,7 +318,7 @@ def test_quotient_by_trivial_subgroup_is_the_table(monkeypatch, capsys):
     quotient, coset_of = s3.quotient_by((s3.identity,))
     assert quotient is s3
     assert coset_of == tuple(range(6))
-    with pytest.raises(NotAGroup):
+    with pytest.raises(NotAGroup, match="^a subgroup contains the identity$"):
         s3.quotient_by((1,))
 
     built = []

@@ -221,6 +221,34 @@ def test_table_walks_match_the_reference_loops(name, table):
                 reference_quotient_by(table, sub), (name, sub)
 
 
+def relabelled(table: GroupTable, sigma) -> GroupTable:
+    """``table`` with element a renamed ``sigma[a]``."""
+    rows = [[0] * table.order for _ in range(table.order)]
+    for a, row in enumerate(table.table):
+        for b, ab in enumerate(row):
+            rows[sigma[a]][sigma[b]] = sigma[ab]
+    return GroupTable(tuple(map(tuple, rows)))
+
+
+GENERATOR_TABLES = [table for _, table in abelian_group_tables(64)] + [
+    symmetric_table(3), symmetric_table(4), quaternion_table()]
+
+
+def test_table_generators_match_the_fresh_closure_reference():
+    for table in GENERATOR_TABLES:
+        assert table.small_generating_set() == \
+            reference_table_generators(table), table.table[:2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_relabelled_table_generators_match_the_fresh_closure_reference(data):
+    # A relabelling moves the identity and reorders the greedy choices.
+    table = data.draw(st.sampled_from(GENERATOR_TABLES))
+    table = relabelled(table, data.draw(st.permutations(range(table.order))))
+    assert table.small_generating_set() == reference_table_generators(table)
+
+
 # --- permutations -----------------------------------------------------------
 
 @pytest.mark.parametrize("name", list(GROUPS))
@@ -264,14 +292,20 @@ def test_right_coset_covers_match_the_reference_loop(name):
     assert all(normal) == (name == "Z2^5")
 
 
+# Each member meets each generator once in the library's walk.
+WALK_PRODUCTS = {"S5": 480, "Z2^5": 160, "D12": 48}
+
+
 @pytest.mark.parametrize("name,count", [("S5", 566), ("Z2^5", 258),
                                         ("D12", 60)])
 def test_greedy_generators_compose_as_before(name, count, compositions):
+    # ``count`` is the reference's: a fresh closure for every generator.
     group = GROUPS[name]
     elements, n = group.element_list, group.domain_size
     compositions.count = 0
     gens = permgroup.small_generating_set(elements, n)
-    assert compositions.count == count
+    assert compositions.count == len(elements) * len(gens) \
+        == WALK_PRODUCTS[name]
     compositions.count = 0
     assert reference_small_generating_set(elements, n) == gens
     assert compositions.count == count

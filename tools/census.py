@@ -1,13 +1,16 @@
-"""Mutation census of the library's law checks and cap refusals.
+"""Mutation census of the library's law checks, cap refusals and refusal
+guards.
 
-Each ``raise HomomorphismFailure(...)`` and ``raise CapExceeded(...)`` in
-``src/hilb2`` is a site, found from the syntax tree.  For each site the
-census copies the tree to a temporary directory and drops that one
-``raise`` but keeps the call, so the exception is made and thrown away and
-the code runs on past the check.  With the copy's ``src`` on
-``PYTHONPATH`` it runs first the tests whose ``match=`` pattern names the
-site's text, then, if those pass, the whole suite with ``-x``.  A site
-survives when both pass: no test notices that its check is gone.
+Each ``raise`` of an exception named in ``EXCEPTIONS`` in ``src/hilb2``
+(``HomomorphismFailure``, ``CapExceeded``, ``NotAGroup``,
+``NonAbelianDeckGroup`` and ``InfiniteAbelianization``) is a site, found
+from the syntax tree.  For each site the census copies the tree to a
+temporary directory and drops that one ``raise`` but keeps the call, so
+the exception is made and thrown away and the code runs on past the
+check.  With the copy's ``src`` on ``PYTHONPATH`` it runs first the tests
+whose ``match=`` pattern names the site's text, then, if those pass, the
+whole suite with ``-x``.  A site survives when both pass: no test
+notices that its check is gone.
 
 Run from anywhere, with pytest installed::
 
@@ -35,7 +38,8 @@ import tempfile
 import time
 
 ROOT = Path(__file__).resolve().parent.parent
-EXCEPTIONS = ("HomomorphismFailure", "CapExceeded")
+EXCEPTIONS = ("HomomorphismFailure", "CapExceeded", "NotAGroup",
+              "NonAbelianDeckGroup", "InfiniteAbelianization")
 COPIED = ("src", "tests", "bench", "tools", "pyproject.toml",
           "BENCHMARK.json")
 IGNORED = shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis",
