@@ -275,11 +275,11 @@ class HilbConstruction:
     :func:`check_construction` checks it.
 
     ``swap`` and the three groups permute Z ⊔ Z, and an element moves the
-    pair z * |Z| + w of the square by rho.  ``second_slot_maps[g]``, the
-    pair translation (e, g), and ``diagonal_copies[g]``, the pairs
-    (z, g.z), are read from the copies of ``model`` (J's
-    :class:`WreathModel`) when first read.  ``pair_group``, of certified
-    order 2 d^2, lists its elements only when they are first read, and so
+    pair z * |Z| + w of the square by rho.  ``model`` is J's
+    :class:`WreathModel`: the pair translation (g1, g) is
+    ``model.vector((g1, g))``, and ``diagonal_copies[g]``, the pairs
+    (z, g.z), are read from its copies when first read.  ``pair_group``,
+    of certified order 2 d^2, lists its elements only when first read, and so
     do the diagonal group and an abelian antidiagonal group, which answer
     membership from their normal forms; a nonabelian antidiagonal group is
     closed.
@@ -314,11 +314,6 @@ class HilbConstruction:
     @property
     def d(self) -> int:
         return self.gset.group.order
-
-    @cached_property
-    def second_slot_maps(self) -> tuple[Permutation, ...]:
-        e = self.gset.group.identity
-        return tuple(self.model.vector((e, g)) for g in range(self.d))
 
     @cached_property
     def diagonal_copies(self) -> tuple[tuple[int, ...], ...]:
@@ -492,15 +487,6 @@ def _split_by_point(classes, per_point: int
     )
 
 
-def _antidiagonal_maps(model: WreathModel, inverses):
-    """The antidiagonal maps pair(g, g^-1) of the pair group ``model``, one
-    by one in g order, direct sums of g's translation in the first copy
-    and that of ``inverses[g]`` in the second."""
-    first, second = model.copies
-    return map(permgroup._raw, map(
-        operator.add, first, map(second.__getitem__, inverses)))
-
-
 def _swap_normal_form(model: WreathModel, partner, gens) -> Group:
     """The group maps ⊔ swap . maps on Z ⊔ Z of the pair group ``model``,
     for maps[g] = pair(g, partner[g]), an injective image of G that
@@ -579,7 +565,12 @@ def assemble_construction(gset: GSet, *, cap: int = DEFAULT_ELEMENT_CAP
       abelian G, H = anti(G) ⊔ swap . anti(G) in the same way as D:
       swap . anti(s) . swap = pair(s^-1, s) = anti(s^-1), as the inverse
       map of a validated table is an involution, so conjugation by the
-      swap inverts anti(G); its order is 2 d = 2 d |[G, G]|.  A nonabelian
+      swap inverts anti(G); its order is 2 d = 2 d |[G, G]|.  Its swap
+      member swap . anti(g) = copies[1][g] + copies[0][g^-1] fixes copy g,
+      the transversals {z, |Z| + g.z}, pointwise, which makes the
+      intermediate quotient tame along the doubled locus: it sends z to
+      |Z| + g.z and |Z| + g.z to g^-1.(g.z) = z, as translation is a
+      homomorphism and g^-1 g = e in the validated table.  A nonabelian
       H is closed from the swap, the antidiagonal maps of G's generators
       and (c, e) for c in [G, G]: with the swap these give
       [G, G] x [G, G], and modulo that the antidiagonal maps of generators
@@ -664,25 +655,20 @@ def check_construction(c: HilbConstruction) -> None:
     d, n = table.order, c.gset.size
     identity = table.identity
     gens_of_g = table.small_generating_set()
-    first, second = c.model.copies
+    first = c.model.copies[0]
     pair_gens = (c.swap,) + tuple(c.model.vector((identity, s))
                                   for s in gens_of_g)
     sym_count = len(c.sym.points)
     doubled = {i for i, p in enumerate(c.sym.points) if p.is_diagonal}
 
     # D is normal in J exactly when every g satisfies g^2 = e, that is when
-    # t = #{g : g^2 = e} is d, and H always is; normality is settled on
-    # J's generators (see permgroup.normalized_by).
+    # t = #{g : g^2 = e} is d; normality is settled on J's generators (see
+    # permgroup.normalized_by).  H is normal as the slot product's kernel.
     t = table.squares.count(identity)
     if permgroup.normalized_by(c.diagonal_group, c.pair_group.generators) \
             != (t == d):
         raise HomomorphismFailure(
             "diagonal group normality differs from the g^2 = id condition"
-        )
-    if not permgroup.normalized_by(c.antidiagonal_group,
-                                   c.pair_group.generators):
-        raise HomomorphismFailure(
-            "antidiagonal group is not normal in the pair group"
         )
 
     # The slot product, sending x in J to the class of g1 g in G/[G, G],
@@ -700,8 +686,9 @@ def check_construction(c: HilbConstruction) -> None:
     # (b0, b0) twice as x runs over J, so the kernel has order twice the
     # number of those pairs of class 1, d |[G, G]|, checked to be |H|.  H
     # lies in the kernel, as its generators keep every antidiagonal label
-    # (the orbit check below), so it is the kernel; its order and this
-    # check reject a wrong generating set of H.
+    # (the orbit check below), so it is the kernel, and so normal in J, as
+    # a kernel is; its order and this check reject a wrong generating set
+    # of H.
     ab_table, class_of = table.abelianization
     classes = ab_table.order
     anti_labels = c.antidiagonal_labels
@@ -718,17 +705,6 @@ def check_construction(c: HilbConstruction) -> None:
         raise HomomorphismFailure(
             "slot-product kernel is not the antidiagonal group"
         )
-
-    # The antidiagonal swap element indexed by g, swap . anti(g), fixes
-    # copy g, the transversals {z, |Z| + g.z}, pointwise — this is what
-    # makes the intermediate quotient tame along the doubled locus.  The
-    # second copy of the model holds |Z| + g.z.
-    for anti, shifted in zip(_antidiagonal_maps(c.model, table.inverses),
-                             second):
-        if not _fixes_transversals((anti, c.swap), n, range(n), shifted):
-            raise HomomorphismFailure(
-                "antidiagonal swap element does not fix its diagonal copy"
-            )
 
     # The three orbit partitions are read from the labels, with no orbit
     # search: _check_labels_kept puts each orbit in one label class, and
@@ -848,18 +824,15 @@ _NONABELIAN_DECK = (
 )
 
 
-def _sheets(labels: list[int], per_point: int
-            ) -> tuple[list[int], dict[int, int]]:
+def _sheets(labels: list[int], per_point: int) -> dict[int, int]:
     """The label classes i * per_point + c of ``labels`` as sheets,
     numbered point by point over the symmetric points i, and over each
     point in the order their labels first occur, which is the order of the
-    classes' smallest members.  Returns each sheet's leader, its smallest
-    pair, and the sheet number of each label.  ``dict.fromkeys`` lists
-    the labels in the order they first occur, in one C-level pass, and
-    each leader is the first index of its label."""
+    classes' smallest members: the sheet number of each label, keyed in
+    sheet order.  ``dict.fromkeys`` lists the labels in the order they
+    first occur, in one C-level pass."""
     ordered = sorted(dict.fromkeys(labels), key=per_point.__rfloordiv__)
-    return (list(map(labels.index, ordered)),
-            dict(zip(ordered, itertools.count())))
+    return dict(zip(ordered, itertools.count()))
 
 
 def square_cover(gset: GSet, base_label: str, *,
@@ -874,17 +847,18 @@ def square_cover(gset: GSet, base_label: str, *,
     first occur (:func:`_sheets`); sheets over doubled points are the
     center labels (the locus blown up downstairs), and no ramification is
     introduced.  The deck group is G acting through the second-slot maps,
-    read at each sheet's smallest pair and looked up by that pair's
-    label, as the orbits are the label classes.  The action is checked to
-    be a homomorphism (deck(s) deck(g) = deck(s g) for the generators s
-    and every g, one pass of right multiplications per s) and injective,
-    so its image is closed and isomorphic to G.  Its generators are the
-    greedy generators of that image in sorted order, which the table walks
-    over the elements g sorted by deck(g):
-    g -> deck(g) is an injective homomorphism, so x is reached from the
-    identity by the earlier generators in the table exactly when deck(x)
-    is by their images, and the walk picks the same generators as one
-    over the permutations (:func:`permgroup.group_from_elements`).
+    read off the table: the orbits are the label classes i * d + c, where
+    c is the class of g1 g2 in G/[G, G] = G, and the checked slot-product
+    law says that the slot map of g multiplies every class by g, so deck(g)
+    sends the sheet of label i * d + c to that of label i * d + g c.  So
+    g -> deck(g) is a homomorphism by associativity of the validated table,
+    and injective by cancellation, with no check of its own: its image is
+    closed and isomorphic to G.  Its generators are the greedy generators
+    of that image in sorted order, which the table walks over the elements
+    g sorted by deck(g): x is reached from the identity by the earlier
+    generators in the table exactly when deck(x) is by their images, and
+    the walk picks the same generators as one over the permutations
+    (:func:`permgroup.group_from_elements`).
     That G acts faithfully on the sheets of ``gset`` needs no check of its
     own: the validated table makes the action free (see :func:`free_gset`),
     and the pair group has the certified order 2 d^2
@@ -904,31 +878,14 @@ def square_cover(gset: GSet, base_label: str, *,
         if p.is_diagonal
     ))
 
-    # A slot map fixes the first copy (it is pair(e, g)), so it moves
-    # the pair z * n + w, the transversal {z, n + w}, to
-    # z * n + slot(n + w) - n.
-    n = gset.size
-    labels = c.antidiagonal_labels
-    leaders, sheet_of = _sheets(labels, d)
-    row_starts = [k - k % n - n for k in leaders]  # z * n - n
-    seconds = [n + k % n for k in leaders]  # n + w
-    deck = [
-        Permutation([sheet_of[labels[z + mover[w]]]
-                     for z, w in zip(row_starts, seconds)])
-        for mover in c.second_slot_maps
-    ]
-    # deck(s) deck(g) for every g is deck(s) read through each deck(g)'s
-    # right multiplication, and deck(s g) for every g is deck read along
-    # row s of the table: one pass per generator s.
-    by_deck = list(map(permgroup._right_multiplication, deck))
-    for s in table.small_generating_set():
-        if [times(deck[s]) for times in by_deck] \
-                != list(map(deck.__getitem__, table.table[s])):
-            raise HomomorphismFailure(
-                "deck action on orbits is not a homomorphism"
-            )
-    if len(set(deck)) != d:
-        raise HomomorphismFailure("deck action on orbits is not faithful")
+    # deck(g) sends the sheet of label i * d + c to that of i * d + g c.
+    sheet_of = _sheets(c.antidiagonal_labels, d)
+    points = [label - label % d for label in sheet_of]  # i * d
+    classes = [label % d for label in sheet_of]  # c
+    deck = [Permutation(map(sheet_of.__getitem__,
+                            map(operator.add, points,
+                                map(row.__getitem__, classes))))
+            for row in table.table]
     gens = _greedy_generators(sorted(range(d), key=deck.__getitem__),
                               table.identity, table._right_multiplication)
     deck_group = permgroup._listed(len(total), map(deck.__getitem__, gens),

@@ -47,3 +47,20 @@ def test_a_dropped_hilbcover_check_is_caught_by_its_named_test():
     verdict, _ = census.census_site(site)
     assert verdict == "caught by named tests"
     assert time.perf_counter() - start < 5
+
+
+def test_a_site_whose_message_is_a_name_is_named_by_the_tests_reading_it():
+    # square_cover's abelian guard raises a module constant, with no
+    # literal piece: its named tests are those whose match= reads it.
+    guards = [site for site in census.sites()
+              if site.message == "_NONABELIAN_DECK"]
+    assert [site.path for site in guards] == ["src/hilb2/hilbcover.py"] * 2
+    for site in guards:
+        assert site.pieces == ()
+        assert "tests/test_hilbcover.py::" \
+            "test_hilb_square_cover_rejects_bad_inputs" \
+            in census.named_tests(site)
+    start = time.perf_counter()
+    verdict, _ = census.census_site(guards[0])
+    assert verdict == "caught by named tests"
+    assert time.perf_counter() - start < 5

@@ -27,7 +27,7 @@ from hilb2.cli import (
     EXIT_OK,
     main,
 )
-from hilb2.errors import CapExceeded
+from hilb2.errors import CapExceeded, NonAbelianDeckGroup
 from hilb2.fpgroup import (
     Presentation,
     coset_enumeration,
@@ -85,6 +85,18 @@ def test_construct_nonabelian_group(capsys):
     assert code == EXIT_NONABELIAN
     assert out == ""
     assert "error:" in err
+
+
+def test_construct_names_a_nonabelian_group_before_building():
+    # The refusal comes from the spec alone; S3 never reaches a table.
+    args = argparse.Namespace(group="S3", base_size=1, format="text")
+    with pytest.raises(
+        NonAbelianDeckGroup,
+        match=r"^group S3 is not abelian: the squared construction only "
+              r"realizes the abelianized quotient for a nonabelian group, so "
+              r"no cover of the full degree exists$",
+    ):
+        cli.cmd_construct(args, cli.Caps(coset_cap=1000, group_cap=1000))
 
 
 def test_construct_unknown_group(capsys):
@@ -478,7 +490,11 @@ def test_verify_inject_fault(capsys):
 
 
 def test_verify_reports_the_construction_law_that_failed(capsys, monkeypatch):
-    monkeypatch.setattr(permgroup, "normalized_by", lambda sub, gens: False)
+    # Every normality answer negated: D's normality law fails on every
+    # construction, whether or not every element squares to the identity.
+    honest = permgroup.normalized_by
+    monkeypatch.setattr(permgroup, "normalized_by",
+                        lambda sub, gens: not honest(sub, gens))
     code, out, _ = run(capsys, "verify")
     assert code == EXIT_CHECK_FAILED
     lines = out.splitlines()

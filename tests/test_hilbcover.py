@@ -90,6 +90,17 @@ def translations(gset):
             for g in range(gset.group.order)]
 
 
+def slot_maps(c):
+    """The second-slot maps pair(e, g) of ``c``, in g order."""
+    e = c.gset.group.identity
+    return [c.model.vector((e, g)) for g in range(c.d)]
+
+
+def antidiagonal_maps(c):
+    """The antidiagonal maps pair(g, g^-1) of ``c``, in g order."""
+    return [c.model.vector((g, c.gset.group.inv(g))) for g in range(c.d)]
+
+
 def marker_square_action(c):
     """The pair group on the square as the marker-point model listed it:
     every (z, w) -> (g1.z, g.w) and its composite with the swap."""
@@ -319,10 +330,11 @@ def test_hilb_square_cover_rejects_bad_inputs():
     flip = permgroup.generate((Permutation((1, 0, 2)),), domain_size=3)
     with pytest.raises(NotGalois):
         hilb_square_cover(cover_from_subgroup(s3, flip))
-    nonabelian = f"^{hilbcover._NONABELIAN_DECK}$"
-    with pytest.raises(NonAbelianDeckGroup, match=nonabelian):
+    with pytest.raises(NonAbelianDeckGroup,
+                       match=f"^{hilbcover._NONABELIAN_DECK}$"):
         hilb_square_cover(regular_cover(symmetric_table(3)))
-    with pytest.raises(NonAbelianDeckGroup, match=nonabelian):
+    with pytest.raises(NonAbelianDeckGroup,
+                       match=f"^{hilbcover._NONABELIAN_DECK}$"):
         square_cover(free_gset(symmetric_table(3), ("a",)), "X")
 
 
@@ -360,85 +372,6 @@ def test_deck_orbits_of_a_cover_have_distinct_smallest_labels():
                         galois=True)
 
 
-def exchanging_slots_one_and_two(honest):
-    """Wrap ``build_construction`` so that the slot maps of 1 and 2 are
-    exchanged.  In Z4, 2 is the square of the generator 1, so the deck
-    action stays injective but breaks 1 + 1 = 2."""
-    def swapped(gset, **kwargs):
-        c = honest(gset, **kwargs)
-        slots = list(c.second_slot_maps)
-        slots[1], slots[2] = slots[2], slots[1]
-        vars(c)["second_slot_maps"] = tuple(slots)
-        return c
-    return swapped
-
-
-def trivial_slots(honest):
-    """Wrap ``build_construction`` so that every slot map is the identity
-    of Z ⊔ Z: every g then acts trivially on the sheets, a homomorphism
-    but not an injective one."""
-    def trivial(gset, **kwargs):
-        c = honest(gset, **kwargs)
-        identity = Permutation.identity(2 * gset.size)
-        vars(c)["second_slot_maps"] = (identity,) * c.d
-        return c
-    return trivial
-
-
-def test_hilb_square_cover_checks_the_deck_action_is_a_homomorphism(
-        monkeypatch):
-    cover = regular_cover(cyclic_table(4))
-    assert hilb_square_cover(cover).degree == 4
-    monkeypatch.setattr(hilbcover, "build_construction",
-                        exchanging_slots_one_and_two(build_construction))
-    with pytest.raises(HomomorphismFailure,
-                       match="^deck action on orbits is not a homomorphism$"):
-        hilb_square_cover(cover)
-
-
-def test_square_cover_checks_the_deck_action_is_faithful(monkeypatch):
-    gset = free_gset(cyclic_table(3), ("a", "b"))
-    assert square_cover(gset, "X").degree == 3
-    monkeypatch.setattr(hilbcover, "build_construction",
-                        trivial_slots(build_construction))
-    with pytest.raises(HomomorphismFailure,
-                       match="^deck action on orbits is not faithful$"):
-        square_cover(gset, "X")
-
-
-def test_deck_checks_run_under_optimization():
-    script = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
-        "from test_hilbcover import exchanging_slots_one_and_two, "
-        "trivial_slots\n"
-        "from hilb2 import hilbcover\n"
-        "from hilb2.errors import HomomorphismFailure\n"
-        "from hilb2.tables import cyclic_table\n"
-        "honest = hilbcover.build_construction\n"
-        "for order, broken in ((4, exchanging_slots_one_and_two),\n"
-        "                      (3, trivial_slots)):\n"
-        "    hilbcover.build_construction = broken(honest)\n"
-        "    gset = hilbcover.free_gset(cyclic_table(order), ('a', 'b'))\n"
-        "    try:\n"
-        "        hilbcover.square_cover(gset, 'X')\n"
-        "    except HomomorphismFailure as exc:\n"
-        "        print(exc)\n"
-        "    hilbcover.build_construction = honest\n"
-    )
-    src = str(Path(hilb2.__file__).resolve().parent.parent)
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True,
-        text=True, timeout=60,
-        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == (
-        "deck action on orbits is not a homomorphism\n"
-        "deck action on orbits is not faithful\n"
-    )
-
-
 def reference_pair_image(images, n, k):
     """rho(x)(k) for the pair index k, read from x's images on Z ⊔ Z."""
     z, w = divmod(k, n)
@@ -446,10 +379,11 @@ def reference_pair_image(images, n, k):
     return a * n + b - n if a < n else b * n + a - n
 
 
-def reference_deck_side(c):
-    """The deck side that read each slot map at every orbit leader through
-    the pair image, numbered the orbits from the bucketed fibers and
-    closed the deck group's generators over the sorted permutations."""
+def reference_deck_maps(c):
+    """The sheet labels, the center labels and the deck permutation of
+    every g, as the deck side read them before the table did: each slot
+    map read at every orbit leader through the pair image, the orbits
+    numbered from the bucketed fibers."""
     total, center, leaders = [], [], []
     orbit_of_point = {}
     for i, p in enumerate(c.sym.points):
@@ -466,10 +400,16 @@ def reference_deck_side(c):
             orbit_of_point[reference_pair_image(mover.images, n, k)]
             for k in leaders
         ))
-        for mover in c.second_slot_maps
+        for mover in slot_maps(c)
     ]
-    group = permgroup.group_from_elements(len(total), deck)
-    return tuple(total), tuple(center), group
+    return tuple(total), tuple(center), deck
+
+
+def reference_deck_side(c):
+    """The geometric deck side: the reference deck maps, with the deck
+    group's generators closed over the sorted permutations."""
+    total, center, deck = reference_deck_maps(c)
+    return total, center, permgroup.group_from_elements(len(total), deck)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
@@ -486,16 +426,49 @@ def test_deck_side_matches_the_pair_image_reading(size):
         assert cover.monodromy is cover.deck_group
 
 
+IMPLIED_LAW_CASES = [
+    (name, table, base)
+    for name, table in abelian_group_tables(12)
+    for base in (("a",), ("a", "b"))
+]
+
+
+@pytest.mark.parametrize(
+    "table, base", [case[1:] for case in IMPLIED_LAW_CASES],
+    ids=[f"{name}-b{len(base)}" for name, _, base in IMPLIED_LAW_CASES],
+)
+def test_the_laws_the_checks_imply_hold_by_exhaustion(table, base):
+    # What the slot-product law and the validated table imply, with no
+    # check of its own, restated over every element: H is normal in J,
+    # each of H's swap members fixes its diagonal copy, and the deck
+    # action read geometrically is a faithful homomorphism (its image is
+    # square_cover's deck group, see
+    # test_deck_side_matches_the_pair_image_reading).
+    c = build(table, base)
+    n, d, mul = c.gset.size, c.d, table.mul
+    anti, pair = c.antidiagonal_group, c.pair_group
+    assert permgroup.is_normal(anti, pair)
+    assert all(a * h * a.inverse() in anti for a in pair for h in anti)
+    for tr in translations(c.gset):
+        fixer = anti.member_at(n + tr[0])
+        assert fixer in anti and sign(fixer, n) == -1
+        square = rho(fixer, n).images
+        assert all(square[z * n + tr[z]] == z * n + tr[z] for z in range(n))
+    _, _, deck = reference_deck_maps(c)
+    for g, h in itertools.product(range(d), repeat=2):
+        assert deck[g] * deck[h] == deck[mul(g, h)]
+    assert len(set(deck)) == d
+
+
 def test_sheets_are_numbered_by_smallest_member():
     # Over one point, labels 1, 0, 2 first occur at pairs 0, 1, 2, so they
     # are sheets 0, 1, 2; the reversed labels would meet 2 first.
-    leaders, sheet_of = hilbcover._sheets([1, 0, 2, 0, 1, 2], 3)
-    assert leaders == [0, 1, 2]
-    assert sheet_of == {1: 0, 0: 1, 2: 2}
+    sheet_of = hilbcover._sheets([1, 0, 2, 0, 1, 2], 3)
+    assert list(sheet_of.items()) == [(1, 0), (0, 1), (2, 2)]
     # Two points: point 0's labels first, each point's by first occurrence.
-    leaders, sheet_of = hilbcover._sheets([3, 1, 0, 4, 5, 2], 3)
-    assert leaders == [1, 2, 5, 0, 3, 4]
-    assert sheet_of == {1: 0, 0: 1, 2: 2, 3: 3, 4: 4, 5: 5}
+    sheet_of = hilbcover._sheets([3, 1, 0, 4, 5, 2], 3)
+    assert list(sheet_of.items()) == [(1, 0), (0, 1), (2, 2), (3, 3), (4, 4),
+                                      (5, 5)]
 
 
 @pytest.mark.parametrize("table, base", [
@@ -505,10 +478,10 @@ def test_sheets_are_numbered_by_smallest_member():
 def test_sheet_k_is_the_orbit_with_the_kth_smallest_member(table, base):
     c = build(table, base)
     labels = c.antidiagonal_labels
-    leaders, sheet_of = hilbcover._sheets(labels, c.d)
+    sheet_of = hilbcover._sheets(labels, c.d)
     orbits = [orbit for fibers in c.antidiagonal_orbit_fibers
               for orbit in fibers]
-    assert leaders == [orbit[0] for orbit in orbits]
+    assert list(sheet_of) == [labels[orbit[0]] for orbit in orbits]
     for k, orbit in enumerate(orbits):
         assert {sheet_of[labels[pair]] for pair in orbit} == {k}
 
@@ -573,9 +546,9 @@ def assert_laws_exhaustively(c):
     d, n = c.d, c.gset.size
     mul = table.mul
     swap = c.swap
-    slot = c.second_slot_maps
+    slot = slot_maps(c)
     diag = [c.model.vector((g, g)) for g in range(d)]
-    anti = list(hilbcover._antidiagonal_maps(c.model, table.inverses))
+    anti = antidiagonal_maps(c)
     tr = translations(c.gset)
     # Pair translation (g1, g): g1's translation on the first copy, g's on
     # the second, built here independently of the library's words.
@@ -703,7 +676,7 @@ def test_law_checks_cost_few_compositions(compositions):
     gset = free_gset(cyclic_table(11), ("a",))
     compositions.count = 0
     build_construction(gset)
-    assert compositions.count <= 12
+    assert compositions.count <= 4
 
 
 def test_law_checks_compose_on_two_copies_of_the_sheets(compositions):
@@ -713,16 +686,17 @@ def test_law_checks_compose_on_two_copies_of_the_sheets(compositions):
     gset = free_gset(cyclic_table(11), ("a", "b", "c"))
     compositions.count = compositions.points = 0
     fixed_components(build_construction(gset))
-    assert compositions.points <= 792
+    assert compositions.points <= 264
 
 
 def test_square_cover_costs_the_build_and_the_deck_law(compositions):
-    # The build's 12 products, then deck(s) deck(g) for the one generator
-    # s of Z11 and every g, d |gens| = 11 more.
+    # The build's 4 products and no more: the deck maps are read off the
+    # table, and their law follows from it, with no product of
+    # permutations.
     gset = free_gset(cyclic_table(11), ("a", "b"))
     compositions.count = 0
     square_cover(gset, "X")
-    assert compositions.count <= 23
+    assert compositions.count <= 4
 
 
 def test_build_validates_no_permutation(monkeypatch):
@@ -751,11 +725,12 @@ def test_law_checks_run_under_optimization():
         "honest_labels = hilbcover._antidiagonal_labels\n"
         "honest_points = hilbcover._point_labels\n"
         "honest_diagonal = hilbcover._diagonal_labels\n"
-        "honest_anti = hilbcover._antidiagonal_maps\n"
+        "honest_normal_form = hilbcover._swap_normal_form\n"
         "breaks = (\n"
         "    (hilbcover, '_left_translation',\n"
         "     lambda group, nb, g: honest(group, nb, group.inv(g))),\n"
-        "    (permgroup, 'normalized_by', lambda sub, gens: False),\n"
+        "    (hilbcover, '_swap_normal_form', lambda model, partner, gens:\n"
+        "         honest_normal_form(model, range(len(partner)), gens)),\n"
         "    (hilbcover, '_antidiagonal_labels',\n"
         "     lambda translations, sym_of, class_of, classes:\n"
         "         hilbcover._pair_labels(\n"
@@ -779,9 +754,6 @@ def test_law_checks_run_under_optimization():
         "         for i in honest_labels(translations, sym_of, class_of,\n"
         "                                classes)]),\n"
         "    (permgroup, 'normalized_by', lambda sub, gens: True),\n"
-        "    (hilbcover, '_antidiagonal_maps', lambda model, inverses: (\n"
-        "         tuple(honest_anti(model, inverses))[1:]\n"
-        "         + tuple(honest_anti(model, inverses))[:1])),\n"
         "    (hilbcover, '_fixes_transversals', lambda *args: True),\n"
         ")\n"
         "for owner, name, broken in breaks:\n"
@@ -803,14 +775,13 @@ def test_law_checks_run_under_optimization():
     assert result.returncode == 0, result.stderr
     assert result.stdout == (
         "slot product is not a homomorphism\n"
-        "antidiagonal group is not normal in the pair group\n"
+        "antidiagonal-group generators do not keep the orbit labels\n"
         "slot product is not a homomorphism\n"
         "slot-product kernel is not the antidiagonal group\n"
         "fiber size law failed\n"
         "diagonal-group orbit count law failed\n"
         "antidiagonal-group orbit count is not the abelianization order\n"
         "diagonal group normality differs from the g^2 = id condition\n"
-        "antidiagonal swap element does not fix its diagonal copy\n"
         "fixed diagonal copies [0, 1, 2] disagree with the order-2 "
         "prediction [0]\n"
     )
@@ -867,7 +838,7 @@ def reference_closures(c):
         Permutation(tr[x] + second)
         for x in table.commutator_subgroup()
     )
-    anti = list(hilbcover._antidiagonal_maps(c.model, table.inverses))
+    anti = antidiagonal_maps(c)
     diagonal = permgroup.generate(
         (c.swap,) + tuple(c.model.vector((s, s)) for s in gens),
         domain_size=2 * n)
@@ -1076,10 +1047,10 @@ def test_slot_and_diagonal_maps_are_read_off_the_translations(table, base):
     c = build(table, base)
     n = c.gset.size
     trs = translations(c.gset)
-    anti = list(hilbcover._antidiagonal_maps(c.model, table.inverses))
+    slot, anti = slot_maps(c), antidiagonal_maps(c)
     for g, tr in enumerate(trs):
         shifted = tuple(n + t for t in tr)
-        assert c.second_slot_maps[g].images == tuple(range(n)) + shifted
+        assert slot[g].images == tuple(range(n)) + shifted
         assert c.model.vector((g, g)).images == tr + shifted
         assert anti[g].images == \
             tr + tuple(n + t for t in trs[table.inv(g)])
@@ -1174,38 +1145,6 @@ def test_row_readings_follow_the_square_action(table, base):
             assert hilbcover._fixes_transversals(
                 (x.images, c.swap.images), n, firsts, seconds) == all(
                 exchanged[k] == k for k in copy)
-
-
-def test_antidiagonal_fixers_are_checked_on_their_copies(monkeypatch):
-    # Read each fixer on the transversals {z, |Z| + g.(z + 1)}, which are
-    # not its copy: the check must refuse.
-    honest = hilbcover._fixes_transversals
-
-    def next_sheet(maps, n, firsts, seconds):
-        return honest(maps, n, firsts, seconds[1:] + seconds[:1])
-
-    monkeypatch.setattr(hilbcover, "_fixes_transversals", next_sheet)
-    with pytest.raises(HomomorphismFailure,
-                       match="^antidiagonal swap element does not fix its "
-                             "diagonal copy$"):
-        build_construction(free_gset(cyclic_table(3), ("a", "b")))
-
-
-def test_antidiagonal_fixers_are_read_off_the_antidiagonal_maps(
-        monkeypatch):
-    # List anti(g + 1) at g: the same maps, so the same H, but the swap
-    # element read at g fixes copy g + 1, not copy g.
-    honest = hilbcover._antidiagonal_maps
-
-    def shifted(model, inverses):
-        maps = tuple(honest(model, inverses))
-        return maps[1:] + maps[:1]
-
-    monkeypatch.setattr(hilbcover, "_antidiagonal_maps", shifted)
-    with pytest.raises(HomomorphismFailure,
-                       match="^antidiagonal swap element does not fix its "
-                             "diagonal copy$"):
-        build_construction(free_gset(cyclic_table(3), ("a", "b")))
 
 
 def test_diagonal_copies_are_checked_to_exhaust_the_doubled_locus(
@@ -1308,12 +1247,31 @@ def test_orbit_counts_are_checked_on_the_kept_labels(monkeypatch, labels,
 @pytest.mark.parametrize("normal, failure", [
     # In Z3 only e squares to e, so the diagonal group must not be normal.
     (True, r"diagonal group normality differs from the g\^2 = id condition"),
-    (False, "antidiagonal group is not normal in the pair group"),
-], ids=["diagonal", "antidiagonal"])
+], ids=["diagonal"])
 def test_normality_laws_are_checked(monkeypatch, normal, failure):
     monkeypatch.setattr(permgroup, "normalized_by", lambda sub, gens: normal)
     with pytest.raises(HomomorphismFailure, match=f"^{failure}$"):
         build(cyclic_table(3), ("a",))
+
+
+def test_a_non_normal_antidiagonal_group_is_refused(monkeypatch):
+    # H := D, the normal form with the identity in place of the inverse
+    # pairing: it has H's order 2 d, so the kernel count passes, but it is
+    # not normal in J, as in Z3 only e squares to e.  H is normal only as
+    # the slot product's kernel, and D's generators move the classes of
+    # the antidiagonal labels.
+    honest = hilbcover._swap_normal_form
+    monkeypatch.setattr(
+        hilbcover, "_swap_normal_form",
+        lambda model, partner, gens: honest(model, range(len(partner)), gens))
+    c = hilbcover.assemble_construction(free_gset(cyclic_table(3),
+                                                  ("a", "b")))
+    assert c.antidiagonal_group.elements == c.diagonal_group.elements
+    assert not permgroup.is_normal(c.antidiagonal_group, c.pair_group)
+    with pytest.raises(HomomorphismFailure,
+                       match="^antidiagonal-group generators do not keep "
+                             "the orbit labels$"):
+        hilbcover.check_construction(c)
 
 
 def test_fixed_copies_are_checked_against_the_closed_form(monkeypatch):

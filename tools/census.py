@@ -8,8 +8,9 @@ from the syntax tree.  For each site the census copies the tree to a
 temporary directory and drops that one ``raise`` but keeps the call, so
 the exception is made and thrown away and the code runs on past the
 check.  With the copy's ``src`` on ``PYTHONPATH`` it runs first the tests
-whose ``match=`` pattern names the site's text, then, if those pass, the
-whole suite with ``-x``.  A site survives when both pass: no test
+whose ``match=`` pattern names the site's text (or, for a message held in
+a module-level name, reads that name), then, if those pass, the whole
+suite with ``-x``.  A site survives when both pass: no test
 notices that its check is gone.
 
 Run from anywhere, with pytest installed::
@@ -127,11 +128,30 @@ def _match_patterns(fn: ast.FunctionDef, assigned: dict) -> list[str]:
     return [re.sub(r"\\(.)", r"\1", p) for p in patterns]
 
 
+def _match_names(fn: ast.FunctionDef) -> set[str]:
+    """The names that the ``match=`` patterns under ``fn`` read, bare
+    (``_TEXT``) or as a module's attribute (``hilbcover._TEXT``)."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None)
+            for node in ast.walk(fn)
+            for keyword in getattr(node, "keywords", ())
+            if keyword.arg == "match"
+            for n in ast.walk(keyword.value)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
 def named_tests(site: Site, root: Path = ROOT) -> list[str]:
     """The test functions of ``root/tests`` with a ``match=`` pattern that
-    holds every literal piece of the site's message, as pytest node ids
-    relative to ``root``."""
-    if not site.pieces:
+    holds every literal piece of the site's message, or that reads the
+    module-level name the message is, as pytest node ids relative to
+    ``root``."""
+    if site.message.isidentifier():  # the message is a name
+        def names(fn, assigned):
+            return site.message in _match_names(fn)
+    elif site.pieces:
+        def names(fn, assigned):
+            return any(all(piece in pattern for piece in site.pieces)
+                       for pattern in _match_patterns(fn, assigned))
+    else:
         return []
     ids = []
     for path in sorted((root / "tests").glob("test_*.py")):
@@ -142,8 +162,7 @@ def named_tests(site: Site, root: Path = ROOT) -> list[str]:
                     if isinstance(target, ast.Name)}
         for fn in tree.body:
             if (isinstance(fn, ast.FunctionDef) and fn.name.startswith("test")
-                    and any(all(piece in pattern for piece in site.pieces)
-                            for pattern in _match_patterns(fn, assigned))):
+                    and names(fn, assigned)):
                 ids.append(f"{path.relative_to(root).as_posix()}::{fn.name}")
     return ids
 
